@@ -1,10 +1,8 @@
-"""Batched query engine bench — queries/sec and walks/sec, batched vs
-per-source.
+"""Batched query engine bench — queries/sec, batched vs per-query.
 
 Runs the ``card-bench`` query sweep (`repro.bench.bench_query`) at a
-reduced size through ``pytest-benchmark``: frontier-batched CSQ walks
-(``select_contacts_many``) and fabric-backed DSQ workloads
-(``query_many``) against the sequential per-source reference paths.
+reduced size through ``pytest-benchmark``: fabric-backed DSQ workloads
+(``query_many``) against the sequential ``query()`` reference loop.
 Parity is asserted *inside* the timed sweep — the bench raises rather
 than report a speedup for wrong answers.
 
@@ -20,29 +18,20 @@ from repro.bench import bench_query
 def test_query_engine_batched_vs_sequential(benchmark):
     report = benchmark.pedantic(
         lambda: bench_query(
-            sizes=(500,), num_queries=100, walk_sources=100, repeats=1,
-            quick=True,
+            sizes=(500,), num_queries=100, repeats=1, quick=True,
         ),
         iterations=1,
         rounds=1,
     )
-    by = {c["name"]: c for c in report["cases"]}
-    walks = by["csq_walks_n500"]
-    queries = by["query_engine_n500"]
+    (queries,) = report["cases"]
+    assert queries["name"] == "query_engine_n500"
     print()
     print(
-        f"csq_walks_n500: per-source {walks['reference_seconds'] * 1e3:.1f} ms, "
-        f"batched {walks['candidate_seconds'] * 1e3:.1f} ms "
-        f"({walks['speedup']:.2f}x, {walks['walks_per_second']:.0f} walks/s)"
-    )
-    print(
-        f"query_engine_n500: per-source {queries['reference_seconds'] * 1e3:.1f} ms, "
+        f"query_engine_n500: per-query {queries['reference_seconds'] * 1e3:.1f} ms, "
         f"batched {queries['candidate_seconds'] * 1e3:.1f} ms "
         f"({queries['speedup']:.2f}x, "
         f"{queries['candidate_queries_per_second']:.0f} q/s)"
     )
-    # the batched DSQ path must win outright even at small N; walks are
-    # gated by the committed baseline, not here (modest constant-factor win)
+    # the batched DSQ path must win outright even at small N
     assert queries["speedup"] > 1.0
-    assert walks["candidate_peak_bytes"] > 0
     assert queries["candidate_peak_bytes"] > 0

@@ -10,11 +10,10 @@ Every scaling PR changes the cost trajectory of the same hot paths:
 * **sparse** — the CSR membership backend vs the dense band at
   N ∈ {1k, 5k, 10k}: bit-identical answers, O(N·ball) memory instead of
   O(N²) (the ratio is the gated "speedup" — it is machine-independent);
-* **query** — the batched query engine at N ∈ {1k, 5k, 10k}: frontier-
-  batched CSQ walks (``select_contacts_many``) and fabric-backed DSQ
-  workloads (``query_many``) vs the per-source reference loops, parity-
-  checked while timing (identical tables, ``QueryResult`` lists and
-  traffic accounting);
+* **query** — the batched query engine at N ∈ {1k, 5k, 10k}:
+  fabric-backed DSQ workloads (``query_many``) vs the per-query
+  reference loop, parity-checked while timing (identical
+  ``QueryResult`` lists and traffic accounting);
 * **xl** — one N=10⁴ snapshot artifact (``fig07`` at the ``xl`` scale
   profile) built end-to-end through ``repro.api`` on the sparse
   ``DistanceView`` substrate, with peak memory reported.  The seed-era
@@ -511,26 +510,20 @@ def bench_obs(
 
 
 # ----------------------------------------------------------------------
-# query engine: batched CSQ walks + DSQ workloads vs per-source paths
+# query engine: batched DSQ workloads vs the per-query path
 # ----------------------------------------------------------------------
 def bench_query(
     *,
     sizes: Sequence[int] = (1000, 5000, 10000),
     depth: int = 3,
     num_queries: int = 200,
-    walk_sources: int = 200,
     repeats: int = 3,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """Batched query engine vs the per-source reference paths.
+    """Batched query engine vs the per-query reference path.
 
-    Two cases per network size, both parity-checked while timing:
+    One case per network size, parity-checked while timing:
 
-    * ``csq_walks_n{N}`` — contact-selection bootstrap for a fixed
-      source sample: ``BatchedContactSelector.select_contacts_many``
-      (candidate) vs the sequential per-source walks (reference), on
-      twin protocol instances with identical RNG streams.  The resulting
-      tables and network statistics must be bit-identical.
     * ``query_engine_n{N}`` — a depth-``depth`` DSQ workload over the
       full contact structure: ``QueryEngine.query_many`` (candidate) vs
       a ``query()`` loop (reference) on the same engine; the
@@ -538,6 +531,9 @@ def bench_query(
       accounting down to the discovered routes.  Both paths are warmed
       on a workload prefix first, so the candidate's ``_QueryFabric``
       freeze is amortized the way a campaign workload amortizes it.
+
+    Absolute contact-selection cost is on the ledger
+    (``core.selection.bootstrap_s`` / ``reselect_s``), not here.
 
     Workload knobs are identical in quick and full mode (only ``sizes``
     shrinks), so the quick CI sweep gates against the committed full
@@ -550,56 +546,14 @@ def bench_query(
     cases: List[Dict[str, object]] = []
     for n in sizes:
         n = int(n)
-        topo = _topology(n)
         params = CARDParams(
             R=3, r=10, noc=5, method=SelectionMethod.PM, depth=int(depth)
         )
-        card_seq = CARDProtocol(Network(topo), params, seed=0)
-        card_bat = CARDProtocol(Network(topo), params, seed=0)
-
-        sample = sorted(
-            {int(s) for s in np.linspace(0, n - 1, num=min(walk_sources, n))}
-        )
-        # bootstrap mutates the tables, so each mode runs exactly once
-        seq_s, seq_peak, res_seq = _timed(
-            lambda: card_seq.bootstrap(sample, batched=False), 1
-        )
-        bat_s, bat_peak, res_bat = _timed(lambda: card_bat.bootstrap(sample), 1)
-        for s in sample:  # pragma: no branch - parity guard
-            a, b = res_seq[s], res_bat[s]
-            if (
-                a.attempts != b.attempts
-                or a.forward_msgs != b.forward_msgs
-                or a.table.ids() != b.table.ids()
-                or [c.path for c in a.table] != [c.path for c in b.table]
-            ):
-                raise AssertionError(f"batched walk diverged at N={n}, s={s}")
-        if (
-            card_seq.network.stats.snapshot()
-            != card_bat.network.stats.snapshot()
-        ):  # pragma: no cover - parity guard
-            raise AssertionError(f"walk traffic accounting diverged at N={n}")
-        cases.append(
-            {
-                "name": f"csq_walks_n{n}",
-                "n": n,
-                "num_sources": len(sample),
-                "reference_seconds": seq_s,
-                "candidate_seconds": bat_s,
-                "speedup": seq_s / bat_s if bat_s > 0 else float("inf"),
-                "reference_peak_bytes": int(seq_peak),
-                "candidate_peak_bytes": int(bat_peak),
-                "walks_per_second": (
-                    len(sample) / bat_s if bat_s > 0 else float("inf")
-                ),
-            }
-        )
-
-        # queries escalate through other holders' tables, so the query
-        # case needs the full contact structure (built untimed, batched)
-        rest = [s for s in range(n) if s not in set(sample)]
-        card_bat.bootstrap(rest)
-        engine = card_bat.query_engine
+        card = CARDProtocol(Network(_topology(n)), params, seed=0)
+        # queries escalate through other holders' tables, so the case
+        # needs the full contact structure (built untimed)
+        card.bootstrap()
+        engine = card.query_engine
         wl_rng = np.random.default_rng(n)
         pairs = [
             (int(wl_rng.integers(n)), int(wl_rng.integers(n)))

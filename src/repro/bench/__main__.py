@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
     print(f"wrote {path}")
     for case in query["cases"]:
         print(
-            f"  {case['name']}: per-source {case['reference_seconds'] * 1e3:.1f} ms, "
+            f"  {case['name']}: per-query {case['reference_seconds'] * 1e3:.1f} ms, "
             f"batched {case['candidate_seconds'] * 1e3:.1f} ms "
             f"({case['speedup']:.1f}x)"
         )

@@ -102,11 +102,6 @@ __all__ = [
     "labeled_metrics",
     "unique_cells",
     "figures",
-    "CAMPAIGN_FIGURES",
-    "campaign_figure_ids",
-    "get_figure_port",
-    "run_fig07_campaign",
-    "run_table1_campaign",
 ]
 
 _LAZY_AGGREGATE = (
@@ -115,13 +110,6 @@ _LAZY_AGGREGATE = (
     "labeled_metrics",
     "unique_cells",
 )
-_LAZY_FIGURES = (
-    "CAMPAIGN_FIGURES",
-    "campaign_figure_ids",
-    "get_figure_port",
-    "run_fig07_campaign",
-    "run_table1_campaign",
-)
 
 
 def __getattr__(name):
@@ -129,20 +117,14 @@ def __getattr__(name):
 
     ``aggregate`` and ``figures`` pull in the artifact layer and every
     spec builder/reducer; deferring them keeps plain ``import repro``
-    lightweight.  The pre-redesign registry surface (``CAMPAIGN_FIGURES``,
-    ``get_figure_port``, ``run_<id>_campaign``) now lives in
-    :mod:`repro.artifacts.registry` and resolves through
-    ``figures.__getattr__`` for backward compatibility.
+    lightweight.
     """
     if name == "aggregate" or name in _LAZY_AGGREGATE:
         import repro.campaign.aggregate as aggregate
 
         return aggregate if name == "aggregate" else getattr(aggregate, name)
-    if (
-        name == "figures"
-        or name in _LAZY_FIGURES
-        or (name.startswith("run_") and name.endswith("_campaign"))
-        or (name.endswith("_spec") and not name.startswith("_"))
+    if name == "figures" or (
+        name.endswith("_spec") and not name.startswith("_")
     ):
         import repro.campaign.figures as figures
 

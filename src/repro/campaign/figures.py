@@ -156,11 +156,6 @@ __all__ = [
     "reduce_table1_ci",
     "DEFAULT_CI_SEEDS",
     "require_single_seed",
-    # moved to repro.artifacts.registry; resolved lazily for compat
-    "CAMPAIGN_FIGURES",
-    "FigurePort",
-    "campaign_figure_ids",
-    "get_figure_port",
 ]
 
 
@@ -1721,32 +1716,3 @@ def reduce_table1_ci(spec: CampaignSpec, store: ResultStore) -> ExperimentResult
     )
     return result
 
-
-# ----------------------------------------------------------------------
-# moved registry — lazy backward-compat aliases
-# ----------------------------------------------------------------------
-def __getattr__(name):
-    """Resolve the pre-redesign registry surface against the new one.
-
-    ``CAMPAIGN_FIGURES`` / ``FigurePort`` / ``get_figure_port`` /
-    ``campaign_figure_ids`` and the ``run_<id>_campaign`` callables moved
-    to :mod:`repro.artifacts.registry` (the single artifact registry);
-    they stay importable from here so pre-flip campaign scripts keep
-    running.  The import happens lazily because the registry imports
-    this module.
-    """
-    import repro.artifacts.registry as registry
-
-    if name == "CAMPAIGN_FIGURES":
-        return registry.ARTIFACTS
-    if name == "FigurePort":
-        return registry.Artifact
-    if name == "get_figure_port":
-        return registry.get_artifact
-    if name == "campaign_figure_ids":
-        return registry.artifact_ids
-    if name.startswith("run_") and name.endswith("_campaign"):
-        artifact_id = name[len("run_"):-len("_campaign")]
-        if artifact_id in registry.ARTIFACTS:
-            return registry.ARTIFACTS[artifact_id].run
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,7 @@ from repro.core.reachability import (
     reachability_all,
     reachability_distribution,
 )
-from repro.core.selection import BatchedContactSelector, SourceSelectionResult
+from repro.core.selection import ContactSelector, SourceSelectionResult
 from repro.core.state import ContactTable
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
@@ -72,7 +72,7 @@ class CARDProtocol:
         self.tables = (
             tables if tables is not None else NeighborhoodTables(network.topology, params.R)
         )
-        self.selector = BatchedContactSelector(network, self.tables, params)
+        self.selector = ContactSelector(network, self.tables, params)
         self.maintainer = ContactMaintainer(network, self.tables, params)
         self.contact_tables: Dict[int, ContactTable] = {}
         self.query_engine = QueryEngine(
@@ -91,13 +91,13 @@ class CARDProtocol:
         return table
 
     def bootstrap(
-        self, sources: Optional[Sequence[int]] = None, *, batched: bool = True
+        self, sources: Optional[Sequence[int]] = None
     ) -> Dict[int, SourceSelectionResult]:
         """Run initial contact selection for every source (or a subset).
 
-        The batched engine advances all sources' walks frontier-style;
-        per-source RNG streams make its results bit-identical to the
-        sequential loop (``batched=False``, kept as the parity oracle).
+        Each source draws from its own ``("select", s)`` stream, so its
+        result does not depend on which other sources are bootstrapped
+        or in what order.
         """
         srcs = [
             int(s)
@@ -105,19 +105,11 @@ class CARDProtocol:
                 range(self.network.num_nodes) if sources is None else sources
             )
         ]
-        if batched:
-            rngs = {s: self.streams.get("select", s) for s in srcs}
-            tables = {s: self.table_for(s) for s in srcs}
-            return self.selector.select_contacts_many(
-                srcs, rngs, tables=tables, now=self.network.sim.now
-            )
-        results: Dict[int, SourceSelectionResult] = {}
-        for s in srcs:
-            rng = self.streams.get("select", s)
-            results[s] = self.selector.select_contacts(
-                s, rng, table=self.table_for(s), now=self.network.sim.now
-            )
-        return results
+        rngs = {s: self.streams.get("select", s) for s in srcs}
+        tables = {s: self.table_for(s) for s in srcs}
+        return self.selector.select_contacts_many(
+            srcs, rngs, tables=tables, now=self.network.sim.now
+        )
 
     def maintain(
         self, source: int

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.edge_policy import EdgePolicy, next_edge, order_edges
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.state import Contact, ContactTable
 from repro.net.messages import ContactSelectionQuery, MessageKind, next_query_id
@@ -173,6 +174,38 @@ class ContactSelector:
             return False
         return bool(rng.random() < prob)
 
+    def _admissible_mask(
+        self,
+        source: int,
+        contact_list: Sequence[int],
+        edge_list: Sequence[int],
+    ) -> np.ndarray:
+        """``mask[c]`` == "would :meth:`admit` pass ``c``'s overlap checks".
+
+        Relies on membership symmetry: ``member[cand, x] == member[x,
+        cand]`` (hop distance is symmetric), so the per-candidate probes
+        of :meth:`admit` collapse into one row gather over ``source``,
+        the contact list and (under EM) the edge list.  The one consumer
+        that could violate it is a DSDV-backed table mid-convergence,
+        where u may have learned v before v learned u; on a converged
+        network the learned matrix is symmetric again.  Under PM a True
+        entry still faces the per-depth admission draw.
+        """
+        p = self.params
+        member = self.tables.membership
+        ids: List[int] = [int(source)]
+        if p.check_contact_overlap:
+            ids.extend(int(c) for c in contact_list)
+        if p.method is SelectionMethod.EM and p.check_edge_overlap:
+            ids.extend(int(e) for e in edge_list)
+        rows = np.asarray(member[np.asarray(ids, dtype=np.int64)], dtype=bool)
+        mask = ~rows.any(axis=0)
+        if len(contact_list) > 0:
+            # identity dedup: an existing contact is never re-admitted,
+            # independent of any overlap policy
+            mask[np.fromiter(contact_list, dtype=np.int64)] = False
+        return mask
+
     # ------------------------------------------------------------------
     # one CSQ walk
     # ------------------------------------------------------------------
@@ -187,29 +220,29 @@ class ContactSelector:
         p = self.params
         net = self.network
         adj = net.adj
-        n = net.num_nodes
+        is_em = p.method is SelectionMethod.EM
         edge_list = (
-            tuple(int(e) for e in self.tables.edge_nodes(source))
-            if p.method is SelectionMethod.EM
-            else ()
+            tuple(int(e) for e in self.tables.edge_nodes(source)) if is_em else ()
         )
         msg = ContactSelectionQuery(
             source=source,
             query_id=next_query_id(),
             contact_list=tuple(int(c) for c in contact_list),
-            edge_list=edge_list if p.method is SelectionMethod.EM else None,
+            edge_list=edge_list if is_em else None,
         )
 
         seg = self.tables.path_within(source, edge_node)
         if seg is None:
             return SelectionOutcome(None, None, 0, 0, 0, exhausted=False)
+        # the overlap half of admit(), answered for every node at once
+        mask = self._admissible_mask(source, contact_list, edge_list)
 
-        forward = 0
-        backtrack = 0
-        # source → edge segment (step 1)
-        for hop_tx in seg[:-1]:
-            net.transmit(msg, int(hop_tx))
-            forward += 1
+        # Hop transmitters are accumulated and accounted in one bulk flush
+        # per category at walk end: the clock does not advance inside a
+        # synchronous walk and the CSQ's wire size is fixed at launch, so
+        # the counters equal one transmit() per hop.
+        fwd_tx: List[int] = [int(u) for u in seg[:-1]]  # source → edge (step 1)
+        bt_tx: List[int] = []
 
         # Loop prevention (§III.C.2b): under EM the CSQ carries query and
         # source ids, so a node that has already seen this query drops it —
@@ -220,19 +253,19 @@ class ContactSelector:
         use_visited = p.effective_loop_prevention
         cap = p.effective_max_walk_steps
 
-        visited = np.zeros(n, dtype=bool)
+        visited = np.zeros(net.num_nodes, dtype=bool)
         visited[seg] = True
         seen_count = len(seg)
         stack: List[_Frame] = [
             _Frame(int(u), rng.permutation(adj[int(u)])) for u in seg
         ]
         steps = 0
+        contact: Optional[int] = None
+        exhausted = False
 
         while stack:
             if cap is not None and steps >= cap:
-                return SelectionOutcome(
-                    None, None, forward, backtrack, seen_count, exhausted=False
-                )
+                break
             frame = stack[-1]
             d = len(stack) - 1  # walk distance of frame.node from source
             prev = stack[-2].node if len(stack) >= 2 else -1
@@ -252,33 +285,43 @@ class ContactSelector:
                 # stuck: backtrack (step 5)
                 stack.pop()
                 if stack:
-                    net.transmit(msg, frame.node, kind=MessageKind.BACKTRACK)
-                    backtrack += 1
+                    bt_tx.append(frame.node)
                     steps += 1
                 continue
             # forward the CSQ to `nxt`
-            net.transmit(msg, frame.node)
-            forward += 1
+            fwd_tx.append(frame.node)
             steps += 1
             if not visited[nxt]:
                 visited[nxt] = True
                 seen_count += 1
             stack.append(_Frame(nxt, rng.permutation(adj[nxt])))
-            msg.hop_count = len(stack) - 1
-            # admission decision at the receiving node (step 3)
-            if self.admit(nxt, source, contact_list, edge_list, len(stack) - 1, rng):
-                path = [f.node for f in stack]
-                # the path reply travels back to the source (step 6);
-                # REPLY traffic is accounted but excluded from the paper's
-                # selection-overhead category.
-                for hop_tx in reversed(path[1:]):
-                    net.transmit(msg, int(hop_tx), kind=MessageKind.REPLY)
-                return SelectionOutcome(
-                    nxt, path, forward, backtrack, seen_count, exhausted=False
-                )
-        # walk backtracked past its origin: region exhausted
+            msg.hop_count = d + 1
+            # Admission decision at the receiving node (step 3).  The RNG
+            # is consumed exactly when admit() consumes it: only under PM,
+            # only when every overlap check passed and the admission
+            # probability at this depth is positive.
+            admitted = bool(mask[nxt])
+            if admitted and not is_em:
+                prob = p.admission_probability(d + 1)
+                admitted = prob > 0.0 and bool(rng.random() < prob)
+            if admitted:
+                contact = nxt
+                break
+        else:
+            # walk backtracked past its origin: region exhausted
+            exhausted = True
+
+        net.transmit_path(msg, fwd_tx)
+        net.transmit_path(msg, bt_tx, kind=MessageKind.BACKTRACK)
+        path: Optional[List[int]] = None
+        if contact is not None:
+            path = [f.node for f in stack]
+            # the path reply travels back to the source (step 6);
+            # REPLY traffic is accounted but excluded from the paper's
+            # selection-overhead category.
+            net.transmit_path(msg, path[:0:-1], kind=MessageKind.REPLY)
         return SelectionOutcome(
-            None, None, forward, backtrack, seen_count, exhausted=True
+            contact, path, len(fwd_tx), len(bt_tx), seen_count, exhausted=exhausted
         )
 
     # ------------------------------------------------------------------
@@ -301,8 +344,45 @@ class ContactSelector:
         ``params.max_failed_queries`` consecutive exhausted walks (the
         region is saturated — more contacts cannot exist without overlap).
         """
-        from repro.core.edge_policy import EdgePolicy, next_edge, order_edges
+        return self._select_for_source(source, rng, table, noc, now)
 
+    def select_contacts_many(
+        self,
+        sources: Sequence[int],
+        rngs: Mapping[int, np.random.Generator],
+        *,
+        tables: Optional[Mapping[int, ContactTable]] = None,
+        noc: Optional[int] = None,
+        now: float = 0.0,
+    ) -> Dict[int, SourceSelectionResult]:
+        """:meth:`select_contacts` for every source in ``sources``.
+
+        ``rngs`` maps each source to its dedicated generator (the
+        protocol's ``("select", s)`` streams), so a source's outcome does
+        not depend on which other sources run or in what order.  Results
+        are keyed in ``sources`` order.
+        """
+        with obs.span("walk_batch"):
+            return {
+                s: self._select_for_source(
+                    s, rngs[s], None if tables is None else tables.get(s), noc, now
+                )
+                for s in map(int, sources)
+            }
+
+    def _select_for_source(
+        self,
+        source: int,
+        rng: np.random.Generator,
+        table: Optional[ContactTable],
+        noc: Optional[int],
+        now: float,
+    ) -> SourceSelectionResult:
+        """The per-source routine behind both public entry points.
+
+        Kept apart so bootstrap does not re-enter :meth:`select_contacts`,
+        whose calls the ledger counts as maintenance re-selections.
+        """
         p = self.params
         target = p.noc if noc is None else int(noc)
         table = ContactTable(source) if table is None else table
@@ -338,396 +418,7 @@ class ContactSelector:
         return result
 
 
-# ----------------------------------------------------------------------
-# batched execution: many sources' walks advanced frontier-style
-# ----------------------------------------------------------------------
-class _WalkState:
-    """One in-flight CSQ walk inside the batched engine.
-
-    Holds exactly the loop state of :meth:`ContactSelector.select_one`
-    between steps, plus the per-walk admissibility mask and the hop
-    transmitters accumulated for one bulk accounting flush at walk end.
-    """
-
-    __slots__ = (
-        "source", "rng", "msg", "stack", "visited", "seen_count", "steps",
-        "forward", "backtrack", "fwd_tx", "bt_tx", "mask", "edge_list",
-    )
-
-    def __init__(
-        self,
-        source: int,
-        rng: np.random.Generator,
-        msg: ContactSelectionQuery,
-        seg: Sequence[int],
-        mask: np.ndarray,
-        edge_list: Sequence[int],
-        num_nodes: int,
-        adj: Sequence[np.ndarray],
-    ) -> None:
-        self.source = source
-        self.rng = rng
-        self.msg = msg
-        self.mask = mask
-        self.edge_list = edge_list
-        self.fwd_tx: List[int] = [int(u) for u in seg[:-1]]
-        self.bt_tx: List[int] = []
-        self.forward = len(seg) - 1
-        self.backtrack = 0
-        self.visited = np.zeros(num_nodes, dtype=bool)
-        self.visited[seg] = True
-        self.seen_count = len(seg)
-        self.stack: List[_Frame] = [
-            _Frame(int(u), rng.permutation(adj[int(u)])) for u in seg
-        ]
-        self.steps = 0
-
-
-class BatchedContactSelector(ContactSelector):
-    """:class:`ContactSelector` with a frontier-batched many-source mode.
-
-    :meth:`select_contacts_many` advances every source's CSQ depth-first
-    walk in lockstep rounds — one hop (forward or backtrack) per active
-    walk per round — instead of running each source to completion in
-    turn.  Because every source draws from its *own* RNG stream, any
-    interleaving preserves each stream's draw order, so outcomes are
-    bit-identical to the sequential loop (the parity suite proves it).
-    What batching buys:
-
-    * one vectorized admissibility mask per walk — a single membership
-      row gather + OR-reduction replaces the per-step ``admit()`` row
-      probes (hop distance is symmetric, so ``member[cand, x]`` for all
-      candidates at once is just row ``x``);
-    * bulk message accounting — each walk's hop transmitters flush
-      through :meth:`~repro.net.network.Network.transmit_path` in one
-      call instead of one :meth:`transmit` per hop;
-    * bounded memory — sources are processed in ``chunk``-sized groups,
-      so at most ``chunk`` visited/mask row pairs are live at once.
-
-    The sequential entry points are inherited unchanged (maintenance
-    replenishes one source at a time and keeps using them).
-    """
-
-    def select_contacts_many(
-        self,
-        sources: Sequence[int],
-        rngs: Mapping[int, np.random.Generator],
-        *,
-        tables: Optional[Mapping[int, ContactTable]] = None,
-        noc: Optional[int] = None,
-        now: float = 0.0,
-        chunk: int = 256,
-    ) -> Dict[int, SourceSelectionResult]:
-        """Select contacts for every source in ``sources``.
-
-        ``rngs`` maps each source to its dedicated generator (the
-        protocol's ``("select", s)`` streams); each generator is left in
-        exactly the state the sequential loop would leave it in.
-        Results are keyed in ``sources`` order.
-        """
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        srcs = [int(s) for s in sources]
-        results: Dict[int, SourceSelectionResult] = {}
-        with obs.span("walk_batch"):
-            for lo in range(0, len(srcs), int(chunk)):
-                group = srcs[lo: lo + int(chunk)]
-                drivers = [
-                    _SourceDriver(
-                        self,
-                        s,
-                        rngs[s],
-                        table=None if tables is None else tables.get(s),
-                        noc=noc,
-                        now=now,
-                    )
-                    for s in group
-                ]
-                walks = [w for d in drivers for w in [d.start()] if w is not None]
-                while walks:
-                    still: List[Tuple[_WalkState, "_SourceDriver"]] = []
-                    for walk, driver in walks:
-                        outcome = self._step_walk(walk)
-                        if outcome is None:
-                            still.append((walk, driver))
-                            continue
-                        nxt = driver.on_walk_done(walk, outcome)
-                        if nxt is not None:
-                            still.append(nxt)
-                    walks = still
-                for d in drivers:
-                    results[d.source] = d.result
-        return results
-
-    # ------------------------------------------------------------------
-    def _admissible_mask(
-        self,
-        source: int,
-        contact_list: Sequence[int],
-        edge_list: Sequence[int],
-    ) -> np.ndarray:
-        """``mask[c]`` == "would :meth:`admit` pass ``c``'s overlap checks".
-
-        Exploits membership symmetry: ``member[cand, x] == member[x,
-        cand]`` (hop distance is symmetric), so the per-candidate probes
-        of :meth:`admit` collapse into one row gather over ``source``,
-        the contact list and (under EM) the edge list.  Under PM a True
-        entry still faces the per-depth admission draw.
-        """
-        p = self.params
-        member = self.tables.membership
-        ids: List[int] = [int(source)]
-        if p.check_contact_overlap:
-            ids.extend(int(c) for c in contact_list)
-        if p.method is SelectionMethod.EM and p.check_edge_overlap:
-            ids.extend(int(e) for e in edge_list)
-        rows = np.asarray(member[np.asarray(ids, dtype=np.int64)], dtype=bool)
-        mask = ~rows.any(axis=0)
-        if len(contact_list) > 0:
-            # identity dedup: an existing contact is never re-admitted,
-            # independent of any overlap policy
-            mask[np.fromiter(contact_list, dtype=np.int64)] = False
-        return mask
-
-    def _launch_walk(
-        self,
-        source: int,
-        edge_node: int,
-        contact_list: Sequence[int],
-        rng: np.random.Generator,
-    ):
-        """Start one CSQ walk; mirrors :meth:`select_one`'s preamble.
-
-        Returns either ``(walk, None)`` for an in-flight walk or
-        ``(None, outcome)`` when the launch short-circuits (no path to
-        the edge node).
-        """
-        p = self.params
-        net = self.network
-        edge_list = (
-            tuple(int(e) for e in self.tables.edge_nodes(source))
-            if p.method is SelectionMethod.EM
-            else ()
-        )
-        msg = ContactSelectionQuery(
-            source=source,
-            query_id=next_query_id(),
-            contact_list=tuple(int(c) for c in contact_list),
-            edge_list=edge_list if p.method is SelectionMethod.EM else None,
-        )
-        seg = self.tables.path_within(source, edge_node)
-        if seg is None:
-            return None, SelectionOutcome(None, None, 0, 0, 0, exhausted=False)
-        mask = self._admissible_mask(source, contact_list, edge_list)
-        walk = _WalkState(
-            source, rng, msg, seg, mask, edge_list, net.num_nodes, net.adj
-        )
-        return walk, None
-
-    def _step_walk(self, walk: _WalkState) -> Optional[SelectionOutcome]:
-        """Advance ``walk`` by one hop; mirrors one ``select_one`` loop
-        iteration.  Returns the outcome when the walk finishes, else None.
-        """
-        p = self.params
-        if not walk.stack:
-            return self._finish_walk(walk, None, None, exhausted=True)
-        cap = p.effective_max_walk_steps
-        if cap is not None and walk.steps >= cap:
-            return self._finish_walk(walk, None, None, exhausted=False)
-        stack = walk.stack
-        frame = stack[-1]
-        d = len(stack) - 1  # walk distance of frame.node from source
-        prev = stack[-2].node if len(stack) >= 2 else -1
-        use_visited = p.effective_loop_prevention
-        nxt: Optional[int] = None
-        if d < p.r:  # may advance deeper (step 5 bounds the walk at r)
-            order = frame.order
-            visited = walk.visited
-            while frame.next_idx < len(order):
-                cand = int(order[frame.next_idx])
-                frame.next_idx += 1
-                if use_visited:
-                    if not visited[cand]:
-                        nxt = cand
-                        break
-                elif cand != prev:
-                    nxt = cand
-                    break
-        if nxt is None:
-            # stuck: backtrack (step 5)
-            stack.pop()
-            if stack:
-                walk.bt_tx.append(frame.node)
-                walk.backtrack += 1
-                walk.steps += 1
-            return None
-        # forward the CSQ to `nxt`
-        walk.fwd_tx.append(frame.node)
-        walk.forward += 1
-        walk.steps += 1
-        if not walk.visited[nxt]:
-            walk.visited[nxt] = True
-            walk.seen_count += 1
-        stack.append(_Frame(nxt, walk.rng.permutation(self.network.adj[nxt])))
-        walk.msg.hop_count = len(stack) - 1
-        if self._admit_masked(walk, nxt, len(stack) - 1):
-            path = [f.node for f in stack]
-            return self._finish_walk(walk, nxt, path, exhausted=False)
-        return None
-
-    def _admit_masked(self, walk: _WalkState, candidate: int, d: int) -> bool:
-        """The :meth:`admit` decision against the precomputed mask.
-
-        The RNG is consumed exactly when the sequential path consumes it:
-        only under PM, only when every overlap check passed and the
-        admission probability at ``d`` is positive.
-        """
-        if not walk.mask[candidate]:
-            return False
-        if self.params.method is SelectionMethod.EM:
-            return True
-        prob = self.params.admission_probability(d)
-        if prob <= 0.0:
-            return False
-        return bool(walk.rng.random() < prob)
-
-    def _finish_walk(
-        self,
-        walk: _WalkState,
-        contact: Optional[int],
-        path: Optional[List[int]],
-        *,
-        exhausted: bool,
-    ) -> SelectionOutcome:
-        """Flush the walk's accumulated transmitters and build its outcome."""
-        net = self.network
-        net.transmit_path(walk.msg, walk.fwd_tx)
-        net.transmit_path(walk.msg, walk.bt_tx, kind=MessageKind.BACKTRACK)
-        if path is not None:
-            net.transmit_path(
-                walk.msg, list(reversed(path[1:])), kind=MessageKind.REPLY
-            )
-        return SelectionOutcome(
-            contact,
-            path,
-            walk.forward,
-            walk.backtrack,
-            walk.seen_count,
-            exhausted=exhausted,
-        )
-
-
-class _SourceDriver:
-    """Per-source selection state machine for the batched engine.
-
-    Replays :meth:`ContactSelector.select_contacts`'s edge cycling, NoC
-    target and consecutive-failure bookkeeping, launching one walk at a
-    time for its source while the batch engine interleaves the hops.
-    """
-
-    __slots__ = (
-        "selector", "source", "rng", "result", "table", "target",
-        "policy", "ordered", "productive", "attempt", "failures",
-        "now", "done", "current_edge",
-    )
-
-    def __init__(
-        self,
-        selector: BatchedContactSelector,
-        source: int,
-        rng: np.random.Generator,
-        *,
-        table: Optional[ContactTable],
-        noc: Optional[int],
-        now: float,
-    ) -> None:
-        from repro.core.edge_policy import EdgePolicy, order_edges
-
-        p = selector.params
-        self.selector = selector
-        self.source = source
-        self.rng = rng
-        self.now = now
-        self.target = p.noc if noc is None else int(noc)
-        self.table = ContactTable(source) if table is None else table
-        self.result = SourceSelectionResult(
-            source=source, table=self.table, attempts=0
-        )
-        self.productive: List[int] = []
-        self.attempt = 0
-        self.failures = 0
-        self.current_edge: Optional[int] = None
-        edges = [int(e) for e in selector.tables.edge_nodes(source)]
-        if not edges or self.target <= len(self.table):
-            self.done = True
-            self.policy = None
-            self.ordered: List[int] = []
-            return
-        self.done = False
-        self.policy = (
-            p.edge_policy if p.edge_policy is not None else EdgePolicy.RANDOM
-        )
-        self.ordered = order_edges(self.policy, edges, selector.tables, rng)
-
-    # ------------------------------------------------------------------
-    def start(self):
-        """First walk of this source, or None when already done."""
-        if self.done:
-            return None
-        return self._next_walk()
-
-    def on_walk_done(self, walk: _WalkState, outcome: SelectionOutcome):
-        """Record a finished walk; return the next (walk, driver) or None."""
-        self._record(outcome, self.current_edge)
-        return self._next_walk()
-
-    # ------------------------------------------------------------------
-    def _record(self, outcome: SelectionOutcome, edge: Optional[int]) -> None:
-        self.result.attempts += 1
-        self.result.forward_msgs += outcome.forward_msgs
-        self.result.backtrack_msgs += outcome.backtrack_msgs
-        if outcome.contact is not None and outcome.path is not None:
-            self.table.add(
-                Contact(outcome.contact, outcome.path, selected_at=self.now)
-            )
-            self.result.per_contact_cumulative.append(
-                (self.result.forward_msgs, self.result.backtrack_msgs)
-            )
-            assert edge is not None
-            self.productive.append(edge)
-            self.failures = 0
-        else:
-            self.failures += 1
-
-    def _next_walk(self):
-        """Launch walks until one is in flight or the source is finished.
-
-        A launch can short-circuit (no path to the chosen edge); those
-        count as failed attempts exactly like the sequential loop and the
-        driver keeps cycling edges until the stop conditions hit.
-        """
-        from repro.core.edge_policy import next_edge
-
-        p = self.selector.params
-        while (
-            len(self.table) < self.target
-            and self.failures < p.max_failed_queries
-        ):
-            edge = next_edge(
-                self.policy,
-                self.ordered,
-                self.attempt,
-                self.productive,
-                self.selector.tables,
-            )
-            assert edge is not None
-            self.attempt += 1
-            self.current_edge = edge
-            walk, immediate = self.selector._launch_walk(
-                self.source, edge, self.table.ids(), self.rng
-            )
-            if walk is not None:
-                return walk, self
-            self._record(immediate, edge)
-        self.done = True
-        return None
+# The ledger (benchmarks/ledger/_tracer.py) times bootstrap through
+# ``BatchedContactSelector.select_contacts_many``; the name stays as an
+# alias of the one selector class.
+BatchedContactSelector = ContactSelector

@@ -46,9 +46,8 @@ from repro.experiments.registry import (
 )
 from repro.scenarios.factory import resolve_scale
 
-#: what the CLI lists and "all" iterates: the artifact registry's
-#: primary ids, in registration order (EXPERIMENTS additionally carries
-#: the pre-flip `<id>_campaign` aliases, which stay runnable by name)
+#: what the CLI lists and "all" iterates: the artifact registry's ids,
+#: in registration order
 PRIMARY_IDS = list(ARTIFACTS)
 
 
@@ -164,14 +163,9 @@ def _run(args) -> int:
         t0 = time.time()  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
         if seeds is not None:
             # the facade's multi-seed path: sweep × seeds → mean ± 95% CI
-            artifact_id = (
-                exp_id[: -len("_campaign")]
-                if exp_id.endswith("_campaign")
-                else exp_id
-            )
             try:
                 result = api_run(
-                    artifact_id,
+                    exp_id,
                     seeds=seeds,
                     workers=args.workers,
                     store=store,

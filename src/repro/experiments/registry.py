@@ -8,10 +8,6 @@ schema is unchanged).  The legacy per-figure loops that once backed
 these ids are gone entirely: the ``pytest -m parity`` matrix now holds
 every artifact bit-for-bit equal to the pinned golden fixtures under
 ``tests/golden/`` instead of to a second live implementation.
-
-``<id>_campaign`` aliases are kept for pre-flip workflows; they are the
-*same* callables and are registered as derived so ``python -m
-repro.experiments all`` produces each artifact exactly once.
 """
 
 from __future__ import annotations
@@ -33,19 +29,11 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     artifact_id: artifact.run for artifact_id, artifact in ARTIFACTS.items()
 }
 
-#: pre-flip aliases — same campaign path, kept for old scripts/stores
-EXPERIMENTS.update(
-    {f"{artifact_id}_campaign": artifact.run
-     for artifact_id, artifact in ARTIFACTS.items()}
-)
-
 #: Experiments that merely re-derive another registered artifact (the
-#: fig03+fig04 joint and the ``_campaign`` aliases).  ``python -m
-#: repro.experiments all`` skips these so each artifact is produced
-#: exactly once; they stay individually runnable by id.
-DERIVED_EXPERIMENTS: FrozenSet[str] = frozenset(
-    {"fig03_04"} | {f"{artifact_id}_campaign" for artifact_id in ARTIFACTS}
-)
+#: fig03+fig04 joint).  ``python -m repro.experiments all`` skips these
+#: so each artifact is produced exactly once; they stay individually
+#: runnable by id.
+DERIVED_EXPERIMENTS: FrozenSet[str] = frozenset({"fig03_04"})
 
 
 def get_experiment(exp_id: str) -> Callable[..., ExperimentResult]:

@@ -124,10 +124,11 @@ class Network:
     ) -> None:
         """Account one transmission per entry of ``transmitters`` at once.
 
-        The bulk counterpart of :meth:`transmit` for the batched engines:
-        a walk or query accumulates its hop transmitters and flushes them
-        in one call, with repeats allowed.  Counters end up identical to
-        per-hop :meth:`transmit` calls at the same clock reading.
+        The bulk counterpart of :meth:`transmit`: a CSQ walk or a query
+        escalation round accumulates its hop transmitters and flushes
+        them in one call, with repeats allowed.  Counters end up
+        identical to per-hop :meth:`transmit` calls at the same clock
+        reading.
         """
         k = kind if kind is not None else message.kind
         t = self.sim.now if time is None else time

@@ -98,11 +98,11 @@ class MessageStats:
     ) -> None:
         """Record one transmission per entry of ``transmitters`` at ``time``.
 
-        The bulk twin of :meth:`record` for the batched engines: repeats
-        are allowed (a node transmitting k hops appears k times) and land
-        via ``np.add.at``, so per-node attribution, totals and the time
-        series are all identical to k individual :meth:`record` calls —
-        just without k rounds of Python dict traffic.
+        The bulk form of :meth:`record` behind ``Network.transmit_path``:
+        repeats are allowed (a node transmitting k hops appears k times)
+        and land via ``np.add.at``, so per-node attribution, totals and
+        the time series are all identical to k individual :meth:`record`
+        calls — just without k rounds of Python dict traffic.
         """
         tx = np.asarray(transmitters, dtype=np.int64)
         if tx.size == 0:

@@ -190,6 +190,9 @@ class ArtifactService:
 # ----------------------------------------------------------------------
 # the wire layer
 # ----------------------------------------------------------------------
+#: Largest request body read; run options are a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
 _ROUTES = (
     ("GET", re.compile(r"^/healthz$"), "health"),
     ("GET", re.compile(r"^/artifacts$"), "list"),
@@ -212,25 +215,46 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
         pass  # quiet by default; obs lives in traces, not access logs
 
-    def _send(self, status: int, payload: Dict[str, object]) -> None:
+    def _send(
+        self, status: int, payload: Dict[str, object], *, close: bool = False
+    ) -> None:
         body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._send(status, {"error": message})
+    def _error(self, status: int, message: str, *, close: bool = False) -> None:
+        self._send(status, {"error": message}, close=close)
 
-    def _body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _body(self) -> Optional[Dict[str, object]]:
+        """The request's JSON object, or None once an error was sent."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Rejected before reading: read(-n) would block until the
+            # peer closes and a huge n is buffered whole.  What follows
+            # the headers can then not be told apart from the next
+            # request, so the connection goes too.
+            if length < 0:
+                self._error(400, "bad request: invalid Content-Length", close=True)
+            else:
+                self._error(413, f"body over {MAX_BODY_BYTES} bytes", close=True)
+            return None
         if length == 0:
             return {}
-        raw = self.rfile.read(length)
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
+        try:
+            data = json.loads(self.rfile.read(length).decode("utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("request body must be a JSON object")
+        except ValueError as exc:  # covers JSON and UTF-8 decode errors
+            self._error(400, f"bad request body: {exc}")
+            return None
         return data
 
     def _match(self, method: str) -> Optional[Tuple[str, Dict[str, str]]]:
@@ -273,10 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
         if matched is None:
             return
         action, params = matched
-        try:
-            options = self._body()
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._error(400, f"bad request body: {exc}")
+        options = self._body()
+        if options is None:
             return
         try:
             if action == "run":

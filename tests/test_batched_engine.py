@@ -1,11 +1,13 @@
-"""Batched-vs-sequential equivalence for the batched query engine PR.
+"""Contracts of the bulk-accounting engines.
 
-The batched engines (`BatchedContactSelector.select_contacts_many`,
-`QueryEngine.query_many`, packed `reachability_all`) promise *bit-identical*
-results to the sequential reference paths — same contact tables, same
-`SelectionOutcome`/`QueryResult` fields, same message accounting down to
-per-node attribution.  These tests pin that contract over random, mobile
-and disconnected topologies, both selection methods and both dedup modes.
+Selection has one CSQ walk engine (`ContactSelector.select_one`); what
+it promises beyond its own unit tests is pinned here: source-order
+independence, the admissibility mask equalling the scalar `admit()`
+rule, and bulk hop accounting equalling per-hop `transmit`.  The batched
+query engine (`QueryEngine.query_many`) promises *bit-identical* results
+to the sequential `query()` reference — same `QueryResult` fields, same
+message accounting down to per-node attribution — over random, mobile
+and disconnected topologies and both dedup modes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import pytest
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
+from repro.des.engine import Simulator
+from repro.net import substrate
+from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.mobility.waypoint import RandomWaypoint
@@ -91,50 +96,107 @@ def assert_same_selection(res_a, res_b) -> None:
 
 
 # ----------------------------------------------------------------------
-# CSQ walk parity
+# CSQ walks: what the single engine still promises
 # ----------------------------------------------------------------------
-class TestBatchedSelectionParity:
+class TestSourceOrderIndependence:
+    """Per-source RNG streams make a source's selection a function of
+    that source alone: which other sources run, and in what order, is
+    unobservable in results, stream states and message accounting."""
+
     @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_bootstrap_matches_sequential(self, topo_name, method, seed):
+    def test_bootstrap_order_is_unobservable(self, topo_name, method, seed):
         make = TOPOLOGIES[topo_name]
-        card_b = _protocol(make, method, seed)
-        card_s = _protocol(make, method, seed)
-        res_b = card_b.bootstrap()
-        res_s = card_s.bootstrap(batched=False)
-        assert_same_selection(res_b, res_s)
-        assert_same_stats(card_b.network, card_s.network)
+        card_f = _protocol(make, method, seed)
+        card_r = _protocol(make, method, seed)
+        card_1 = _protocol(make, method, seed)
+        srcs = list(range(card_f.network.num_nodes))
+        res_f = card_f.bootstrap(srcs)
+        res_r = card_r.bootstrap(list(reversed(srcs)))
+        res_1 = {}
+        for s in srcs:
+            res_1.update(card_1.bootstrap([s]))
+        for card, res in ((card_r, res_r), (card_1, res_1)):
+            assert_same_selection(res_f, res)
+            assert_same_stats(card_f.network, card.network)
+            for s in srcs:
+                assert (
+                    card_f.streams.get("select", s).bit_generator.state
+                    == card.streams.get("select", s).bit_generator.state
+                ), f"stream diverged for source {s}"
 
-    def test_rng_streams_converge(self):
-        """Post-bootstrap stream state must match, so later maintain()
-        rounds draw identically whichever engine ran first."""
-        make = TOPOLOGIES["random"]
-        card_b = _protocol(make, SelectionMethod.PM, 7)
-        card_s = _protocol(make, SelectionMethod.PM, 7)
-        card_b.bootstrap()
-        card_s.bootstrap(batched=False)
-        for s in range(card_b.network.num_nodes):
-            ga = card_b.streams.get("select", s)
-            gb = card_s.streams.get("select", s)
-            assert (
-                ga.bit_generator.state == gb.bit_generator.state
-            ), f"stream diverged for source {s}"
 
-    def test_subset_and_chunking(self):
-        make = TOPOLOGIES["random"]
-        sources = [3, 11, 42, 99, 120]
-        card_s = _protocol(make, SelectionMethod.EM, 2)
-        res_s = card_s.bootstrap(sources, batched=False)
-        for chunk in (1, 2, 256):
-            card_b = _protocol(make, SelectionMethod.EM, 2)
-            rngs = {s: card_b.streams.get("select", s) for s in sources}
-            tables = {s: card_b.table_for(s) for s in sources}
-            res_b = card_b.selector.select_contacts_many(
-                sources, rngs, tables=tables, chunk=chunk
-            )
-            assert_same_selection(res_b, res_s)
-            assert_same_stats(card_b.network, card_s.network)
+class TestAdmissibleMask:
+    """`_admissible_mask` is the overlap half of `admit()` (the readable
+    §III.C.2 definition), answered for every node at once."""
+
+    @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("contact_overlap", [True, False])
+    @pytest.mark.parametrize("edge_overlap", [True, False])
+    def test_mask_equals_scalar_rule(
+        self, method, backend, contact_overlap, edge_overlap, monkeypatch
+    ):
+        if backend == "sparse":
+            monkeypatch.setattr(substrate, "SPARSE_NODE_THRESHOLD", 1)
+        card = _protocol(
+            TOPOLOGIES["random"], method, 0,
+            check_contact_overlap=contact_overlap,
+            check_edge_overlap=edge_overlap,
+        )
+        assert isinstance(
+            card.tables.membership, substrate.SparseMembership
+        ) == (backend == "sparse")
+        sel = card.selector
+        rng = np.random.default_rng(0)
+        for source in (0, 17, 88):
+            card.bootstrap([source])
+            contacts = card.table_for(source).ids()
+            edges = tuple(int(e) for e in card.tables.edge_nodes(source))
+            for contact_list in ((), contacts):
+                mask = sel._admissible_mask(source, contact_list, edges)
+                # at d == r the PM admission probability is 1, so admit()
+                # reduces to its overlap checks under both methods
+                want = [
+                    sel.admit(c, source, contact_list, edges, card.params.r, rng)
+                    for c in range(card.network.num_nodes)
+                ]
+                assert mask.tolist() == want
+
+
+class TestBulkAccounting:
+    @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
+    def test_walk_flush_equals_per_hop_transmit(self, method):
+        """One walk's bulk flushes == one `transmit` per hop, at a clock
+        reading that lands outside time-series bin 0."""
+        params = CARDParams(R=2, r=8, noc=4, method=method)
+        net = Network(TOPOLOGIES["random"](), sim=Simulator(start_time=7.0))
+        ref = Network(TOPOLOGIES["random"](), sim=Simulator(start_time=7.0))
+        card = CARDProtocol(net, params, seed=3)
+        flushes = []
+        flush = net.transmit_path
+
+        def spy(message, transmitters, *, kind=None):
+            flushes.append((message, list(transmitters), kind))
+            flush(message, transmitters, kind=kind)
+
+        net.transmit_path = spy
+        source = 5
+        outcome = card.selector.select_one(
+            source, int(card.tables.edge_nodes(source)[0]), (),
+            np.random.default_rng(1),
+        )
+        hops = {kind: tx for _, tx, kind in flushes}
+        assert len(hops[None]) == outcome.forward_msgs
+        assert len(hops[MessageKind.BACKTRACK]) == outcome.backtrack_msgs
+        assert outcome.total_msgs > 0
+        for message, transmitters, kind in flushes:
+            for tx in transmitters:
+                ref.transmit(message, tx, kind=kind)
+        assert_same_stats(net, ref)
+        assert net.stats.total_bytes() == ref.stats.total_bytes() > 0
+        assert set(net.stats._series[MessageKind.CONTACT_SELECTION]) == {3}
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,8 @@ from repro.campaign.aggregate import (
     mean_ci,
     stored_records,
 )
-from repro.campaign.figures import (
-    fig07_spec,
-    run_fig07_campaign,
-    run_table1_campaign,
-    table1_spec,
-)
+from repro.artifacts.registry import ARTIFACTS
+from repro.campaign.figures import fig07_spec, table1_spec
 from repro.campaign.runner import CampaignRunner, execute_cell
 from repro.campaign.spec import CampaignSpec, CellSpec, TopologySpec, content_hash
 from repro.campaign.store import ResultStore
@@ -352,7 +348,7 @@ class TestFigurePorts:
     def test_fig07_campaign_matches_legacy(self):
         kwargs = dict(scale=0.25, seed=0, noc_values=(0, 2, 4), num_sources=20)
         legacy = run_experiment("fig07", **kwargs)
-        campaign = run_fig07_campaign(**kwargs)
+        campaign = ARTIFACTS["fig07"].run(**kwargs)
         assert campaign.raw["means"] == legacy.raw["means"]
         for label, column in legacy.raw["columns"].items():
             assert (campaign.raw["columns"][label] == column).all()
@@ -361,15 +357,15 @@ class TestFigurePorts:
 
     def test_fig07_campaign_parallel_matches_serial(self, tmp_path):
         kwargs = dict(scale=0.2, seed=0, noc_values=(0, 2), num_sources=15)
-        serial = run_fig07_campaign(n_workers=1, **kwargs)
-        parallel = run_fig07_campaign(
+        serial = ARTIFACTS["fig07"].run(n_workers=1, **kwargs)
+        parallel = ARTIFACTS["fig07"].run(
             n_workers=2, store=ResultStore(tmp_path / "s.jsonl"), **kwargs
         )
         assert serial.raw["means"] == parallel.raw["means"]
 
     def test_table1_campaign_matches_legacy(self):
         legacy = run_experiment("table1", scale=0.15, seed=0)
-        campaign = run_table1_campaign(scale=0.15, seed=0)
+        campaign = ARTIFACTS["table1"].run(scale=0.15, seed=0)
         assert campaign.rows == legacy.rows
         assert campaign.headers == legacy.headers
 
@@ -383,11 +379,9 @@ class TestFigurePorts:
         assert len(spec.topologies) == 8
         assert {t.scenario for t in spec.topologies} == set(range(1, 9))
 
-    def test_registry_exposes_campaign_ports_as_derived(self):
-        assert "fig07_campaign" in EXPERIMENTS
-        assert "table1_campaign" in EXPERIMENTS
-        assert "fig07_campaign" in DERIVED_EXPERIMENTS
-        assert "fig03_04" in DERIVED_EXPERIMENTS
+    def test_registry_has_one_name_per_artifact(self):
+        assert list(EXPERIMENTS) == list(ARTIFACTS)
+        assert DERIVED_EXPERIMENTS == {"fig03_04"}
 
 
 # ----------------------------------------------------------------------

@@ -64,16 +64,15 @@ def tiny_series_cell(**overrides) -> CellSpec:
 
 # ----------------------------------------------------------------------
 class TestPortCoverage:
-    def test_pre_flip_registry_surface_still_resolves(self):
-        # CAMPAIGN_FIGURES / get_figure_port / run_<id>_campaign moved to
-        # repro.artifacts.registry but stay importable from figures
+    def test_artifact_registry_is_the_only_registry(self):
+        # the pre-flip surface (CAMPAIGN_FIGURES / get_figure_port /
+        # run_<id>_campaign) is gone, not lazily re-exported
+        import repro.campaign as campaign
         from repro.campaign import figures
 
-        assert figures.CAMPAIGN_FIGURES is ARTIFACTS
-        assert figures.get_figure_port("fig10") is ARTIFACTS["fig10"]
-        assert figures.run_fig07_campaign == ARTIFACTS["fig07"].run
-        with pytest.raises(AttributeError):
-            figures.run_nonsense_campaign
+        for name in ("CAMPAIGN_FIGURES", "get_figure_port", "run_fig07_campaign"):
+            assert not hasattr(figures, name)
+            assert not hasattr(campaign, name)
 
 
 class TestCrossFigureCache:
@@ -82,20 +81,20 @@ class TestCrossFigureCache:
         computes the cells once (content-hash identity, not name)."""
         kwargs = dict(scale=0.2, seed=0, r_values=(8,), duration=4.0, num_sources=10)
         store = ResultStore(tmp_path / "shared.jsonl")
-        run_experiment("fig11_campaign", store=store, **kwargs)
+        run_experiment("fig11", store=store, **kwargs)
         executed_before = len(store)
         spec12 = fig12_spec(**kwargs)
         report = CampaignRunner(spec12, store=store).run()
         assert report.cached == report.total_cells  # nothing re-runs
         assert len(store) == executed_before
-        run_experiment("fig12_campaign", store=store, **kwargs)  # reduces too
+        run_experiment("fig12", store=store, **kwargs)  # reduces too
 
     def test_fig04_reuses_fig03_prefix(self, tmp_path):
         store = ResultStore(tmp_path / "shared.jsonl")
         kwargs = dict(scale=0.2, seed=0, num_sources=10)
-        run_experiment("fig03_campaign", store=store, max_noc=3, **kwargs)
+        run_experiment("fig03", store=store, max_noc=3, **kwargs)
         n_after_fig03 = len(store)
-        run_experiment("fig04_campaign", store=store, max_noc=2, **kwargs)
+        run_experiment("fig04", store=store, max_noc=2, **kwargs)
         assert len(store) == n_after_fig03  # fig04's cells are a subset
 
 

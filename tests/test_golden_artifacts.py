@@ -47,10 +47,8 @@ class TestGoldenMatrix:
         assert golden_matrix.canon(list(result.plots)) == golden["plots"]
         assert result.exp_id == exp_id
         # a second invocation against the same store is pure cache and
-        # still reduces to the identical artifact — through the pre-flip
-        # `<id>_campaign` alias, which must stay registered
-        again = run_experiment(
-            f"{exp_id}_campaign",
+        # still reduces to the identical artifact
+        again = ARTIFACTS[exp_id].run(
             store=ResultStore(tmp_path / "store.jsonl"),
             n_workers=1,
             **kwargs,
@@ -72,11 +70,9 @@ class TestGoldenCoverage:
                 for key in ("headers", "rows", "plots"):
                     assert key in fixture[str(seed)]
 
-    def test_campaign_aliases_are_registered_and_derived(self):
-        for exp_id in ARTIFACTS:
-            assert exp_id in EXPERIMENTS
-            assert f"{exp_id}_campaign" in EXPERIMENTS
-            assert f"{exp_id}_campaign" in DERIVED_EXPERIMENTS
+    def test_one_registered_name_per_artifact(self):
+        assert set(EXPERIMENTS) == set(ARTIFACTS)
+        assert DERIVED_EXPERIMENTS <= set(ARTIFACTS)
 
     def test_multi_seed_artifacts_marked(self):
         multi = {a_id for a_id, a in ARTIFACTS.items() if a.multi_seed}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -120,6 +121,26 @@ class TestRunRoute:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize(
+        "length, code", [("-1", 400), ("nope", 400), ("2000000", 413)]
+    )
+    def test_run_bad_content_length_rejected_unread(self, server, length, code):
+        """Headers only, on a keep-alive connection: the handler must
+        answer without waiting for (or buffering) a body, then hang up."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request(
+                "POST", "/artifacts/fig05/run",
+                headers={"Content-Length": length},
+            )
+            resp = conn.getresponse()
+            assert resp.status == code
+            assert resp.getheader("Connection") == "close"
+            assert "error" in json.loads(resp.read().decode())
+        finally:
+            conn.close()
 
 
 class TestCampaignStatusRoute:
