@@ -4,8 +4,9 @@ This package replaces the NS-2 substrate the paper used.  Its layers:
 
 * :mod:`repro.net.spatial` — a uniform-grid spatial index for O(N) unit-disk
   neighbor queries (vectorized with NumPy per the HPC guides);
-* :mod:`repro.net.topology` — node positions + transmission range → an
-  adjacency structure, rebuilt cheaply as mobility moves nodes;
+* :mod:`repro.net.topology` — node positions + transmission range → a CSR
+  adjacency (``adj`` rows are views of it), rebuilt and diffed as array
+  operations as mobility moves nodes;
 * :mod:`repro.net.graph` — hop-count BFS (vectorized and scipy.sparse bulk
   variants, including the radius-bounded frontier-product kernel),
   connected components, diameter and mean-hop statistics — the

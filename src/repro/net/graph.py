@@ -51,6 +51,7 @@ __all__ = [
     "sample_pair_stats",
     "shortest_path",
     "adjacency_to_csr",
+    "csr_to_matrix",
 ]
 
 #: Marker for "no path" in integer hop-distance arrays.
@@ -212,21 +213,31 @@ def bounded_hop_distances(
     return dist
 
 
-def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
-    """Convert adjacency lists to a scipy CSR matrix of unit weights."""
+def csr_to_matrix(indptr: np.ndarray, indices: np.ndarray) -> "csr_matrix":
+    """Wrap CSR ``(indptr, indices)`` arrays as a scipy matrix of unit weights."""
     if not _HAVE_SCIPY:  # pragma: no cover
         raise RuntimeError("scipy is unavailable")
+    n = len(indptr) - 1
+    data = np.ones(len(indices), dtype=np.int8)
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
+    """Convert adjacency lists to a scipy CSR matrix of unit weights.
+
+    Callers holding a :class:`~repro.net.topology.Topology` should pass its
+    stored ``csr`` arrays to :func:`csr_to_matrix` instead of flattening
+    the row list again.
+    """
     n = len(adj)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, nbrs in enumerate(adj):
-        indptr[i + 1] = indptr[i] + len(nbrs)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
     indices = (
-        np.concatenate([np.asarray(a, dtype=np.int64) for a in adj])
-        if n and indptr[-1] > 0
+        np.concatenate(adj).astype(np.int64, copy=False)
+        if indptr[-1] > 0
         else np.empty(0, dtype=np.int64)
     )
-    data = np.ones(indptr[-1], dtype=np.int8)
-    return csr_matrix((data, indices, indptr), shape=(n, n))
+    return csr_to_matrix(indptr, indices)
 
 
 def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:

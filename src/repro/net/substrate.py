@@ -439,7 +439,7 @@ class DistanceSubstrate:
             changed = topo.diff(self._epoch)
         n = topo.num_nodes
         if changed is None or changed.size > n * FULL_REBUILD_FRACTION:
-            csr = g.adjacency_to_csr(adj) if g._HAVE_SCIPY else None
+            csr = g.csr_to_matrix(*topo.csr) if g._HAVE_SCIPY else None
             backend = _SparseBand if self.backend_kind == "sparse" else _DenseBand
             self._band = backend.build(adj, self.horizon, csr)
             self._stats.full_rebuilds += 1
@@ -466,7 +466,7 @@ class DistanceSubstrate:
         """
         band = self._band
         assert band is not None
-        csr = g.adjacency_to_csr(adj) if g._HAVE_SCIPY else None
+        csr = g.csr_to_matrix(*self.topology.csr) if g._HAVE_SCIPY else None
         delta = g.bounded_hop_distances(adj, self.horizon, changed, csr=csr)
         touched = band.touched_by(changed)
         touched |= (delta != g.UNREACHABLE).any(axis=0)

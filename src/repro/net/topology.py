@@ -4,7 +4,9 @@ A :class:`Topology` owns the ground truth the whole simulator works from:
 
 * ``positions`` — an ``(N, 2)`` float array of node coordinates (meters);
 * ``tx_range`` — the common transmission range of the unit-disk model;
-* ``adj`` — per-node sorted neighbor arrays, derived from the above.
+* ``csr`` / ``adj`` — the connectivity derived from the above: one CSR
+  ``(indptr, indices)`` pair per epoch, and ``adj`` as the list of its
+  per-node sorted neighbor rows (views, not copies).
 
 Mobility models mutate positions (through :meth:`set_positions`), which
 invalidates and lazily rebuilds the adjacency.  An ``epoch`` counter
@@ -21,7 +23,8 @@ the test oracle :func:`repro.net.graph.hop_distance_matrix`.
 Two facilities support the incremental neighborhood substrate:
 
 * **edge-delta tracking** — once enabled, every adjacency rebuild is
-  diffed against the previous one and the set of nodes whose link set
+  diffed against the previous one (a set-xor of the two sorted
+  ``row * N + col`` edge-key arrays) and the set of nodes whose link set
   changed is logged per epoch range; :meth:`diff` answers "which nodes
   changed since epoch E?" so consumers can recompute only what a mobility
   step actually touched;
@@ -52,14 +55,21 @@ __all__ = ["Topology"]
 _CHANGE_LOG_LIMIT = 256
 
 
-def _changed_nodes(old: List[np.ndarray], new: List[np.ndarray]) -> np.ndarray:
-    """Ids of nodes whose neighbor array differs between two adjacencies."""
-    changed = [
-        u
-        for u, (a, b) in enumerate(zip(old, new))
-        if a.shape != b.shape or not np.array_equal(a, b)
-    ]
-    return np.asarray(changed, dtype=np.int64)
+def _changed_nodes(old_keys: np.ndarray, new_keys: np.ndarray, n: int) -> np.ndarray:
+    """Ids of nodes whose neighbor row differs between two adjacencies.
+
+    Both arguments are sorted, duplicate-free ``row * n + col`` keys of a
+    symmetric adjacency, so a flipped link shows up under both endpoints.
+    """
+    flipped = np.setxor1d(old_keys, new_keys, assume_unique=True)
+    return np.unique(flipped // n)
+
+
+def _require_finite(positions: np.ndarray) -> None:
+    # NaN compares False against every bound and every range test: the
+    # node would silently lose its links instead of failing the run
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite (no NaN/inf)")
 
 
 class Topology:
@@ -96,6 +106,7 @@ class Topology:
         check_positive("tx_range", tx_range)
         check_positive("area width", area[0])
         check_positive("area height", area[1])
+        _require_finite(positions)
         if positions.size and (
             positions.min() < 0.0
             or positions[:, 0].max() > area[0]
@@ -110,11 +121,14 @@ class Topology:
         #: per-node liveness; failed nodes keep their index but lose all
         #: links (failure injection for the robustness experiments)
         self._active = np.ones(positions.shape[0], dtype=bool)
+        # connectivity of the last build: CSR arrays, their row views, and
+        # the sorted ``row * N + col`` keys the next rebuild is diffed against
         self._adj: Optional[List[np.ndarray]] = None
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._edge_keys: Optional[np.ndarray] = None
+        self._edge_keys_epoch = -1
         # --- edge-delta tracking (lazy; enabled by the substrate) ---
         self._track_deltas = False
-        self._prev_adj: Optional[List[np.ndarray]] = None
-        self._prev_adj_epoch = -1
         #: (from_epoch, to_epoch, changed node ids) — contiguous chain
         self._change_log: Deque[Tuple[int, int, np.ndarray]] = deque(
             maxlen=_CHANGE_LOG_LIMIT
@@ -163,39 +177,54 @@ class Topology:
         positions = np.asarray(positions, dtype=np.float64)
         if positions.shape != self._positions.shape:
             raise ValueError("node count cannot change after construction")
+        _require_finite(positions)
         self._positions = np.array(positions, copy=True)
         self._adj = None
         self.epoch += 1
 
     @property
     def adj(self) -> List[np.ndarray]:
-        """Sorted neighbor arrays; rebuilt lazily after movement."""
+        """Sorted neighbor arrays; rebuilt lazily after movement.
+
+        Each ``adj[u]`` is an int64 view of row ``u`` of :attr:`csr`.
+        """
         if self._adj is None:
-            new = self._build_adjacency()
-            if self._track_deltas and self._prev_adj is not None:
-                self._change_log.append(
-                    (
-                        self._prev_adj_epoch,
-                        self.epoch,
-                        _changed_nodes(self._prev_adj, new),
-                    )
-                )
-            self._adj = new
-            self._prev_adj = new
-            self._prev_adj_epoch = self.epoch
+            old_keys, old_epoch = self._edge_keys, self._edge_keys_epoch
+            self._adj = self._build_adjacency()
+            if self._track_deltas and old_keys is not None:
+                changed = _changed_nodes(old_keys, self._edge_keys, self.num_nodes)
+                self._change_log.append((old_epoch, self.epoch, changed))
+            self._edge_keys_epoch = self.epoch
         return self._adj
 
+    @property
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The adjacency as CSR ``(indptr, indices)`` int64 arrays.
+
+        Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, sorted.  This is
+        what :attr:`adj` and the substrate's sparse matrix are views of.
+        """
+        _ = self.adj
+        assert self._csr is not None
+        return self._csr
+
     def _build_adjacency(self) -> List[np.ndarray]:
+        """Rebuild ``_csr`` and ``_edge_keys`` from positions and liveness;
+        return the per-node row views."""
         n = self.num_nodes
         edges = build_unit_disk_edges(self._positions, self.tx_range, self.area)
-        buckets: List[List[int]] = [[] for _ in range(n)]
-        active = self._active
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if active[u] and active[v]:
-                buckets[u].append(v)
-                buckets[v].append(u)
-        return [np.array(sorted(b), dtype=np.int64) for b in buckets]
+        u, v = edges[:, 0], edges[:, 1]
+        if not self._active.all():
+            live = self._active[u] & self._active[v]
+            u, v = u[live], v[live]
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        rows, indices = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._csr = (indptr, indices)
+        self._edge_keys = keys
+        bounds = indptr.tolist()
+        return [indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------
     # failure injection

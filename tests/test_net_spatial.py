@@ -31,15 +31,6 @@ class TestUniformGrid:
         assert idx[0] == 0
         assert idx[1] == idx[2] == g.nx * g.ny - 1
 
-    def test_neighbor_cells_corner(self):
-        g = UniformGrid(100.0, 100.0, 10.0)
-        assert len(g.neighbor_cells(0)) == 4  # corner cell: 2x2 block
-
-    def test_neighbor_cells_interior(self):
-        g = UniformGrid(100.0, 100.0, 10.0)
-        center = 5 * g.nx + 5
-        assert len(g.neighbor_cells(center)) == 9
-
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             UniformGrid(0.0, 10.0, 1.0)

@@ -24,6 +24,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Topology(np.zeros((2, 3)), 5.0, (5.0, 5.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes every `<`/`>` bounds comparison, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            Topology(np.array([[1.0, 1.0], [bad, 2.0]]), 5.0, (5.0, 5.0))
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             Topology(np.zeros((2, 2)), 0.0, (5.0, 5.0))
@@ -102,6 +108,19 @@ class TestMobilityRebuild:
     def test_node_count_fixed(self, line10):
         with pytest.raises(ValueError, match="node count"):
             line10.set_positions(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_move_rejected_and_state_kept(self, line10, bad):
+        """A NaN coordinate used to land in cell 0, fail every range test
+        and silently strip the node of its links."""
+        before = [a.tolist() for a in line10.adj]
+        epoch = line10.epoch
+        pos = np.array(line10.positions)
+        pos[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            line10.set_positions(pos)
+        assert line10.epoch == epoch
+        assert [a.tolist() for a in line10.adj] == before
 
 
 class TestDerived:
