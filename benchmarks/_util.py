@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import run_experiment
+import repro.api as api
+from repro.artifacts.result import ExperimentResult
 
 __all__ = ["run_and_report"]
 
@@ -16,7 +16,7 @@ def run_and_report(benchmark, exp_id: str, **kwargs) -> ExperimentResult:
     the artifact, not a microsecond distribution.
     """
     result = benchmark.pedantic(
-        run_experiment, args=(exp_id,), kwargs=kwargs, iterations=1, rounds=1
+        api.run, args=(exp_id,), kwargs=kwargs, iterations=1, rounds=1
     )
     print()
     print(result.render())

@@ -26,11 +26,11 @@ Package layout
 ``repro.campaign``   — declarative sweep grids run over a process pool
                        with a persistent, resumable JSONL result store
                        (``python -m repro.campaign``)
-``repro.artifacts``  — the paper-artifact registry: each table/figure as
-                       an ``Artifact`` (spec builder + reducer + metadata)
-``repro.experiments``— campaign-first regeneration by id (CLI); the old
-                       per-figure loops are gone (golden fixtures pin output)
-                       as parity oracles
+``repro.artifacts``  — the paper-artifact registry: each table/figure
+                       defined once as an ``Artifact`` (spec recipe +
+                       table layout + options + metadata)
+``repro.experiments``— the ``card-repro`` CLI: regeneration by id
+                       through ``repro.api``
 ``repro.api``        — the stable facade: ``list_artifacts`` /
                        ``describe`` / ``run`` (multi-seed mean ± CI)
 """

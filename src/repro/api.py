@@ -25,11 +25,10 @@ reduces to a mean ± 95 %-CI variant via
 configuration, averaged over seeds only).
 
 Layering contract: this module never imports anything under
-:mod:`repro.experiments` — the facade sits below the CLI harness, which
-imports *it*.  ``tests/test_api.py`` enforces this in a fresh
-interpreter.  (The one-time ``repro.experiments.legacy`` parity oracles
-are gone; output stability is pinned by the golden fixtures under
-``tests/golden/``.)
+:mod:`repro.experiments` — the facade sits below the ``card-repro``
+CLI, which resolves every id through *it* (``card-lint`` CARD-L01 and
+``tests/test_api.py`` enforce this).  Output stability is pinned by the
+golden fixtures under ``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def list_artifacts() -> list:
 
 
 def describe(artifact_id: str) -> Artifact:
-    """The artifact's declarative bundle: spec builder, reducer, metadata.
+    """The artifact's definition: spec builder, reducer, options, metadata.
 
     Raises ``ValueError`` (with the valid ids) for unknown ids.
     """
@@ -127,8 +126,8 @@ def run(
         :meth:`~repro.obs.TraceSummary.as_dict` in ``result.telemetry``.
         Metrics, content hashes and golden parity are unaffected.
     options:
-        Artifact-specific knobs, validated against the artifact's spec
-        builder and reducer (e.g. ``noc_values=`` for fig07,
+        Artifact-specific knobs, validated against the artifact's
+        declared option names (e.g. ``noc_values=`` for fig07,
         ``duration=`` for the time-series artifacts).
 
     Returns

@@ -1,25 +1,25 @@
-"""First-class paper artifacts: one declarative object per table/figure.
+"""First-class paper artifacts: one definition per table/figure.
 
 This package is the single registry behind every way of regenerating a
 paper artifact — the :mod:`repro.api` facade, ``python -m
-repro.experiments`` / ``card-repro``, and ``python -m repro.campaign
-figure`` all resolve ids here:
+repro.experiments`` / ``card-repro``, ``python -m repro.campaign
+figure`` and the HTTP facade all resolve ids here.  It sits *above* the
+campaign engine (which never imports it back, bar
+:mod:`repro.artifacts.result`; ``card-lint`` rule CARD-L03), as one
+import chain:
 
 * :mod:`repro.artifacts.result` — :class:`ExperimentResult`, the
   renderable table every producer returns;
-* :mod:`repro.artifacts.tables` — the shared row/header/plot assembly
-  (used by both the campaign reducers and the legacy parity oracles, so
-  the two emit bit-identical artifacts);
-* :mod:`repro.artifacts.registry` — :class:`Artifact` (CampaignSpec
-  builder + store reducer + metadata: paper section, snapshot|series
-  regime, default scale profile, seed tuple) and the :data:`ARTIFACTS`
-  registry, executed through the cached/parallel/resumable campaign
-  engine.
+* :mod:`repro.artifacts.recipes` — the shared pieces: the :class:`Sweep`
+  spec recipe and one reducer per table family;
+* :mod:`repro.artifacts.artifact` — :class:`Artifact` (spec builder +
+  reducer + declared options + metadata, executed through the
+  cached/parallel/resumable campaign engine) and :func:`define`;
+* :mod:`repro.artifacts.definitions` — every artifact, defined once;
+* :mod:`repro.artifacts.registry` — :data:`ARTIFACTS` and the id lookup.
 
-``registry`` is exposed lazily: it imports the campaign layer (which
-imports :mod:`repro.artifacts.tables` back), so an eager edge here would
-be a cycle whenever ``repro.campaign.figures`` is the first module
-loaded.
+The registry names are exposed lazily so that importing the package for
+:class:`ExperimentResult` alone (as the engine does) stays cheap.
 """
 
 from repro.artifacts.result import ExperimentResult
@@ -28,7 +28,6 @@ __all__ = [
     "ExperimentResult",
     # resolved lazily (see module docstring)
     "registry",
-    "tables",
     "Artifact",
     "ARTIFACTS",
     "artifact_ids",
@@ -43,8 +42,4 @@ def __getattr__(name):
         import repro.artifacts.registry as registry
 
         return registry if name == "registry" else getattr(registry, name)
-    if name == "tables":
-        import repro.artifacts.tables as tables
-
-        return tables
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,12 +1,10 @@
 """The renderable artifact result type.
 
 :class:`ExperimentResult` is the common currency of every artifact
-producer — the campaign reducers, the aggregation layer and the legacy
-parity oracles all return one.  It lives here (below both the campaign
-engine and the experiment harness) so that :mod:`repro.api` and
-:mod:`repro.campaign` can produce results without importing
-:mod:`repro.experiments`; the old import location
-``repro.experiments.base.ExperimentResult`` remains as a re-export.
+producer — the table reducers and the aggregation layer both return
+one.  It lives here, below the campaign engine, so that
+:mod:`repro.campaign` can produce results without importing the
+artifact definitions above it.
 """
 
 from __future__ import annotations

@@ -24,18 +24,12 @@ objects instead of bespoke per-figure loops:
   :func:`merge_stores`;
 * :mod:`repro.campaign.aggregate` — group-by / mean / CI reduction of
   stored cells back into :class:`~repro.artifacts.result.ExperimentResult`
-  tables, plus the label → metrics join the figure reducers use;
-* :mod:`repro.campaign.figures` — **every** registered artifact
-  (Table 1, Figs 3-15, the ablations and extensions) expressed as a
-  campaign spec builder + store reducer whose output is bit-identical
-  to the pinned golden fixtures under ``tests/golden/`` (enforced by
-  ``pytest -m parity``); the
-  :mod:`repro.artifacts.registry` binds them into the
-  :class:`~repro.artifacts.registry.Artifact` registry that the
-  ``repro.api`` facade and the experiment CLI execute;
+  tables, plus the label → metrics join table reducers start from;
 * ``python -m repro.campaign run|resume|status|report|figure`` — the
-  command-line workflow (see ``--help``; ``figure <id>`` regenerates any
-  paper artifact, ``report --format csv|json`` feeds external plotting).
+  command-line workflow (see ``--help``; ``report --format csv|json``
+  feeds external plotting, and ``figure <id>`` regenerates a paper
+  artifact through :mod:`repro.artifacts.registry` — the only place this
+  package knows an artifact id; the definitions live above the engine).
 
 Quickstart
 ----------
@@ -95,13 +89,12 @@ __all__ = [
     "CampaignReport",
     "CellOutcome",
     "execute_cell",
-    # resolved lazily: aggregate/figures pull in the experiment harness
+    # resolved lazily: aggregate pulls in the result/rendering layer
     "aggregate",
     "aggregate_table",
     "stored_records",
     "labeled_metrics",
     "unique_cells",
-    "figures",
 ]
 
 _LAZY_AGGREGATE = (
@@ -113,20 +106,10 @@ _LAZY_AGGREGATE = (
 
 
 def __getattr__(name):
-    """Lazy access to the heavier submodules (PEP 562).
-
-    ``aggregate`` and ``figures`` pull in the artifact layer and every
-    spec builder/reducer; deferring them keeps plain ``import repro``
-    lightweight.
-    """
+    """Lazy access to :mod:`repro.campaign.aggregate` (PEP 562), keeping
+    plain ``import repro`` lightweight."""
     if name == "aggregate" or name in _LAZY_AGGREGATE:
         import repro.campaign.aggregate as aggregate
 
         return aggregate if name == "aggregate" else getattr(aggregate, name)
-    if name == "figures" or (
-        name.endswith("_spec") and not name.startswith("_")
-    ):
-        import repro.campaign.figures as figures
-
-        return figures if name == "figures" else getattr(figures, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ This module provides the generic reduction —
 the legacy figure runners (``result.render()``, ``repro.metrics``,
 benchmark assertions on ``result.raw``).
 
-For the per-figure reducers in :mod:`repro.campaign.figures`,
+For the exact table reducers that sit above the engine,
 :func:`labeled_metrics` joins a spec's case labels back to the stored
 metrics of the cells each case expanded into — the lookup every
 "rebuild the legacy table bit-for-bit" reducer starts from.

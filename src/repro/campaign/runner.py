@@ -21,8 +21,8 @@ topology, plus the structural/workload families) and time-series cells
 (:class:`~repro.core.runner.TimeSeriesRunner` under a declarative
 :class:`~repro.campaign.spec.MobilitySpec`).  Every executor path
 mirrors the corresponding legacy figure runner's construction order and
-RNG streams exactly — that is what lets the reducers in
-:mod:`repro.campaign.figures` rebuild the legacy tables bit-for-bit.
+RNG streams exactly — that is what lets the table reducers
+above the engine rebuild the legacy tables bit-for-bit.
 """
 
 from __future__ import annotations

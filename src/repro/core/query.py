@@ -147,94 +147,17 @@ class QueryEngine:
 
         Escalation mirrors the paper: a fresh DSQ is issued with D=1, then
         D=2, ... — traffic of failed rounds accumulates into the final
-        count (exactly like expanding ring search re-floods).
+        count (exactly like expanding ring search re-floods).  One pair
+        resolved by the same routine :meth:`query_many` loops over.
         """
-        depth_cap = self.params.depth if max_depth is None else int(max_depth)
-        if target == source or self.tables.contains(source, target):
-            path = self.tables.path_within(source, target)
-            return QueryResult(
-                source, target, True, 0, 0, 0, 0, path=path
-            )
-        total_msgs = 0
-        total_contacts = 0
-        for d in range(1, depth_cap + 1):
-            msg = DestinationSearchQuery(
-                source=source, target=target, depth=d, query_id=next_query_id()
-            )
-            # the source originated the query id, so dedup treats it as seen
-            visited: set = {source}
-            found, msgs, contacts, chain = self._probe(
-                source, target, d, msg, visited, [source]
-            )
-            total_msgs += msgs
-            total_contacts += contacts
-            if found is not None:
-                # reply retraces the discovered route
-                reply = len(found) - 1
-                for hop_tx in reversed(found[1:]):
-                    self.network.transmit(msg, int(hop_tx), kind=MessageKind.REPLY)
-                return QueryResult(
-                    source,
-                    target,
-                    True,
-                    d,
-                    total_msgs,
-                    reply,
-                    total_contacts,
-                    path=found,
-                )
-        return QueryResult(
-            source, target, False, None, total_msgs, 0, total_contacts
+        return self._resolve(
+            int(source),
+            int(target),
+            max_depth,
+            self._current_fabric(),
+            bytearray(self.network.num_nodes),
         )
 
-    # ------------------------------------------------------------------
-    def _probe(
-        self,
-        holder: int,
-        target: int,
-        depth: int,
-        msg: DestinationSearchQuery,
-        visited: set,
-        prefix: List[int],
-    ):
-        """Forward the DSQ from ``holder`` to its contacts, one at a time.
-
-        Returns ``(full_path_or_None, msgs, contacts_queried, None)``.
-        """
-        table = self.contact_tables.get(holder)
-        if table is None or len(table) == 0:
-            return None, 0, 0, None
-        msgs = 0
-        contacts = 0
-        for contact in table:
-            c = contact.node
-            if self.dedup and c in visited:
-                continue
-            visited.add(c)
-            # DSQ travels the stored contact route
-            msgs += contact.path_hops
-            for hop_tx in contact.path[:-1]:
-                self.network.transmit(msg, int(hop_tx))
-            chain = prefix + contact.path[1:]
-            contacts += 1
-            if depth <= 1:
-                # level-D contact: neighborhood lookup (§III.C.4)
-                if self.tables.contains(c, target):
-                    zone = self.tables.path_within(c, target)
-                    assert zone is not None
-                    return chain + zone[1:], msgs, contacts, None
-            else:
-                found, sub_msgs, sub_contacts, _ = self._probe(
-                    c, target, depth - 1, msg, visited, chain
-                )
-                msgs += sub_msgs
-                contacts += sub_contacts
-                if found is not None:
-                    return found, msgs, contacts, None
-        return None, msgs, contacts, None
-
-    # ------------------------------------------------------------------
-    # batched querying
     # ------------------------------------------------------------------
     def query_many(
         self,
@@ -244,13 +167,14 @@ class QueryEngine:
     ) -> List[QueryResult]:
         """Resolve a workload of ``(source, target)`` pairs, batched.
 
-        Semantically identical to ``[query(s, t) for s, t in pairs]`` —
-        same :class:`QueryResult` fields, same message accounting, same
-        escalation — but an entire contact level is probed against the
-        target with one vectorized membership-row gather (hop distance is
-        symmetric, so "target in contact's zone" = "contact in target's
-        zone"), visited sets live in one reused boolean scratch array, and
-        QUERY/REPLY traffic is flushed per round through
+        Equal to ``[query(s, t) for s, t in pairs]`` — same
+        :class:`QueryResult` fields, same message accounting, same
+        escalation — with the fabric checked and the visited scratch
+        allocated once for the whole workload.  An entire contact level
+        is probed against the target's dense membership row (hop distance
+        is symmetric, so "target in contact's zone" = "contact in
+        target's zone"), visited marks live in one reused scratch array,
+        and QUERY/REPLY traffic is flushed per round through
         :meth:`~repro.net.network.Network.transmit_path` instead of one
         Python call per hop.  All contact tables are frozen into one
         :class:`_QueryFabric` that persists across calls and is rebuilt
@@ -262,7 +186,7 @@ class QueryEngine:
             results: List[QueryResult] = []
             for s, t in pairs:
                 results.append(
-                    self._query_batched(int(s), int(t), max_depth, fabric, visited)
+                    self._resolve(int(s), int(t), max_depth, fabric, visited)
                 )
             return results
 
@@ -283,7 +207,7 @@ class QueryEngine:
             self._fabric_key = key
         return self._fabric
 
-    def _query_batched(
+    def _resolve(
         self,
         source: int,
         target: int,
@@ -291,6 +215,8 @@ class QueryEngine:
         fabric: _QueryFabric,
         visited: bytearray,
     ) -> QueryResult:
+        """One pair over ``fabric``; ``visited`` is all-zero scratch and is
+        handed back all-zero."""
         depth_cap = self.params.depth if max_depth is None else int(max_depth)
         if target == source or self.tables.contains(source, target):
             path = self.tables.path_within(source, target)
@@ -311,7 +237,7 @@ class QueryEngine:
                 visited[source] = 1
                 touched.append(source)
             tx_out: List[int] = []
-            found, msgs, contacts = self._probe_batched(
+            found, msgs, contacts = self._probe_level(
                 source, target, d, trow, visited, touched, tx_out, [source],
                 fabric,
             )
@@ -347,7 +273,7 @@ class QueryEngine:
         assert zone is not None
         return chain + zone[1:]
 
-    def _probe_batched(
+    def _probe_level(
         self,
         holder: int,
         target: int,
@@ -359,7 +285,7 @@ class QueryEngine:
         prefix: List[int],
         fabric: _QueryFabric,
     ):
-        """Batched :meth:`_probe`: probe a contact level over the fabric.
+        """Forward the DSQ from ``holder`` to its contacts over the fabric.
 
         A leaf level (``depth <= 1``) resolves each contact with a scalar
         lookup in the target's dense membership row, and flushes stored
@@ -424,7 +350,7 @@ class QueryEngine:
             entry = entries[i]
             chain = prefix + entry.path[1:]
             contacts += 1
-            found, sub_msgs, sub_contacts = self._probe_batched(
+            found, sub_msgs, sub_contacts = self._probe_level(
                 c, target, depth - 1, trow, visited, touched, tx_out, chain,
                 fabric,
             )

@@ -1,32 +1,16 @@
-"""Experiment harness: campaign-first artifact regeneration by id.
+"""The ``card-repro`` command line: regenerate paper artifacts by id.
 
-Every experiment id resolves to an :class:`~repro.artifacts.registry.Artifact`
-run through the :mod:`repro.campaign` engine — declarative spec →
-content-hash-cached cells → reducer — and returns an
-:class:`~repro.artifacts.result.ExperimentResult` (headers + rows + an
-ASCII rendering of the figure's shape).  ``python -m repro.experiments
-<id>`` runs one from the command line; prefer the stable
-:mod:`repro.api` facade when scripting.
+``python -m repro.experiments <id>`` (see :mod:`repro.experiments.__main__`)
+resolves ids through the :mod:`repro.api` facade — the one registry is
+:data:`repro.artifacts.registry.ARTIFACTS` — and runs them through the
+:mod:`repro.campaign` engine: declarative spec → content-hash-cached
+cells → reducer → :class:`~repro.artifacts.result.ExperimentResult`
+(headers + rows + an ASCII rendering of the figure's shape).  Script
+against :mod:`repro.api`; this package holds only the CLI.
 
-All experiments accept a ``scale`` argument in ``(0, 1]``: 1.0 reproduces
-the paper's parameters; smaller values shrink network size and/or the
-measured source sample proportionally (used by CI and the benchmarks).
-Passing ``store=``/``n_workers=`` reuses a warm JSONL result store and
-fans cells out over a process pool.
-
-The pre-flip per-figure loops survive in
-``repro.experiments.legacy`` as one-time parity oracles — since
-deleted; ``pytest -m parity`` now compares against the pinned golden
-fixtures under ``tests/golden/``.
+Every artifact accepts a ``scale``: 1.0 reproduces the paper's
+parameters, smaller values shrink network size and/or the measured
+source sample proportionally (used by CI and the benchmarks), ``xl``
+grows them 20×.  ``--store``/``--workers`` reuse a warm result store and
+fan cells out over a process pool.
 """
-
-from repro.experiments.base import ExperimentResult, standard_topology
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-
-__all__ = [
-    "ExperimentResult",
-    "standard_topology",
-    "EXPERIMENTS",
-    "get_experiment",
-    "run_experiment",
-]

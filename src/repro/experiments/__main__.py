@@ -36,14 +36,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import run as api_run
+import repro.api as api
 from repro.artifacts.registry import ARTIFACTS
 from repro.campaign.store import ResultStore
-from repro.experiments.registry import (
-    DERIVED_EXPERIMENTS,
-    EXPERIMENTS,
-    get_experiment,
-)
 from repro.scenarios.factory import resolve_scale
 
 #: what the CLI lists and "all" iterates: the artifact registry's ids,
@@ -147,9 +142,9 @@ def _run(args) -> int:
 
     if args.exp_id == "all":
         # derived experiments re-derive another artifact; produce each once
-        ids = [i for i in PRIMARY_IDS if i not in DERIVED_EXPERIMENTS]
+        ids = [i for i in PRIMARY_IDS if not ARTIFACTS[i].derived]
     else:
-        if args.exp_id not in EXPERIMENTS:
+        if args.exp_id not in ARTIFACTS:
             print(_unknown_id_message(args.exp_id), file=sys.stderr)
             return 1
         ids = [args.exp_id]
@@ -161,26 +156,16 @@ def _run(args) -> int:
         if args.duration is not None:
             kwargs["duration"] = args.duration
         t0 = time.time()  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
+        run = dict(workers=args.workers, store=store, **kwargs)
         if seeds is not None:
             # the facade's multi-seed path: sweep × seeds → mean ± 95% CI
             try:
-                result = api_run(
-                    exp_id,
-                    seeds=seeds,
-                    workers=args.workers,
-                    store=store,
-                    **kwargs,
-                )
+                result = api.run(exp_id, seeds=seeds, **run)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
         else:
-            fn = get_experiment(exp_id)
-            kwargs["seed"] = args.seed if args.seed is not None else 0
-            if store is not None:
-                kwargs["store"] = store
-            kwargs["n_workers"] = args.workers
-            result = fn(**kwargs)
+            result = api.run(exp_id, seed=args.seed or 0, **run)
         dt = time.time() - t0  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
         print(result.render())
         print(f"[{exp_id} finished in {dt:.1f}s]\n")

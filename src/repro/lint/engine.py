@@ -108,7 +108,12 @@ class LayerConstraint:
 #: contract is that ``import repro.api`` loads no ``repro.experiments``
 #: module).  ``repro.net``/``repro.core``/``repro.des`` are simulation
 #: layers: orchestration (campaign/service/artifacts) may import them,
-#: never the reverse, not even lazily.
+#: never the reverse, not even lazily.  The engine proper (spec, runner,
+#: stores, aggregation, queue, workers, daemon) runs cells and knows no
+#: artifact: the definitions and the facade sit above it, and only the
+#: ``__main__`` CLIs and ``service/http.py`` (which serves the registry)
+#: bridge the two — ``repro.artifacts.result``, the table type the
+#: aggregation layer returns, is the one shared module.
 DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
     LayerConstraint(
         rule="CARD-L01",
@@ -123,6 +128,27 @@ DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
         forbidden=("repro.campaign", "repro.service", "repro.artifacts"),
         include_deferred=True,
         reason="simulation layers must not depend on orchestration layers",
+    ),
+    LayerConstraint(
+        rule="CARD-L03",
+        sources=(
+            "repro.campaign.spec",
+            "repro.campaign.runner",
+            "repro.campaign.store",
+            "repro.campaign.aggregate",
+            "repro.service.queue",
+            "repro.service.worker",
+            "repro.service.daemon",
+        ),
+        forbidden=(
+            "repro.api",
+            "repro.artifacts.recipes",
+            "repro.artifacts.artifact",
+            "repro.artifacts.definitions",
+            "repro.artifacts.registry",
+        ),
+        include_deferred=True,
+        reason="the campaign engine must not know the artifact definitions",
     ),
 )
 

@@ -25,7 +25,11 @@ Layering (the dependency DAG is data in
 * **CARD-L02** — simulation layers (``repro.net``/``repro.core``/
   ``repro.des``) never import orchestration
   (``repro.campaign``/``repro.service``/``repro.artifacts``), not even
-  lazily.
+  lazily;
+* **CARD-L03** — the campaign engine (``repro.campaign.{spec,runner,
+  store,aggregate}``, ``repro.service.{queue,worker,daemon}``) never
+  imports the artifact definitions/registry or ``repro.api``, deferred
+  imports included (``repro.artifacts.result`` is the shared table type).
 
 Concurrency/durability discipline:
 
@@ -811,6 +815,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     CellEntropyRule(),
     LayerRule("CARD-L01"),
     LayerRule("CARD-L02"),
+    LayerRule("CARD-L03"),
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),

@@ -25,6 +25,7 @@ Routes::
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import threading
@@ -224,8 +225,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if close:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # Head and body leave in one write.  end_headers() flushes the
+        # header block as a segment of its own; with Nagle on, the body
+        # then waits for the client's delayed ACK — 40 ms on every
+        # keep-alive reply, whatever the route.  So it flushes into a
+        # buffer here (nothing at all for an HTTP/0.9 request line).
+        wire, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        wire.write(head + body)
 
     def _error(self, status: int, message: str, *, close: bool = False) -> None:
         self._send(status, {"error": message}, close=close)

@@ -4,9 +4,14 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python tests/golden/regen.py [id ...]
 
-Without arguments every artifact in the matrix is re-captured.  Check
-the diff carefully: a changed fixture means the artifact's output
-changed, which is exactly what the matrix exists to catch.
+Without arguments every artifact in the matrix is re-captured: its own
+``<id>.json`` (headers/rows/plots) and its entries in the cross-artifact
+``meta.json`` (exp_id/title/notes/raw keys) and ``cell_keys.json``
+(content hashes).  Check the diff carefully: a changed fixture means the
+artifact's output changed, which is exactly what the matrix exists to
+catch.  (``options.json`` — the option names each artifact accepted
+before the definitions went declarative — is edited by hand when an
+option is deliberately added.)
 """
 
 from __future__ import annotations
@@ -27,14 +32,20 @@ def main(argv=None) -> int:
         print(f"unknown artifact ids {unknown}; known: "
               f"{golden_matrix.artifact_ids()}", file=sys.stderr)
         return 1
+    meta = golden_matrix.load_fixture("meta")
+    keys = golden_matrix.load_fixture("cell_keys")
     for exp_id in ids:
         t0 = time.time()  # card-lint: disable=CARD-D01 -- regeneration progress print; fixtures hold only metrics
-        per_seed = {
-            str(seed): golden_matrix.capture(exp_id, seed)
-            for seed in golden_matrix.GOLDEN_SEEDS
-        }
-        path = golden_matrix.write_fixture(exp_id, per_seed)
+        seeds = golden_matrix.GOLDEN_SEEDS
+        results = {str(s): golden_matrix.run_golden(exp_id, s) for s in seeds}
+        path = golden_matrix.write_fixture(
+            exp_id, {s: golden_matrix.table_view(r) for s, r in results.items()}
+        )
+        meta[exp_id] = {s: golden_matrix.meta_view(r) for s, r in results.items()}
+        keys[exp_id] = {str(s): golden_matrix.cell_keys(exp_id, s) for s in seeds}
         print(f"{exp_id}: wrote {path} in {time.time() - t0:.1f}s")  # card-lint: disable=CARD-D01 -- regeneration progress print; fixtures hold only metrics
+    golden_matrix.write_fixture("meta", meta)
+    golden_matrix.write_fixture("cell_keys", keys)
     return 0
 
 

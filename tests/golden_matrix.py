@@ -6,6 +6,12 @@ configurations, captured from the campaign path.  They replace the
 deleted ``repro.experiments.legacy`` parity oracles: instead of holding
 the campaign engine equal to a second live implementation, the matrix
 holds it equal to the committed output of the last validated build.
+Three cross-artifact files pin what the per-artifact fixtures don't:
+``meta.json`` (``exp_id``, ``title``, notes, top-level ``raw`` keys),
+``cell_keys.json`` (every cell's content hash, so old stores stay warm)
+and ``options.json`` (the option names each artifact accepts) — all
+captured from the last build that still declared artifacts as
+``<id>_spec``/``reduce_<id>`` function pairs.
 
 Regenerate deliberately (never to paper over a diff) with::
 
@@ -89,11 +95,15 @@ def canon(value):
     return value
 
 
-def capture(exp_id: str, seed: int) -> Dict[str, object]:
-    """Run one artifact through the campaign path; return its pinned view."""
-    from repro.experiments.registry import run_experiment
+def run_golden(exp_id: str, seed: int, **run_kwargs):
+    """One artifact through the public entry point at its matrix config."""
+    import repro.api as api
 
-    result = run_experiment(exp_id, seed=seed, **GOLDEN_KWARGS[exp_id])
+    return api.run(exp_id, seed=seed, **GOLDEN_KWARGS[exp_id], **run_kwargs)
+
+
+def table_view(result) -> Dict[str, object]:
+    """The per-artifact fixture's view of a result: the table itself."""
     return {
         "headers": canon(list(result.headers)),
         "rows": canon([list(r) for r in result.rows]),
@@ -101,19 +111,44 @@ def capture(exp_id: str, seed: int) -> Dict[str, object]:
     }
 
 
-def fixture_path(exp_id: str) -> Path:
-    return GOLDEN_DIR / f"{exp_id}.json"
+def meta_view(result) -> Dict[str, object]:
+    """What ``meta.json`` pins beside the table: identity, notes (minus
+    the trailing ``via repro.campaign (…)`` provenance line, which counts
+    cache hits) and the top-level ``raw`` keys the benches index into."""
+    notes = list(result.notes)
+    if notes and notes[-1].startswith("via repro.campaign ("):
+        notes.pop()
+    return {
+        "exp_id": result.exp_id,
+        "title": result.title,
+        "notes": canon(notes),
+        "raw_keys": sorted(str(k) for k in result.raw),
+    }
 
 
-def load_fixture(exp_id: str) -> Dict[str, Dict[str, object]]:
-    return json.loads(fixture_path(exp_id).read_text(encoding="utf-8"))
+def cell_keys(exp_id: str, seed: int) -> List[str]:
+    """Sorted content hashes of the artifact's cells at its matrix config."""
+    from repro.artifacts.registry import ARTIFACTS
+
+    spec = ARTIFACTS[exp_id].spec(seed=seed, **GOLDEN_KWARGS[exp_id])
+    return sorted(spec.unique_cells())
 
 
-def write_fixture(exp_id: str, per_seed: Dict[str, Dict[str, object]]) -> Path:
+def fixture_path(name: str) -> Path:
+    """A per-artifact fixture, or one of the cross-artifact files
+    (``meta``, ``cell_keys``, ``options``)."""
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def load_fixture(name: str) -> Dict[str, Dict[str, object]]:
+    return json.loads(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def write_fixture(name: str, payload: Dict[str, Dict[str, object]]) -> Path:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    path = fixture_path(exp_id)
+    path = fixture_path(name)
     path.write_text(
-        json.dumps(per_seed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
 

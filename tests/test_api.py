@@ -226,11 +226,10 @@ class TestMultiSeed:
             ARTIFACTS[artifact_id].run(scale=0.15, seeds=(0, 1))
 
     def test_reduce_fig07_missing_cell_names_resume(self, tmp_path):
-        from repro.campaign.figures import fig07_spec, reduce_fig07
-
-        spec = fig07_spec(scale=0.2, num_sources=10, noc_values=(0, 2))
-        with pytest.raises(KeyError, match="resume"):
-            reduce_fig07(spec, ResultStore(tmp_path / "empty.jsonl"))
+        fig07 = ARTIFACTS["fig07"]
+        spec = fig07.spec(scale=0.2, num_sources=10, noc_values=(0, 2))
+        with pytest.raises(KeyError, match=r"\(NoC=0\).*resume"):
+            fig07.reduce(spec, ResultStore(tmp_path / "empty.jsonl"))
 
     def test_series_artifact_mean_ci(self, tmp_path):
         result = api.run(

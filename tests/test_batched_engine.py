@@ -3,11 +3,13 @@
 Selection has one CSQ walk engine (`ContactSelector.select_one`); what
 it promises beyond its own unit tests is pinned here: source-order
 independence, the admissibility mask equalling the scalar `admit()`
-rule, and bulk hop accounting equalling per-hop `transmit`.  The batched
-query engine (`QueryEngine.query_many`) promises *bit-identical* results
-to the sequential `query()` reference — same `QueryResult` fields, same
-message accounting down to per-node attribution — over random, mobile
-and disconnected topologies and both dedup modes.
+rule, and bulk hop accounting equalling per-hop `transmit`.  The DSQ engine
+(`QueryEngine.query` / `query_many`, one per-pair routine over the
+frozen contact fabric) promises *bit-identical* results to the
+recursive one-hop-per-call walk kept here as `oracle_query` — same
+`QueryResult` fields, same message accounting down to per-node
+attribution — over random, mobile and disconnected topologies and both
+dedup modes.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import pytest
 
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
-from repro.core.query import QueryEngine
+from repro.core.query import QueryEngine, QueryResult
 from repro.des.engine import Simulator
 from repro.net import substrate
-from repro.net.messages import MessageKind
+from repro.net.messages import DestinationSearchQuery, MessageKind, next_query_id
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.mobility.waypoint import RandomWaypoint
@@ -202,6 +204,65 @@ class TestBulkAccounting:
 # ----------------------------------------------------------------------
 # DSQ query parity
 # ----------------------------------------------------------------------
+def oracle_query(engine: QueryEngine, source, target, max_depth) -> QueryResult:
+    """The paper's DSQ, literally: contacts probed one at a time along
+    their stored routes, one `transmit` per hop, recursion per contact
+    level, a Python set for dedup.  Reads only the engine's inputs
+    (tables, contact tables, network) — none of its fabric."""
+    tables, net = engine.tables, engine.network
+
+    def probe(holder, depth, msg, visited, prefix):
+        table = engine.contact_tables.get(holder)
+        if table is None or len(table) == 0:
+            return None, 0, 0
+        msgs = contacts = 0
+        for contact in table:
+            c = contact.node
+            if engine.dedup and c in visited:
+                continue
+            visited.add(c)
+            msgs += contact.path_hops
+            for hop_tx in contact.path[:-1]:
+                net.transmit(msg, int(hop_tx))
+            chain = prefix + contact.path[1:]
+            contacts += 1
+            if depth <= 1:
+                # level-D contact: neighborhood lookup (§III.C.4)
+                if tables.contains(c, target):
+                    return chain + tables.path_within(c, target)[1:], msgs, contacts
+            else:
+                found, sub_msgs, sub_contacts = probe(
+                    c, depth - 1, msg, visited, chain
+                )
+                msgs += sub_msgs
+                contacts += sub_contacts
+                if found is not None:
+                    return found, msgs, contacts
+        return None, msgs, contacts
+
+    if target == source or tables.contains(source, target):
+        path = tables.path_within(source, target)
+        return QueryResult(source, target, True, 0, 0, 0, 0, path=path)
+    total_msgs = total_contacts = 0
+    for d in range(1, max_depth + 1):
+        msg = DestinationSearchQuery(
+            source=source, target=target, depth=d, query_id=next_query_id()
+        )
+        # the source originated the query id, so dedup treats it as seen
+        found, msgs, contacts = probe(source, d, msg, {source}, [source])
+        total_msgs += msgs
+        total_contacts += contacts
+        if found is not None:
+            # reply retraces the discovered route
+            for hop_tx in reversed(found[1:]):
+                net.transmit(msg, int(hop_tx), kind=MessageKind.REPLY)
+            return QueryResult(
+                source, target, True, d, total_msgs, len(found) - 1,
+                total_contacts, path=found,
+            )
+    return QueryResult(source, target, False, None, total_msgs, 0, total_contacts)
+
+
 class TestBatchedQueryParity:
     def _workload(self, n, seed, count=50):
         rng = np.random.default_rng(seed)
@@ -214,28 +275,27 @@ class TestBatchedQueryParity:
     @pytest.mark.parametrize("depth", [1, 3])
     def test_query_many_matches_sequential(self, topo_name, dedup, depth):
         make = TOPOLOGIES[topo_name]
-        card_a = _protocol(make, SelectionMethod.PM, 1)
-        card_b = _protocol(make, SelectionMethod.PM, 1)
-        card_a.bootstrap()
-        card_b.bootstrap()
-        n = card_a.network.num_nodes
-        ea = QueryEngine(
-            card_a.network, card_a.tables, card_a.params,
-            card_a.contact_tables, dedup=dedup,
-        )
-        eb = QueryEngine(
-            card_b.network, card_b.tables, card_b.params,
-            card_b.contact_tables, dedup=dedup,
-        )
-        pairs = self._workload(n, 100 + depth)
-        card_a.network.stats.reset()
-        card_b.network.stats.reset()
-        seq = [ea.query(s, t, max_depth=depth) for s, t in pairs]
+        engines = []
+        for _ in range(3):
+            card = _protocol(make, SelectionMethod.PM, 1)
+            card.bootstrap()
+            card.network.stats.reset()
+            engines.append(
+                QueryEngine(
+                    card.network, card.tables, card.params,
+                    card.contact_tables, dedup=dedup,
+                )
+            )
+        ea, eb, ec = engines
+        pairs = self._workload(ea.network.num_nodes, 100 + depth)
+        seq = [oracle_query(ea, s, t, depth) for s, t in pairs]
         bat = eb.query_many(pairs, max_depth=depth)
+        one = [ec.query(s, t, max_depth=depth) for s, t in pairs]
         # QueryResult is a plain dataclass: == compares every field,
         # including msgs/reply accounting and the discovered path
-        assert seq == bat
-        assert_same_stats(card_a.network, card_b.network)
+        assert seq == bat == one
+        assert_same_stats(ea.network, eb.network)
+        assert_same_stats(ea.network, ec.network)
 
     def test_query_many_empty_and_self(self):
         make = TOPOLOGIES["random"]

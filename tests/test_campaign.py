@@ -15,18 +15,13 @@ from repro.campaign.aggregate import (
     mean_ci,
     stored_records,
 )
+from repro.api import run as run_experiment
 from repro.artifacts.registry import ARTIFACTS
-from repro.campaign.figures import fig07_spec, table1_spec
 from repro.campaign.runner import CampaignRunner, execute_cell
 from repro.campaign.spec import CampaignSpec, CellSpec, TopologySpec, content_hash
 from repro.campaign.store import ResultStore
 from repro.campaign.__main__ import main as campaign_main
 from repro.core.params import CARDParams, SelectionMethod
-from repro.experiments.registry import (
-    DERIVED_EXPERIMENTS,
-    EXPERIMENTS,
-    run_experiment,
-)
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -345,15 +340,15 @@ class TestAggregate:
 
 # ----------------------------------------------------------------------
 class TestFigurePorts:
-    def test_fig07_campaign_matches_legacy(self):
+    def test_fig07_facade_matches_artifact_run(self):
         kwargs = dict(scale=0.25, seed=0, noc_values=(0, 2, 4), num_sources=20)
-        legacy = run_experiment("fig07", **kwargs)
+        facade = run_experiment("fig07", **kwargs)
         campaign = ARTIFACTS["fig07"].run(**kwargs)
-        assert campaign.raw["means"] == legacy.raw["means"]
-        for label, column in legacy.raw["columns"].items():
+        assert campaign.raw["means"] == facade.raw["means"]
+        for label, column in facade.raw["columns"].items():
             assert (campaign.raw["columns"][label] == column).all()
         # rendered tables carry identical data rows
-        assert campaign.rows == legacy.rows
+        assert campaign.rows == facade.rows
 
     def test_fig07_campaign_parallel_matches_serial(self, tmp_path):
         kwargs = dict(scale=0.2, seed=0, noc_values=(0, 2), num_sources=15)
@@ -363,25 +358,28 @@ class TestFigurePorts:
         )
         assert serial.raw["means"] == parallel.raw["means"]
 
-    def test_table1_campaign_matches_legacy(self):
-        legacy = run_experiment("table1", scale=0.15, seed=0)
+    def test_table1_facade_matches_artifact_run(self):
+        facade = run_experiment("table1", scale=0.15, seed=0)
         campaign = ARTIFACTS["table1"].run(scale=0.15, seed=0)
-        assert campaign.rows == legacy.rows
-        assert campaign.headers == legacy.headers
+        assert campaign.rows == facade.rows
+        assert campaign.headers == facade.headers
 
     def test_fig07_spec_declares_grid(self):
-        spec = fig07_spec(scale=0.2, noc_values=(0, 4))
+        spec = ARTIFACTS["fig07"].spec(scale=0.2, noc_values=(0, 4))
         assert spec.grid == {"noc": [0, 4]}
         assert spec.num_cells == 2
 
     def test_table1_spec_covers_all_scenarios(self):
-        spec = table1_spec(scale=0.15)
+        spec = ARTIFACTS["table1"].spec(scale=0.15)
         assert len(spec.topologies) == 8
         assert {t.scenario for t in spec.topologies} == set(range(1, 9))
 
     def test_registry_has_one_name_per_artifact(self):
-        assert list(EXPERIMENTS) == list(ARTIFACTS)
-        assert DERIVED_EXPERIMENTS == {"fig03_04"}
+        import repro.experiments as cli_package
+
+        # the second id → runner dict is gone; the CLI package holds no names
+        assert not hasattr(cli_package, "EXPERIMENTS")
+        assert [a.id for a in ARTIFACTS.values() if a.derived] == ["fig03_04"]
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +461,7 @@ class TestLayering:
 
     def test_import_repro_does_not_load_experiments(self):
         # the campaign exports reachable from `import repro` must not drag
-        # the whole experiment harness in (aggregate/figures are lazy) —
+        # the experiment CLI in (aggregate is lazy) —
         # asserted statically over the import-time edges of the graph
         graph = self._graph()
         closure = graph.closure(["repro"], include_deferred=False)
@@ -479,11 +477,11 @@ class TestLayering:
 
     def test_first_import_order_smoke(self):
         # one subprocess smoke test stays: prove the historically fragile
-        # side (registry first, before any campaign import) end-to-end
+        # side (definitions first, before any campaign import) end-to-end
         import subprocess, sys
 
         proc = subprocess.run(
-            [sys.executable, "-c", "import repro.experiments.registry"],
+            [sys.executable, "-c", "import repro.artifacts.definitions"],
             capture_output=True,
             text=True,
         )

@@ -25,12 +25,6 @@ import pytest
 
 from repro.artifacts.registry import ARTIFACTS
 from repro.campaign.__main__ import main as campaign_main
-from repro.campaign.figures import (
-    fig05_spec,
-    fig10_spec,
-    fig11_spec,
-    fig12_spec,
-)
 from repro.campaign.runner import CampaignRunner, execute_cell
 from repro.campaign.spec import (
     CampaignSpec,
@@ -40,8 +34,17 @@ from repro.campaign.spec import (
     TopologySpec,
 )
 from repro.campaign.store import ResultStore
-from repro.experiments.registry import run_experiment
 from repro.scenarios.factory import standard_topology
+
+# every artifact's spec comes from its one definition
+fig05_spec = ARTIFACTS["fig05"].spec
+fig10_spec = ARTIFACTS["fig10"].spec
+fig11_spec = ARTIFACTS["fig11"].spec
+fig12_spec = ARTIFACTS["fig12"].spec
+
+
+def run_experiment(exp_id, **kwargs):
+    return ARTIFACTS[exp_id].run(**kwargs)
 
 
 def tiny_mobility() -> MobilitySpec:
@@ -66,13 +69,34 @@ def tiny_series_cell(**overrides) -> CellSpec:
 class TestPortCoverage:
     def test_artifact_registry_is_the_only_registry(self):
         # the pre-flip surface (CAMPAIGN_FIGURES / get_figure_port /
-        # run_<id>_campaign) is gone, not lazily re-exported
+        # run_<id>_campaign) and the per-artifact function pairs are
+        # gone, not lazily re-exported: the engine knows no artifact id
+        import repro.artifacts as artifacts
         import repro.campaign as campaign
-        from repro.campaign import figures
 
-        for name in ("CAMPAIGN_FIGURES", "get_figure_port", "run_fig07_campaign"):
-            assert not hasattr(figures, name)
+        for name in (
+            "CAMPAIGN_FIGURES", "get_figure_port", "run_fig07_campaign",
+            "figures", "fig07_spec", "reduce_fig07",
+        ):
             assert not hasattr(campaign, name)
+        assert not hasattr(artifacts, "tables")
+        for module in ("repro.campaign.figures", "repro.artifacts.tables"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(module)
+
+    def test_variants_are_data_on_a_shared_recipe(self):
+        # fig12 is fig11's sweep read through another series; figs 3/4
+        # are one sweep under three ids; the _ci artifacts their base
+        # recipe over a seed tuple
+        recipe = lambda exp_id: ARTIFACTS[exp_id].build_spec.func  # noqa: E731
+        assert recipe("fig12") is recipe("fig11")
+        assert recipe("fig03") is recipe("fig04") is recipe("fig03_04")
+        assert recipe("fig07_ci") is recipe("fig07")
+        assert recipe("table1_ci") is recipe("table1")
+        fig11, fig12 = ARTIFACTS["fig11"].reduce, ARTIFACTS["fig12"].reduce
+        assert fig12.func is fig11.func
+        assert fig12.keywords["series"] == "backtracking"
+        assert "series" not in fig11.keywords
 
 
 class TestCrossFigureCache:

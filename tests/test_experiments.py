@@ -1,11 +1,13 @@
-"""Tests for the experiment harness — every registered experiment runs at a
-tiny scale and produces a well-formed, renderable result with the paper's
-qualitative shape where that is cheap to assert."""
+"""Every registered artifact runs at a tiny scale through ``repro.api`` and
+produces a well-formed, renderable result with the paper's qualitative
+shape where that is cheap to assert."""
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, sample_sources, scaled
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+import repro.api as api
+from repro.api import run as run_experiment
+from repro.artifacts.result import ExperimentResult
+from repro.scenarios.factory import sample_sources, scaled
 
 TINY = dict(scale=0.25, seed=0)
 FEW_SOURCES = dict(num_sources=25)
@@ -47,11 +49,13 @@ class TestRegistry:
             "table1", "fig03", "fig05", "fig07", "fig10", "fig14", "fig15",
             "ablation_recovery",
         ):
-            assert exp_id in EXPERIMENTS
+            assert exp_id in api.list_artifacts()
 
     def test_unknown_id_raises_with_listing(self):
-        with pytest.raises(KeyError, match="fig07"):
-            get_experiment("nonsense")
+        with pytest.raises(ValueError, match="fig07"):
+            api.describe("nonsense")
+        with pytest.raises(ValueError, match="fig07"):
+            run_experiment("nonsense")
 
 
 class TestTable1:

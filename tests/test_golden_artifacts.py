@@ -20,11 +20,6 @@ import pytest
 import golden_matrix
 from repro.artifacts.registry import ARTIFACTS, artifact_ids, get_artifact
 from repro.campaign.store import ResultStore
-from repro.experiments.registry import (
-    DERIVED_EXPERIMENTS,
-    EXPERIMENTS,
-    run_experiment,
-)
 
 #: (seed, workers) pairs: ≥2 seeds and ≥2 worker counts per id, without
 #: quadrupling the matrix (worker count must never change any output)
@@ -41,11 +36,17 @@ class TestGoldenMatrix:
         golden = golden_matrix.load_fixture(exp_id)[str(seed)]
         kwargs = dict(golden_matrix.GOLDEN_KWARGS[exp_id], seed=seed)
         store = ResultStore(tmp_path / "store.jsonl")
-        result = run_experiment(exp_id, store=store, n_workers=n_workers, **kwargs)
-        assert golden_matrix.canon(list(result.headers)) == golden["headers"]
-        assert golden_matrix.canon([list(r) for r in result.rows]) == golden["rows"]
-        assert golden_matrix.canon(list(result.plots)) == golden["plots"]
-        assert result.exp_id == exp_id
+        result = golden_matrix.run_golden(
+            exp_id, seed, store=store, workers=n_workers
+        )
+        table = golden_matrix.table_view(result)
+        assert table["headers"] == golden["headers"]
+        assert table["rows"] == golden["rows"]
+        assert table["plots"] == golden["plots"]
+        # identity, title, notes and the raw keys the benches index into
+        assert golden_matrix.meta_view(result) == (
+            golden_matrix.load_fixture("meta")[exp_id][str(seed)]
+        )
         # a second invocation against the same store is pure cache and
         # still reduces to the identical artifact
         again = ARTIFACTS[exp_id].run(
@@ -54,6 +55,14 @@ class TestGoldenMatrix:
             **kwargs,
         )
         assert golden_matrix.canon([list(r) for r in again.rows]) == golden["rows"]
+
+    @pytest.mark.parametrize("exp_id", golden_matrix.artifact_ids())
+    def test_cell_content_hashes_match_parent_build(self, exp_id):
+        # stores written by earlier builds must stay warm: the full set of
+        # cell keys per artifact and seed is pinned, not just the tables
+        pinned = golden_matrix.load_fixture("cell_keys")[exp_id]
+        for seed in golden_matrix.GOLDEN_SEEDS:
+            assert golden_matrix.cell_keys(exp_id, seed) == pinned[str(seed)]
 
 
 class TestGoldenCoverage:
@@ -70,16 +79,33 @@ class TestGoldenCoverage:
                 for key in ("headers", "rows", "plots"):
                     assert key in fixture[str(seed)]
 
-    def test_one_registered_name_per_artifact(self):
-        assert set(EXPERIMENTS) == set(ARTIFACTS)
-        assert DERIVED_EXPERIMENTS <= set(ARTIFACTS)
+    def test_cross_artifact_fixtures_cover_every_artifact(self):
+        for name in ("meta", "cell_keys", "options"):
+            assert set(golden_matrix.load_fixture(name)) == set(ARTIFACTS), name
+
+    def test_accepted_option_names_match_parent_build(self):
+        # zero new options: each artifact accepts exactly the names the
+        # pre-declarative build's signatures did, and the same ones are
+        # reducer-only (refused by the seeds= path)
+        pinned = golden_matrix.load_fixture("options")
+        for exp_id, artifact in ARTIFACTS.items():
+            with pytest.raises(TypeError) as err:
+                artifact.spec(no_such_option=1)
+            accepted = str(err.value).split("it accepts: ")[1]
+            assert accepted == str(pinned[exp_id]["accepted"]), exp_id
+            assert sorted(artifact.reducer_only_options()) == (
+                pinned[exp_id]["reducer_only"]
+            ), exp_id
+
+    def test_derived_artifacts_marked(self):
+        assert {a.id for a in ARTIFACTS.values() if a.derived} == {"fig03_04"}
 
     def test_multi_seed_artifacts_marked(self):
         multi = {a_id for a_id, a in ARTIFACTS.items() if a.multi_seed}
         assert multi == {"fig07_ci", "table1_ci"}
 
     def test_artifact_lookup(self):
-        assert get_artifact("fig10").exp_id == "fig10"
+        assert get_artifact("fig10").id == "fig10"
         with pytest.raises(ValueError, match="unknown artifact"):
             get_artifact("nonsense")
         assert artifact_ids() == sorted(ARTIFACTS)

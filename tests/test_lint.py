@@ -40,6 +40,7 @@ RULE_IDS = {
     "CARD-D03",
     "CARD-L01",
     "CARD-L02",
+    "CARD-L03",
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
@@ -313,6 +314,51 @@ class TestLayerRules:
         )
         report = lint_pkg(pkg, select=("CARD-L02",), paths=[])
         assert rules_hit(report) == ["CARD-L02"]
+
+    def test_engine_lazy_import_of_definitions_flagged(
+        self, tmp_path, monkeypatch
+    ):
+        # CARD-L03: the engine knows no artifact, not even lazily
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(
+            tmp_path,
+            {
+                "campaign/aggregate.py": """
+                def title_of(exp_id):
+                    from repro.artifacts.registry import ARTIFACTS
+                    return ARTIFACTS[exp_id].title
+                """,
+                "artifacts/registry.py": "ARTIFACTS = {}\n",
+            },
+        )
+        report = lint_pkg(pkg, select=("CARD-L03",), paths=[])
+        assert rules_hit(report) == ["CARD-L03"]
+        assert "repro.artifacts.registry" in report.findings[0].message
+
+    def test_engine_may_share_the_result_type_and_clis_may_bridge(
+        self, tmp_path, monkeypatch
+    ):
+        # repro.artifacts.result is the one shared module; the __main__
+        # CLIs and service/http.py are the bridges to the registry
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(
+            tmp_path,
+            {
+                "campaign/aggregate.py": (
+                    "from repro.artifacts.result import ExperimentResult\n"
+                ),
+                "campaign/__main__.py": """
+                def figure(exp_id):
+                    from repro.artifacts.registry import ARTIFACTS
+                    return ARTIFACTS[exp_id]
+                """,
+                "service/http.py": "import repro.api as api\n",
+                "api.py": "from repro.artifacts.registry import ARTIFACTS\n",
+                "artifacts/result.py": "class ExperimentResult: pass\n",
+                "artifacts/registry.py": "ARTIFACTS = {}\n",
+            },
+        )
+        assert lint_pkg(pkg, select=("CARD-L03",), paths=[]).findings == []
 
     def test_orchestration_importing_simulation_is_fine(
         self, tmp_path, monkeypatch

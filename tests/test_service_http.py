@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -77,6 +78,61 @@ class TestReadRoutes:
     def test_wrong_verb_405(self, server):
         status, payload = request(server, "POST", "/artifacts")
         assert status == 405
+
+
+class TestWire:
+    def test_every_reply_is_one_write(self, server, monkeypatch):
+        # a header write followed by a body write stalls each keep-alive
+        # reply by the client's delayed-ACK timer (Nagle holds the body):
+        # every route must emit head + body as a single segment
+        writes = []
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        handler = server.RequestHandlerClass
+        original_setup = handler.setup
+
+        def setup(self):
+            original_setup(self)
+            self.wfile = CountingWriter(self.wfile)
+
+        monkeypatch.setattr(handler, "setup", setup)
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+        try:
+            for method, path, expect in (
+                ("GET", "/healthz", 200),
+                ("GET", "/artifacts", 200),
+                ("GET", "/artifacts/nope", 404),
+                ("POST", "/artifacts", 405),
+            ):
+                conn.request(method, path)
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == expect
+                assert writes[-1].endswith(body) and body
+        finally:
+            conn.close()
+        assert len(writes) == 4  # one per reply, on one keep-alive connection
+        assert all(w.startswith(b"HTTP/1.1 ") and b"\r\n\r\n{" in w for w in writes)
+
+    def test_http09_request_line_gets_the_bare_body(self, server):
+        # no version on the request line: the reply has no status line and
+        # no headers, just the body, and the connection closes
+        with socket.create_connection(server.server_address[:2], timeout=30) as s:
+            s.sendall(b"GET /healthz\r\n\r\n")
+            reply = b""
+            while chunk := s.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"{") and json.loads(reply)["ok"] is True
 
 
 class TestRunRoute:
