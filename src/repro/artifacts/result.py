@@ -32,7 +32,7 @@ class ExperimentResult:
     plots:
         Pre-rendered ASCII figures appended after the table.
     raw:
-        Machine-readable extras for tests/benchmarks (series arrays etc.).
+        Machine-readable extras for tests (series arrays etc.).
     telemetry:
         The run's :meth:`repro.obs.TraceSummary.as_dict` when it executed
         with telemetry enabled; None otherwise (the default — parity

@@ -162,6 +162,23 @@ def _json_value(name: str, value: object) -> object:
     )
 
 
+def _check_version(kind: str, version: object) -> None:
+    if version != SPEC_VERSION:
+        raise ValueError(
+            f'{kind} spec "v": {version!r} not supported '
+            f"(this build reads v{SPEC_VERSION})"
+        )
+
+
+def _reject_bare_string(field_name: str, values: object) -> None:
+    """A string where a list belongs would be iterated per character."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(
+            f"{field_name} must be a list of values, got the bare string "
+            f"{values!r} (wrap it: [{values!r}])"
+        )
+
+
 # ----------------------------------------------------------------------
 #: Known mobility models and the :class:`MobilitySpec` fields each reads.
 MOBILITY_MODELS: Dict[str, Tuple[str, ...]] = {
@@ -583,6 +600,7 @@ class CellSpec:
             "params",
             {k: _json_value(k, v) for k, v in dict(self.params).items()},
         )
+        _reject_bare_string("metrics", self.metrics)
         object.__setattr__(self, "metrics", tuple(self.metrics))
         unknown = set(self.metrics) - set(METRIC_FAMILIES)
         if unknown:
@@ -751,14 +769,12 @@ class CellSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CellSpec":
         kwargs = dict(data)
-        kwargs.pop("v", None)
+        _check_version("cell", kwargs.pop("v", SPEC_VERSION))
         kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])  # type: ignore[arg-type]
         if kwargs.get("mobility") is not None:
             kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])  # type: ignore[arg-type]
         if kwargs.get("des") is not None:
             kwargs["des"] = DesSpec.from_dict(kwargs["des"])  # type: ignore[arg-type]
-        if "metrics" in kwargs:
-            kwargs["metrics"] = tuple(kwargs["metrics"])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def key(self) -> str:
@@ -897,11 +913,9 @@ class CampaignSpec:
             {k: _json_value(k, v) for k, v in dict(self.base_params).items()},
         )
         for axis, axis_values in dict(self.grid).items():
-            if isinstance(axis_values, (str, bytes)):
-                raise ValueError(
-                    f"grid axis {axis!r} must be a list of values, got the "
-                    f"bare string {axis_values!r} (wrap it: [{axis_values!r}])"
-                )
+            _reject_bare_string(f"grid axis {axis!r}", axis_values)
+        _reject_bare_string("seeds", self.seeds)
+        _reject_bare_string("metrics", self.metrics)
         object.__setattr__(
             self,
             "grid",
@@ -1069,12 +1083,7 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
         kwargs = dict(data)
-        version = kwargs.pop("v", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ValueError(
-                f"campaign spec version {version} not supported "
-                f"(this build reads v{SPEC_VERSION})"
-            )
+        _check_version("campaign", kwargs.pop("v", SPEC_VERSION))
         kwargs["topologies"] = tuple(
             TopologySpec.from_dict(t) for t in kwargs["topologies"]  # type: ignore[union-attr]
         )
@@ -1086,9 +1095,6 @@ class CampaignSpec:
             kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])  # type: ignore[arg-type]
         if kwargs.get("des") is not None:
             kwargs["des"] = DesSpec.from_dict(kwargs["des"])  # type: ignore[arg-type]
-        for key in ("seeds", "metrics"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_json(self, *, indent: int = 2) -> str:

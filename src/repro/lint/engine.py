@@ -187,8 +187,8 @@ class LintConfig:
     #: the package directory (``…/src/repro``); None disables the
     #: project rules (layering, entropy reachability)
     package_root: Optional[Path] = None
-    #: modules exempt from CARD-D01 (they exist to read clocks)
-    clock_exempt_modules: Tuple[str, ...] = ("repro.obs", "repro.bench")
+    #: modules exempt from CARD-D01 (telemetry exists to read clocks)
+    clock_exempt_modules: Tuple[str, ...] = ("repro.obs",)
     #: top-level directories where *duration* clocks (perf_counter,
     #: monotonic) are the point; wall-clock stamps stay flagged
     duration_clock_dirs: Tuple[str, ...] = ("benchmarks",)

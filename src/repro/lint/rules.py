@@ -7,8 +7,8 @@ on; each is individually suppressible with
 Determinism (cells must be pure functions of their content-hashed spec):
 
 * **CARD-D01** — no wall-clock or monotonic-clock reads outside
-  ``repro.obs``/``repro.bench`` (duration clocks are additionally fine
-  inside ``benchmarks/``, where timing is the point);
+  ``repro.obs`` (duration clocks are additionally fine inside
+  ``benchmarks/``, where timing is the point);
 * **CARD-D02** — no stdlib ``random`` and no global numpy RNG: streams
   come from :func:`repro.util.rng.spawn_rng` or a seeded
   ``default_rng``;
@@ -147,7 +147,7 @@ class WallClockRule(Rule):
     id = "CARD-D01"
     category = "determinism"
     summary = (
-        "no wall/monotonic clock reads outside repro.obs and repro.bench "
+        "no wall/monotonic clock reads outside repro.obs "
         "(duration clocks also allowed under benchmarks/)"
     )
 

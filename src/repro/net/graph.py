@@ -243,13 +243,12 @@ def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
 def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
     """All-pairs hop distances as an ``(N, N)`` int32 array (−1 unreachable).
 
-    **Test/bench oracle only.**  Since the ``DistanceView`` redesign no
+    **Test oracle only.**  Since the ``DistanceView`` redesign no
     runtime path materialises the all-pairs matrix: protocol code reads
     horizon-scoped views (:meth:`repro.net.topology.Topology.distance_view`)
     and global statistics are sampled (:func:`sample_pair_stats`).  The
     only in-package consumer is the exact small-N branch of
-    :func:`graph_stats`; everything else lives in tests and the
-    ``card-bench`` reference (seed-era) timings.
+    :func:`graph_stats`; everything else lives in tests.
     """
     n = len(adj)
     if n == 0:

@@ -16,7 +16,7 @@ edge nodes, and 2R for the contact-overlap checks.  Accordingly, the
   *explicitly sampled* global statistics
   (:meth:`~GlobalDistanceView.sample_pair_stats`); it never materialises
   an N×N matrix.  The all-pairs ``hop_distance_matrix`` survives only as
-  a test/bench oracle.
+  a test oracle.
 
 **Multi-horizon sharing** — one :class:`DistanceSubstrate` lives on each
 topology and keeps a single band at the *largest* horizon any view has
@@ -49,7 +49,7 @@ cold rebuild.  The exact-parity fallback is structural: whenever the
 topology cannot answer ``diff`` or the change set is large, the
 substrate performs a full bounded rebuild — same numbers, different
 wall-clock.  ``incremental=False`` forces that path everywhere (the
-parity suite and ``card-bench`` use it as the reference).
+parity suite uses it as the reference).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _ROW_CHUNK_BYTES = 1 << 22
 
 @dataclass
 class SubstrateStats:
-    """Refresh accounting — what ``card-bench`` and the tests introspect."""
+    """Refresh accounting — what the ledger and the tests introspect."""
 
     full_rebuilds: int = 0
     incremental_updates: int = 0
@@ -497,7 +497,7 @@ class DistanceSubstrate:
         diff two snapshots (cold build vs refresh work) without the live
         counters mutating underneath them.  This is the one public way
         to observe substrate work — :class:`~repro.core.runner.TimeSeriesRunner`,
-        ``card-bench`` and the obs layer all read it.
+        the ledger and the obs layer all read it.
         """
         return replace(self._stats)
 

@@ -232,7 +232,7 @@ class CellTrace:
         self.counters: Dict[str, float] = {}
         self._stack: List[_Span] = []
         #: whether *this trace* started tracemalloc (never stop a tracer
-        #: someone else — e.g. card-bench — already runs)
+        #: someone else already runs)
         self._owns_tracemalloc = False
         if memory and not tracemalloc.is_tracing():
             tracemalloc.start()

@@ -114,7 +114,7 @@ def table_view(result) -> Dict[str, object]:
 def meta_view(result) -> Dict[str, object]:
     """What ``meta.json`` pins beside the table: identity, notes (minus
     the trailing ``via repro.campaign (…)`` provenance line, which counts
-    cache hits) and the top-level ``raw`` keys the benches index into."""
+    cache hits) and the top-level ``raw`` keys ``test_paper_claims`` indexes into."""
     notes = list(result.notes)
     if notes and notes[-1].startswith("via repro.campaign ("):
         notes.pop()

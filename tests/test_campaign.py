@@ -129,9 +129,29 @@ class TestSpec:
         with pytest.raises(ValueError, match="use kind='scenario'"):
             TopologySpec(kind="standard", scenario=3)
 
-    def test_bare_string_grid_axis_rejected(self):
-        with pytest.raises(ValueError, match="bare string"):
-            tiny_spec(grid={"method": "EM"})
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("grid axis 'method'", {"grid": {"method": "EM"}}),
+            ("seeds", {"seeds": "01"}),  # would run seeds (0, 1)
+            ("metrics", {"metrics": "reachability"}),
+        ],
+    )
+    def test_bare_string_where_a_list_belongs_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=f"{field} must be a list.*bare string"):
+            tiny_spec(**overrides)
+        as_json = dict(tiny_spec().to_dict(), **overrides)
+        with pytest.raises(ValueError, match=f"{field} must be a list"):
+            CampaignSpec.from_dict(as_json)
+
+    def test_cell_rejects_bare_string_metrics_and_foreign_version(self):
+        cell = tiny_spec().expand()[0].to_dict()
+        with pytest.raises(ValueError, match="metrics must be a list"):
+            CellSpec.from_dict(dict(cell, metrics="reachability"))
+        with pytest.raises(ValueError, match='"v": 2 not supported'):
+            CellSpec.from_dict(dict(cell, v=2))
+        with pytest.raises(ValueError, match='"v": 2 not supported'):
+            CampaignSpec.from_dict(dict(tiny_spec().to_dict(), v=2))
 
     def test_cells_are_hashable(self):
         spec = tiny_spec(seeds=(0, 0, 1))

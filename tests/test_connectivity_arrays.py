@@ -8,6 +8,7 @@ r*r``), so equality is exact, not within a tolerance.
 """
 
 import cProfile
+import gc
 import pstats
 
 import numpy as np
@@ -233,10 +234,14 @@ def _python_calls_for_one_tick(n: int) -> int:
     moved = np.clip(topo.positions + rng.normal(0.0, 5.0, size=(n, 2)), 0.0, side)
     topo.set_positions(moved)
     profile = cProfile.Profile()
-    profile.enable()
-    adj = topo.adj
-    changed = topo.diff(epoch)
-    profile.disable()
+    gc.disable()  # a cyclic-GC pass would add its gc.callbacks to the count
+    try:
+        profile.enable()
+        adj = topo.adj
+        changed = topo.diff(epoch)
+        profile.disable()
+    finally:
+        gc.enable()
     assert len(adj) == n and changed.size > 0
     return pstats.Stats(profile).total_calls
 
@@ -247,9 +252,13 @@ def test_rebuild_call_count_does_not_grow_with_network_size():
     The old pipeline made ~50 calls per occupied cell plus two per edge
     (tens of thousands at N=2000); the array pipeline makes the same ~200
     whatever N is (materialising the ``adj`` list is one comprehension,
-    not N calls).
+    not N calls).  "Does not grow" is a small slack, not ``==``: a GC pass
+    inside the profiled window adds hypothesis' ``gc.callbacks`` hook to
+    the count, which broke exact equality ~2 in 9 full-session runs (hence
+    also the ``gc.disable()``).  The ceiling is the real guard: one call
+    per node would put N=2000 far past it.
     """
     small = _python_calls_for_one_tick(500)
     large = _python_calls_for_one_tick(2000)
-    assert small == large
+    assert large <= small + 20
     assert large < 400

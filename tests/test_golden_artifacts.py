@@ -43,7 +43,7 @@ class TestGoldenMatrix:
         assert table["headers"] == golden["headers"]
         assert table["rows"] == golden["rows"]
         assert table["plots"] == golden["plots"]
-        # identity, title, notes and the raw keys the benches index into
+        # identity, title, notes and the raw keys test_paper_claims indexes into
         assert golden_matrix.meta_view(result) == (
             golden_matrix.load_fixture("meta")[exp_id][str(seed)]
         )
