@@ -95,15 +95,39 @@ class SourceSelectionResult:
         return len(self.table)
 
 
-class _Frame:
-    """One node on the DFS stack, with its lazily shuffled neighbor order."""
+class _WalkContext:
+    """Working state shared by the CSQ walks of one source-selection.
 
-    __slots__ = ("node", "order", "next_idx")
+    Everything a walk needs that depends only on the source and its
+    Contact_List lives here, so it is paid once per source-selection
+    instead of once per walk: the Edge_List tuple and ``blocked``, the
+    negation of :meth:`ContactSelector._admissible_mask` for the current
+    ``contacts``.  The mask is seeded from that from-scratch definition
+    and kept current by :meth:`add_contact`.
+    """
 
-    def __init__(self, node: int, order: np.ndarray) -> None:
-        self.node = node
-        self.order = order
-        self.next_idx = 0
+    __slots__ = ("source", "contacts", "edge_list", "blocked", "_selector")
+
+    def __init__(
+        self, selector: "ContactSelector", source: int, contact_list: Sequence[int]
+    ) -> None:
+        self._selector = selector
+        self.source = int(source)
+        self.contacts: List[int] = [int(c) for c in contact_list]
+        self.edge_list: Tuple[int, ...] = tuple(
+            int(e) for e in selector.tables.edge_nodes(source)
+        )
+        self.blocked: np.ndarray = ~selector._admissible_mask(
+            source, self.contacts, self.edge_list
+        )
+
+    def add_contact(self, contact: int) -> None:
+        """Fold a newly admitted contact into the Contact_List and mask."""
+        sel = self._selector
+        if sel.params.check_contact_overlap:
+            self.blocked |= np.asarray(sel.tables.membership[contact], dtype=bool)
+        self.blocked[contact] = True  # identity dedup
+        self.contacts.append(contact)
 
 
 class ContactSelector:
@@ -132,6 +156,10 @@ class ContactSelector:
         self.network = network
         self.tables = tables
         self.params = params
+        # PM admission probability at walk distances 0…r (params are frozen)
+        self._pm_prob = tuple(
+            params.admission_probability(d) for d in range(params.r + 1)
+        )
 
     # ------------------------------------------------------------------
     # admission decision (§III.C.2)
@@ -217,31 +245,40 @@ class ContactSelector:
         rng: np.random.Generator,
     ) -> SelectionOutcome:
         """Launch one CSQ through ``edge_node`` and walk it to completion."""
+        return self._walk(_WalkContext(self, source, contact_list), edge_node, rng)
+
+    def _walk(
+        self, ctx: _WalkContext, edge_node: int, rng: np.random.Generator
+    ) -> SelectionOutcome:
+        """The one CSQ walk; ``ctx`` holds what the source's walks share."""
         p = self.params
         net = self.network
         adj = net.adj
         is_em = p.method is SelectionMethod.EM
-        edge_list = (
-            tuple(int(e) for e in self.tables.edge_nodes(source)) if is_em else ()
-        )
         msg = ContactSelectionQuery(
-            source=source,
+            source=ctx.source,
             query_id=next_query_id(),
-            contact_list=tuple(int(c) for c in contact_list),
-            edge_list=edge_list if is_em else None,
+            contact_list=tuple(ctx.contacts),
+            edge_list=ctx.edge_list if is_em else None,
         )
 
-        seg = self.tables.path_within(source, edge_node)
+        seg = self.tables.path_within(ctx.source, edge_node)
         if seg is None:
             return SelectionOutcome(None, None, 0, 0, 0, exhausted=False)
-        # the overlap half of admit(), answered for every node at once
-        mask = self._admissible_mask(source, contact_list, edge_list)
+        # the overlap half of admit(), answered for every node at once;
+        # indexing bytes yields Python ints — no numpy scalar per candidate
+        blocked = ctx.blocked.tobytes()
+
+        # The DFS stack is two parallel lists: the walk path and, per node,
+        # an iterator over its lazily shuffled neighbor order.
+        path: List[int] = [int(u) for u in seg]
+        orders = [iter(rng.permutation(adj[u]).tolist()) for u in path]
 
         # Hop transmitters are accumulated and accounted in one bulk flush
         # per category at walk end: the clock does not advance inside a
         # synchronous walk and the CSQ's wire size is fixed at launch, so
         # the counters equal one transmit() per hop.
-        fwd_tx: List[int] = [int(u) for u in seg[:-1]]  # source → edge (step 1)
+        fwd_tx: List[int] = path[:-1]  # source → edge (step 1)
         bt_tx: List[int] = []
 
         # Loop prevention (§III.C.2b): under EM the CSQ carries query and
@@ -252,76 +289,81 @@ class ContactSelector:
         # This asymmetry is what makes PM's backtracking explode in Fig 4.
         use_visited = p.effective_loop_prevention
         cap = p.effective_max_walk_steps
+        r = p.r
+        pm_prob = self._pm_prob
 
-        visited = np.zeros(net.num_nodes, dtype=bool)
-        visited[seg] = True
-        seen_count = len(seg)
-        stack: List[_Frame] = [
-            _Frame(int(u), rng.permutation(adj[int(u)])) for u in seg
-        ]
+        visited = bytearray(net.num_nodes)
+        for u in path:
+            visited[u] = 1
+        seen_count = len(path)
         steps = 0
+        hops = 0
         contact: Optional[int] = None
         exhausted = False
 
-        while stack:
+        while path:
             if cap is not None and steps >= cap:
                 break
-            frame = stack[-1]
-            d = len(stack) - 1  # walk distance of frame.node from source
-            prev = stack[-2].node if len(stack) >= 2 else -1
-            nxt: Optional[int] = None
-            if d < p.r:  # may advance deeper (step 5 bounds the walk at r)
-                while frame.next_idx < len(frame.order):
-                    cand = int(frame.order[frame.next_idx])
-                    frame.next_idx += 1
-                    if use_visited:
+            node = path[-1]
+            d = len(path) - 1  # walk distance of `node` from source
+            nxt = -1
+            if d < r:  # may advance deeper (step 5 bounds the walk at r)
+                if use_visited:
+                    for cand in orders[-1]:
                         if not visited[cand]:
                             nxt = cand
                             break
-                    elif cand != prev:
-                        nxt = cand
-                        break
-            if nxt is None:
+                else:
+                    prev = path[-2] if d else -1
+                    for cand in orders[-1]:
+                        if cand != prev:
+                            nxt = cand
+                            break
+            if nxt < 0:
                 # stuck: backtrack (step 5)
-                stack.pop()
-                if stack:
-                    bt_tx.append(frame.node)
+                path.pop()
+                orders.pop()
+                if path:
+                    bt_tx.append(node)
                     steps += 1
                 continue
             # forward the CSQ to `nxt`
-            fwd_tx.append(frame.node)
+            fwd_tx.append(node)
             steps += 1
             if not visited[nxt]:
-                visited[nxt] = True
+                visited[nxt] = 1
                 seen_count += 1
-            stack.append(_Frame(nxt, rng.permutation(adj[nxt])))
-            msg.hop_count = d + 1
+            path.append(nxt)
+            orders.append(iter(rng.permutation(adj[nxt]).tolist()))
+            hops = d + 1
             # Admission decision at the receiving node (step 3).  The RNG
             # is consumed exactly when admit() consumes it: only under PM,
             # only when every overlap check passed and the admission
             # probability at this depth is positive.
-            admitted = bool(mask[nxt])
-            if admitted and not is_em:
-                prob = p.admission_probability(d + 1)
-                admitted = prob > 0.0 and bool(rng.random() < prob)
-            if admitted:
-                contact = nxt
-                break
+            if not blocked[nxt]:
+                if is_em:
+                    contact = nxt
+                    break
+                prob = pm_prob[hops]
+                if prob > 0.0 and rng.random() < prob:
+                    contact = nxt
+                    break
         else:
             # walk backtracked past its origin: region exhausted
             exhausted = True
 
+        msg.hop_count = hops
         net.transmit_path(msg, fwd_tx)
         net.transmit_path(msg, bt_tx, kind=MessageKind.BACKTRACK)
-        path: Optional[List[int]] = None
+        route: Optional[List[int]] = None
         if contact is not None:
-            path = [f.node for f in stack]
+            route = path
             # the path reply travels back to the source (step 6);
             # REPLY traffic is accounted but excluded from the paper's
             # selection-overhead category.
-            net.transmit_path(msg, path[:0:-1], kind=MessageKind.REPLY)
+            net.transmit_path(msg, route[:0:-1], kind=MessageKind.REPLY)
         return SelectionOutcome(
-            contact, path, len(fwd_tx), len(bt_tx), seen_count, exhausted=exhausted
+            contact, route, len(fwd_tx), len(bt_tx), seen_count, exhausted=exhausted
         )
 
     # ------------------------------------------------------------------
@@ -387,11 +429,13 @@ class ContactSelector:
         target = p.noc if noc is None else int(noc)
         table = ContactTable(source) if table is None else table
         result = SourceSelectionResult(source=source, table=table, attempts=0)
-        edges = [int(e) for e in self.tables.edge_nodes(source)]
-        if not edges or target <= len(table):
+        if target <= len(table):
+            return result
+        ctx = _WalkContext(self, source, table.ids())
+        if not ctx.edge_list:
             return result
         policy = p.edge_policy if p.edge_policy is not None else EdgePolicy.RANDOM
-        ordered = order_edges(policy, edges, self.tables, rng)
+        ordered = order_edges(policy, ctx.edge_list, self.tables, rng)
         productive: List[int] = []  # edges whose CSQ yielded a contact
         attempt = 0
         failures = 0
@@ -399,12 +443,13 @@ class ContactSelector:
             edge = next_edge(policy, ordered, attempt, productive, self.tables)
             assert edge is not None
             attempt += 1
-            outcome = self.select_one(source, edge, table.ids(), rng)
+            outcome = self._walk(ctx, edge, rng)
             result.attempts += 1
             result.forward_msgs += outcome.forward_msgs
             result.backtrack_msgs += outcome.backtrack_msgs
             if outcome.contact is not None and outcome.path is not None:
                 table.add(Contact(outcome.contact, outcome.path, selected_at=now))
+                ctx.add_contact(outcome.contact)
                 result.per_contact_cumulative.append(
                     (result.forward_msgs, result.backtrack_msgs)
                 )

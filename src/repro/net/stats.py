@@ -34,6 +34,19 @@ OVERHEAD_CATEGORIES = (
 )
 
 
+class _KindCounters:
+    """Everything counted for one :class:`MessageKind`."""
+
+    __slots__ = ("total", "nbytes", "per_node", "series")
+
+    def __init__(self, num_nodes: int) -> None:
+        self.total = 0
+        self.nbytes = 0
+        self.per_node = np.zeros(num_nodes, dtype=np.int64)
+        #: time-bin index → transmissions in that bin
+        self.series: Dict[int, int] = defaultdict(int)
+
+
 class MessageStats:
     """Counters for control-message transmissions.
 
@@ -53,12 +66,9 @@ class MessageStats:
             raise ValueError("time_bin must be positive")
         self.num_nodes = int(num_nodes)
         self.time_bin = float(time_bin)
-        self._totals: Dict[MessageKind, int] = defaultdict(int)
-        self._bytes: Dict[MessageKind, int] = defaultdict(int)
-        self._per_node: Dict[MessageKind, np.ndarray] = {}
-        self._series: Dict[MessageKind, Dict[int, int]] = defaultdict(
-            lambda: defaultdict(int)
-        )
+        # one record per kind, so recording costs a single enum-keyed
+        # lookup (enum hashing is a Python-level call)
+        self._kinds: Dict[MessageKind, _KindCounters] = {}
 
     # ------------------------------------------------------------------
     # recording
@@ -78,16 +88,15 @@ class MessageStats:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        self._totals[kind] += count
+        c = self._kinds.get(kind)
+        if c is None:
+            c = self._kinds[kind] = _KindCounters(self.num_nodes)
+        c.total += count
         if nbytes:
-            self._bytes[kind] += count * int(nbytes)
-        arr = self._per_node.get(kind)
-        if arr is None:
-            arr = np.zeros(self.num_nodes, dtype=np.int64)
-            self._per_node[kind] = arr
-        arr[transmitter] += count
+            c.nbytes += count * int(nbytes)
+        c.per_node[transmitter] += count
         if time is not None:
-            self._series[kind][int(time // self.time_bin)] += count
+            c.series[int(time // self.time_bin)] += count
 
     def record_many(
         self,
@@ -107,25 +116,30 @@ class MessageStats:
         tx = np.asarray(transmitters, dtype=np.int64)
         if tx.size == 0:
             return
-        self._totals[kind] += int(tx.size)
+        count = int(tx.size)
+        c = self._kinds.get(kind)
+        if c is None:
+            c = self._kinds[kind] = _KindCounters(self.num_nodes)
+        c.total += count
         if nbytes:
-            self._bytes[kind] += int(tx.size) * int(nbytes)
-        arr = self._per_node.get(kind)
-        if arr is None:
-            arr = np.zeros(self.num_nodes, dtype=np.int64)
-            self._per_node[kind] = arr
-        np.add.at(arr, tx, 1)
+            c.nbytes += count * int(nbytes)
+        np.add.at(c.per_node, tx, 1)
         if time is not None:
-            self._series[kind][int(time // self.time_bin)] += int(tx.size)
+            c.series[int(time // self.time_bin)] += count
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _selected(self, kinds: Sequence[MessageKind]) -> List[_KindCounters]:
+        """Counters of the given categories that recorded anything (all
+        recorded categories if none given)."""
+        if not kinds:
+            return list(self._kinds.values())
+        return [self._kinds[k] for k in kinds if k in self._kinds]
+
     def total(self, *kinds: MessageKind) -> int:
         """Total messages across the given categories (all if none given)."""
-        if not kinds:
-            return sum(self._totals.values())
-        return sum(self._totals.get(k, 0) for k in kinds)
+        return sum(c.total for c in self._selected(kinds))
 
     def total_bytes(self, *kinds: MessageKind) -> int:
         """Total bytes transmitted across the given categories (all if none).
@@ -133,18 +147,13 @@ class MessageStats:
         Only transmissions recorded with an ``nbytes`` argument contribute;
         the snapshot/series engines pass none and report pure counts.
         """
-        if not kinds:
-            return sum(self._bytes.values())
-        return sum(self._bytes.get(k, 0) for k in kinds)
+        return sum(c.nbytes for c in self._selected(kinds))
 
     def per_node(self, *kinds: MessageKind) -> np.ndarray:
         """Per-node transmission counts summed over categories."""
         out = np.zeros(self.num_nodes, dtype=np.int64)
-        targets = kinds if kinds else tuple(self._per_node)
-        for k in targets:
-            arr = self._per_node.get(k)
-            if arr is not None:
-                out += arr
+        for c in self._selected(kinds):
+            out += c.per_node
         return out
 
     def mean_per_node(self, *kinds: MessageKind) -> float:
@@ -163,10 +172,10 @@ class MessageStats:
         """
         nbins = int(np.ceil(horizon / self.time_bin))
         out = [0.0] * nbins
-        for k in kinds:
-            for b, c in self._series.get(k, {}).items():
+        for c in self._selected(kinds):
+            for b, count in c.series.items():
                 if 0 <= b < nbins:
-                    out[b] += c
+                    out[b] += count
         return [v / self.num_nodes for v in out]
 
     def overhead_series(self, horizon: float) -> List[float]:
@@ -175,14 +184,12 @@ class MessageStats:
 
     def snapshot(self) -> Dict[str, int]:
         """Category → total, for reporting."""
-        return {k.value: v for k, v in sorted(self._totals.items(), key=lambda kv: kv[0].value)}
+        totals = {k.value: c.total for k, c in self._kinds.items()}
+        return dict(sorted(totals.items()))
 
     def reset(self) -> None:
         """Zero all counters (used between measurement phases)."""
-        self._totals.clear()
-        self._bytes.clear()
-        self._per_node.clear()
-        self._series.clear()
+        self._kinds.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageStats(N={self.num_nodes}, totals={self.snapshot()})"

@@ -29,7 +29,7 @@ scoped wrongly (fix the horizon) or global statistics (sample them via
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,11 @@ class NeighborhoodTables:
         # create (or join) the shared substrate up front so the first
         # mobility epoch already has a delta baseline
         self._view: DistanceView = topology.distance_view(self.radius)
+        # the R-hop BFS tree of the last ``path_within`` source, keyed by
+        # (topology epoch, source): CSQ launches and local-recovery splices
+        # ask for many targets from one source in a row
+        self._tree_key: Optional[Tuple[int, int]] = None
+        self._tree: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # freshness / views
@@ -166,7 +171,11 @@ class NeighborhoodTables:
         """
         if not self.contains(u, v):
             return None
-        dist, parent = g.bfs_tree(self.topology.adj, u, max_hops=self.radius)
+        key = (self.topology.epoch, int(u))
+        if key != self._tree_key:
+            self._tree = g.bfs_tree(self.topology.adj, u, max_hops=self.radius)
+            self._tree_key = key
+        dist, parent = self._tree
         if dist[v] == g.UNREACHABLE:
             return None
         path = [v]

@@ -17,9 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import selection
+from repro.core.edge_policy import EdgePolicy, next_edge, order_edges
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine, QueryResult
+from repro.core.state import Contact, ContactTable
 from repro.des.engine import Simulator
 from repro.net import substrate
 from repro.net.messages import DestinationSearchQuery, MessageKind, next_query_id
@@ -73,13 +76,11 @@ def _protocol(make_topo, method, seed, **kw) -> CARDProtocol:
 
 def assert_same_stats(a: Network, b: Network) -> None:
     assert a.stats.snapshot() == b.stats.snapshot()
-    for kind in set(a.stats._per_node) | set(b.stats._per_node):
-        pa = a.stats._per_node.get(kind)
-        pb = b.stats._per_node.get(kind)
-        assert pa is not None and pb is not None, kind
-        assert np.array_equal(pa, pb), kind
-    for kind in set(a.stats._series) | set(b.stats._series):
-        assert dict(a.stats._series[kind]) == dict(b.stats._series[kind]), kind
+    ka, kb = a.stats._kinds, b.stats._kinds
+    assert ka.keys() == kb.keys()
+    for kind in ka:
+        assert np.array_equal(ka[kind].per_node, kb[kind].per_node), kind
+        assert dict(ka[kind].series) == dict(kb[kind].series), kind
 
 
 def assert_same_selection(res_a, res_b) -> None:
@@ -131,7 +132,8 @@ class TestSourceOrderIndependence:
 
 class TestAdmissibleMask:
     """`_admissible_mask` is the overlap half of `admit()` (the readable
-    §III.C.2 definition), answered for every node at once."""
+    §III.C.2 definition), answered for every node at once; the mask a
+    source-selection updates incrementally is that same mask."""
 
     @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -152,9 +154,38 @@ class TestAdmissibleMask:
         ) == (backend == "sparse")
         sel = card.selector
         rng = np.random.default_rng(0)
+        admissions = []
+        add_contact = selection._WalkContext.add_contact
+
+        def checked_add_contact(ctx, contact):
+            """After every admission the incremental mask is the
+            from-scratch mask of the table as it now stands."""
+            add_contact(ctx, contact)
+            ids = card.table_for(ctx.source).ids()
+            assert tuple(ctx.contacts) == ids and ids[-1] == contact
+            want = sel._admissible_mask(ctx.source, ids, ctx.edge_list)
+            assert np.array_equal(~ctx.blocked, want)
+            admissions.append(len(ids))
+
+        monkeypatch.setattr(
+            selection._WalkContext, "add_contact", checked_add_contact
+        )
+        refilled_held_tables = 0
         for source in (0, 17, 88):
+            seen = len(admissions)
             card.bootstrap([source])
-            contacts = card.table_for(source).ids()
+            table = card.table_for(source)
+            assert admissions[seen:] == list(range(1, len(table) + 1))
+            # the maintenance entry: the table arrives holding contacts
+            if len(table) > 1:
+                table.remove(table.ids()[0])
+                seen, held = len(admissions), len(table)
+                sel.select_contacts(
+                    source, card.streams.get("select", source), table=table
+                )
+                assert admissions[seen:] == list(range(held + 1, len(table) + 1))
+                refilled_held_tables += len(table) > held
+            contacts = table.ids()
             edges = tuple(int(e) for e in card.tables.edge_nodes(source))
             for contact_list in ((), contacts):
                 mask = sel._admissible_mask(source, contact_list, edges)
@@ -165,6 +196,54 @@ class TestAdmissibleMask:
                     for c in range(card.network.num_nodes)
                 ]
                 assert mask.tolist() == want
+        assert refilled_held_tables > 0
+
+    @pytest.mark.parametrize("method", [SelectionMethod.PM, SelectionMethod.EM])
+    @pytest.mark.parametrize("topo_name", ["random", "grid"])
+    def test_select_one_is_the_batch_of_one(self, method, topo_name):
+        """A source-selection (one context, updated per admission) equals
+        the same walks launched one `select_one` at a time, each building
+        its context from scratch: same contacts and routes, same RNG
+        consumption, same `MessageStats` counters."""
+        make = TOPOLOGIES[topo_name]
+        card_a = _protocol(make, method, 2)
+        card_b = _protocol(make, method, 2)
+        p, sel_b = card_b.params, card_b.selector
+        res_a, res_b = {}, {}
+        for source in (0, 17, 40):
+            res_a[source] = card_a.selector.select_contacts(
+                source, card_a.streams.get("select", source)
+            )
+            rng = card_b.streams.get("select", source)
+            table = ContactTable(source)
+            res = selection.SourceSelectionResult(source, table, attempts=0)
+            edges = [int(e) for e in card_b.tables.edge_nodes(source)]
+            ordered = order_edges(EdgePolicy.RANDOM, edges, card_b.tables, rng)
+            failures = 0
+            while edges and len(table) < p.noc and failures < p.max_failed_queries:
+                edge = next_edge(
+                    EdgePolicy.RANDOM, ordered, res.attempts, (), card_b.tables
+                )
+                out = sel_b.select_one(source, edge, table.ids(), rng)
+                res.attempts += 1
+                res.forward_msgs += out.forward_msgs
+                res.backtrack_msgs += out.backtrack_msgs
+                if out.contact is None:
+                    failures += 1
+                    continue
+                table.add(Contact(out.contact, out.path))
+                res.per_contact_cumulative.append(
+                    (res.forward_msgs, res.backtrack_msgs)
+                )
+                failures = 0
+            res_b[source] = res
+            assert (
+                card_a.streams.get("select", source).bit_generator.state
+                == rng.bit_generator.state
+            )
+        assert sum(r.attempts for r in res_a.values()) > len(res_a)
+        assert_same_selection(res_a, res_b)
+        assert_same_stats(card_a.network, card_b.network)
 
 
 class TestBulkAccounting:
@@ -198,7 +277,7 @@ class TestBulkAccounting:
                 ref.transmit(message, tx, kind=kind)
         assert_same_stats(net, ref)
         assert net.stats.total_bytes() == ref.stats.total_bytes() > 0
-        assert set(net.stats._series[MessageKind.CONTACT_SELECTION]) == {3}
+        assert set(net.stats._kinds[MessageKind.CONTACT_SELECTION].series) == {3}
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,90 @@ class TestPaths:
         assert t.hops(0, 9) == -1  # zone-scoped: beyond R answers -1
 
 
+class TestPathMemo:
+    """`path_within` keeps the last source's R-hop BFS tree; the memo is
+    keyed by (topology epoch, source), so it can never answer from a tree
+    of another source or of a past connectivity."""
+
+    @staticmethod
+    def check(t, pairs):
+        """Every lookup equals a freshly built table's and is a live route."""
+        topo = t.topology
+        for u, v in pairs:
+            got = t.path_within(u, v)
+            assert got == NeighborhoodTables(topo, t.radius).path_within(u, v)
+            if got is not None:
+                assert got[0] == u and got[-1] == v
+                assert len(got) - 1 <= t.radius
+                for a, b in zip(got, got[1:]):
+                    assert topo.are_neighbors(a, b)
+
+    def test_interleaved_sources(self, rand_topo):
+        t = NeighborhoodTables(rand_topo, radius=3)
+        from_a = [(0, v) for v in t.members(0).tolist()]
+        from_b = [(41, v) for v in t.members(41).tolist()]
+        assert len(from_a) > 3 and len(from_b) > 3
+        alternating = [pair for ab in zip(from_a, from_b) for pair in ab]
+        self.check(t, from_a + from_b + from_a + alternating)
+
+    def test_one_tree_serves_consecutive_lookups(self, grid5, monkeypatch):
+        calls = []
+        bfs_tree = g.bfs_tree
+        monkeypatch.setattr(
+            g, "bfs_tree", lambda adj, u, **kw: calls.append(u) or bfs_tree(adj, u, **kw)
+        )
+        t = NeighborhoodTables(grid5, radius=3)
+        for v in (1, 2, 6, 0):
+            t.path_within(0, v)
+        assert calls == [0]
+        t.path_within(12, 13)
+        t.path_within(0, 1)
+        assert calls == [0, 12, 0]
+        t.path_within(0, 24)  # outside the zone: answered before any BFS
+        assert calls == [0, 12, 0]
+
+    def test_every_epoch_bump_drops_the_tree(self):
+        # 4-connected 5x5 grid, R=4: 0→2 runs through node 1 until node 1
+        # goes away, after which 2 is still in 0's zone by the 4-hop detour
+        # 0-5-6-7-2 — a stale tree would keep routing through the dead node
+        topo = grid_topology(5)
+        t = NeighborhoodTables(topo, radius=4)
+        pairs = [(0, 2), (0, 7), (0, 1), (12, 2), (0, 2)]
+        assert t.path_within(0, 2) == [0, 1, 2]
+        topo.set_active(1, False)
+        assert t.path_within(0, 2) == [0, 5, 6, 7, 2]
+        self.check(t, pairs)
+        topo.set_active(1, True)
+        assert t.path_within(0, 2) == [0, 1, 2]
+        self.check(t, pairs)
+        topo.fail_nodes([1, 6])
+        assert t.path_within(0, 2) is None  # 0-5-10-11-12-7-2 is 6 hops
+        self.check(t, pairs)
+        topo.set_active(6, True)
+        assert t.path_within(0, 2) == [0, 5, 6, 7, 2]
+        pos = np.array(topo.positions)
+        pos[5] = pos[24]  # node 5 moves onto the far corner
+        topo.set_positions(pos)
+        assert t.path_within(0, 2) is None  # node 0 is now cut off
+        self.check(t, pairs)
+
+    def test_mobile_topology_lookups_stay_fresh(self):
+        rng = np.random.default_rng(11)
+        topo = random_topology(n=100, seed=7)
+        t = NeighborhoodTables(topo, radius=3)
+        for _ in range(6):
+            sources = rng.integers(topo.num_nodes, size=4).tolist()
+            self.check(
+                t,
+                [(u, int(v)) for u in sources for v in rng.integers(topo.num_nodes, size=6)]
+                + [(sources[0], int(v)) for v in t.members(sources[0])[:5]],
+            )
+            pos = np.array(topo.positions)
+            pos += rng.uniform(-25.0, 25.0, size=pos.shape)
+            topo.set_positions(np.clip(pos, 0.0, topo.area))
+            self.check(t, [(sources[0], int(v)) for v in t.members(sources[0])[:8]])
+
+
 class TestFreshness:
     def test_refresh_after_topology_change(self):
         topo = line_topology(4)
