@@ -39,7 +39,7 @@ from repro.campaign.store import open_store
 from repro.service.daemon import run_daemon
 from repro.service.http import make_server
 from repro.service.queue import DEFAULT_TTL, WorkQueue
-from repro.service.worker import run_worker
+from repro.service.worker import worker_main
 
 __all__ = ["main"]
 
@@ -96,6 +96,13 @@ def _cmd_daemon(args) -> int:
     if summary["timeout"]:
         print("error: daemon timed out before the campaign completed",
               file=sys.stderr)
+    elif counts["pending"]:
+        print(
+            f"error: every local worker exited (exit codes "
+            f"{summary['worker_exits']}) with {counts['pending']} cell(s) "
+            f"still pending",
+            file=sys.stderr,
+        )
     for key, error in summary["failures"]:
         print(f"--- failed cell {key[:12]} ---", file=sys.stderr)
         print(error, file=sys.stderr)
@@ -103,30 +110,15 @@ def _cmd_daemon(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    queue = WorkQueue(args.queue)
-    store = open_store(args.store)
-    worker_id = args.id if args.id else None
-    max_cells = 1 if args.once else args.max_cells
-
-    def progress(event, stats) -> None:
-        print(
-            f"[{stats.worker_id}] {event}: "
-            f"{stats.executed} executed, {stats.failed} failed, "
-            f"{stats.lost_leases} lost",
-            flush=True,
-        )
-
-    stats = run_worker(
-        queue,
-        store,
-        worker_id=worker_id,
-        telemetry=args.trace,
+    return worker_main(
+        args.queue,
+        args.store,
+        worker_id=args.id if args.id else None,
+        trace=args.trace,
         poll=args.poll,
-        max_cells=max_cells,
-        progress=progress if not args.quiet else None,
+        max_cells=1 if args.once else args.max_cells,
+        quiet=args.quiet,
     )
-    print(stats.summary())
-    return 0 if stats.failed == 0 else 1
 
 
 def _cmd_status(args) -> int:
@@ -205,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="local worker subprocesses to spawn (default 0: monitor only)",
+        help=(
+            "local workers to start from the daemon process "
+            "(default 0: monitor only)"
+        ),
     )
     p_daemon.add_argument(
         "--poll",

@@ -6,13 +6,15 @@ lease protocol and the store's content-hash upserts.  Its job:
 1. :func:`seed_queue` — expand a :class:`CampaignSpec` into cells and
    enqueue every one the shared store doesn't already hold (warm stores
    seed an empty queue: the campaign is already done).
-2. Optionally spawn local worker subprocesses
-   (``python -m repro.service worker``); production fleets start
-   workers independently against the same queue file.
+2. Optionally start local workers as ``multiprocessing`` children of
+   the daemon itself (:func:`spawn_workers` — a fork of the
+   already-imported process on Linux, the same start policy as
+   ``CampaignRunner``); production fleets start the ``worker`` CLI
+   independently against the same queue file.
 3. :func:`run_daemon` — poll the queue, requeue expired leases (so
    progress survives even with zero live workers calling ``lease()``),
    emit progress lines, and exit 0 when every cell is done (1 if any
-   failed or the timeout lapsed).
+   failed, the timeout lapsed or every local worker died first).
 
 Killing the daemon never loses work: the queue file is the source of
 truth and a restarted daemon re-seeding the same spec finds every key
@@ -23,15 +25,18 @@ from __future__ import annotations
 
 # card-lint: disable-file=CARD-D01 -- the monitor loop is operational
 # wall-clock (poll cadence, timeouts); it never touches cell metrics
+import multiprocessing as mp
 import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro import obs
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CellStore
 from repro.service.queue import WorkQueue
+from repro.service.worker import worker_main
 
 __all__ = ["seed_queue", "run_daemon", "spawn_workers"]
 
@@ -55,6 +60,39 @@ def seed_queue(
     return counts
 
 
+def _local_worker(
+    queue_path: str, store_target: str, worker_id: str,
+    trace: Optional[str], poll: float,
+) -> None:
+    """Body of one local worker process.  Everything is opened by path
+    in here: the child never touches an object it inherited."""
+    obs.deactivate()  # a trace active in the daemon is not this worker's
+    sys.exit(
+        worker_main(
+            queue_path, store_target, worker_id=worker_id, trace=trace, poll=poll
+        )
+    )
+
+
+class _LocalWorker:
+    """``subprocess.Popen``'s ``poll/terminate/wait/kill`` over an
+    ``mp.Process``, so one reaping loop serves both kinds of handle."""
+
+    def __init__(self, process) -> None:
+        self._process = process
+        self.terminate = process.terminate
+        self.kill = process.kill
+
+    def poll(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(self._process.name, timeout)
+        return self._process.exitcode
+
+
 def spawn_workers(
     n: int,
     queue_path: Union[str, Path],
@@ -62,27 +100,26 @@ def spawn_workers(
     *,
     trace: Optional[str] = None,
     poll: float = 0.5,
-) -> List[subprocess.Popen]:
-    """Start ``n`` local worker subprocesses against the shared queue."""
-    procs: List[subprocess.Popen] = []
+) -> List[_LocalWorker]:
+    """Start ``n`` local workers against the shared queue.
+
+    Children of the calling process under the platform-default
+    ``multiprocessing`` start method.  Under ``fork`` the caller must
+    hold no open sqlite connection (SQLite's per-process lock
+    bookkeeping does not survive a fork) and run no other thread;
+    :func:`run_daemon` sees to the first.
+    """
+    ctx = mp.get_context()
+    procs: List[_LocalWorker] = []
     for i in range(n):
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "worker",
-            "--queue",
-            str(queue_path),
-            "--store",
-            str(store_target),
-            "--id",
-            f"local:{i}",
-            "--poll",
-            str(poll),
-        ]
-        if trace:
-            cmd += ["--trace", trace]
-        procs.append(subprocess.Popen(cmd))
+        process = ctx.Process(
+            target=_local_worker,
+            args=(str(queue_path), str(store_target), f"local:{i}", trace, poll),
+            name=f"local:{i}",
+            daemon=True,  # never outlives, or blocks the exit of, its parent
+        )
+        process.start()
+        procs.append(_LocalWorker(process))
     return procs
 
 
@@ -103,8 +140,11 @@ def run_daemon(
     Parameters
     ----------
     workers:
-        Local worker subprocesses to spawn (0 = monitor only; workers
-        are expected to be started elsewhere against the same queue).
+        Local workers to start (0 = monitor only; workers are expected
+        to be started elsewhere against the same queue).  If every one
+        of them has exited while cells are pending and none is leased,
+        the daemon stops and reports ``ok: False`` rather than wait for
+        a fleet that is gone.
     store_target:
         The store URI handed to spawned workers (defaults to
         ``store.uri()``); required when ``workers > 0`` and the store
@@ -116,10 +156,12 @@ def run_daemon(
         Called with :meth:`WorkQueue.status` each poll tick.
 
     Returns a summary dict: seed counts, final state counts, requeues,
-    failures, elapsed and ``ok`` (True iff everything is done).
+    failures, elapsed, ``worker_exits`` (the local workers' exit codes,
+    a negative signal number for one that was killed) and ``ok`` (True
+    iff everything is done).
     """
     seeded = seed_queue(spec, queue, store)
-    procs: List[subprocess.Popen] = []
+    procs: List[_LocalWorker] = []
     if workers > 0:
         target = store_target if store_target else store.uri()
         if target is None:
@@ -127,6 +169,9 @@ def run_daemon(
                 "cannot spawn workers against a store with no path; "
                 "pass store_target="
             )
+        # no sqlite connection crosses the fork; both reopen lazily
+        queue.close()
+        store.close()
         procs = spawn_workers(
             workers, queue.path, target, trace=trace, poll=min(poll, 0.5)
         )
@@ -141,6 +186,19 @@ def run_daemon(
             if timeout is not None and time.monotonic() - started > timeout:
                 timed_out = True
                 break
+            live = next((proc for proc in procs if proc.poll() is None), None)
+            if live is not None:
+                # local workers leave only once nothing remains: the
+                # exit of one is the done signal, so wait on that
+                try:
+                    live.wait(timeout=poll)
+                except subprocess.TimeoutExpired:
+                    pass
+                continue
+            if procs:
+                counts = queue.counts()
+                if counts["pending"] and not counts["leased"]:
+                    break  # the local fleet is dead; nobody will finish
             time.sleep(poll)
     finally:
         for proc in procs:
@@ -165,5 +223,6 @@ def run_daemon(
         "failures": failures,
         "elapsed": round(time.monotonic() - started, 3),
         "timeout": timed_out,
+        "worker_exits": [proc.poll() for proc in procs],
         "ok": not timed_out and not failures and queue.is_done(),
     }

@@ -39,11 +39,11 @@ from typing import Callable, Dict, Optional, Union
 from repro import obs
 from repro.campaign.runner import execute_cell
 from repro.campaign.spec import CellSpec
-from repro.campaign.store import CellStore
+from repro.campaign.store import CellStore, open_store
 from repro.obs import CellTrace, ObsConfig
 from repro.service.queue import Lease, WorkQueue
 
-__all__ = ["WorkerStats", "run_worker", "default_worker_id"]
+__all__ = ["WorkerStats", "run_worker", "worker_main", "default_worker_id"]
 
 
 def default_worker_id() -> str:
@@ -231,3 +231,44 @@ def run_worker(
 
     stats.elapsed = time.perf_counter() - started
     return stats
+
+
+def worker_main(
+    queue_path: Union[str, Path],
+    store_target: str,
+    *,
+    worker_id: Optional[str] = None,
+    trace: Optional[str] = None,
+    poll: float = 0.5,
+    max_cells: Optional[int] = None,
+    quiet: bool = False,
+) -> int:
+    """One fleet member from start to exit code.
+
+    Opens its own queue and store by path, drains with
+    :func:`run_worker`, prints per-cell progress (unless ``quiet``) and
+    the closing summary, and returns the process exit code (1 if any
+    cell failed).  ``python -m repro.service worker`` and the local
+    workers the daemon starts both end here, so they print and exit
+    identically.
+    """
+
+    def progress(event: str, stats: WorkerStats) -> None:
+        print(
+            f"[{stats.worker_id}] {event}: "
+            f"{stats.executed} executed, {stats.failed} failed, "
+            f"{stats.lost_leases} lost",
+            flush=True,
+        )
+
+    stats = run_worker(
+        WorkQueue(queue_path),
+        open_store(store_target),
+        worker_id=worker_id,
+        telemetry=trace,
+        poll=poll,
+        max_cells=max_cells,
+        progress=None if quiet else progress,
+    )
+    print(stats.summary())
+    return 0 if stats.failed == 0 else 1

@@ -3,13 +3,22 @@ lease-expiry requeue determinism and the service CLI."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
+import warnings
 
 import pytest
 
+from repro import api
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, TopologySpec
 from repro.campaign.store import ResultStore, open_store
+from repro.service import daemon
 from repro.service.__main__ import main as service_main
 from repro.service.daemon import run_daemon, seed_queue
 from repro.service.queue import DEFAULT_TTL, WorkQueue
@@ -291,8 +300,6 @@ class TestDaemon:
         assert queue.get_meta("store") == store.uri()
 
     def test_run_daemon_completes_with_threaded_worker(self, tmp_path):
-        import threading
-
         spec = tiny_spec()
         queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
         store = open_store(tmp_path / "r.db")
@@ -325,6 +332,170 @@ class TestDaemon:
         store = ResultStore(tmp_path / "r.jsonl")
         summary = run_daemon(spec, queue, store, poll=0.01, timeout=0.05)
         assert summary["timeout"] is True and summary["ok"] is False
+
+
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def hard_timeout(seconds: float):
+    """Fail instead of hanging: a daemon that waits on a dead fleet
+    would otherwise block the whole suite."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def os_threads() -> int:
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])
+
+
+@contextlib.contextmanager
+def fork_warning_is_error():
+    """Python >= 3.12 warns when a process with more than one OS thread
+    forks.  The daemon must have started none by then, so the warning is
+    an error here -- unless the test process already carries native
+    threads of its own (numpy's BLAS pool starts them at import), which
+    would raise it whatever the daemon did."""
+    with warnings.catch_warnings():
+        if sys.platform == "linux" and os_threads() == 1:
+            warnings.filterwarnings(
+                "error", message="This process", category=DeprecationWarning
+            )
+        yield
+
+
+def integrity(path) -> str:
+    conn = sqlite3.connect(str(path))
+    try:
+        return str(conn.execute("PRAGMA integrity_check").fetchone()[0])
+    finally:
+        conn.close()
+
+
+def exits_with_3(n, queue_path, store_target, *, trace=None, poll=0.5):
+    """A ``spawn_workers`` whose fleet dies before its first lease."""
+    return [
+        subprocess.Popen([sys.executable, "-c", "import sys; sys.exit(3)"])
+        for _ in range(n)
+    ]
+
+
+class TestLocalWorkers:
+    """``run_daemon(workers > 0)``: children of the daemon process."""
+
+    @pytest.mark.parametrize("store_name", ["svc.db", "svc.jsonl"])
+    def test_two_local_workers_drain_table1(self, tmp_path, store_name):
+        spec = api.describe("table1").spec(scale=0.12, seeds=(0, 1))
+        ref = ResultStore(None)
+        CampaignRunner(spec, store=ref, n_workers=1).run()
+
+        queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
+        store = open_store(tmp_path / store_name)
+        with hard_timeout(120), fork_warning_is_error():
+            summary = run_daemon(spec, queue, store, workers=2, poll=0.02)
+
+        assert summary["ok"] is True and summary["requeues"] == 0
+        assert len(summary["worker_exits"]) == 2
+        store = open_store(tmp_path / store_name)  # JSONL: re-read the file
+        assert sorted(store.keys()) == sorted(spec.unique_cells())
+        for key in ref.keys():
+            assert store.metrics(key) == ref.metrics(key), key
+        owners = {store.get(key)["meta"]["worker"] for key in store.keys()}
+        assert owners and owners <= {"local:0", "local:1"}
+        assert integrity(tmp_path / "q.db") == "ok"
+        if store_name.endswith(".db"):
+            assert integrity(tmp_path / store_name) == "ok"
+
+    def test_no_sqlite_connection_open_when_workers_start(
+        self, tmp_path, monkeypatch
+    ):
+        spec = tiny_spec()
+        queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
+        store = open_store(tmp_path / "r.db")
+        seen = {}
+
+        def recorder(n, queue_path, store_target, *, trace=None, poll=0.5):
+            seen["conns"] = (queue._local.conn, store._local.conn)
+            seen["threads"] = threading.active_count()
+            # drain in-process so the daemon has something to find done
+            run_worker(
+                queue_path, open_store(store_target),
+                worker_id="rec", execute=fake_execute,
+            )
+            return []
+
+        monkeypatch.setattr(daemon, "spawn_workers", recorder)
+        with hard_timeout(60):
+            summary = run_daemon(spec, queue, store, workers=2, poll=0.02)
+        assert seen["conns"] == (None, None)
+        assert seen["threads"] == 1
+        # the daemon's own handles reopened transparently afterwards
+        assert summary["ok"] is True and summary["worker_exits"] == []
+        assert queue.is_done() and len(store) == 4
+
+    def test_sigkill_mid_lease_survivor_finishes(self, tmp_path, monkeypatch):
+        spec = tiny_spec(seeds=(0, 1, 2))
+        queue = WorkQueue(tmp_path / "q.db", ttl=0.5)
+        store = open_store(tmp_path / "r.db")
+        handles = []
+        spawn = daemon.spawn_workers
+
+        def capture(*args, **kwargs):
+            procs = spawn(*args, **kwargs)
+            handles.extend(procs)
+            return procs
+
+        def kill_first_leaseholder(status) -> None:
+            if handles and any(
+                lease["owner"] == "local:0" for lease in status["leases"]
+            ):
+                handles[0].kill()  # SIGKILL: no cleanup, no last beat
+                handles.clear()
+
+        monkeypatch.setattr(daemon, "spawn_workers", capture)
+        with hard_timeout(120):
+            summary = run_daemon(
+                spec, queue, store, workers=2, poll=0.02,
+                progress=kill_first_leaseholder,
+            )
+        assert handles == [], "local:0 was never seen holding a lease"
+        assert summary["ok"] is True
+        assert summary["requeues"] >= 1
+        assert summary["worker_exits"][0] == -signal.SIGKILL
+        assert sorted(store.keys()) == sorted(spec.unique_cells())
+        assert integrity(tmp_path / "q.db") == "ok"
+        assert integrity(tmp_path / "r.db") == "ok"
+
+    def test_dead_fleet_stops_the_daemon(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
+        store = open_store(tmp_path / "r.db")
+        monkeypatch.setattr(daemon, "spawn_workers", exits_with_3)
+        with hard_timeout(30):  # timeout=None: nothing else bounds the call
+            summary = run_daemon(spec, queue, store, workers=2, poll=0.02)
+        assert summary["ok"] is False and summary["timeout"] is False
+        assert summary["worker_exits"] == [3, 3]
+        assert summary["counts"]["pending"] == 4
+
+    def test_dead_fleet_reported_by_the_cli(self, tmp_path, monkeypatch, capsys):
+        spec_path = tmp_path / "svc.json"
+        tiny_spec().save(spec_path)
+        monkeypatch.setattr(daemon, "spawn_workers", exits_with_3)
+        with hard_timeout(30):
+            rc = service_main([
+                "daemon", str(spec_path), "--workers", "2",
+                "--poll", "0.02", "--quiet",
+            ])
+        assert rc == 1
+        assert "exit codes [3, 3]" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
