@@ -11,6 +11,9 @@ mean hop count.  This module provides:
   matmuls instead of all-pairs shortest paths, and an int8/int16 band
   matrix instead of a dense N×N int32 — the substrate kernel behind
   :class:`repro.net.substrate.DistanceSubstrate`;
+* :func:`bounded_hop_rows` — the same distances as one flat CSR triple
+  ``(indptr, indices, hops)`` holding only the in-horizon entries, built
+  without any dense block — the kernel behind the substrate's sparse band;
 * :func:`hop_distance_matrix` — all-pairs hop distances, delegated to
   ``scipy.sparse.csgraph`` (C-speed BFS over a CSR matrix) with a pure-Python
   fallback, per the HPC guide's "use compiled code for the hot spot";
@@ -29,9 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # scipy is a hard dependency of the package, but keep a fallback
+try:  # scipy is optional (the ``fast`` extra): every kernel has a numpy fallback
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
     _HAVE_SCIPY = True
 except Exception:  # pragma: no cover - exercised only without scipy
@@ -42,6 +44,7 @@ __all__ = [
     "bfs_hops",
     "bfs_tree",
     "bounded_hop_distances",
+    "bounded_hop_rows",
     "hop_distance_matrix",
     "neighborhood_sets",
     "connected_components",
@@ -213,6 +216,80 @@ def bounded_hop_distances(
     return dist
 
 
+def bounded_hop_rows(
+    adj: Sequence[np.ndarray],
+    max_hops: int,
+    sources: Optional[Sequence[int]] = None,
+    *,
+    csr: Optional["csr_matrix"] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bounded_hop_distances` as a flat CSR triple, no dense block.
+
+    Returns ``(indptr, indices, hops)``: row ``i`` — the nodes within
+    ``max_hops`` ≥ 1 of ``sources[i]``, itself included, ascending — is
+    ``indices[indptr[i]:indptr[i + 1]]`` (int64) with their hop distances
+    in the same slice of ``hops`` (:func:`_band_dtype`).  ``sources=None``
+    means all nodes.  Memory and work are O(entries · mean_degree).
+
+    Implementation: the result grows as one sparse ``(S, N)`` matrix whose
+    stored value is ``hop + 1`` (so a stored zero never occurs).  Level
+    ``h`` is one boolean product ``frontier @ A`` stamped ``h + 1`` and
+    added on: an entry reached earlier then reads above ``h + 1`` and is
+    restored, an entry reading exactly ``h + 1`` is new and forms the next
+    frontier.  Without scipy the rows come from per-source
+    :func:`bfs_hops` — identical output, pure numpy.
+    """
+    n = len(adj)
+    if max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
+    if sources is None:
+        src = np.arange(n, dtype=np.int64)
+    else:
+        src = np.asarray(sources, dtype=np.int64)
+    dtype = _band_dtype(max_hops)
+    if not _HAVE_SCIPY or src.size == 0:
+        indptr = np.zeros(src.size + 1, dtype=np.int64)
+        ids, hops = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=dtype)]
+        for i, u in enumerate(src):
+            row = bfs_hops(adj, int(u), max_hops=max_hops)
+            members = np.flatnonzero(row != UNREACHABLE)
+            indptr[i + 1] = indptr[i] + members.size
+            ids.append(members)
+            hops.append(row[members].astype(dtype))
+        return indptr, np.concatenate(ids), np.concatenate(hops)
+    a = adjacency_to_csr(adj) if csr is None else csr
+    # int32 values: a frontier-neighbor count can reach the max degree,
+    # and a count wrapping to 0 in int8 would drop the entry
+    frontier = (a if sources is None else a[src]).astype(np.int32)
+    own = csr_matrix(
+        (np.ones(src.size, dtype=np.int32), src, np.arange(src.size + 1)),
+        shape=frontier.shape,
+    )
+    reach = own + frontier * 2
+    for stamp in range(3, max_hops + 2):
+        hit = frontier @ a
+        hit.data[:] = stamp
+        reach = reach + hit
+        np.subtract(reach.data, stamp, out=reach.data, where=reach.data > stamp)
+        new = np.flatnonzero(reach.data == stamp)
+        if new.size == 0:
+            break
+        frontier = csr_matrix(
+            (
+                np.full(new.size, stamp, dtype=np.int32),
+                reach.indices[new],
+                np.searchsorted(new, reach.indptr),
+            ),
+            shape=reach.shape,
+        )
+    reach.sort_indices()
+    return (
+        reach.indptr.astype(np.int64),
+        reach.indices.astype(np.int64),
+        (reach.data - 1).astype(dtype),
+    )
+
+
 def csr_to_matrix(indptr: np.ndarray, indices: np.ndarray) -> "csr_matrix":
     """Wrap CSR ``(indptr, indices)`` arrays as a scipy matrix of unit weights."""
     if not _HAVE_SCIPY:  # pragma: no cover
@@ -254,7 +331,10 @@ def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
     if n == 0:
         return np.empty((0, 0), dtype=np.int32)
     if _HAVE_SCIPY:
-        mat = _sp_shortest_path(adjacency_to_csr(adj), method="D", unweighted=True)
+        # imported here, by its only user: csgraph costs ~0.1 s of process start
+        from scipy.sparse.csgraph import shortest_path as sp_shortest_path
+
+        mat = sp_shortest_path(adjacency_to_csr(adj), method="D", unweighted=True)
         dist = np.where(np.isinf(mat), UNREACHABLE, mat).astype(np.int32)
         return dist
     return np.stack([bfs_hops(adj, s) for s in range(n)])

@@ -29,15 +29,22 @@ maintained band, and every derived membership matrix is cached per
 
 * ``dense`` — an ``(N, N)`` int8 matrix (−1 beyond horizon), the
   default below :data:`SPARSE_NODE_THRESHOLD` nodes;
-* ``sparse`` — per-source CSR rows holding only in-horizon entries
-  (``O(N · ball)`` memory instead of ``O(N²)``), selected automatically
-  above the threshold.  This is what unlocks N=10⁴ snapshots: at
-  N=10⁴/R=3 the rows hold a few million entries where the dense band
-  (let alone the seed's int32 APSP matrix) would not fit comfortably.
-  Membership matrices come back as a :class:`SparseMembership` — a CSR
-  (indptr/indices) structure that materialises boolean *rows* on demand
-  and therefore drops into every existing matrix consumer
-  (``member[u]``, ``member[u, ids]``, ``member[ids].any(axis=0)``).
+* ``sparse`` — one flat CSR triple ``(indptr, indices, hops)`` holding
+  only in-horizon entries (``O(N · ball)`` memory instead of ``O(N²)``),
+  selected automatically above the threshold.  This is what unlocks
+  N=10⁴ snapshots: at N=10⁴/R=3 the triple holds ~4·10⁵ entries (3.5 MB)
+  where the dense band (let alone the seed's int32 APSP matrix) would
+  not fit comfortably.  With scipy the triple is built by sparse
+  frontier products on the topology's CSR
+  (:func:`repro.net.graph.bounded_hop_rows`) — no dense block, no
+  per-node Python; without scipy the same triple is assembled from
+  per-source bounded BFS.  Every query is a slice or a mask of the three
+  arrays, and a refresh splices the recomputed rows into a rebuilt
+  triple in O(entries).  Membership matrices come back as a
+  :class:`SparseMembership` — a CSR (indptr/indices) structure that
+  materialises boolean *rows* on demand and therefore drops into every
+  existing matrix consumer (``member[u]``, ``member[u, ids]``,
+  ``member[ids].any(axis=0)``).
 
 **Incremental maintenance** — after a mobility step the substrate asks
 :meth:`repro.net.topology.Topology.diff` which nodes changed links and
@@ -55,7 +62,7 @@ parity suite uses it as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -83,9 +90,6 @@ FULL_REBUILD_FRACTION = 0.5
 #: artifacts keep the exact arrays they always had.
 SPARSE_NODE_THRESHOLD = 2048
 
-#: Source rows recomputed per dense chunk when (re)building sparse bands.
-_ROW_CHUNK_BYTES = 1 << 22
-
 
 @dataclass
 class SubstrateStats:
@@ -110,6 +114,13 @@ class SubstrateStats:
             "membership_hits": self.membership_hits,
             "membership_builds": self.membership_builds,
         }
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every ``(s, l)`` of ``zip(starts, lens)``,
+    concatenated — the flat positions of a run of CSR rows."""
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return shift + np.arange(shift.size)
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +154,10 @@ class SparseMembership:
     def _rows(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         out = np.zeros((ids.size, self.shape[0]), dtype=bool)
-        for i, u in enumerate(ids):
-            out[i, self.row_ids(int(u))] = True
+        starts = self.indptr[ids]
+        lens = self.indptr[ids + 1] - starts
+        members = self.indices[_ranges(starts, lens)]
+        out[np.repeat(np.arange(ids.size), lens), members] = True
         return out
 
     def __getitem__(self, key):
@@ -224,114 +237,114 @@ class _DenseBand:
 
 
 class _SparseBand:
-    """Per-source CSR rows of in-horizon hop distances.
+    """The in-horizon hop distances as one flat CSR triple.
 
-    Rows are kept as (sorted ids, hops) array pairs so an incremental
-    refresh replaces exactly the recomputed rows in O(1) per row; every
-    query answers from one row without touching the rest of the matrix.
+    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]`` (sorted ids, int64)
+    with its hop distances in the matching slice of ``dist``; nothing
+    else is held.  Every query is a slice or a mask over these three
+    arrays, and a refresh rebuilds them with the recomputed rows spliced
+    in — O(entries), no per-node Python.
     """
 
     kind = "sparse"
 
-    def __init__(self, ids: List[np.ndarray], hops: List[np.ndarray]) -> None:
-        self._ids = ids
-        self._hops = hops
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray
+    ) -> None:
+        self.indptr = indptr
+        self.indices = indices
+        self.dist = dist
 
     @classmethod
     def build(cls, adj, horizon: int, csr) -> "_SparseBand":
-        n = len(adj)
-        ids: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-        hops: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-        out = cls(ids, hops)
-        out.set_rows(np.arange(n, dtype=np.int64), None, adj, horizon, csr)
-        return out
+        return cls(*g.bounded_hop_rows(adj, horizon, csr=csr))
 
-    def set_rows(
-        self,
-        row_ids: np.ndarray,
-        rows: Optional[np.ndarray],
-        adj=None,
-        horizon: Optional[int] = None,
-        csr=None,
-    ) -> None:
-        """Replace ``row_ids``'s rows from a dense block (or recompute them
-        chunked from ``adj`` when ``rows`` is None, bounding peak memory)."""
-        if rows is not None:
-            self._ingest(row_ids, rows)
-            return
-        n = len(adj)
-        chunk = max(1, _ROW_CHUNK_BYTES // max(n, 1))
-        for start in range(0, row_ids.size, chunk):
-            part = row_ids[start: start + chunk]
-            block = g.bounded_hop_distances(adj, horizon, part, csr=csr)
-            self._ingest(part, block)
+    def update(self, adj, horizon: int, changed: np.ndarray, csr) -> int:
+        """Recompute the rows a link change at ``changed`` can have altered
+        (see :meth:`DistanceSubstrate._incremental_update`); returns how
+        many rows that was."""
+        delta = g.bounded_hop_rows(adj, horizon, changed, csr=csr)
+        touched = self.touched_by(changed)
+        touched[delta[1]] = True  # symmetric: v in c's new row iff c in v's
+        touched[changed] = False  # their rows just came with `delta`
+        rest = np.flatnonzero(touched)
+        fresh = g.bounded_hop_rows(adj, horizon, rest, csr=csr)
+        self._splice(((changed, delta), (rest, fresh)))
+        return int(changed.size + rest.size)
 
-    def _ingest(self, row_ids: np.ndarray, rows: np.ndarray) -> None:
-        for i, u in enumerate(row_ids):
-            row = rows[i]
-            members = np.flatnonzero(row != g.UNREACHABLE)
-            self._ids[int(u)] = members
-            self._hops[int(u)] = row[members]
+    def _splice(self, parts) -> None:
+        """Rebuild the triple with the rows of each ``(row ids, their
+        triple)`` in ``parts`` replaced; every other row is copied."""
+        starts = self.indptr[:-1].copy()  # where each row sits in the pool
+        lens = np.diff(self.indptr)
+        pool = [(self.indices, self.dist)]
+        base = self.indices.size
+        for rows, (ptr, ids, dist) in parts:
+            starts[rows] = base + ptr[:-1]
+            lens[rows] = np.diff(ptr)
+            pool.append((ids, dist))
+            base += ids.size
+        take = _ranges(starts, lens)
+        self.indptr = np.concatenate(([0], np.cumsum(lens)))
+        self.indices = np.concatenate([ids for ids, _ in pool])[take]
+        self.dist = np.concatenate([dist for _, dist in pool])[take]
+
+    def _row(self, u: int) -> slice:
+        return slice(self.indptr[u], self.indptr[u + 1])
 
     def hops(self, u: int, v: int) -> int:
-        ids = self._ids[u]
-        i = int(np.searchsorted(ids, v))
-        if i < ids.size and int(ids[i]) == v:
-            return int(self._hops[u][i])
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        i = lo + np.searchsorted(self.indices[lo:hi], v)
+        if i < hi and self.indices[i] == v:
+            return int(self.dist[i])
         return g.UNREACHABLE
 
     def hops_many(self, u: int, ids: np.ndarray) -> np.ndarray:
-        row_ids = self._ids[u]
-        out = np.full(ids.size, g.UNREACHABLE, dtype=self._hops[u].dtype)
+        row = self._row(u)
+        row_ids = self.indices[row]
+        out = np.full(ids.size, g.UNREACHABLE, dtype=self.dist.dtype)
         pos = np.searchsorted(row_ids, ids)
         valid = pos < row_ids.size
         hit = np.zeros(ids.size, dtype=bool)
         hit[valid] = row_ids[pos[valid]] == ids[valid]
-        out[hit] = self._hops[u][pos[hit]]
+        out[hit] = self.dist[row][pos[hit]]
         return out
 
     def row_within(self, u: int, h: int) -> np.ndarray:
-        return self._ids[u][self._hops[u] <= h]
+        row = self._row(u)
+        return self.indices[row][self.dist[row] <= h]
 
     def row_ring(self, u: int, h: int) -> np.ndarray:
-        return self._ids[u][self._hops[u] == h]
+        row = self._row(u)
+        return self.indices[row][self.dist[row] == h]
 
     def touched_by(self, changed: np.ndarray) -> np.ndarray:
         # distances are symmetric (undirected links): a changed node c is
         # within horizon of u  iff  u appears in c's row
-        n = len(self._ids)
-        mask = np.zeros(n, dtype=bool)
-        for c in changed:
-            mask[self._ids[int(c)]] = True
+        mask = np.zeros(self.indptr.size - 1, dtype=bool)
+        starts = self.indptr[changed]
+        mask[self.indices[_ranges(starts, self.indptr[changed + 1] - starts)]] = True
         return mask
 
     def dense(self) -> np.ndarray:
         """Materialise the full band (test oracle / small-N paths only)."""
-        n = len(self._ids)
-        dtype = self._hops[0].dtype if n else np.int8
-        out = np.full((n, n), g.UNREACHABLE, dtype=dtype)
-        for u in range(n):
-            out[u, self._ids[u]] = self._hops[u]
+        n = self.indptr.size - 1
+        out = np.full((n, n), g.UNREACHABLE, dtype=self.dist.dtype)
+        owner = np.repeat(np.arange(n), np.diff(self.indptr))
+        out[owner, self.indices] = self.dist
         return out
 
     def membership(self, radius: int) -> SparseMembership:
-        n = len(self._ids)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        parts: List[np.ndarray] = []
-        for u in range(n):
-            members = self.row_within(u, radius)
-            parts.append(members)
-            indptr[u + 1] = indptr[u] + members.size
-        indices = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        inside = np.flatnonzero(self.dist <= radius)
+        return SparseMembership(
+            np.searchsorted(inside, self.indptr),
+            self.indices[inside],
+            self.indptr.size - 1,
         )
-        return SparseMembership(indptr, indices, n)
 
     @property
     def nbytes(self) -> int:
-        return int(
-            sum(i.nbytes + h.nbytes for i, h in zip(self._ids, self._hops))
-        )
+        return int(self.indptr.nbytes + self.indices.nbytes + self.dist.nbytes)
 
 
 @dataclass
@@ -467,21 +480,22 @@ class DistanceSubstrate:
         band = self._band
         assert band is not None
         csr = g.csr_to_matrix(*self.topology.csr) if g._HAVE_SCIPY else None
-        delta = g.bounded_hop_distances(adj, self.horizon, changed, csr=csr)
-        touched = band.touched_by(changed)
-        touched |= (delta != g.UNREACHABLE).any(axis=0)
-        band.set_rows(changed, delta)
-        touched[changed] = False  # their rows just landed via `delta`
-        rest = np.flatnonzero(touched)
-        if rest.size:
-            if band.kind == "sparse":
-                band.set_rows(rest, None, adj, self.horizon, csr)
-            else:
+        if band.kind == "sparse":
+            rows = band.update(adj, self.horizon, changed, csr)
+        else:
+            delta = g.bounded_hop_distances(adj, self.horizon, changed, csr=csr)
+            touched = band.touched_by(changed)
+            touched |= (delta != g.UNREACHABLE).any(axis=0)
+            band.set_rows(changed, delta)
+            touched[changed] = False  # their rows just landed via `delta`
+            rest = np.flatnonzero(touched)
+            if rest.size:
                 band.set_rows(
                     rest, g.bounded_hop_distances(adj, self.horizon, rest, csr=csr)
                 )
+            rows = int(changed.size + rest.size)
         self._stats.incremental_updates += 1
-        self._stats.rows_recomputed += int(changed.size + rest.size)
+        self._stats.rows_recomputed += rows
 
     # ------------------------------------------------------------------
     # band + membership access (substrate-horizon scoped)

@@ -56,6 +56,16 @@ def assert_backends_identical(topo: Topology, dense, sparse, horizon: int):
             )
 
 
+@pytest.fixture(params=["scipy", "numpy"])
+def kernel(request, monkeypatch):
+    """Run a parity class on the scipy kernels and on the numpy fallbacks."""
+    if request.param == "numpy":
+        monkeypatch.setattr(g, "_HAVE_SCIPY", False)
+    elif not g._HAVE_SCIPY:
+        pytest.skip("scipy not installed")
+
+
+@pytest.mark.usefixtures("kernel")
 class TestBackendParityStatic:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("horizon", [1, 3, 6])
@@ -102,6 +112,7 @@ class TestBackendParityStatic:
         assert (sm[ids].any(axis=0) == dm[ids].any(axis=0)).all()
 
 
+@pytest.mark.usefixtures("kernel")
 class TestBackendParityDynamic:
     @pytest.mark.parametrize("seed", range(3))
     def test_mobile_epochs(self, seed):
