@@ -67,9 +67,10 @@ class _QueryFabric:
     flat ``ids``/``entries`` columns (table order preserved), and
     ``txptr[i]:txptr[i+1]`` delimits contact ``i``'s stored-route
     transmitter list (``path[:-1]``) inside the flat ``tx`` hop list.  A
-    whole contiguous run of routes — the common all-miss level — flushes
-    into :meth:`~repro.net.network.Network.transmit_path` as one slice,
-    and its message count is a single ``txptr`` difference.
+    whole contiguous run of routes — the common all-miss level — joins
+    the query's transmitter list (flushed once into
+    :meth:`~repro.net.network.Network.transmit_path`) as one slice, and
+    its message count is a single ``txptr`` difference.
 
     Built in one pass over all tables and cached on the engine until any
     :attr:`ContactTable.version` changes, so random query workloads that
@@ -174,7 +175,7 @@ class QueryEngine:
         is probed against the target's dense membership row (hop distance
         is symmetric, so "target in contact's zone" = "contact in
         target's zone"), visited marks live in one reused scratch array,
-        and QUERY/REPLY traffic is flushed per round through
+        and QUERY and REPLY traffic are each flushed once per query through
         :meth:`~repro.net.network.Network.transmit_path` instead of one
         Python call per hop.  All contact tables are frozen into one
         :class:`_QueryFabric` that persists across calls and is rebuilt
@@ -227,6 +228,9 @@ class QueryEngine:
         trow = np.asarray(self.tables.membership[target], dtype=bool)
         total_msgs = 0
         total_contacts = 0
+        # every round's hops share kind, clock and the DSQ's fixed wire
+        # size, so the whole escalation flushes its QUERY hops once
+        tx_out: List[int] = []
         for d in range(1, depth_cap + 1):
             msg = DestinationSearchQuery(
                 source=source, target=target, depth=d, query_id=next_query_id()
@@ -236,18 +240,16 @@ class QueryEngine:
             if self.dedup:
                 visited[source] = 1
                 touched.append(source)
-            tx_out: List[int] = []
             found, msgs, contacts = self._probe_level(
                 source, target, d, trow, visited, touched, tx_out, [source],
                 fabric,
             )
-            if tx_out:
-                self.network.transmit_path(msg, tx_out)
             for t in touched:
                 visited[t] = 0
             total_msgs += msgs
             total_contacts += contacts
             if found is not None:
+                self.network.transmit_path(msg, tx_out)
                 reply = len(found) - 1
                 self.network.transmit_path(
                     msg, list(reversed(found[1:])), kind=MessageKind.REPLY
@@ -262,6 +264,8 @@ class QueryEngine:
                     total_contacts,
                     path=found,
                 )
+        if tx_out:  # non-empty only if some round ran and set `msg`
+            self.network.transmit_path(msg, tx_out)
         return QueryResult(
             source, target, False, None, total_msgs, 0, total_contacts
         )

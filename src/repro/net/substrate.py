@@ -8,7 +8,8 @@ edge nodes, and 2R for the contact-overlap checks.  Accordingly, the
 :meth:`repro.net.topology.Topology.distance_view`:
 
 * ``distance_view(horizon=R)`` — zone operations (membership, edge
-  nodes, intra-zone hop lookups);
+  nodes, intra-zone hop lookups, and intra-zone routes via
+  :meth:`DistanceView.path`, which reads them off the band);
 * ``distance_view(horizon=2 * R)`` — SPREAD edge ranking and the
   overlap metric (a contact overlaps iff its true distance is ≤ 2R,
   which is exactly "inside the 2R band");
@@ -62,7 +63,7 @@ parity suite uses it as the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -222,6 +223,19 @@ class _DenseBand:
     def row_ring(self, u: int, h: int) -> np.ndarray:
         return np.flatnonzero(self.mat[u] == h)
 
+    def descend(self, adj, u: int, v: int, d: int) -> List[int]:
+        """The lexicographically smallest shortest path ``u → v``, given
+        ``0 < d = hops(u, v)``: from ``u``, step to the lowest-id
+        neighbour one hop closer to ``v`` until ``v`` is adjacent."""
+        row = self.mat[v]
+        path = [u]
+        for rem in range(d - 1, 0, -1):
+            nbrs = adj[u]
+            u = int(nbrs[(row[nbrs] == rem).argmax()])
+            path.append(u)
+        path.append(v)
+        return path
+
     def touched_by(self, changed: np.ndarray) -> np.ndarray:
         return (self.mat[:, changed] != g.UNREACHABLE).any(axis=1)
 
@@ -317,6 +331,24 @@ class _SparseBand:
     def row_ring(self, u: int, h: int) -> np.ndarray:
         row = self._row(u)
         return self.indices[row][self.dist[row] == h]
+
+    def descend(self, adj, u: int, v: int, d: int) -> List[int]:
+        """:meth:`_DenseBand.descend` over ``v``'s row slices: each
+        neighbour's distance to ``v`` is found by binary search (a
+        neighbour missing from the row is beyond the horizon)."""
+        row = self._row(v)
+        ids = self.indices[row]
+        dist = self.dist[row]
+        last = ids.size - 1  # ≥ 0: v's row holds v itself
+        path = [u]
+        for rem in range(d - 1, 0, -1):
+            nbrs = adj[u]
+            pos = ids.searchsorted(nbrs)
+            np.minimum(pos, last, out=pos)
+            u = int(nbrs[((ids[pos] == nbrs) & (dist[pos] == rem)).argmax()])
+            path.append(u)
+        path.append(v)
+        return path
 
     def touched_by(self, changed: np.ndarray) -> np.ndarray:
         # distances are symmetric (undirected links): a changed node c is
@@ -642,6 +674,27 @@ class DistanceView:
     def contains(self, u: int, v: int) -> bool:
         """True iff ``v`` lies within ``horizon`` hops of ``u``."""
         return self.hops(u, v) != g.UNREACHABLE
+
+    def path(self, u: int, v: int) -> Optional[List[int]]:
+        """A shortest path ``u → v`` if ``v`` lies within ``horizon`` hops,
+        else None.
+
+        Read off the band, no BFS: every node of a shortest path to ``v``
+        is closer to ``v`` than ``u`` is, so one read of ``v``'s row
+        gives each step — the lowest-id neighbour one hop closer.  That
+        is the lexicographically smallest shortest path, which is also
+        what the parent chase of :func:`repro.net.graph.bfs_tree` from
+        ``u`` returns over sorted adjacency.
+        """
+        sub = self.substrate
+        band = sub._fresh_band()
+        u, v = int(u), int(v)
+        d = band.hops(u, v)
+        if not 0 <= d <= self.horizon:
+            return None
+        if d == 0:
+            return [u]
+        return band.descend(sub.topology.adj, u, v, d)
 
     def any_within(self, u: int, ids) -> bool:
         """True iff any id of ``ids`` lies within ``horizon`` hops of ``u``."""

@@ -11,7 +11,9 @@ topology:
 * ``edge_nodes(u)`` — nodes at *exactly* R hops (the paper's "edge nodes"),
   through which CSQs are launched;
 * ``path_within(u, v)`` — a hop-optimal intra-zone route, the primitive
-  behind local recovery and DSQ neighborhood lookups;
+  behind local recovery, CSQ launches and DSQ neighborhood lookups,
+  read off the band (:meth:`~repro.net.substrate.DistanceView.path`
+  walks down v's row), so it holds no per-source state of its own;
 * ``hops(u, v)`` — R-scoped hop distance (−1 beyond the zone);
 * ``contact_view`` — the 2R-horizon :class:`~repro.net.substrate.DistanceView`
   the SPREAD edge policy and the overlap metric rank from.
@@ -29,11 +31,10 @@ scoped wrongly (fix the horizon) or global statistics (sample them via
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.net import graph as g
 from repro.net.substrate import DistanceSubstrate, DistanceView
 from repro.net.topology import Topology
 from repro.util.validation import check_int, check_positive
@@ -60,11 +61,6 @@ class NeighborhoodTables:
         # create (or join) the shared substrate up front so the first
         # mobility epoch already has a delta baseline
         self._view: DistanceView = topology.distance_view(self.radius)
-        # the R-hop BFS tree of the last ``path_within`` source, keyed by
-        # (topology epoch, source): CSQ launches and local-recovery splices
-        # ask for many targets from one source in a row
-        self._tree_key: Optional[Tuple[int, int]] = None
-        self._tree: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # freshness / views
@@ -117,21 +113,6 @@ class NeighborhoodTables:
         """True iff ``v`` lies within R hops of ``u`` (including u itself)."""
         return self._view.contains(u, v)
 
-    def contains_many(self, u: int, nodes) -> np.ndarray:
-        """Vectorized :meth:`contains`: which of ``nodes`` are in u's zone.
-
-        One membership row probe answers every candidate at once — the
-        batched query engine's primitive for probing a whole contact
-        level against a target (hop distance is symmetric, so "is the
-        target in each contact's zone" equals "is each contact in the
-        target's zone").  Served without densification on the sparse
-        backend (scalar-row, vector-column probes are CSR-native).
-        """
-        ids = np.asarray(nodes, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        return np.asarray(self.membership[int(u), ids], dtype=bool)
-
     def members(self, u: int) -> np.ndarray:
         """IDs of all nodes in u's neighborhood (including u)."""
         return self._view.members(u)
@@ -167,24 +148,12 @@ class NeighborhoodTables:
         """A hop-optimal path u→v if ``v`` is inside u's neighborhood.
 
         Returns None when v is outside the zone or unreachable — the caller
-        (local recovery, DSQ lookup) treats that as a failed table lookup.
+        (local recovery, DSQ lookup, CSQ launch) treats that as a failed
+        table lookup.  The route is read off the shared band by
+        :meth:`DistanceView.path` — always the lexicographically smallest
+        shortest path, and never stale: it is as fresh as the band.
         """
-        if not self.contains(u, v):
-            return None
-        key = (self.topology.epoch, int(u))
-        if key != self._tree_key:
-            self._tree = g.bfs_tree(self.topology.adj, u, max_hops=self.radius)
-            self._tree_key = key
-        dist, parent = self._tree
-        if dist[v] == g.UNREACHABLE:
-            return None
-        path = [v]
-        node = v
-        while node != u:
-            node = int(parent[node])
-            path.append(node)
-        path.reverse()
-        return path
+        return self._view.path(u, v)
 
     def any_member_of(self, u: int, candidates) -> bool:
         """True iff *any* id in ``candidates`` lies in u's neighborhood.

@@ -265,31 +265,6 @@ class TestSelectContacts:
         sel.select_contacts(66, rng, table=table, noc=4)
         assert table.ids()[: len(before)] == before
 
-    def test_one_zone_bfs_per_source_selection(self, monkeypatch):
-        """All CSQs of a source leave through the same R-hop tree: the
-        source→edge segments cost one `bfs_tree` per source-selection,
-        however many walks it launches."""
-        calls = []
-        bfs_tree = g.bfs_tree
-
-        def counting_bfs_tree(adj, source, max_hops=None):
-            calls.append(source)
-            return bfs_tree(adj, source, max_hops)
-
-        monkeypatch.setattr(g, "bfs_tree", counting_bfs_tree)
-        topo = grid_topology(12)
-        params = CARDParams(R=2, r=10, noc=6)
-        sel, _, _ = make_selector(topo, params)
-        res = sel.select_contacts(66, np.random.default_rng(1))
-        assert res.attempts >= 3
-        assert calls == [66]
-        sources = [0, 66, 143, 70]
-        many = sel.select_contacts_many(
-            sources, {s: np.random.default_rng(s) for s in sources}
-        )
-        assert sum(r.attempts for r in many.values()) > 2 * len(sources)
-        assert calls == [66] + sources
-
     def test_radius_mismatch_rejected(self):
         topo = grid_topology(5)
         params = CARDParams(R=2, r=8)

@@ -1,11 +1,22 @@
 """Tests for the neighborhood oracle tables."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.params import CARDParams
+from repro.core.protocol import CARDProtocol
 from repro.net import graph as g
+from repro.net import substrate
+from repro.net.network import Network
+from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, line_topology, random_topology
+
+AREA = 400.0
 
 
 class TestMembership:
@@ -79,21 +90,33 @@ class TestPaths:
         assert t.hops(0, 9) == -1  # zone-scoped: beyond R answers -1
 
 
-class TestPathMemo:
-    """`path_within` keeps the last source's R-hop BFS tree; the memo is
-    keyed by (topology epoch, source), so it can never answer from a tree
-    of another source or of a past connectivity."""
+def oracle_path(adj, u: int, v: int, radius: int):
+    """Parent chase over the R-hop BFS tree from ``u``: the reference
+    route (the lexicographically smallest shortest path)."""
+    dist, parent = g.bfs_tree(adj, u, max_hops=radius)
+    if dist[v] == g.UNREACHABLE:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(int(parent[path[-1]]))
+    return path[::-1]
+
+
+class TestPathWithinOracle:
+    """`path_within` reads each route off the shared band; it must equal
+    the BFS-tree route hop for hop, on both band backends, before and
+    after every kind of epoch bump."""
 
     @staticmethod
     def check(t, pairs):
-        """Every lookup equals a freshly built table's and is a live route."""
+        """Every lookup equals the BFS oracle's and is a live route."""
         topo = t.topology
         for u, v in pairs:
             got = t.path_within(u, v)
-            assert got == NeighborhoodTables(topo, t.radius).path_within(u, v)
+            assert got == oracle_path(topo.adj, u, v, t.radius)
             if got is not None:
                 assert got[0] == u and got[-1] == v
-                assert len(got) - 1 <= t.radius
+                assert len(got) - 1 == t.hops(u, v) <= t.radius
                 for a, b in zip(got, got[1:]):
                     assert topo.are_neighbors(a, b)
 
@@ -105,26 +128,40 @@ class TestPathMemo:
         alternating = [pair for ab in zip(from_a, from_b) for pair in ab]
         self.check(t, from_a + from_b + from_a + alternating)
 
-    def test_one_tree_serves_consecutive_lookups(self, grid5, monkeypatch):
-        calls = []
-        bfs_tree = g.bfs_tree
-        monkeypatch.setattr(
-            g, "bfs_tree", lambda adj, u, **kw: calls.append(u) or bfs_tree(adj, u, **kw)
-        )
-        t = NeighborhoodTables(grid5, radius=3)
-        for v in (1, 2, 6, 0):
-            t.path_within(0, v)
-        assert calls == [0]
-        t.path_within(12, 13)
-        t.path_within(0, 1)
-        assert calls == [0, 12, 0]
-        t.path_within(0, 24)  # outside the zone: answered before any BFS
-        assert calls == [0, 12, 0]
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 60)),
+        tx=st.sampled_from([1.0, 40.0, 60.0, 90.0, 600.0]),
+        seed=st.integers(0, 2**16),
+        radius=st.integers(1, 5),
+        bump=st.sampled_from(["set_positions", "fail_nodes", "set_active"]),
+    )
+    def test_every_pair_equals_bfs_oracle(self, backend, n, tx, seed, radius, bump):
+        """All n² pairs — self pairs, out-of-zone pairs, isolated nodes and
+        cliques (``tx`` 1 … 600) — then all of them again after a bump."""
+        rng = np.random.default_rng(seed)
+        topo = Topology(rng.uniform(0.0, AREA, size=(n, 2)), tx, (AREA, AREA))
+        threshold = 1 if backend == "sparse" else substrate.SPARSE_NODE_THRESHOLD
+        with mock.patch.object(substrate, "SPARSE_NODE_THRESHOLD", threshold):
+            t = NeighborhoodTables(topo, radius)
+            pairs = [(u, v) for u in range(n) for v in range(n)]
+            self.check(t, pairs)
+            assert t.substrate.backend_kind == backend
+            if bump == "set_positions":
+                pos = np.array(topo.positions)
+                pos += rng.uniform(-40.0, 40.0, size=pos.shape)
+                topo.set_positions(np.clip(pos, 0.0, AREA))
+            elif bump == "fail_nodes":
+                topo.fail_nodes(rng.choice(n, size=(n + 2) // 3, replace=False))
+            else:
+                topo.set_active(int(rng.integers(n)), False)
+            self.check(t, pairs)
 
-    def test_every_epoch_bump_drops_the_tree(self):
+    def test_every_epoch_bump_refreshes_the_route(self):
         # 4-connected 5x5 grid, R=4: 0→2 runs through node 1 until node 1
         # goes away, after which 2 is still in 0's zone by the 4-hop detour
-        # 0-5-6-7-2 — a stale tree would keep routing through the dead node
+        # 0-5-6-7-2 — a stale band would keep routing through the dead node
         topo = grid_topology(5)
         t = NeighborhoodTables(topo, radius=4)
         pairs = [(0, 2), (0, 7), (0, 1), (12, 2), (0, 2)]
@@ -161,6 +198,45 @@ class TestPathMemo:
             pos += rng.uniform(-25.0, 25.0, size=pos.shape)
             topo.set_positions(np.clip(pos, 0.0, topo.area))
             self.check(t, [(sources[0], int(v)) for v in t.members(sources[0])[:8]])
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_protocol_builds_no_bfs_tree(backend, monkeypatch):
+    """Structural guard: selection, querying and maintenance route inside
+    zones through the band alone — no operation builds a BFS tree."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a protocol operation called graph.bfs_tree")
+
+    routes = []
+    path_within = NeighborhoodTables.path_within
+
+    def counting_path_within(tables, u, v):
+        routes.append((u, v))
+        return path_within(tables, u, v)
+
+    if backend == "sparse":
+        monkeypatch.setattr(substrate, "SPARSE_NODE_THRESHOLD", 1)
+    monkeypatch.setattr(g, "bfs_tree", forbidden)
+    monkeypatch.setattr(NeighborhoodTables, "path_within", counting_path_within)
+    topo = random_topology(n=150, area=(420.0, 420.0), seed=3)
+    card = CARDProtocol(Network(topo), CARDParams(R=2, r=8, noc=4, depth=2), seed=0)
+    sources = list(range(0, 150, 5))
+    card.bootstrap(sources)  # select_contacts_many
+    card.selector.select_contacts(1, np.random.default_rng(1))
+    assert len(routes) > len(sources)
+    seen = len(routes)
+    pairs = [(s, (7 * s + 11) % 150) for s in sources]
+    hits = [r for r in card.query_many(pairs) if r.success and r.depth_found]
+    hits += [r for r in map(card.query, *zip(*pairs)) if r.success and r.depth_found]
+    assert hits and len(routes) > seen
+    seen = len(routes)
+    pos = np.array(topo.positions)
+    pos += np.random.default_rng(2).uniform(-30.0, 30.0, size=pos.shape)
+    topo.set_positions(np.clip(pos, 0.0, topo.area))
+    recoveries = sum(o.recoveries for s in sources for o in card.maintain(s)[0])
+    assert recoveries > 0 and len(routes) > seen
+    assert card.tables.substrate.backend_kind == backend
 
 
 class TestFreshness:
