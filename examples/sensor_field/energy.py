@@ -4,7 +4,7 @@ The paper's efficiency requirement (b) is energy-motivated: "nodes ...
 comprise portable devices with limited battery power.  Therefore, resource
 discovery mechanisms should be efficient in terms of messages transmitted"
 (§III.A).  This module converts :class:`~repro.net.stats.MessageStats`
-counters into a first-order energy model so examples and benchmarks can
+counters into a first-order energy model so the sensor-field example can
 report battery impact, not just message tallies:
 
 * per-transmission and per-reception costs (defaults from the classic

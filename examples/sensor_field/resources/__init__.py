@@ -5,10 +5,10 @@ discovery" (§II) — but its evaluation uses node ids as stand-ins for
 resources.  This package supplies the missing application layer a
 downstream user needs:
 
-* :class:`~repro.resources.registry.ResourceRegistry` — a directory of
+* :class:`~resources.registry.ResourceRegistry` — a directory of
   typed resources (``"gateway"``, ``"medic"``, ``"printer"``) hosted by
   provider nodes, with registration/deregistration;
-* :class:`~repro.resources.discovery.ResourceQueryEngine` — CARD's DSQ
+* :class:`~resources.discovery.ResourceQueryEngine` — CARD's DSQ
   generalized from "find node T" to "find *any provider* of resource k":
   a zone lookup succeeds when any provider lies in the inspected
   neighborhood, which is precisely how the proactive zone scheme would
@@ -19,7 +19,7 @@ The sensor-field example uses this layer; the baselines compare through
 the same any-provider semantics (flooding stops at the first provider).
 """
 
-from repro.resources.registry import ResourceRegistry
-from repro.resources.discovery import ResourceQueryEngine, ResourceQueryResult
+from resources.registry import ResourceRegistry
+from resources.discovery import ResourceQueryEngine, ResourceQueryResult
 
 __all__ = ["ResourceRegistry", "ResourceQueryEngine", "ResourceQueryResult"]

@@ -19,8 +19,9 @@ from repro.core.params import CARDParams
 from repro.core.state import ContactTable
 from repro.net.messages import DestinationSearchQuery, MessageKind, next_query_id
 from repro.net.network import Network
-from repro.resources.registry import ResourceRegistry
 from repro.routing.neighborhood import NeighborhoodTables
+
+from resources.registry import ResourceRegistry
 
 __all__ = ["ResourceQueryEngine", "ResourceQueryResult"]
 

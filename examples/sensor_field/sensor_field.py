@@ -7,17 +7,20 @@ schemes "may not be suitable for static sensor networks" (§II).  This
 example plays that scenario out with the full application stack:
 
 * a 900-node static sensor field; six nodes register the ``"gateway"``
-  resource in a :class:`~repro.resources.registry.ResourceRegistry`;
+  resource in a :class:`~resources.registry.ResourceRegistry`;
 * sensors locate *any* gateway through
-  :class:`~repro.resources.discovery.ResourceQueryEngine` (anycast over
+  :class:`~resources.discovery.ResourceQueryEngine` (anycast over
   contacts), at two depths of search;
 * flooding and ZRP bordercasting answer the same workload against the
   ground-truth nearest gateway;
-* an :class:`~repro.net.energy.EnergyModel` converts each scheme's traffic
+* an :class:`~energy.EnergyModel` converts each scheme's traffic
   into battery terms — total joules, hottest node, and estimated rounds
   until the first battery death (the paper's requirement (b), quantified).
 
-Run:  python examples/sensor_field.py
+The resource layer (``resources/``) and the energy model (``energy.py``)
+live next to this script: the example is their only user.
+
+Run:  python examples/sensor_field/sensor_field.py
 """
 
 import numpy as np
@@ -26,14 +29,14 @@ from repro import (
     BordercastDiscovery,
     CARDParams,
     CARDProtocol,
-    EnergyModel,
     FloodingDiscovery,
     Network,
     NeighborhoodTables,
-    ResourceQueryEngine,
-    ResourceRegistry,
     build_topology,
 )
+
+from energy import EnergyModel
+from resources import ResourceQueryEngine, ResourceRegistry
 
 SEED = 42
 NUM_SENSORS = 900

@@ -6,9 +6,10 @@ import pytest
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.net.network import Network
-from repro.resources.discovery import ResourceQueryEngine
-from repro.resources.registry import ResourceRegistry
 from tests.conftest import line_topology, random_topology
+
+from resources.discovery import ResourceQueryEngine
+from resources.registry import ResourceRegistry
 
 
 class TestRegistry:

@@ -19,7 +19,7 @@ Package layout
 ``repro.net``        — wireless substrate (topology, graph, messages, stats)
 ``repro.des``        — discrete-event engine
 ``repro.mobility``   — random-waypoint and friends
-``repro.routing``    — neighborhood oracle + scoped DSDV
+``repro.routing``    — the neighborhood oracle (R-hop zone knowledge)
 ``repro.discovery``  — flooding / expanding-ring / bordercast baselines
 ``repro.scenarios``  — Table 1 scenarios and workload generation
 ``repro.metrics``    — comparison and summary helpers
@@ -53,11 +53,9 @@ from repro.mobility import (
     StaticMobility,
 )
 from repro.net import MessageStats, Network, Topology
-from repro.net.energy import EnergyModel
 from repro.net.failures import FailureInjector
-from repro.resources import ResourceQueryEngine, ResourceRegistry
 from repro.analysis import smallworld_report
-from repro.routing import DSDVNeighborhoodTables, NeighborhoodTables, ScopedDSDV
+from repro.routing import NeighborhoodTables
 from repro.discovery import (
     BordercastDiscovery,
     CARDDiscoveryAdapter,
@@ -93,14 +91,9 @@ __all__ = [
     "MessageStats",
     "Network",
     "Topology",
-    "EnergyModel",
     "FailureInjector",
-    "ResourceQueryEngine",
-    "ResourceRegistry",
     "smallworld_report",
-    "DSDVNeighborhoodTables",
     "NeighborhoodTables",
-    "ScopedDSDV",
     "BordercastDiscovery",
     "CARDDiscoveryAdapter",
     "ExpandingRingDiscovery",

@@ -292,9 +292,7 @@ def _comparison_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     flood_net = Network(topo)
     border_net = Network(topo)
     card_net = Network(topo)
-    card = CARDProtocol(
-        card_net, params, seed=cell.seed, tables=NeighborhoodTables(topo, params.R)
-    )
+    card = CARDProtocol(card_net, params, seed=cell.seed)
     comparison = SchemeComparison(
         [
             FloodingDiscovery(flood_net),

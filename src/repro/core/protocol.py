@@ -53,9 +53,6 @@ class CARDProtocol:
         Protocol configuration.
     seed:
         Root seed for all protocol randomness (walk shuffles, PM draws).
-    tables:
-        Optionally share pre-built neighborhood tables (runners reuse them
-        across protocol instances in sweeps).
     """
 
     def __init__(
@@ -64,14 +61,11 @@ class CARDProtocol:
         params: CARDParams,
         *,
         seed: Optional[int] = None,
-        tables: Optional[NeighborhoodTables] = None,
     ) -> None:
         self.network = network
         self.params = params
         self.streams = RngStreams(seed)
-        self.tables = (
-            tables if tables is not None else NeighborhoodTables(network.topology, params.R)
-        )
+        self.tables = NeighborhoodTables(network.topology, params.R)
         self.selector = ContactSelector(network, self.tables, params)
         self.maintainer = ContactMaintainer(network, self.tables, params)
         self.contact_tables: Dict[int, ContactTable] = {}

@@ -138,7 +138,7 @@ class ContactSelector:
     network:
         Connectivity, clock and message accounting.
     tables:
-        R-hop neighborhood knowledge (oracle or DSDV-backed adapter).
+        R-hop neighborhood knowledge (the zone oracle).
     params:
         CARD configuration (method, R, r, NoC, caps).
     """
@@ -213,10 +213,7 @@ class ContactSelector:
         Relies on membership symmetry: ``member[cand, x] == member[x,
         cand]`` (hop distance is symmetric), so the per-candidate probes
         of :meth:`admit` collapse into one row gather over ``source``,
-        the contact list and (under EM) the edge list.  The one consumer
-        that could violate it is a DSDV-backed table mid-convergence,
-        where u may have learned v before v learned u; on a converged
-        network the learned matrix is symmetric again.  Under PM a True
+        the contact list and (under EM) the edge list.  Under PM a True
         entry still faces the per-depth admission draw.
         """
         p = self.params

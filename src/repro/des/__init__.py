@@ -9,7 +9,7 @@ It provides exactly what the protocol stack needs and nothing more:
 * one-shot scheduling (:meth:`Simulator.schedule`), absolute-time scheduling
   (:meth:`Simulator.schedule_at`) and cancellable handles;
 * :class:`~repro.des.process.PeriodicProcess` for recurring protocol actions
-  (DSDV updates, contact validation, mobility steps), with optional phase
+  (contact validation, mobility steps), with optional phase
   jitter so all nodes do not fire in lock-step.
 
 The engine is MAC-free and transmission-time-free by default (events model

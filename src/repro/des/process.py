@@ -1,9 +1,9 @@
 """Recurring processes on top of the event loop.
 
-MANET control planes are full of periodic behaviour: DSDV's periodic table
-broadcasts, CARD's contact validation timers, the mobility integrator's
-position updates.  :class:`PeriodicProcess` packages the schedule-fire-
-reschedule pattern once, with two features the protocols need:
+MANET control planes are full of periodic behaviour: CARD's contact
+validation timers, the mobility integrator's position updates.
+:class:`PeriodicProcess` packages the schedule-fire-reschedule pattern
+once, with two features the protocols need:
 
 * **phase jitter** — real nodes are never synchronized; an optional jitter
   fraction draws each firing offset from ``[-j, +j] * period`` so that

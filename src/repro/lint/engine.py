@@ -11,8 +11,8 @@ Two kinds of rules exist:
   sqlite transaction discipline, …);
 * **project rules** see the whole-package import graph
   (:mod:`repro.lint.importgraph`) and run once per invocation, whatever
-  paths were given — layering and entropy-reachability cannot be judged
-  file-locally.
+  paths were given — layering, entropy-reachability and module
+  reachability cannot be judged file-locally.
 
 Suppression syntax (the ``--`` justification is free text, encouraged):
 
@@ -185,7 +185,7 @@ class LintConfig:
     """What the rules check and where — the repo's invariants as data."""
 
     #: the package directory (``…/src/repro``); None disables the
-    #: project rules (layering, entropy reachability)
+    #: project rules (layering, entropy and module reachability)
     package_root: Optional[Path] = None
     #: modules exempt from CARD-D01 (telemetry exists to read clocks)
     clock_exempt_modules: Tuple[str, ...] = ("repro.obs",)

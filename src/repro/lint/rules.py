@@ -31,6 +31,14 @@ Layering (the dependency DAG is data in
   imports the artifact definitions/registry or ``repro.api``, deferred
   imports included (``repro.artifacts.result`` is the shared table type).
 
+Reachability:
+
+* **CARD-R01** — every package module lies in the deferred-import
+  closure of the entry points (:data:`ENTRY_ROOTS` plus every
+  ``*.__main__``), walked without ancestor packages so a facade
+  re-export is not a use; a package counts while anything inside it is
+  reached.
+
 Concurrency/durability discipline:
 
 * **CARD-C01** — sqlite modules take write locks eagerly: explicit
@@ -471,6 +479,72 @@ class LayerRule(Rule):
 
 
 # ----------------------------------------------------------------------
+#: what a user runs: the four console scripts, the facade and the cell
+#: executor — every ``*.__main__`` is an entry point as well
+ENTRY_ROOTS = (
+    "repro.experiments.__main__",
+    "repro.campaign.__main__",
+    "repro.service.__main__",
+    "repro.lint.cli",
+    "repro.api",
+    "repro.campaign.runner",
+)
+
+
+class ReachabilityRule(Rule):
+    id = "CARD-R01"
+    category = "reachability"
+    summary = (
+        "every package module is imported, lazily or not, from an entry "
+        "point (console scripts, *.__main__, repro.api, the cell "
+        "executor); facade re-exports do not count"
+    )
+    project_wide = True
+
+    def check_project(
+        self, graph: ImportGraph, config: LintConfig
+    ) -> List[Finding]:
+        roots = sorted(
+            m
+            for m in graph.modules
+            if m in ENTRY_ROOTS or m.endswith(".__main__")
+        )
+        if not roots:
+            return []  # no entry point in the package: nothing to judge
+        # without ancestors, `repro/__init__.py` re-exporting a module is
+        # not a use of it — only an import from reached code is
+        reached = graph.closure(
+            roots, include_deferred=True, follow_ancestors=False
+        )
+        findings: List[Finding] = []
+        for module in sorted(graph.modules):
+            if module in reached:
+                continue
+            path = graph.modules[module]
+            if path.name == "__init__.py" and any(
+                m.startswith(module + ".") for m in reached
+            ):
+                continue  # a package runs with whatever is reached inside it
+            findings.append(
+                Finding(
+                    rule=self.id,
+                    category=self.category,
+                    path=_display(path),
+                    line=1,
+                    col=1,
+                    message=(
+                        f"{module} is imported, lazily or not, by no "
+                        "entry point (console scripts, *.__main__, "
+                        "repro.api, the cell executor); delete it, move it "
+                        "to its only user outside the package, or pragma "
+                        "the file with the reason it stays"
+                    ),
+                )
+            )
+        return findings
+
+
+# ----------------------------------------------------------------------
 class SqliteTxnRule(Rule):
     id = "CARD-C01"
     category = "concurrency"
@@ -816,6 +890,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     LayerRule("CARD-L01"),
     LayerRule("CARD-L02"),
     LayerRule("CARD-L03"),
+    ReachabilityRule(),
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),

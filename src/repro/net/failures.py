@@ -12,8 +12,8 @@ loop absorbs crashes:
   scripted failures;
 * :meth:`FailureInjector.schedule_random_failures` — a Poisson-ish crash
   process over a node population;
-* listeners — the same hook mechanism the mobility driver uses, so zone
-  tables / DSDV can be notified.
+* listeners — the same hook mechanism the mobility driver uses, so
+  protocol state that caches connectivity can be notified.
 
 Failed nodes keep their index (ids are stable) but hold no links, receive
 nothing and transmit nothing.  CARD state *at* a failed node is not erased

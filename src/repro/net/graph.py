@@ -320,12 +320,13 @@ def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
 def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
     """All-pairs hop distances as an ``(N, N)`` int32 array (−1 unreachable).
 
-    **Test oracle only.**  Since the ``DistanceView`` redesign no
-    runtime path materialises the all-pairs matrix: protocol code reads
-    horizon-scoped views (:meth:`repro.net.topology.Topology.distance_view`)
-    and global statistics are sampled (:func:`sample_pair_stats`).  The
-    only in-package consumer is the exact small-N branch of
-    :func:`graph_stats`; everything else lives in tests.
+    The exact kernel for Table 1 and the small-world L: the in-package
+    consumers are the exact branches of :func:`graph_stats` and
+    :func:`repro.analysis.smallworld.path_length_stats`.  Protocol code
+    never materialises the all-pairs matrix — it reads horizon-scoped
+    views (:meth:`repro.net.topology.Topology.distance_view`), and large
+    graphs sample their global statistics (:func:`sample_pair_stats`).
+    Tests also use it as the distance oracle.
     """
     n = len(adj)
     if n == 0:

@@ -66,8 +66,6 @@ class MessageKind(enum.Enum):
     FLOOD = "flood"
     #: bordercast baseline transmissions
     BORDERCAST = "bordercast"
-    #: proactive intra-neighborhood routing updates (DSDV)
-    ROUTING_UPDATE = "routing"
     #: reply traffic (path returns); excluded from the paper's counts
     REPLY = "reply"
 

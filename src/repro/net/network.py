@@ -1,6 +1,6 @@
 """The network façade: topology + simulated clock + message accounting.
 
-Protocol implementations (CARD, flooding, bordercasting, DSDV) interact with
+Protocol implementations (CARD, flooding, bordercasting) interact with
 the network exclusively through this class:
 
 * :meth:`transmit` — account one hop-transmission of a typed message; this

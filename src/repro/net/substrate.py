@@ -16,8 +16,9 @@ edge nodes, and 2R for the contact-overlap checks.  Accordingly, the
 * ``distance_view(horizon=None)`` — a :class:`GlobalDistanceView` for
   *explicitly sampled* global statistics
   (:meth:`~GlobalDistanceView.sample_pair_stats`); it never materialises
-  an N×N matrix.  The all-pairs ``hop_distance_matrix`` survives only as
-  a test oracle.
+  an N×N matrix.  The all-pairs ``hop_distance_matrix`` is not a view:
+  it is the exact kernel behind Table 1's path statistics and the
+  small-world L, and nothing else.
 
 **Multi-horizon sharing** — one :class:`DistanceSubstrate` lives on each
 topology and keeps a single band at the *largest* horizon any view has
@@ -404,10 +405,10 @@ class DistanceSubstrate:
     incremental:
         When False every refresh is a full bounded rebuild (exact-parity
         reference mode).
-    backend:
-        ``"dense"`` | ``"sparse"`` | None (auto: sparse at and above
-        :data:`SPARSE_NODE_THRESHOLD` nodes).  Both backends answer every
-        query bit-identically — enforced by the backend property tests.
+
+    The band is dense below :data:`SPARSE_NODE_THRESHOLD` nodes and
+    sparse at and above it; both representations equal the clipped BFS
+    oracle, enforced by the backend property tests.
     """
 
     def __init__(
@@ -416,18 +417,12 @@ class DistanceSubstrate:
         horizon: int,
         *,
         incremental: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         if int(horizon) < 1:
             raise ValueError("horizon must be >= 1")
-        if backend not in (None, "dense", "sparse"):
-            raise ValueError(
-                f"unknown backend {backend!r}; expected dense | sparse | None"
-            )
         self.topology = topology
         self.horizon = int(horizon)
         self.incremental = bool(incremental)
-        self._backend_choice = backend
         self._stats = SubstrateStats()
         self._epoch = -1
         self._band = None  # a _DenseBand or _SparseBand, None when stale
@@ -439,8 +434,6 @@ class DistanceSubstrate:
     @property
     def backend_kind(self) -> str:
         """Which band representation this substrate (will) use."""
-        if self._backend_choice is not None:
-            return self._backend_choice
         return (
             "sparse"
             if self.topology.num_nodes >= SPARSE_NODE_THRESHOLD
@@ -803,8 +796,9 @@ class GlobalDistanceView:
         raise RuntimeError(
             "the global distance view never materialises an N×N matrix; "
             "use sample_pair_stats(k, rng) for global statistics, a "
-            "bounded distance_view(horizon=...) for zone queries, or the "
-            "test oracle repro.net.graph.hop_distance_matrix"
+            "bounded distance_view(horizon=...) for zone queries, or "
+            "repro.net.graph.hop_distance_matrix, the exact all-pairs "
+            "kernel behind Table 1 and the small-world L"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

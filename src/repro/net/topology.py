@@ -17,8 +17,9 @@ All distance access goes through :meth:`distance_view` — a horizon-
 scoped :class:`~repro.net.substrate.DistanceView` (R for zone
 operations, 2R for contact-overlap checks, ``horizon=None`` for sampled
 global statistics).  There is deliberately no all-pairs accessor on the
-topology: the former ``hop_distances()`` APSP matrix survives only as
-the test oracle :func:`repro.net.graph.hop_distance_matrix`.
+topology: the all-pairs kernel :func:`repro.net.graph.hop_distance_matrix`
+computes the exact Table 1 path statistics and the small-world L from
+the adjacency, and nothing else.
 
 Two facilities support the incremental neighborhood substrate:
 

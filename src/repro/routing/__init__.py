@@ -2,30 +2,16 @@
 
 CARD assumes each node runs a proactive protocol "such as DSDV" within its
 R-hop neighborhood, giving it complete knowledge of the nodes (resources)
-there (§III.C).  This package provides two interchangeable realizations:
+there (§III.C).  :class:`~repro.routing.neighborhood.NeighborhoodTables`
+realizes that knowledge as an *oracle* computed by scoped BFS over the
+live topology.  This is what the paper's experiments effectively measure
+(intra-zone update traffic is not part of any reported figure), and it is
+fast enough to refresh every mobility step at N=1000.
 
-* :class:`~repro.routing.neighborhood.NeighborhoodTables` — an *oracle*
-  computed by scoped BFS over the live topology.  This is what the paper's
-  experiments effectively measure (intra-zone update traffic is not part of
-  any reported figure), and it is fast enough to refresh every mobility
-  step at N=1000.
-* :class:`~repro.routing.dsdv.ScopedDSDV` — a faithful event-driven DSDV
-  (destination-sequenced distance vector) limited to R hops: per-node
-  tables with sequence numbers, periodic full-table advertisements,
-  triggered updates on link breaks, and routing-update message accounting.
-  Tests verify its converged tables equal the oracle's.
-
-Both expose the neighborhood queries CARD needs: membership, edge nodes,
+It exposes the neighborhood queries CARD needs: membership, edge nodes,
 and intra-zone paths.
 """
 
 from repro.routing.neighborhood import NeighborhoodTables
-from repro.routing.dsdv import ScopedDSDV, RouteEntry
-from repro.routing.adapter import DSDVNeighborhoodTables
 
-__all__ = [
-    "NeighborhoodTables",
-    "ScopedDSDV",
-    "RouteEntry",
-    "DSDVNeighborhoodTables",
-]
+__all__ = ["NeighborhoodTables"]

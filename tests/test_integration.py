@@ -1,77 +1,15 @@
 """End-to-end integration tests across the whole stack."""
 
-import numpy as np
-
-from repro.net import graph as g
-import pytest
-
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
-from repro.des.engine import Simulator
 from repro.discovery.bordercast import BordercastDiscovery, QDMode
 from repro.discovery.flooding import FloodingDiscovery
 from repro.metrics.comparison import SchemeComparison
 from repro.discovery.base import CARDDiscoveryAdapter
 from repro.net.graph import bfs_hops
 from repro.net.network import Network
-from repro.routing.adapter import DSDVNeighborhoodTables
-from repro.routing.dsdv import ScopedDSDV
 from repro.routing.neighborhood import NeighborhoodTables
 from repro.scenarios.factory import build_topology, query_workload
-from tests.conftest import random_topology
-
-
-class TestCARDOnDSDV:
-    """CARD running on protocol-learned zone state instead of the oracle."""
-
-    def build(self, seed=1):
-        topo = random_topology(n=120, area=(350.0, 350.0), tx=65.0, seed=seed)
-        sim = Simulator()
-        net = Network(topo, sim=sim)
-        params = CARDParams(R=2, r=7, noc=3, depth=2)
-        dsdv = ScopedDSDV(net, params.R, period=1.0, jitter=0.0)
-        sim.run(until=5.0)  # converge
-        tables = DSDVNeighborhoodTables(dsdv)
-        card = CARDProtocol(net, params, seed=seed, tables=tables)
-        return topo, net, card, params
-
-    def test_converged_tables_match_oracle(self):
-        topo, _, card, params = self.build()
-        oracle = NeighborhoodTables(topo, params.R)
-        assert (card.tables.membership == oracle.membership).all()
-        for u in range(0, 120, 13):
-            assert set(card.tables.edge_nodes(u)) == set(oracle.edge_nodes(u))
-
-    def test_bootstrap_on_protocol_state(self):
-        topo, _, card, params = self.build()
-        card.bootstrap()
-        assert card.total_contacts() > 0
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
-        for s, table in card.contact_tables.items():
-            for c in table.ids():
-                # EM invariant holds even on protocol-learned state
-                assert dist[s, c] > 2 * params.R or dist[s, c] == -1
-
-    def test_query_on_protocol_state(self):
-        topo, _, card, params = self.build()
-        card.bootstrap()
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
-        far = np.flatnonzero(dist[0] > 4)
-        hits = sum(
-            card.query(0, int(t), max_depth=2).success for t in far[:15]
-        )
-        assert hits > 0
-
-    def test_reachability_comparable_to_oracle(self):
-        topo, _, card, params = self.build()
-        card.bootstrap()
-        reach_dsdv = card.reachability(depth=1).mean()
-        oracle_card = CARDProtocol(Network(topo), params, seed=1)
-        oracle_card.bootstrap()
-        reach_oracle = oracle_card.reachability(depth=1).mean()
-        # protocol-learned state is converged, so results are close (walk
-        # tie-breaking inside the zone may differ slightly)
-        assert abs(reach_dsdv - reach_oracle) < 10.0
 
 
 class TestFullComparison:

@@ -3,15 +3,17 @@
 Structure:
 
 * good/bad fixture pairs per rule family (determinism, layering,
-  concurrency, spec hygiene) over tiny synthetic packages;
+  reachability, concurrency, spec hygiene) over tiny synthetic packages;
 * pragma (``disable`` / ``disable-file`` / ``*``) and baseline behaviour,
   including the hard rejection of baselined determinism rules;
 * the import-graph library (closures, deferral, ancestor semantics,
   top-level cycle detection);
 * the CLI: exit codes, ``--format json`` schema, ``--select``;
-* regressions against the real tree: the repo lints clean, and a
+* regressions against the real tree: the repo lints clean, a
   wall-clock read injected into a cell-executed module fails the build
-  exactly the way CI would see it.
+  exactly the way CI would see it, and the modules this package once
+  carried without any entry point reaching them are reported again
+  when planted back.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ RULE_IDS = {
     "CARD-L01",
     "CARD-L02",
     "CARD-L03",
+    "CARD-R01",
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
@@ -370,6 +373,63 @@ class TestLayerRules:
             },
         )
         assert lint_pkg(pkg, select=("CARD-L",), paths=[]).findings == []
+
+
+class TestReachabilityRule:
+    def test_facade_reexport_is_not_a_use(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(
+            tmp_path,
+            {
+                "__init__.py": (
+                    "from repro.orphan import helper\n"
+                    "from repro.extras.thing import Thing\n"
+                ),
+                "api.py": "from repro.core import engine\n",
+                "core/engine.py": "def run():\n    return 1\n",
+                "orphan.py": "def helper():\n    return 1\n",
+                "extras/thing.py": "class Thing: pass\n",
+            },
+        )
+        report = lint_pkg(pkg, select=("CARD-R01",), paths=[])
+        assert rules_hit(report) == ["CARD-R01"]
+        # a package counts while anything inside it is reached: `repro`
+        # and `repro.core` do, the wholly unreached `repro.extras` does not
+        assert sorted(f.path for f in report.findings) == [
+            "src/repro/extras/__init__.py",
+            "src/repro/extras/thing.py",
+            "src/repro/orphan.py",
+        ]
+        assert "repro.orphan is imported" in " | ".join(
+            f.message for f in report.findings
+        )
+
+    def test_lazy_import_from_an_entry_point_is_a_use(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(
+            tmp_path,
+            {
+                "__init__.py": "from repro.orphan import helper\n",
+                "api.py": """
+                def run():
+                    from repro.orphan import helper
+                    return helper()
+                """,
+                "orphan.py": "def helper():\n    return 1\n",
+                "tool/__main__.py": "import repro.extras.thing\n",
+                "extras/thing.py": "class Thing: pass\n",
+            },
+        )
+        assert lint_pkg(pkg, select=("CARD-R01",), paths=[]).findings == []
+
+    def test_package_without_entry_points_is_not_judged(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(tmp_path, {"core/engine.py": "X = 1\n"})
+        assert lint_pkg(pkg, select=("CARD-R01",), paths=[]).findings == []
 
 
 class TestSqliteTxnRule:
@@ -923,6 +983,58 @@ class TestRealTree:
             and f["path"].endswith("core/selection.py")
         ]
         assert hits, data["findings"]
+
+    def test_removed_modules_are_reported_when_planted_back(
+        self, tmp_path, monkeypatch
+    ):
+        # the tree before scoped DSDV was deleted and the sensor-field
+        # layer moved out: six modules that only the repro / routing
+        # facades re-exported, each planted back beside its re-export
+        shutil.copytree(REPO / "src", tmp_path / "src")
+        pkg = tmp_path / "src" / "repro"
+        planted = {
+            "routing/dsdv.py": "class ScopedDSDV: pass\n",
+            "routing/adapter.py": (
+                "from repro.routing.dsdv import ScopedDSDV\n"
+                "class DSDVNeighborhoodTables: pass\n"
+            ),
+            "net/energy.py": "class EnergyModel: pass\n",
+            "resources/registry.py": "class ResourceRegistry: pass\n",
+            "resources/discovery.py": (
+                "from repro.resources.registry import ResourceRegistry\n"
+                "from repro.routing.neighborhood import NeighborhoodTables\n"
+                "class ResourceQueryEngine: pass\n"
+            ),
+            "resources/__init__.py": (
+                "from repro.resources.registry import ResourceRegistry\n"
+                "from repro.resources.discovery import ResourceQueryEngine\n"
+            ),
+        }
+        for rel, source in planted.items():
+            (pkg / rel).parent.mkdir(exist_ok=True)
+            (pkg / rel).write_text(source, encoding="utf-8")
+        reexports = {
+            "__init__.py": (
+                "from repro.net.energy import EnergyModel\n"
+                "from repro.resources import ResourceRegistry\n"
+            ),
+            "routing/__init__.py": (
+                "from repro.routing.adapter import DSDVNeighborhoodTables\n"
+            ),
+        }
+        for rel, lines in reexports.items():
+            path = pkg / rel
+            path.write_text(path.read_text(encoding="utf-8") + lines, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["src", "--no-baseline", "--select", "CARD-R01", "--format",
+             "json", "--out", "report.json"]
+        )
+        assert rc == 1
+        data = json.loads(Path("report.json").read_text())
+        assert sorted(
+            f["path"].split("src/repro/", 1)[1] for f in data["findings"]
+        ) == sorted(planted)
 
     def test_injected_layering_violation_fails_the_build(
         self, tmp_path, monkeypatch

@@ -1,9 +1,11 @@
-"""Sparse-vs-dense substrate backend parity + DistanceView contracts.
+"""Both substrate band representations equal the BFS oracle, plus the
+DistanceView contracts.
 
-The redesign's core promise: the CSR membership backend selected above
-:data:`repro.net.substrate.SPARSE_NODE_THRESHOLD` answers every query
-**bit-identically** to the dense band — membership, edge nodes, hop
-lookups, band materialisation — over random, mobile and failure-injected
+The band is dense below :data:`repro.net.substrate.SPARSE_NODE_THRESHOLD`
+nodes and a CSR triple at and above it.  Each representation — chosen
+for the whole test by patching the threshold — must answer every query
+(membership, edge nodes, hop lookups, band materialisation) exactly as
+per-source bounded BFS does, over random, mobile and failure-injected
 topologies.  Plus the view-layer contracts: multi-horizon sharing, the
 2R-view epoch-invalidation regression, and the global view's sampled
 statistics.
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.net import graph as g
+from repro.net import substrate
 from repro.net.substrate import (
     SPARSE_NODE_THRESHOLD,
     DistanceSubstrate,
-    DistanceView,
     GlobalDistanceView,
     SparseMembership,
 )
@@ -27,33 +29,32 @@ from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import random_topology
 
 
-def both_backends(topo: Topology, horizon: int):
-    """A (dense, sparse) substrate pair over one topology."""
-    dense = DistanceSubstrate(topo, horizon, backend="dense")
-    sparse = DistanceSubstrate(topo, horizon, backend="sparse")
-    return dense, sparse
+def bfs_oracle(topo: Topology, horizon: int) -> np.ndarray:
+    """Row ``u`` is ``bfs_hops(adj, u)`` cut at ``horizon`` (−1 beyond)."""
+    return np.stack(
+        [g.bfs_hops(topo.adj, u, max_hops=horizon) for u in range(topo.num_nodes)]
+    )
 
 
-def assert_backends_identical(topo: Topology, dense, sparse, horizon: int):
-    """Every query surface answers the same on both backends."""
+def assert_matches_oracle(topo: Topology, sub: DistanceSubstrate, horizon: int):
+    """Every query surface of ``sub`` answers what the BFS oracle does."""
     n = topo.num_nodes
-    assert (dense.band() == sparse.band()).all()
+    want = bfs_oracle(topo, horizon)
+    assert (sub.band() == want).all()
     for radius in range(1, horizon + 1):
-        dm = dense.membership(radius)
-        sm = sparse.membership(radius)
-        assert isinstance(sm, SparseMembership)
+        member = sub.membership(radius)
+        inside = (want >= 0) & (want <= radius)
         for u in range(0, n, max(1, n // 13)):
-            assert (dm[u] == sm[u]).all()
-            assert (dense.ring(u, radius) == sparse.ring(u, radius)).all()
+            assert (np.asarray(member[u]) == inside[u]).all()
+            assert sub.ring(u, radius).tolist() == np.flatnonzero(
+                want[u] == radius
+            ).tolist()
     probe = np.arange(0, n, max(1, n // 7), dtype=np.int64)
     for u in probe:
-        vals_d = dense._fresh_band().hops_many(int(u), probe)
-        vals_s = sparse._fresh_band().hops_many(int(u), probe)
-        assert (np.asarray(vals_d) == np.asarray(vals_s)).all()
+        vals = sub._fresh_band().hops_many(int(u), probe)
+        assert (np.asarray(vals) == want[u, probe]).all()
         for v in probe:
-            assert dense.hops_within(int(u), int(v)) == sparse.hops_within(
-                int(u), int(v)
-            )
+            assert sub.hops_within(int(u), int(v)) == want[u, v]
 
 
 @pytest.fixture(params=["scipy", "numpy"])
@@ -65,27 +66,30 @@ def kernel(request, monkeypatch):
         pytest.skip("scipy not installed")
 
 
+@pytest.fixture(params=["dense", "sparse"])
+def representation(request, monkeypatch):
+    """The band representation every substrate of the test uses: every
+    topology here is far below the threshold, so ``sparse`` lowers it."""
+    if request.param == "sparse":
+        monkeypatch.setattr(substrate, "SPARSE_NODE_THRESHOLD", 1)
+    return request.param
+
+
 @pytest.mark.usefixtures("kernel")
-class TestBackendParityStatic:
+class TestBandEqualsOracleStatic:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("horizon", [1, 3, 6])
-    def test_random_topologies(self, seed, horizon):
+    def test_random_topologies(self, representation, seed, horizon):
         topo = random_topology(n=90, seed=seed)
-        dense, sparse = both_backends(topo, horizon)
-        assert_backends_identical(topo, dense, sparse, horizon)
-        # and against the all-pairs test oracle
-        full = g.hop_distance_matrix(topo.adj)
-        clip = np.where(
-            (full >= 0) & (full <= horizon), full, g.UNREACHABLE
-        ).astype(sparse.band().dtype)
-        assert (sparse.band() == clip).all()
+        sub = DistanceSubstrate(topo, horizon)
+        assert sub.backend_kind == representation
+        assert_matches_oracle(topo, sub, horizon)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_disconnected_topologies(self, seed):
+    def test_disconnected_topologies(self, representation, seed):
         topo = random_topology(n=70, area=(900.0, 900.0), tx=60.0, seed=seed)
         assert len(g.connected_components(topo.adj)) > 1
-        dense, sparse = both_backends(topo, 3)
-        assert_backends_identical(topo, dense, sparse, 3)
+        assert_matches_oracle(topo, DistanceSubstrate(topo, 3), 3)
 
     def test_auto_selection_threshold(self):
         small = random_topology(n=60, seed=0)
@@ -100,29 +104,30 @@ class TestBackendParityStatic:
         big = Topology(pos, 50.0, (5000.0, 5000.0))
         assert DistanceSubstrate(big, 2).backend_kind == "sparse"
 
-    def test_sparse_membership_indexing_surface(self):
+    def test_sparse_membership_indexing_surface(self, monkeypatch):
+        monkeypatch.setattr(substrate, "SPARSE_NODE_THRESHOLD", 1)
         topo = random_topology(n=80, seed=3)
-        dense, sparse = both_backends(topo, 2)
-        dm, sm = dense.membership(2), sparse.membership(2)
+        sm = DistanceSubstrate(topo, 2).membership(2)
+        assert isinstance(sm, SparseMembership)
+        want = bfs_oracle(topo, 2) >= 0
         ids = np.array([0, 5, 17, 63])
-        assert sm.shape == dm.shape
-        assert bool(sm[4, 9]) == bool(dm[4, 9])
-        assert (sm[4, ids] == dm[4, ids]).all()
-        assert (sm[ids] == dm[ids]).all()
-        assert (sm[ids].any(axis=0) == dm[ids].any(axis=0)).all()
+        assert sm.shape == want.shape
+        assert bool(sm[4, 9]) == bool(want[4, 9])
+        assert (sm[4, ids] == want[4, ids]).all()
+        assert (sm[ids] == want[ids]).all()
+        assert (sm[ids].any(axis=0) == want[ids].any(axis=0)).all()
 
 
 @pytest.mark.usefixtures("kernel")
-class TestBackendParityDynamic:
+class TestBandEqualsOracleDynamic:
     @pytest.mark.parametrize("seed", range(3))
-    def test_mobile_epochs(self, seed):
-        """Random incremental moves: both backends stay exact and equal."""
+    def test_mobile_epochs(self, representation, seed):
+        """Random incremental moves: the refreshed band stays exact."""
         rng = np.random.default_rng(seed)
         topo = random_topology(n=100, seed=seed)
         topo.enable_delta_tracking()
-        dense, sparse = both_backends(topo, 3)
-        dense.refresh()
-        sparse.refresh()
+        sub = DistanceSubstrate(topo, 3)
+        sub.refresh()
         for _ in range(6):
             pos = np.array(topo.positions)
             moved = rng.choice(100, size=rng.integers(1, 8), replace=False)
@@ -130,24 +135,18 @@ class TestBackendParityDynamic:
             pos[:, 0] = np.clip(pos[:, 0], 0.0, topo.area[0])
             pos[:, 1] = np.clip(pos[:, 1], 0.0, topo.area[1])
             topo.set_positions(pos)
-            assert_backends_identical(topo, dense, sparse, 3)
-            full = g.hop_distance_matrix(topo.adj)
-            clip = np.where(
-                (full >= 0) & (full <= 3), full, g.UNREACHABLE
-            ).astype(sparse.band().dtype)
-            assert (sparse.band() == clip).all()
-        assert sparse.stats().incremental_updates + sparse.stats().null_updates > 0
+            assert_matches_oracle(topo, sub, 3)
+        assert sub.stats().incremental_updates + sub.stats().null_updates > 0
 
-    def test_failure_injection(self):
+    def test_failure_injection(self, representation):
         topo = random_topology(n=90, seed=5)
         topo.enable_delta_tracking()
-        dense, sparse = both_backends(topo, 3)
-        dense.refresh()
-        sparse.refresh()
+        sub = DistanceSubstrate(topo, 3)
+        sub.refresh()
         topo.fail_nodes([3, 40, 41, 77])
-        assert_backends_identical(topo, dense, sparse, 3)
+        assert_matches_oracle(topo, sub, 3)
         topo.set_active(40, True)  # revive one
-        assert_backends_identical(topo, dense, sparse, 3)
+        assert_matches_oracle(topo, sub, 3)
 
 
 class TestMultiHorizonViews:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import graph as g
+from repro.net import substrate
 from repro.net.substrate import DistanceSubstrate, SparseMembership, _SparseBand
 from repro.net.topology import Topology
 from tests.conftest import random_topology
@@ -168,9 +169,10 @@ def test_scipy_sparse_path_builds_no_dense_block(monkeypatch):
         raise AssertionError("sparse band called bounded_hop_distances")
 
     monkeypatch.setattr(g, "bounded_hop_distances", forbidden)
+    monkeypatch.setattr(substrate, "SPARSE_NODE_THRESHOLD", 1)
     topo = random_topology(n=120, seed=1)
     topo.enable_delta_tracking()
-    sub = DistanceSubstrate(topo, 3, backend="sparse")
+    sub = DistanceSubstrate(topo, 3)
     sub.refresh()
     assert sub.stats().full_rebuilds == 1
     pos = np.array(topo.positions)
