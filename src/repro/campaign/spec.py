@@ -32,10 +32,13 @@ The whole spec serialises to/from JSON (``to_json``/``from_json``), which
 is what ``python -m repro.campaign`` consumes.  Cell identity is a stable
 content hash (:func:`content_hash`) of the cell's canonical JSON form;
 the :class:`~repro.campaign.store.ResultStore` keys records by it, which
-is what makes re-runs cache hits and ``resume`` incremental.  Snapshot
-cells serialise exactly as they did before the time-series extension
-(new fields are omitted at their defaults), so pre-existing stores keep
-matching.
+is what makes re-runs cache hits and ``resume`` incremental.
+
+Every spec field is declared once, with its serialisation rule in
+``field(metadata={"emit": …})``, and :func:`_spec` derives ``to_dict``,
+``from_dict`` and the field coercions from it.  A new field declares
+``emit="when_set"`` — written only while it differs from its default —
+which is what keeps every existing cell hash, so every store, warm.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -107,14 +112,13 @@ DES_METRIC_FAMILIES = ("des",)
 #: Families that must be a cell's *only* family: they drive their own
 #: protocol deployment (bootstrap/workload), so combining them with the
 #: SnapshotRunner families would measure two different runs in one cell.
-EXCLUSIVE_METRIC_FAMILIES = frozenset(
-    {"smallworld", "comparison", "query", "failures"}
-)
+EXCLUSIVE_METRIC_FAMILIES = frozenset({"smallworld", "comparison", "query", "failures"})
 
 #: All metric families a cell can record.
-METRIC_FAMILIES = (
-    SNAPSHOT_METRIC_FAMILIES + SERIES_METRIC_FAMILIES + DES_METRIC_FAMILIES
-)
+METRIC_FAMILIES = SNAPSHOT_METRIC_FAMILIES + SERIES_METRIC_FAMILIES + DES_METRIC_FAMILIES
+_KNOWN_FAMILIES = frozenset(METRIC_FAMILIES)
+_SNAPSHOT_FAMILIES = frozenset(SNAPSHOT_METRIC_FAMILIES)
+_SERIES_FAMILIES = frozenset(SERIES_METRIC_FAMILIES)
 
 #: Keys a cell workload mapping may carry.
 WORKLOAD_KEYS = frozenset({"num_queries", "scheme", "fail_fraction"})
@@ -134,6 +138,9 @@ def content_hash(obj: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_value(name: str, value: object) -> object:
     """Coerce a parameter value to its canonical JSON form.
 
@@ -144,10 +151,10 @@ def _json_value(name: str, value: object) -> object:
     is rejected here, with the knob named, instead of surfacing as an
     opaque ``TypeError`` from ``json.dumps`` inside ``key()``.
     """
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, enum.Enum):
         return _json_value(name, value.value)
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
@@ -162,14 +169,6 @@ def _json_value(name: str, value: object) -> object:
     )
 
 
-def _check_version(kind: str, version: object) -> None:
-    if version != SPEC_VERSION:
-        raise ValueError(
-            f'{kind} spec "v": {version!r} not supported '
-            f"(this build reads v{SPEC_VERSION})"
-        )
-
-
 def _reject_bare_string(field_name: str, values: object) -> None:
     """A string where a list belongs would be iterated per character."""
     if isinstance(values, (str, bytes)):
@@ -177,6 +176,210 @@ def _reject_bare_string(field_name: str, values: object) -> None:
             f"{field_name} must be a list of values, got the bare string "
             f"{values!r} (wrap it: [{values!r}])"
         )
+
+
+# ----------------------------------------------------------------------
+# field coercions: ``(label, value) -> canonical value``, raising
+# ValueError for a bad value; ``label`` is "<spec kind> <field name>"
+# ----------------------------------------------------------------------
+def _number(kind: type, lo: float = -math.inf, hi: float = math.inf, *, strict=False):
+    """Coercion to ``kind`` (int or float) in ``[lo, hi]`` (``(lo, hi]`` when
+    ``strict``).  Bools, NaN and — for ints — non-integral values, which
+    ``int()`` would truncate into the hash, are rejected."""
+    abc, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+    bounds = [f"{'>' if strict else '>='} {lo:g}"] if lo > -math.inf else []
+    bounds += [f"<= {hi:g}"] if hi < math.inf else []
+    what = " and ".join(bounds) or noun
+
+    def coerce(label: str, value: object):
+        if type(value) is not kind:
+            if isinstance(value, bool) or not isinstance(value, abc):
+                raise ValueError(f"{label} must be {noun}, got {value!r}")
+            value = kind(value)
+        if not (lo < value <= hi if strict else lo <= value <= hi):
+            raise ValueError(f"{label} must be {what}, got {value!r}")
+        return value
+
+    return coerce
+
+
+def _tuple(label: str, values: object, item=None) -> tuple:
+    _reject_bare_string(label, values)
+    return tuple(values if item is None else (item(label, v) for v in values))  # type: ignore
+
+
+_int, _float = partial(_number, int), partial(_number, float)
+_ints, _floats = partial(_tuple, item=_int()), partial(_tuple, item=_float())
+_count = _int(1)
+
+
+def _json_map(label: str, mapping: object) -> Dict[str, object]:
+    return {k: _json_value(k, v) for k, v in dict(mapping).items()}  # type: ignore[call-overload]
+
+
+def _json_grid(label: str, grid: object) -> Dict[str, object]:
+    axes = dict(grid).items()  # type: ignore[call-overload]
+    return {k: _json_value(k, list(_tuple(f"grid axis {k!r}", v))) for k, v in axes}
+
+
+def _salt(label: str, salt: object) -> Union[str, Tuple[object, ...]]:
+    if isinstance(salt, str):
+        return salt
+    parts = _tuple(label, salt)
+    for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (str, numbers.Integral)):
+            raise ValueError(f"salt parts must be strings or ints, got {part!r}")
+    return tuple(p if isinstance(p, str) else int(p) for p in parts)
+
+
+def _metrics(label: str, values: object) -> Tuple[str, ...]:
+    metrics = _tuple(label, values)
+    if not _KNOWN_FAMILIES.issuperset(metrics):
+        unknown = sorted(set(metrics) - _KNOWN_FAMILIES)
+        raise ValueError(f"unknown metric families {unknown}; known: {METRIC_FAMILIES}")
+    if not metrics:
+        raise ValueError(f"{label} must name at least one metric family")
+    return metrics
+
+
+def _dump_specs(specs: Sequence["_Spec"]) -> List[Dict[str, object]]:
+    return [spec.to_dict() for spec in specs]
+
+
+#: How ``to_dict`` writes back what each coercion produced (default: as is).
+_DUMPS = {
+    _tuple: list,
+    _ints: list,
+    _floats: list,
+    _metrics: list,
+    _json_map: dict,
+    _json_grid: lambda grid: {k: list(v) for k, v in grid.items()},
+    _salt: lambda salt: salt if isinstance(salt, str) else list(salt),
+}
+
+
+# ----------------------------------------------------------------------
+# the codec
+# ----------------------------------------------------------------------
+_EMIT = ("always", "when_set", "never")
+
+
+def _field(default=MISSING, *, emit: str, factory=MISSING, spec=None, coerce=None):
+    """Declare a spec field once.  ``emit`` says when ``to_dict`` writes it:
+    ``"always"``, ``"when_set"`` (only while it differs from its default —
+    what a new field must use, so existing hashes stay put) or ``"never"``.
+    ``spec`` names a nested spec type (a tuple of them with ``coerce=_tuple``)
+    for ``from_dict``; ``coerce(label, value)`` validates and canonicalises
+    the value at construction, except a value that *is* the default."""
+    meta = {"emit": emit, "spec": spec, "coerce": coerce}
+    return field(default=default, default_factory=factory, metadata=meta)
+
+
+class _Spec:
+    """Base of the spec dataclasses; :func:`_spec` derives the rest."""
+
+    def __post_init__(self) -> None:
+        """Replaced by the derived one; declared so ``__init__`` calls it."""
+
+    def _validate(self) -> None:
+        """Checks that involve several fields (per-field ones are declared)."""
+
+    #: emission hook ``(field values) -> names`` serialised and accepted
+    #: back for those values; None = every field by its ``emit`` rule
+    _emitted = None
+
+
+def _spec(kind: str, *, versioned: bool = False):
+    """Class decorator: a frozen dataclass whose ``__post_init__``,
+    ``to_dict`` and ``from_dict`` are derived once, at class creation, from
+    its field metadata — where a field without ``emit`` is a ``TypeError``.
+    ``versioned`` specs write ``"v"`` and refuse any other version."""
+
+    def make(cls):
+        cls = dataclass(frozen=True)(cls)
+        defaults: Dict[str, object] = {}
+        coercions, always, when_set, nested = [], [], [], []
+        for f in fields(cls):
+            meta = f.metadata
+            if meta.get("emit") not in _EMIT:
+                rule = f"use _field(..., emit=...) with emit in {_EMIT}"
+                raise TypeError(f"{cls.__name__}.{f.name} declares no serialisation rule: {rule}")
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            defaults[f.name] = default
+            label, spec, coerce = f"{kind} {f.name}", meta["spec"], meta["coerce"]
+            if coerce is not None:
+                coercions.append((f.name, label, default, coerce))
+            dump = _DUMPS.get(coerce)
+            if spec is not None:
+                nested.append((f.name, label, spec, coerce is _tuple))
+                dump = _dump_specs if coerce is _tuple else spec.to_dict
+            if meta["emit"] == "always":
+                always.append((f.name, dump))
+            elif meta["emit"] == "when_set":
+                when_set.append((f.name, default, dump))
+        required = frozenset(n for n, d in defaults.items() if d is MISSING)
+        validate, emitted = cls._validate, cls._emitted
+
+        def __post_init__(self) -> None:
+            values = self.__dict__  # frozen: write as the dataclass __init__ does
+            for name, label, default, coerce in coercions:
+                value = values[name]
+                if value is not default:  # declared defaults are canonical
+                    values[name] = coerce(label, value)
+            validate(self)
+
+        def to_dict(self) -> Dict[str, object]:
+            out: Dict[str, object] = {"v": SPEC_VERSION} if versioned else {}
+            values = self.__dict__
+            for name, dump in always:
+                out[name] = values[name] if dump is None else dump(values[name])
+            for name, default, dump in when_set:
+                value = values[name]
+                if value is not default and value != default:
+                    out[name] = value if dump is None else dump(value)
+            if emitted:
+                return {name: out[name] for name in emitted(values)}
+            return out
+
+        def check_keys(kwargs: Dict[str, object], known) -> None:
+            unknown, missing = kwargs.keys() - set(known), required - kwargs.keys()
+            for problem, keys in (("unknown", unknown), ("missing", missing)):
+                if keys:
+                    raise ValueError(
+                        f"{problem} {kind} keys {sorted(keys)}; known: {sorted(known)}"
+                    ) from None
+
+        def from_dict(data: Mapping[str, object]):
+            if type(data) is not dict and not isinstance(data, Mapping):
+                raise ValueError(f"a {kind} spec must be a JSON object, got {data!r}")
+            kwargs = dict(data)
+            version = kwargs.pop("v", SPEC_VERSION) if versioned else SPEC_VERSION
+            if version != SPEC_VERSION:
+                raise ValueError(
+                    f'{kind} spec "v": {version!r} not supported '
+                    f"(this build reads v{SPEC_VERSION})"
+                )
+            if emitted:
+                check_keys(kwargs, emitted(kwargs))
+            for name, label, spec, many in nested:
+                value = kwargs.get(name)
+                if value is None and name not in required:
+                    continue
+                if many:
+                    kwargs[name] = tuple(spec.from_dict(v) for v in _tuple(label, value))
+                elif name in kwargs:
+                    kwargs[name] = spec.from_dict(value)
+            try:
+                return cls(**kwargs)
+            except TypeError:  # what the dataclass __init__ raises on bad keys
+                check_keys(kwargs, defaults)
+                raise
+
+        cls.__post_init__, cls.to_dict = __post_init__, to_dict
+        cls.from_dict = staticmethod(from_dict)
+        return cls
+
+    return make
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +391,8 @@ MOBILITY_MODELS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class MobilitySpec:
+@_spec("mobility")
+class MobilitySpec(_Spec):
     """A declarative mobility model — how nodes move during a cell.
 
     Only the fields relevant to ``model`` are serialised and hashed
@@ -198,109 +401,57 @@ class MobilitySpec:
     knob the model ignores.
     """
 
-    model: str = "rwp"
+    model: str = _field("rwp", emit="always")
     #: random waypoint / random walk speed band (m/s)
-    min_speed: float = 0.5
-    max_speed: float = 5.0
+    min_speed: float = _field(0.5, emit="always", coerce=_float())
+    max_speed: float = _field(5.0, emit="always", coerce=_float())
     #: random waypoint pause at each waypoint (s)
-    pause: float = 2.0
+    pause: float = _field(2.0, emit="always", coerce=_float())
     #: random walk mean leg duration (s)
-    mean_epoch: float = 5.0
+    mean_epoch: float = _field(5.0, emit="always", coerce=_float())
     #: Gauss-Markov memory, mean speed and randomness
-    alpha: float = 0.85
-    mean_speed: float = 2.5
-    sigma: float = 1.0
+    alpha: float = _field(0.85, emit="always", coerce=_float())
+    mean_speed: float = _field(2.5, emit="always", coerce=_float())
+    sigma: float = _field(1.0, emit="always", coerce=_float())
 
-    def __post_init__(self) -> None:
-        if self.model not in MOBILITY_MODELS:
-            raise ValueError(
-                f"unknown mobility model {self.model!r}; "
-                f"known: {sorted(MOBILITY_MODELS)}"
-            )
-        relevant = MOBILITY_MODELS[self.model]
-        for f in (
-            "min_speed", "max_speed", "pause", "mean_epoch",
-            "alpha", "mean_speed", "sigma",
-        ):
-            value = getattr(self, f)
-            if f in relevant:
-                object.__setattr__(self, f, float(value))
-            elif float(value) != float(_MOBILITY_DEFAULTS[f]):
+    def _validate(self) -> None:
+        reads = self._emitted(vars(self))
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ValueError(
-                    f"mobility field {f!r} is not read by model "
-                    f"{self.model!r} (its fields: {relevant}); remove it"
+                    f"mobility field {f.name!r} is not read by model "
+                    f"{self.model!r} (its fields: {reads[1:]}); remove it"
                 )
+
+    @staticmethod
+    def _emitted(values: Mapping[str, object]) -> Tuple[str, ...]:
+        model = values.get("model", "rwp")
+        if model not in MOBILITY_MODELS:
+            raise ValueError(
+                f"unknown mobility model {model!r}; known: {sorted(MOBILITY_MODELS)}"
+            )
+        return ("model",) + MOBILITY_MODELS[model]  # type: ignore[index]
 
     # ------------------------------------------------------------------
     def factory(self):
         """The ``(positions, area, rng) -> MobilityModel`` callable
-        :class:`~repro.core.runner.TimeSeriesRunner` expects."""
-        if self.model == "rwp":
-            from repro.mobility.waypoint import RandomWaypoint
-
-            return lambda p, a, rng: RandomWaypoint(
-                p,
-                a,
-                min_speed=self.min_speed,
-                max_speed=self.max_speed,
-                pause_time=self.pause,
-                rng=rng,
-            )
-        if self.model == "walk":
-            from repro.mobility.walk import RandomWalk
-
-            return lambda p, a, rng: RandomWalk(
-                p,
-                a,
-                min_speed=self.min_speed,
-                max_speed=self.max_speed,
-                mean_epoch=self.mean_epoch,
-                rng=rng,
-            )
+        :class:`~repro.core.runner.TimeSeriesRunner` expects: the model's
+        class, given exactly the fields :data:`MOBILITY_MODELS` lists."""
         from repro.mobility.gauss_markov import GaussMarkov
+        from repro.mobility.walk import RandomWalk
+        from repro.mobility.waypoint import RandomWaypoint
 
-        return lambda p, a, rng: GaussMarkov(
-            p,
-            a,
-            alpha=self.alpha,
-            mean_speed=self.mean_speed,
-            sigma=self.sigma,
-            rng=rng,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"model": self.model}
-        for f in MOBILITY_MODELS[self.model]:
-            out[f] = float(getattr(self, f))
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MobilitySpec":
-        kwargs = dict(data)
-        model = kwargs.get("model", "rwp")
-        if model not in MOBILITY_MODELS:
-            raise ValueError(
-                f"unknown mobility model {model!r}; "
-                f"known: {sorted(MOBILITY_MODELS)}"
-            )
-        unknown = set(kwargs) - {"model"} - set(MOBILITY_MODELS[model])
-        if unknown:
-            raise ValueError(
-                f"unknown mobility keys {sorted(unknown)} for model "
-                f"{model!r}; it reads {MOBILITY_MODELS[model]}"
-            )
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-
-_MOBILITY_DEFAULTS = {
-    f.name: f.default for f in MobilitySpec.__dataclass_fields__.values()
-}
+        model = {"rwp": RandomWaypoint, "walk": RandomWalk, "gauss_markov": GaussMarkov}
+        knobs = {
+            ("pause_time" if f == "pause" else f): getattr(self, f)
+            for f in MOBILITY_MODELS[self.model]
+        }
+        return lambda p, a, rng: model[self.model](p, a, rng=rng, **knobs)
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DesSpec:
+@_spec("des")
+class DesSpec(_Spec):
     """Declarative knobs of the event-driven (``des``) regime.
 
     Mirrors :class:`MobilitySpec`'s role: a validated, content-hashed
@@ -311,45 +462,21 @@ class DesSpec:
     """
 
     #: fixed per-hop delay (s)
-    latency: float = 0.002
+    latency: float = _field(0.002, emit="always", coerce=_float(0))
     #: uniform extra per-hop delay bound (s); 0 = none
-    jitter: float = 0.0
+    jitter: float = _field(0.0, emit="always", coerce=_float(0))
     #: per-transmission drop probability
-    loss: float = 0.0
+    loss: float = _field(0.0, emit="always", coerce=_float(0, 1))
     #: bytes/second serialization term; None disables it
-    bandwidth: Optional[float] = None
+    bandwidth: Optional[float] = _field(None, emit="when_set", coerce=_float(0, strict=True))
     #: simulated seconds after bootstrap
-    duration: float = 10.0
+    duration: float = _field(10.0, emit="always", coerce=_float(0, strict=True))
     #: workload size (queries launched over ``[0.2, 0.8] × duration``)
-    num_queries: int = 20
+    num_queries: int = _field(20, emit="always", coerce=_int(0))
     #: seconds a query waits for its reply before retrying/failing
-    query_timeout: float = 1.0
+    query_timeout: float = _field(1.0, emit="always", coerce=_float(0, strict=True))
     #: extra attempts after the first timeout
-    retries: int = 1
-
-    def __post_init__(self) -> None:
-        for f in ("latency", "jitter", "loss"):
-            value = float(getattr(self, f))
-            if value < 0:
-                raise ValueError(f"des {f} must be >= 0")
-            object.__setattr__(self, f, value)
-        if self.loss > 1.0:
-            raise ValueError("des loss is a probability (<= 1)")
-        if self.bandwidth is not None:
-            if float(self.bandwidth) <= 0:
-                raise ValueError("des bandwidth must be positive (or None)")
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        for f in ("duration", "query_timeout"):
-            value = float(getattr(self, f))
-            if value <= 0:
-                raise ValueError(f"des {f} must be positive")
-            object.__setattr__(self, f, value)
-        if not isinstance(self.num_queries, numbers.Integral) or self.num_queries < 0:
-            raise ValueError("des num_queries must be an integer >= 0")
-        object.__setattr__(self, "num_queries", int(self.num_queries))
-        if not isinstance(self.retries, numbers.Integral) or self.retries < 0:
-            raise ValueError("des retries must be an integer >= 0")
-        object.__setattr__(self, "retries", int(self.retries))
+    retries: int = _field(1, emit="always", coerce=_int(0))
 
     # ------------------------------------------------------------------
     def link_spec(self):
@@ -363,37 +490,10 @@ class DesSpec:
             bandwidth=self.bandwidth,
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "latency": float(self.latency),
-            "jitter": float(self.jitter),
-            "loss": float(self.loss),
-            "duration": float(self.duration),
-            "num_queries": int(self.num_queries),
-            "query_timeout": float(self.query_timeout),
-            "retries": int(self.retries),
-        }
-        if self.bandwidth is not None:
-            out["bandwidth"] = float(self.bandwidth)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DesSpec":
-        kwargs = dict(data)
-        unknown = set(kwargs) - {
-            f.name for f in cls.__dataclass_fields__.values()  # type: ignore[attr-defined]
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown des keys {sorted(unknown)}; known: "
-                f"{sorted(f.name for f in cls.__dataclass_fields__.values())}"  # type: ignore[attr-defined]
-            )
-        return cls(**kwargs)  # type: ignore[arg-type]
-
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TopologySpec:
+@_spec("topology")
+class TopologySpec(_Spec):
     """A topology recipe — how to (re)build a network from a seed.
 
     Three kinds cover the paper's configurations:
@@ -407,32 +507,18 @@ class TopologySpec:
     * ``"explicit"`` — an arbitrary (num_nodes, area, tx_range) triple.
     """
 
-    kind: str = "standard"
-    num_nodes: Optional[int] = None
-    scenario: Optional[int] = None
-    area: Optional[Tuple[float, float]] = None
-    tx_range: Optional[float] = None
+    kind: str = _field("standard", emit="always")
+    num_nodes: Optional[int] = _field(None, emit="when_set", coerce=_count)
+    scenario: Optional[int] = _field(None, emit="when_set", coerce=_count)
+    area: Optional[Tuple[float, float]] = _field(None, emit="when_set", coerce=_floats)
+    tx_range: Optional[float] = _field(None, emit="when_set", coerce=_float())
     #: topology RNG namespace.  A string, or a tuple of strings/ints for
     #: experiments that salt per swept value (e.g. ``("fig10", noc)``) —
     #: serialised as a JSON list and coerced back so the derived stream
     #: matches the legacy runners exactly.
-    salt: Union[str, Tuple[object, ...]] = "campaign"
+    salt: Union[str, Tuple[object, ...]] = _field("campaign", emit="always", coerce=_salt)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.salt, str):
-            salt = tuple(self.salt)
-            for part in salt:
-                if isinstance(part, bool) or not isinstance(
-                    part, (str, int, numbers.Integral)
-                ):
-                    raise ValueError(
-                        f"salt parts must be strings or ints, got {part!r}"
-                    )
-            object.__setattr__(
-                self,
-                "salt",
-                tuple(p if isinstance(p, str) else int(p) for p in salt),
-            )
+    def _validate(self) -> None:
         if self.kind not in ("standard", "scenario", "explicit"):
             raise ValueError(
                 f"unknown topology kind {self.kind!r}; "
@@ -458,8 +544,6 @@ class TopologySpec:
             raise ValueError(
                 "explicit topologies need num_nodes, area and tx_range"
             )
-        if self.area is not None:
-            object.__setattr__(self, "area", tuple(float(a) for a in self.area))
 
     # ------------------------------------------------------------------
     @property
@@ -503,57 +587,23 @@ class TopologySpec:
         the figure runners' numbers exactly.
         """
         if self.kind == "scenario":
-            sc = get_scenario(int(self.scenario))  # type: ignore[arg-type]
-            n = sc.num_nodes if self.num_nodes is None else int(self.num_nodes)
+            sc = get_scenario(self.scenario)  # type: ignore[arg-type]
+            n = sc.num_nodes if self.num_nodes is None else self.num_nodes
             if n == sc.num_nodes:
                 return sc.build(seed)
             return Topology.uniform_random(
                 n, sc.area, sc.tx_range, spawn_rng(seed, "scenario", sc.index)
             )
         if self.kind == "standard":
-            kwargs: Dict[str, object] = {"seed": seed, "salt": self.salt}
-            if self.num_nodes is not None:
-                kwargs["num_nodes"] = int(self.num_nodes)
-            if self.area is not None:
-                kwargs["area"] = self.area
-            if self.tx_range is not None:
-                kwargs["tx_range"] = float(self.tx_range)
-            return standard_topology(**kwargs)  # type: ignore[arg-type]
-        return build_topology(
-            int(self.num_nodes),  # type: ignore[arg-type]
-            self.area,  # type: ignore[arg-type]
-            float(self.tx_range),  # type: ignore[arg-type]
-            seed=seed,
-            salt=self.salt,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        salt = self.salt if isinstance(self.salt, str) else list(self.salt)
-        out: Dict[str, object] = {"kind": self.kind, "salt": salt}
-        if self.num_nodes is not None:
-            out["num_nodes"] = int(self.num_nodes)
-        if self.scenario is not None:
-            out["scenario"] = int(self.scenario)
-        if self.area is not None:
-            out["area"] = [float(a) for a in self.area]
-        if self.tx_range is not None:
-            out["tx_range"] = float(self.tx_range)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TopologySpec":
-        kwargs = dict(data)
-        if kwargs.get("area") is not None:
-            kwargs["area"] = tuple(kwargs["area"])  # type: ignore[arg-type]
-        if isinstance(kwargs.get("salt"), list):
-            kwargs["salt"] = tuple(kwargs["salt"])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
+            given = {"num_nodes": self.num_nodes, "area": self.area, "tx_range": self.tx_range}
+            kwargs = {k: v for k, v in given.items() if v is not None}
+            return standard_topology(seed=seed, salt=self.salt, **kwargs)  # type: ignore[arg-type]
+        return build_topology(self.num_nodes, self.area, self.tx_range, seed=seed, salt=self.salt)
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, eq=True)
-class CellSpec:
+@_spec("cell", versioned=True)
+class CellSpec(_Spec):
     """One independent unit of campaign work.
 
     ``params`` holds :class:`CARDParams` *overrides* (unset fields keep
@@ -564,8 +614,7 @@ class CellSpec:
     maintenance, metrics binned over time); setting ``des`` makes it an
     **event-driven** cell (message-level simulation with per-link
     latency/loss — the regime's duration lives inside :class:`DesSpec`,
-    and ``mobility`` is optional).  The extra fields are only serialised
-    when set, so snapshot cells keep their pre-extension content hashes.
+    and ``mobility`` is optional).
 
     ``regime`` is a redundant declaration (``"snapshot" | "series" |
     "des"``) checked against what the other fields imply — it never
@@ -573,56 +622,35 @@ class CellSpec:
     regime at construction time instead of at execution time.
     """
 
-    topology: TopologySpec
-    params: Mapping[str, object] = field(default_factory=dict)
-    seed: int = 0
-    metrics: Tuple[str, ...] = ("reachability",)
-    num_sources: Optional[int] = None
+    topology: TopologySpec = _field(emit="always", spec=TopologySpec)
+    params: Mapping[str, object] = _field(emit="always", factory=dict, coerce=_json_map)
+    seed: int = _field(0, emit="always", coerce=_int())
+    metrics: Tuple[str, ...] = _field(("reachability",), emit="always", coerce=_metrics)
+    num_sources: Optional[int] = _field(None, emit="when_set", coerce=_count)
     #: simulated seconds after bootstrap (time-series cells only)
-    duration: Optional[float] = None
+    duration: Optional[float] = _field(None, emit="when_set", coerce=_float(0, strict=True))
     #: how nodes move during the run (time-series cells only)
-    mobility: Optional[MobilitySpec] = None
+    mobility: Optional[MobilitySpec] = _field(None, emit="when_set", spec=MobilitySpec)
     #: query-workload knobs for the comparison/query/failures families
-    workload: Optional[Mapping[str, object]] = None
+    workload: Optional[Mapping[str, object]] = _field(None, emit="when_set", coerce=_json_map)
     #: run contact selection on *every* node and use ``num_sources`` only
     #: to bound the measured sample (depth ≥ 2 reachability follows
     #: contacts of non-source nodes — Fig 8's regime)
-    full_selection: bool = False
+    full_selection: bool = _field(False, emit="when_set")
     #: event-driven regime knobs (event-driven cells only)
-    des: Optional[DesSpec] = None
+    des: Optional[DesSpec] = _field(None, emit="when_set", spec=DesSpec)
     #: optional declared regime, validated against the derived one;
     #: normalised to the derived regime and never serialised
-    regime: Optional[str] = None
+    regime: Optional[str] = _field(None, emit="never")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "params",
-            {k: _json_value(k, v) for k, v in dict(self.params).items()},
-        )
-        _reject_bare_string("metrics", self.metrics)
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        unknown = set(self.metrics) - set(METRIC_FAMILIES)
-        if unknown:
-            raise ValueError(
-                f"unknown metric families {sorted(unknown)}; "
-                f"known: {METRIC_FAMILIES}"
-            )
-        if not self.metrics:
-            raise ValueError("a cell must record at least one metric family")
+    def _validate(self) -> None:
         self._validate_regime()
         if self.workload is not None:
-            object.__setattr__(
-                self,
-                "workload",
-                {k: _json_value(k, v) for k, v in dict(self.workload).items()},
-            )
             self._validate_workload()
 
     def _validate_regime(self) -> None:
-        series = set(self.metrics) & set(SERIES_METRIC_FAMILIES)
-        snapshot = set(self.metrics) & set(SNAPSHOT_METRIC_FAMILIES)
-        exclusive = set(self.metrics) & EXCLUSIVE_METRIC_FAMILIES
+        metrics = set(self.metrics)
+        exclusive = metrics & EXCLUSIVE_METRIC_FAMILIES
         if exclusive and len(self.metrics) > 1:
             raise ValueError(
                 f"metric families {sorted(exclusive)} run their own "
@@ -663,14 +691,12 @@ class CellSpec:
             "series" if self.duration is not None else "snapshot"
         )
         if self.duration is not None:
-            if float(self.duration) <= 0:
-                raise ValueError("duration must be positive")
-            object.__setattr__(self, "duration", float(self.duration))
             if self.mobility is None:
                 raise ValueError(
                     "time-series cells need a mobility model "
                     "(set mobility=MobilitySpec(...))"
                 )
+            snapshot = metrics & _SNAPSHOT_FAMILIES
             if snapshot:
                 raise ValueError(
                     f"snapshot metric families {sorted(snapshot)} cannot be "
@@ -681,7 +707,7 @@ class CellSpec:
                 raise ValueError(
                     "full_selection only applies to snapshot cells"
                 )
-        elif series:
+        elif series := metrics & _SERIES_FAMILIES:
             raise ValueError(
                 f"time-series metric families {sorted(series)} need "
                 "duration and mobility"
@@ -709,9 +735,7 @@ class CellSpec:
                 f"unknown workload keys {sorted(unknown)}; "
                 f"known: {sorted(WORKLOAD_KEYS)}"
             )
-        nq = self.workload.get("num_queries")  # type: ignore[union-attr]
-        if not isinstance(nq, int) or nq < 1:
-            raise ValueError("workload needs num_queries >= 1")
+        _count("workload num_queries", self.workload.get("num_queries"))  # type: ignore[union-attr]
         scheme = self.workload.get("scheme")  # type: ignore[union-attr]
         if "query" in families:
             if scheme not in QUERY_SCHEMES:
@@ -743,48 +767,14 @@ class CellSpec:
         """The full CARD parameter set this cell runs with."""
         return CARDParams.from_dict(self.params)
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "v": SPEC_VERSION,
-            "topology": self.topology.to_dict(),
-            "params": dict(self.params),
-            "seed": int(self.seed),
-            "metrics": list(self.metrics),
-        }
-        if self.num_sources is not None:
-            out["num_sources"] = int(self.num_sources)
-        if self.duration is not None:
-            out["duration"] = float(self.duration)
-        if self.mobility is not None:
-            out["mobility"] = self.mobility.to_dict()
-        if self.workload is not None:
-            out["workload"] = dict(self.workload)
-        if self.full_selection:
-            out["full_selection"] = True
-        if self.des is not None:
-            out["des"] = self.des.to_dict()
-        # ``regime`` is derived — never serialised, never hashed.
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CellSpec":
-        kwargs = dict(data)
-        _check_version("cell", kwargs.pop("v", SPEC_VERSION))
-        kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])  # type: ignore[arg-type]
-        if kwargs.get("mobility") is not None:
-            kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])  # type: ignore[arg-type]
-        if kwargs.get("des") is not None:
-            kwargs["des"] = DesSpec.from_dict(kwargs["des"])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
-
     def key(self) -> str:
         """Stable content hash identifying this cell in a result store."""
         return content_hash(self.to_dict())
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CaseSpec:
+@_spec("case")
+class CaseSpec(_Spec):
     """One labeled variant of a campaign — for sweeps a grid can't express.
 
     A case bundles parameter overrides with an optional per-case topology
@@ -797,132 +787,54 @@ class CaseSpec:
     results valid.
     """
 
-    label: str
-    params: Mapping[str, object] = field(default_factory=dict)
-    topology: Optional[TopologySpec] = None
-    mobility: Optional[MobilitySpec] = None
-    workload: Optional[Mapping[str, object]] = None
-    des: Optional[DesSpec] = None
+    label: str = _field(emit="always")
+    params: Mapping[str, object] = _field(emit="when_set", factory=dict, coerce=_json_map)
+    topology: Optional[TopologySpec] = _field(None, emit="when_set", spec=TopologySpec)
+    mobility: Optional[MobilitySpec] = _field(None, emit="when_set", spec=MobilitySpec)
+    workload: Optional[Mapping[str, object]] = _field(None, emit="when_set", coerce=_json_map)
+    des: Optional[DesSpec] = _field(None, emit="when_set", spec=DesSpec)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.label or not isinstance(self.label, str):
             raise ValueError("a case needs a non-empty string label")
-        object.__setattr__(
-            self,
-            "params",
-            {k: _json_value(k, v) for k, v in dict(self.params).items()},
-        )
-        if self.workload is not None:
-            object.__setattr__(
-                self,
-                "workload",
-                {k: _json_value(k, v) for k, v in dict(self.workload).items()},
-            )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"label": self.label}
-        if self.params:
-            out["params"] = dict(self.params)
-        if self.topology is not None:
-            out["topology"] = self.topology.to_dict()
-        if self.mobility is not None:
-            out["mobility"] = self.mobility.to_dict()
-        if self.workload is not None:
-            out["workload"] = dict(self.workload)
-        if self.des is not None:
-            out["des"] = self.des.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CaseSpec":
-        kwargs = dict(data)
-        if kwargs.get("topology") is not None:
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])  # type: ignore[arg-type]
-        if kwargs.get("mobility") is not None:
-            kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])  # type: ignore[arg-type]
-        if kwargs.get("des") is not None:
-            kwargs["des"] = DesSpec.from_dict(kwargs["des"])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CampaignSpec:
+@_spec("campaign", versioned=True)
+class CampaignSpec(_Spec):
     """A declarative sweep: (cases ×) topologies × parameter grid × seeds.
 
-    Attributes
-    ----------
-    name, description:
-        Identity for reports and store metadata.
-    topologies:
-        One or more :class:`TopologySpec` recipes.  May be empty when
-        every case carries its own topology.
-    base_params:
-        :class:`CARDParams` overrides shared by every cell.
-    grid:
-        Parameter name → list of values; the Cartesian product over
-        (sorted) grid axes is taken, each combination layered on top of
-        ``base_params``.
-    cases:
-        Labeled variants (see :class:`CaseSpec`); case params layer on
-        top of the grid combination, and a case may override topology,
-        mobility or workload.  Empty = one implicit unlabeled case.
-    seeds:
-        Root seeds; every (case, topology, combination) runs once per
-        seed.
-    metrics:
-        Metric families recorded per cell (see :data:`METRIC_FAMILIES`).
-    num_sources:
-        Measure a reproducible sample of this many source nodes
-        (None = all nodes).
-    duration, mobility:
-        Switch the campaign's cells to the time-series regime
-        (:class:`MobilitySpec` may also come per case).
-    des:
-        Switch the campaign's cells to the event-driven regime
-        (:class:`DesSpec` may also come per case; a case's spec wins).
-    workload:
-        Query-workload knobs shared by every cell; a case's workload is
-        merged on top.
-    full_selection:
-        See :attr:`CellSpec.full_selection`.
+    Every (case, topology, grid combination) runs once per seed, and the
+    regime fields (``metrics`` … ``des``) reach every cell; see
+    :meth:`labeled_cells` for what a case overrides.
     """
 
-    name: str
-    topologies: Tuple[TopologySpec, ...] = ()
-    base_params: Mapping[str, object] = field(default_factory=dict)
-    grid: Mapping[str, Sequence[object]] = field(default_factory=dict)
-    cases: Tuple[CaseSpec, ...] = ()
-    seeds: Tuple[int, ...] = (0,)
-    metrics: Tuple[str, ...] = ("reachability",)
-    num_sources: Optional[int] = None
-    duration: Optional[float] = None
-    mobility: Optional[MobilitySpec] = None
-    workload: Optional[Mapping[str, object]] = None
-    full_selection: bool = False
-    des: Optional[DesSpec] = None
-    description: str = ""
+    #: identity for reports and store metadata (with ``description``)
+    name: str = _field(emit="always")
+    #: topology recipes; may be empty when every case carries its own
+    topologies: Tuple[TopologySpec, ...] = _field((), emit="always", spec=TopologySpec, coerce=_tuple)
+    #: :class:`CARDParams` overrides shared by every cell
+    base_params: Mapping[str, object] = _field(emit="always", factory=dict, coerce=_json_map)
+    #: knob → values; the product over sorted axes layers on ``base_params``
+    grid: Mapping[str, Sequence[object]] = _field(emit="always", factory=dict, coerce=_json_grid)
+    #: labeled variants; empty = one implicit unlabeled case
+    cases: Tuple[CaseSpec, ...] = _field((), emit="when_set", spec=CaseSpec, coerce=_tuple)
+    seeds: Tuple[int, ...] = _field((0,), emit="always", coerce=_ints)
+    metrics: Tuple[str, ...] = _field(("reachability",), emit="always", coerce=_metrics)
+    #: a reproducible sample of this many source nodes (None = all nodes)
+    num_sources: Optional[int] = _field(None, emit="always", coerce=_count)
+    #: with ``mobility``: the time-series regime
+    duration: Optional[float] = _field(None, emit="when_set", coerce=_float(0, strict=True))
+    mobility: Optional[MobilitySpec] = _field(None, emit="when_set", spec=MobilitySpec)
+    #: query-workload knobs; a case's workload is merged on top
+    workload: Optional[Mapping[str, object]] = _field(None, emit="when_set", coerce=_json_map)
+    #: see :attr:`CellSpec.full_selection`
+    full_selection: bool = _field(False, emit="when_set")
+    #: the event-driven regime
+    des: Optional[DesSpec] = _field(None, emit="when_set", spec=DesSpec)
+    description: str = _field("", emit="always")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "topologies", tuple(self.topologies))
-        object.__setattr__(self, "cases", tuple(self.cases))
-        object.__setattr__(
-            self,
-            "base_params",
-            {k: _json_value(k, v) for k, v in dict(self.base_params).items()},
-        )
-        for axis, axis_values in dict(self.grid).items():
-            _reject_bare_string(f"grid axis {axis!r}", axis_values)
-        _reject_bare_string("seeds", self.seeds)
-        _reject_bare_string("metrics", self.metrics)
-        object.__setattr__(
-            self,
-            "grid",
-            {k: _json_value(k, list(v)) for k, v in dict(self.grid).items()},
-        )
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+    def _validate(self) -> None:
         if not self.topologies and not (
             self.cases and all(c.topology is not None for c in self.cases)
         ):
@@ -967,58 +879,27 @@ class CampaignSpec:
         The label is ``None`` for campaigns without cases.  This is the
         single expansion path: :meth:`expand` is its label-free view, so
         a reducer looking cells up by case label always agrees with what
-        the runner executed.
+        the runner executed.  A case's topology, mobility and des replace
+        the campaign's, its workload merges over the campaign's and its
+        params layer over the grid combination.
         """
         out: List[Tuple[Optional[str], CellSpec]] = []
-        cases: Sequence[Optional[CaseSpec]] = self.cases or (None,)
-        for case in cases:
-            if case is not None and case.topology is not None:
-                topologies: Tuple[TopologySpec, ...] = (case.topology,)
-            else:
-                topologies = self.topologies
-            mobility = (
-                case.mobility
-                if case is not None and case.mobility is not None
-                else self.mobility
+        for case in self.cases or (None,):
+            over = case or _NO_CASE
+            workload = None
+            if self.workload is not None or over.workload is not None:
+                workload = {**(self.workload or {}), **(over.workload or {})}
+            shared = dict(
+                metrics=self.metrics, num_sources=self.num_sources, duration=self.duration,
+                mobility=over.mobility or self.mobility, des=over.des or self.des,
+                workload=workload, full_selection=self.full_selection,
             )
-            des = (
-                case.des
-                if case is not None and case.des is not None
-                else self.des
-            )
-            workload: Optional[Dict[str, object]] = None
-            if self.workload is not None or (
-                case is not None and case.workload is not None
-            ):
-                workload = {
-                    **(dict(self.workload) if self.workload else {}),
-                    **(dict(case.workload) if case and case.workload else {}),
-                }
-            for topo in topologies:
+            for topo in (over.topology,) if over.topology else self.topologies:
                 for combo in self.grid_combinations():
-                    params = {
-                        **self.base_params,
-                        **combo,
-                        **(case.params if case is not None else {}),
-                    }
+                    params = {**self.base_params, **combo, **over.params}
                     for seed in self.seeds:
-                        out.append(
-                            (
-                                case.label if case is not None else None,
-                                CellSpec(
-                                    topology=topo,
-                                    params=params,
-                                    seed=seed,
-                                    metrics=self.metrics,
-                                    num_sources=self.num_sources,
-                                    duration=self.duration,
-                                    mobility=mobility,
-                                    workload=workload,
-                                    full_selection=self.full_selection,
-                                    des=des,
-                                ),
-                            )
-                        )
+                        cell = CellSpec(topology=topo, params=params, seed=seed, **shared)
+                        out.append((case and case.label, cell))
         return out
 
     def expand(self) -> List[CellSpec]:
@@ -1040,63 +921,13 @@ class CampaignSpec:
     @property
     def num_cells(self) -> int:
         """Cells in the expansion (duplicates counted, as ``expand``)."""
-        combos = 1
-        for values in self.grid.values():
-            combos *= len(values)
-        per_case = []
-        for case in self.cases or (None,):
-            n_topo = (
-                1
-                if case is not None and case.topology is not None
-                else len(self.topologies)
-            )
-            per_case.append(n_topo * combos * len(self.seeds))
-        return sum(per_case)
+        topologies = sum(
+            1 if case and case.topology else len(self.topologies)
+            for case in self.cases or (None,)
+        )
+        return topologies * math.prod(map(len, self.grid.values())) * len(self.seeds)
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "v": SPEC_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "topologies": [t.to_dict() for t in self.topologies],
-            "base_params": dict(self.base_params),
-            "grid": {k: list(v) for k, v in self.grid.items()},
-            "seeds": list(self.seeds),
-            "metrics": list(self.metrics),
-            "num_sources": self.num_sources,
-        }
-        if self.cases:
-            out["cases"] = [c.to_dict() for c in self.cases]
-        if self.duration is not None:
-            out["duration"] = float(self.duration)
-        if self.mobility is not None:
-            out["mobility"] = self.mobility.to_dict()
-        if self.workload is not None:
-            out["workload"] = dict(self.workload)
-        if self.full_selection:
-            out["full_selection"] = True
-        if self.des is not None:
-            out["des"] = self.des.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
-        kwargs = dict(data)
-        _check_version("campaign", kwargs.pop("v", SPEC_VERSION))
-        kwargs["topologies"] = tuple(
-            TopologySpec.from_dict(t) for t in kwargs["topologies"]  # type: ignore[union-attr]
-        )
-        if kwargs.get("cases"):
-            kwargs["cases"] = tuple(
-                CaseSpec.from_dict(c) for c in kwargs["cases"]  # type: ignore[union-attr]
-            )
-        if kwargs.get("mobility") is not None:
-            kwargs["mobility"] = MobilitySpec.from_dict(kwargs["mobility"])  # type: ignore[arg-type]
-        if kwargs.get("des") is not None:
-            kwargs["des"] = DesSpec.from_dict(kwargs["des"])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
-
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
@@ -1112,3 +943,7 @@ class CampaignSpec:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+#: the overrides of a campaign without cases: none
+_NO_CASE = CaseSpec(label="-")

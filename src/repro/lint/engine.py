@@ -152,34 +152,6 @@ DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
     ),
 )
 
-#: Frozen serialisation schema of the content-hashed spec dataclasses:
-#: ``always`` keys are emitted unconditionally by ``to_dict`` (changing
-#: this set changes every existing cell hash), ``never`` fields are
-#: intentionally not serialised.  Every other dataclass field must be
-#: emitted *only when set*.  ``MobilitySpec`` is excluded: its emission
-#: set is data-driven (``MOBILITY_MODELS``), not literal keys.
-DEFAULT_SPEC_SERIALISATION: Mapping[str, Mapping[str, Tuple[str, ...]]] = {
-    "CellSpec": {
-        "always": ("v", "topology", "params", "seed", "metrics"),
-        "never": ("regime",),
-    },
-    "CaseSpec": {"always": ("label",), "never": ()},
-    "DesSpec": {
-        "always": (
-            "latency",
-            "jitter",
-            "loss",
-            "duration",
-            "num_queries",
-            "query_timeout",
-            "retries",
-        ),
-        "never": (),
-    },
-    "TopologySpec": {"always": ("kind", "salt"), "never": ()},
-}
-
-
 @dataclass
 class LintConfig:
     """What the rules check and where — the repo's invariants as data."""
@@ -196,11 +168,6 @@ class LintConfig:
     jsonl_modules: Tuple[str, ...] = ("repro.campaign.store", "repro.obs.trace")
     #: module prefixes where swallowed exceptions are forbidden (CARD-C03)
     lease_modules: Tuple[str, ...] = ("repro.service",)
-    #: module holding the content-hashed spec dataclasses (CARD-S01)
-    spec_module: str = "repro.campaign.spec"
-    spec_serialisation: Mapping[str, Mapping[str, Tuple[str, ...]]] = field(
-        default_factory=lambda: dict(DEFAULT_SPEC_SERIALISATION)
-    )
     #: entry points whose import closure must be entropy-free (CARD-D03)
     cell_entry_roots: Tuple[str, ...] = ("repro.campaign.runner",)
     layer_constraints: Tuple[LayerConstraint, ...] = DEFAULT_LAYER_CONSTRAINTS

@@ -50,18 +50,12 @@ Concurrency/durability discipline:
   never interleave;
 * **CARD-C03** — no silently swallowed broad exceptions in the
   lease/commit/heartbeat paths (``repro.service``).
-
-Spec hygiene:
-
-* **CARD-S01** — new fields on the content-hashed spec dataclasses must
-  be serialised only-when-set (and the frozen always-emitted key set
-  must not change), so every pre-existing store stays warm.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import Finding, LintConfig, ModuleUnit
 from repro.lint.importgraph import ImportGraph
@@ -736,153 +730,6 @@ class SwallowedExceptionRule(Rule):
 
 
 # ----------------------------------------------------------------------
-class SpecHygieneRule(Rule):
-    id = "CARD-S01"
-    category = "spec"
-    summary = (
-        "content-hashed spec dataclasses serialise new fields "
-        "only-when-set, keeping every existing store's hashes warm"
-    )
-
-    def check(self, unit: ModuleUnit, config: LintConfig) -> List[Finding]:
-        if unit.module != config.spec_module:
-            return []
-        findings: List[Finding] = []
-        for node in unit.tree.body:  # type: ignore[attr-defined]
-            if not isinstance(node, ast.ClassDef):
-                continue
-            schema = config.spec_serialisation.get(node.name)
-            if schema is None:
-                continue
-            findings.extend(self._check_class(unit, node, schema))
-        return findings
-
-    def _check_class(
-        self,
-        unit: ModuleUnit,
-        cls: ast.ClassDef,
-        schema,
-    ) -> List[Finding]:
-        always = set(schema["always"])
-        never = set(schema["never"])
-        fields = [
-            stmt.target.id
-            for stmt in cls.body
-            if isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and not stmt.target.id.startswith("_")
-        ]
-        to_dict = next(
-            (
-                stmt
-                for stmt in cls.body
-                if isinstance(stmt, ast.FunctionDef)
-                and stmt.name == "to_dict"
-            ),
-            None,
-        )
-        if to_dict is None:
-            return []
-        unconditional, conditional = self._emission_sets(to_dict)
-
-        findings: List[Finding] = []
-        for key in sorted(unconditional - always):
-            findings.append(
-                self.finding(
-                    unit,
-                    to_dict,
-                    f"{cls.name}.to_dict emits {key!r} unconditionally; "
-                    "that changes the content hash of every existing "
-                    "cell — emit it only when set (inside an `if`), so "
-                    "old stores stay warm",
-                )
-            )
-        for key in sorted(always - unconditional):
-            findings.append(
-                self.finding(
-                    unit,
-                    to_dict,
-                    f"{cls.name}.to_dict no longer emits the frozen key "
-                    f"{key!r} unconditionally; removing or gating an "
-                    "always-emitted key invalidates every existing "
-                    "content hash",
-                )
-            )
-        for name in fields:
-            if name in always or name in never:
-                continue
-            if name not in unconditional and name not in conditional:
-                findings.append(
-                    self.finding(
-                        unit,
-                        to_dict,
-                        f"{cls.name}.{name} is never serialised by "
-                        "to_dict; the field would not enter the content "
-                        "hash, so two different cells could collide — "
-                        "serialise it only-when-set (or declare it in "
-                        "the never-serialised allowlist)",
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _emission_sets(func: ast.FunctionDef) -> Tuple[Set[str], Set[str]]:
-        """Keys ``to_dict`` emits (unconditionally, conditionally)."""
-        unconditional: Set[str] = set()
-        conditional: Set[str] = set()
-
-        def literal_keys(node: ast.AST) -> Iterable[str]:
-            if isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        yield key.value
-            if isinstance(node, ast.Call):
-                # dict(k=..., ...)
-                if isinstance(node.func, ast.Name) and node.func.id == "dict":
-                    for kw in node.keywords:
-                        if kw.arg is not None:
-                            yield kw.arg
-
-        def emitted_key(stmt: ast.stmt) -> Iterable[str]:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                yield from literal_keys(stmt.value)
-                return
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    yield target.slice.value
-                elif isinstance(target, ast.Name) and value is not None:
-                    yield from literal_keys(value)
-
-        def walk(stmts: Sequence[ast.stmt], guarded: bool) -> None:
-            for stmt in stmts:
-                for key in emitted_key(stmt):
-                    (conditional if guarded else unconditional).add(key)
-                for attr in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, attr, None)
-                    if inner:
-                        walk(inner, True)
-                for handler in getattr(stmt, "handlers", ()) or ():
-                    walk(handler.body, True)
-
-        walk(func.body, False)
-        # a key emitted on both arms counts as unconditional only via the
-        # unguarded path; conditional-set may overlap, which is fine
-        return unconditional, conditional
-
-
-# ----------------------------------------------------------------------
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     GlobalRngRule(),
@@ -894,7 +741,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),
-    SpecHygieneRule(),
 )
 
 

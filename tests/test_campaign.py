@@ -466,7 +466,7 @@ class TestCLI:
         text = spec_path.read_text().replace("num_nodes", "num_node")
         spec_path.write_text(text)
         assert campaign_main(["status", str(spec_path)]) == 1
-        assert "unexpected keyword argument" in capsys.readouterr().err
+        assert "unknown topology keys ['num_node']" in capsys.readouterr().err
 
 
 class TestLayering:

@@ -47,7 +47,6 @@ RULE_IDS = {
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
-    "CARD-S01",
 }
 
 
@@ -572,63 +571,6 @@ class TestSwallowedExceptionRule:
             },
         )
         assert lint_pkg(pkg, select=("CARD-C03",)).findings == []
-
-
-class TestSpecHygieneRule:
-    GOOD = """
-    class CellSpec:
-        v: int
-        topology: str
-        params: dict
-        seed: int
-        metrics: tuple
-        regime: str
-        extra: float = None
-
-        def to_dict(self):
-            data = {
-                "v": self.v,
-                "topology": self.topology,
-                "params": self.params,
-                "seed": self.seed,
-                "metrics": self.metrics,
-            }
-            if self.extra is not None:
-                data["extra"] = self.extra
-            return data
-    """
-
-    def _lint_spec(self, tmp_path, source):
-        pkg = make_pkg(tmp_path, {"campaign/spec.py": source})
-        return lint_pkg(pkg, select=("CARD-S01",))
-
-    def test_only_when_set_serialisation_clean(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert self._lint_spec(tmp_path, self.GOOD).findings == []
-
-    def test_unconditional_new_field_flagged(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self.GOOD.replace(
-            '"metrics": self.metrics,',
-            '"metrics": self.metrics,\n                "extra": self.extra,',
-        )
-        report = self._lint_spec(tmp_path, bad)
-        assert rules_hit(report) == ["CARD-S01"]
-        assert "'extra' unconditionally" in report.findings[0].message
-
-    def test_dropped_frozen_key_flagged(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self.GOOD.replace('"seed": self.seed,', "")
-        report = self._lint_spec(tmp_path, bad)
-        assert any("'seed'" in f.message for f in report.findings)
-
-    def test_never_serialised_field_flagged(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bad = self.GOOD.replace(
-            "extra: float = None", "extra: float = None\n        ghost: int = 0"
-        )
-        report = self._lint_spec(tmp_path, bad)
-        assert any("ghost" in f.message for f in report.findings)
 
 
 # ----------------------------------------------------------------------
