@@ -16,13 +16,13 @@ from the cell's own seed — so the worker count and completion order
 cannot change any stored metric, only the wall-clock.
 
 :func:`execute_cell` is the single entry point workers run.  It covers
-both measurement regimes: snapshot cells (contact selection on a static
-topology, plus the structural/workload families) and time-series cells
+the three measurement regimes: snapshot cells (contact selection on a static
+topology, plus the structural/workload families), time-series cells
 (:class:`~repro.core.runner.TimeSeriesRunner` under a declarative
-:class:`~repro.campaign.spec.MobilitySpec`).  Every executor path
-mirrors the corresponding legacy figure runner's construction order and
-RNG streams exactly — that is what lets the table reducers
-above the engine rebuild the legacy tables bit-for-bit.
+:class:`~repro.campaign.spec.MobilitySpec`) and event-driven cells
+(:class:`~repro.core.des_runner.DesRunner`).  Series and des cells run on
+one engine: a series run is a des run with no query workload, plus a
+sampler that closes each stats bin.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
 from repro.core.reachability import reachability_distribution
+from repro.core.des_runner import DesRunner
 from repro.core.runner import SnapshotRunner, TimeSeriesRunner
 from repro.des.engine import Simulator
 from repro.discovery.base import CARDDiscoveryAdapter
@@ -107,10 +108,8 @@ def execute_cell(cell: CellSpec) -> Dict[str, object]:
     """
     with obs.span("topology_build"):
         topo = cell.topology.build(cell.seed)
-    if cell.is_des:
-        out = _execute_des(cell, topo)
-    elif cell.is_time_series:
-        out = _execute_series(cell, topo)
+    if cell.is_des or cell.is_time_series:
+        out = _execute_mobile(cell, topo)
     else:
         out = _execute_snapshot(cell, topo)
     if obs.active():
@@ -121,14 +120,26 @@ def execute_cell(cell: CellSpec) -> Dict[str, object]:
     return out
 
 
-def _execute_des(cell: CellSpec, topo: Topology) -> Dict[str, object]:
-    """Event-driven regime: message-level DES with per-link latency/loss."""
-    from repro.core.des_runner import DesRunner
-
+def _execute_mobile(cell: CellSpec, topo: Topology) -> Dict[str, object]:
+    """Series and event-driven regimes, one engine: a series cell is a
+    des run with no query workload plus a bin sampler; a des cell adds
+    message-level DSQs with per-link latency/loss."""
     params = cell.resolved_params()
     sources = sample_sources(topo.num_nodes, cell.num_sources, cell.seed)
+    factory = None if cell.mobility is None else cell.mobility.factory()
     des = cell.des
-    assert des is not None  # guaranteed by CellSpec._validate_regime
+    if des is None:
+        series = TimeSeriesRunner(
+            topo,
+            params,
+            factory,
+            duration=cell.duration,  # type: ignore[arg-type]
+            seed=cell.seed,
+            sources=sources,
+            track_link_deltas="churn" in cell.metrics,
+        )
+        with obs.span("metrics:series"):
+            return series.run().to_metrics(cell.metrics)
     runner = DesRunner(
         topo,
         params,
@@ -139,28 +150,9 @@ def _execute_des(cell: CellSpec, topo: Topology) -> Dict[str, object]:
         retries=des.retries,
         seed=cell.seed,
         sources=sources,
-        mobility_factory=(
-            cell.mobility.factory() if cell.mobility is not None else None
-        ),
+        mobility_factory=factory,
     )
     with obs.span("des_run"):
-        return runner.run().to_metrics(cell.metrics)
-
-
-def _execute_series(cell: CellSpec, topo: Topology) -> Dict[str, object]:
-    """Time-series regime: mobility + periodic maintenance, binned."""
-    params = cell.resolved_params()
-    sources = sample_sources(topo.num_nodes, cell.num_sources, cell.seed)
-    runner = TimeSeriesRunner(
-        topo,
-        params,
-        cell.mobility.factory(),  # type: ignore[union-attr]
-        duration=cell.duration,  # type: ignore[arg-type]
-        seed=cell.seed,
-        sources=sources,
-        track_link_deltas="churn" in cell.metrics,
-    )
-    with obs.span("metrics:series"):
         return runner.run().to_metrics(cell.metrics)
 
 

@@ -20,10 +20,11 @@ Modules
   5 %-bin distribution;
 * :mod:`repro.core.runner` — :class:`SnapshotRunner` (static topology,
   Figs 3-9, 14) and :class:`TimeSeriesRunner` (mobility + maintenance,
-  Figs 10-13);
+  Figs 10-13: the des engine with no query workload, plus a bin sampler);
 * :mod:`repro.core.des_runner` — :class:`DesRunner`, the event-driven
   message-level regime (per-link latency/loss, query timeout/retry,
-  staleness races; the NS-2-style evaluation).
+  staleness races; the NS-2-style evaluation) and the one engine every
+  mobile run uses.
 """
 
 from repro.core.params import CARDParams, SelectionMethod

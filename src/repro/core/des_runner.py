@@ -1,9 +1,9 @@
-"""The event-driven (``des``) measurement regime.
+"""The event-driven (``des``) measurement regime — the one mobile-run engine.
 
 The paper evaluated CARD in NS-2, a message-level event-driven simulator.
-The snapshot and series runners deliberately abstract that away — every
-hop is synchronous, so a query can never *race* topology churn, and there
-is no latency to report.  :class:`DesRunner` closes that gap:
+The snapshot runner deliberately abstracts that away — every hop is
+synchronous, so a query can never *race* topology churn, and there is no
+latency to report.  :class:`DesRunner` closes that gap:
 
 * every DSQ hop is a scheduled :meth:`~repro.net.network.Network.deliver`
   with per-link latency, jitter and loss (:class:`~repro.net.link.LinkSpec`);
@@ -14,6 +14,11 @@ is no latency to report.  :class:`DesRunner` closes that gap:
   measures (``stale_drops`` vs ``loss_drops``);
 * queries time out and retry against the source's *current* contact
   table, up to a retry budget.
+
+The series regime runs on the same engine: a
+:class:`~repro.core.runner.TimeSeriesRunner` is a :class:`DesRunner` with
+no query workload plus a bin sampler, so both regimes share one
+bootstrap, one mobility driver and one set of validation timers.
 
 Determinism: all randomness flows from the root seed through named
 streams (:class:`~repro.util.rng.RngStreams` for workload/timers/mobility,
@@ -58,9 +63,7 @@ class _Query:
         "source",
         "target",
         "t0",
-        "launched_at",
         "done",
-        "succeeded",
         "attempt",
         "timeout_handle",
     )
@@ -70,9 +73,7 @@ class _Query:
         self.target = target
         #: workload launch time (latency is measured from here, across retries)
         self.t0 = t0
-        self.launched_at = t0
         self.done = False
-        self.succeeded = False
         self.attempt = 0
         self.timeout_handle: Optional[EventHandle] = None
 
@@ -204,6 +205,9 @@ class DesRunner:
         check_positive("query_timeout", query_timeout)
         if num_queries < 0:
             raise ValueError("num_queries must be >= 0")
+        if num_queries > 0 and topology.num_nodes < 2:
+            # a query needs a target other than its source
+            raise ValueError("a query workload needs at least 2 nodes")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.topology = topology
@@ -241,6 +245,9 @@ class DesRunner:
         self.stale_drops = 0
         self.loss_drops = 0
         self.contacts_lost = 0
+        self._driver: Optional[MobilityDriver] = None
+        #: the run's periodic processes, stopped together at the horizon
+        self._procs: List[PeriodicProcess] = []
 
     # ------------------------------------------------------------------
     # workload generation
@@ -279,7 +286,6 @@ class DesRunner:
         """(Re)issue ``q`` from its source against the current tables."""
         if q.done:
             return
-        q.launched_at = self.sim.now
         if self.protocol.tables.contains(q.source, q.target):
             # intra-zone: proactive routing already knows the target
             self.zone_hits += 1
@@ -371,7 +377,6 @@ class DesRunner:
         if q.done:
             return
         q.done = True
-        q.succeeded = True
         self.successes += 1
         self.latencies.append(self.sim.now - q.t0)
         if q.timeout_handle is not None:
@@ -396,25 +401,23 @@ class DesRunner:
         outcomes, _reselect = self.protocol.maintain(source)
         self.contacts_lost += sum(1 for o in outcomes if not o.ok)
 
-    # ------------------------------------------------------------------
-    def run(self) -> DesResult:
+    def _start(self, *, track_deltas: bool = False) -> None:
+        """Bootstrap contacts, zero the counters, wire mobility and the
+        per-source validation timers (jittered phases)."""
         p = self.params
-        stats = self.network.stats
         with obs.span("bootstrap"):
             self.protocol.bootstrap(self.sources)
-        stats.reset()
+        self.network.stats.reset()
         self.network.byte_seconds = 0.0
-        driver = (
-            MobilityDriver(
+        if self.mobility is not None:
+            self._driver = MobilityDriver(
                 self.sim,
                 self.topology,
                 self.mobility,
                 step_interval=self.mobility_step,
+                track_deltas=track_deltas,
             )
-            if self.mobility is not None
-            else None
-        )
-        procs = [
+        self._procs = [
             PeriodicProcess(
                 self.sim,
                 p.validation_period,
@@ -424,6 +427,18 @@ class DesRunner:
             )
             for s in self.sources
         ]
+
+    def _stop(self) -> None:
+        for proc in self._procs:
+            proc.stop()
+        if self._driver is not None:
+            self._driver.stop()
+
+    # ------------------------------------------------------------------
+    def run(self) -> DesResult:
+        p = self.params
+        stats = self.network.stats
+        self._start()
         queries = [
             _Query(s, t, at) for s, t, at in self._workload()
         ]
@@ -432,10 +447,7 @@ class DesRunner:
         dispatched_before = self.sim.events_dispatched
         with obs.span("event_dispatch"):
             self.sim.run(until=self.duration)
-        for proc in procs:
-            proc.stop()
-        if driver is not None:
-            driver.stop()
+        self._stop()
         # queries still in flight at the horizon never completed
         for q in queries:
             if not q.done:

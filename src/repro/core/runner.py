@@ -8,17 +8,20 @@ Two measurement regimes cover all of the paper's figures:
   which evaluates the *structure* CARD builds.
 * :class:`TimeSeriesRunner` — random-waypoint (or other) mobility with
   per-node periodic validation, local recovery and contact replenishment;
-  control messages are binned over time (Figs 10-13).
+  control messages are binned over time (Figs 10-13).  It is the
+  :class:`~repro.core.des_runner.DesRunner` engine with no query
+  workload, plus a sampler that closes each stats bin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.core.des_runner import DesRunner
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.core.reachability import (
@@ -28,14 +31,12 @@ from repro.core.reachability import (
     reachability_distribution,
 )
 from repro.core.selection import SourceSelectionResult
-from repro.des.engine import Simulator
 from repro.des.process import PeriodicProcess
-from repro.mobility.base import MobilityDriver, MobilityModel
+from repro.net.link import LinkSpec
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.stats import OVERHEAD_CATEGORIES
 from repro.net.topology import Topology
-from repro.util.rng import RngStreams
 
 __all__ = [
     "SnapshotRunner",
@@ -321,27 +322,21 @@ class TimeSeriesResult:
         return out
 
 
-class TimeSeriesRunner:
+class TimeSeriesRunner(DesRunner):
     """Mobility + maintenance measurement.
+
+    The :class:`~repro.core.des_runner.DesRunner` engine with no query
+    workload (so no message is ever delivered over a link), plus a
+    sampler that records contacts held and contacts lost at each stats
+    bin end.
 
     Parameters
     ----------
-    topology, params:
-        As for :class:`SnapshotRunner`.
+    topology, params, duration, seed, sources, mobility_step:
+        As for :class:`~repro.core.des_runner.DesRunner`.
     mobility_factory:
         Callable ``(positions, area, rng) -> MobilityModel`` — lets callers
         choose RWP parameters or a different model entirely.
-    duration:
-        Simulated seconds to run *after* the bootstrap selection.
-    seed:
-        Root seed (drives mobility, timers and walks independently).
-    sources:
-        Nodes that maintain contacts (default all).
-    mobility_step:
-        Topology update interval (s).
-    count_bootstrap:
-        Include the initial selection burst in the series (default False:
-        the paper's series start after the network has contacts).
     track_link_deltas:
         Record per-step link churn into ``TimeSeriesResult.link_churn``
         (costs one adjacency rebuild per mobility step).
@@ -357,99 +352,57 @@ class TimeSeriesRunner:
         seed: Optional[int] = None,
         sources: Optional[Sequence[int]] = None,
         mobility_step: float = 0.5,
-        count_bootstrap: bool = False,
         track_link_deltas: bool = False,
     ) -> None:
-        self.topology = topology
-        self.params = params
-        self.duration = float(duration)
-        self.streams = RngStreams(seed)
-        self.sim = Simulator()
-        self.network = Network(topology, sim=self.sim)
-        self.protocol = CARDProtocol(self.network, params, seed=seed)
-        self.sources = (
-            list(range(topology.num_nodes))
-            if sources is None
-            else [int(s) for s in sources]
+        super().__init__(
+            topology,
+            params,
+            link=LinkSpec(),
+            duration=duration,
+            num_queries=0,
+            seed=seed,
+            sources=sources,
+            mobility_factory=mobility_factory,
+            mobility_step=mobility_step,
         )
-        self.mobility = mobility_factory(
-            topology.positions, topology.area, self.streams.get("mobility")
-        )
-        self.mobility_step = float(mobility_step)
-        self.count_bootstrap = bool(count_bootstrap)
         self.track_link_deltas = bool(track_link_deltas)
-        self._lost_current_bin = 0
-        self._lost_per_bin: List[int] = []
-        self._contacts_samples: List[int] = []
-
-    # ------------------------------------------------------------------
-    def _maintain(self, source: int) -> None:
-        outcomes, _reselect = self.protocol.maintain(source)
-        self._lost_current_bin += sum(1 for o in outcomes if not o.ok)
-
-    def _sample_bin(self) -> None:
-        self._contacts_samples.append(self.protocol.total_contacts())
-        self._lost_per_bin.append(self._lost_current_bin)
-        self._lost_current_bin = 0
 
     # ------------------------------------------------------------------
     def run(self) -> TimeSeriesResult:
-        p = self.params
         stats = self.network.stats
-        # 1) bootstrap contacts on the initial topology
-        with obs.span("bootstrap"):
-            self.protocol.bootstrap(self.sources)
-        if not self.count_bootstrap:
-            stats.reset()
-        # 2) wire mobility
-        driver = MobilityDriver(
-            self.sim,
-            self.topology,
-            self.mobility,
-            step_interval=self.mobility_step,
-            track_deltas=self.track_link_deltas,
-        )
-        # 3) per-source validation timers (jittered phases)
-        procs = [
-            PeriodicProcess(
-                self.sim,
-                p.validation_period,
-                (lambda s=s: self._maintain(s)),
-                jitter=p.validation_jitter,
-                rng=self.streams.get("timer", s),
-            )
-            for s in self.sources
-        ]
-        # 4) bin sampler at each stats bin end
         bin_w = stats.time_bin
-        sampler = PeriodicProcess(
-            self.sim, bin_w, self._sample_bin, start_delay=bin_w
+        contacts: List[int] = []
+        lost: List[int] = []  # cumulative contacts_lost at each bin end
+
+        def sample_bin() -> None:
+            contacts.append(self.protocol.total_contacts())
+            lost.append(self.contacts_lost)
+
+        self._start(track_deltas=self.track_link_deltas)
+        # created after the timers, so same-time events keep their FIFO order
+        self._procs.append(
+            PeriodicProcess(self.sim, bin_w, sample_bin, start_delay=bin_w)
         )
         with obs.span("sim_run"):
             self.sim.run(until=self.duration)
+        self._stop()
         # flush a final partial bin sample if the horizon isn't bin-aligned
         nbins = int(np.ceil(self.duration / bin_w))
-        while len(self._contacts_samples) < nbins:
-            self._sample_bin()
-        for proc in procs:
-            proc.stop()
-        sampler.stop()
-        driver.stop()
-
-        times = [bin_w * (i + 1) for i in range(nbins)]
+        while len(contacts) < nbins:
+            sample_bin()
         return TimeSeriesResult(
-            params=p,
+            params=self.params,
             num_nodes=self.network.num_nodes,
             duration=self.duration,
             time_bin=bin_w,
-            times=times,
+            times=[bin_w * (i + 1) for i in range(nbins)],
             overhead=stats.series(OVERHEAD_CATEGORIES, self.duration),
             maintenance=stats.series([MessageKind.VALIDATION], self.duration),
             selection=stats.series([MessageKind.CONTACT_SELECTION], self.duration),
             backtracking=stats.series([MessageKind.BACKTRACK], self.duration),
-            total_contacts=list(self._contacts_samples),
-            lost_per_bin=list(self._lost_per_bin),
+            total_contacts=contacts,
+            lost_per_bin=[b - a for a, b in zip([0] + lost, lost)],
             num_sources=len(self.sources),
-            link_churn=list(driver.delta_history),
+            link_churn=list(self._driver.delta_history),  # type: ignore[union-attr]
             substrate_stats=self.protocol.tables.substrate_stats(),
         )

@@ -14,11 +14,12 @@ the network exclusively through this class:
 
 By default the façade does not model propagation delay or loss — the
 paper's simulations ignore the MAC layer, and all reported metrics are
-message *counts* and hop-level reachability.  A ``hop_delay`` can be set to
-spread events over simulated time for the time-series experiments, and the
-event-driven (``des``) regime attaches a :class:`~repro.net.link.LinkModel`
-so that :meth:`deliver` schedules receive callbacks on the simulator with
-per-link latency, jitter and loss instead of synchronous hop accounting.
+message *counts* and hop-level reachability; overhead is timestamped by
+the timer that triggered it, like the paper's per-interval accounting.
+The event-driven (``des``) regime attaches a
+:class:`~repro.net.link.LinkModel` so that :meth:`deliver` schedules
+receive callbacks on the simulator with per-link latency, jitter and loss
+instead of synchronous hop accounting.
 """
 
 from __future__ import annotations
@@ -46,29 +47,20 @@ class Network:
     sim:
         Optional simulator; when omitted a fresh one is created (snapshot
         experiments never advance it).
-    hop_delay:
-        Simulated per-hop forwarding latency in seconds.  Zero by default;
-        the time-series experiments leave it at zero and timestamp overhead
-        by the *timer* that triggered it, like the paper's per-interval
-        accounting.
     link:
         Optional :class:`~repro.net.link.LinkModel`; when present,
         :meth:`deliver` draws per-link delay/loss from it (the ``des``
-        regime).  ``hop_delay`` is ignored for delivered messages then.
+        regime).  Without one, delivered messages arrive at delay 0.
     """
 
     def __init__(
         self,
         topology: Topology,
         sim: Optional[Simulator] = None,
-        hop_delay: float = 0.0,
         link: Optional[LinkModel] = None,
     ) -> None:
-        if hop_delay < 0:
-            raise ValueError("hop_delay must be >= 0")
         self.topology = topology
         self.sim = sim if sim is not None else Simulator()
-        self.hop_delay = float(hop_delay)
         self.link = link
         self.stats = MessageStats(topology.num_nodes)
         #: ∑ wire_size × delay over scheduled deliveries — the link
@@ -102,17 +94,15 @@ class Network:
         transmitter: int,
         *,
         kind: Optional[MessageKind] = None,
-        time: Optional[float] = None,
     ) -> None:
-        """Account one transmission of ``message`` by ``transmitter``.
+        """Account one transmission of ``message`` by ``transmitter`` at
+        the simulator clock.
 
         ``kind`` overrides the message's own category — used when a CSQ hop
-        is a *backtrack* rather than forward progress.  ``time`` defaults to
-        the simulator clock.
+        is a *backtrack* rather than forward progress.
         """
         k = kind if kind is not None else message.kind
-        t = self.sim.now if time is None else time
-        self.stats.record(k, transmitter, time=t, nbytes=message.wire_size())
+        self.stats.record(k, transmitter, time=self.sim.now, nbytes=message.wire_size())
 
     def transmit_path(
         self,
@@ -120,7 +110,6 @@ class Network:
         transmitters: Sequence[int],
         *,
         kind: Optional[MessageKind] = None,
-        time: Optional[float] = None,
     ) -> None:
         """Account one transmission per entry of ``transmitters`` at once.
 
@@ -131,8 +120,9 @@ class Network:
         reading.
         """
         k = kind if kind is not None else message.kind
-        t = self.sim.now if time is None else time
-        self.stats.record_many(k, transmitters, time=t, nbytes=message.wire_size())
+        self.stats.record_many(
+            k, transmitters, time=self.sim.now, nbytes=message.wire_size()
+        )
 
     # ------------------------------------------------------------------
     # communication primitives
@@ -160,12 +150,11 @@ class Network:
         self.transmit(message, sender, kind=kind)
         if not self.are_neighbors(int(sender), int(receiver)):
             return None
+        delay = 0.0
         if self.link is not None:
             if self.link.lost(sender, receiver):
                 return None
             delay = self.link.delay(sender, receiver, message.wire_size())
-        else:
-            delay = self.hop_delay
         self.byte_seconds += message.wire_size() * delay
         return self.sim.schedule(delay, on_receive, *args)
 

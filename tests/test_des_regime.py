@@ -29,6 +29,12 @@ from repro.campaign import (
     TopologySpec,
 )
 from repro.campaign.runner import execute_cell
+from repro.core.des_runner import DesRunner
+from repro.core.params import CARDParams
+from repro.core.runner import TimeSeriesRunner
+from repro.net.link import LinkSpec
+from repro.scenarios.factory import sample_sources
+from tests.conftest import line_topology
 
 TOPO = TopologySpec(
     kind="explicit", num_nodes=60, area=(400.0, 400.0), tx_range=100.0
@@ -174,6 +180,12 @@ class TestDesCellRegime:
 
 # ----------------------------------------------------------------------
 class TestDesExecution:
+    def test_workload_needs_two_nodes(self):
+        # the target draw rejects t == s, so one node would loop forever
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            DesRunner(line_topology(1), CARDParams(), link=LinkSpec(), num_queries=1)
+        DesRunner(line_topology(1), CARDParams(), link=LinkSpec(), num_queries=0)
+
     def test_execute_cell_deterministic(self):
         cell = des_cell()
         m1, m2 = execute_cell(cell), execute_cell(cell)
@@ -215,3 +227,45 @@ class TestDesExecution:
             assert report.ok
             sharded.extend(store.keys())
         assert sorted(sharded) == sorted(whole)
+
+
+# ----------------------------------------------------------------------
+class TestOneEngine:
+    """A series run is a des run with no workload, plus a bin sampler."""
+
+    @pytest.mark.parametrize("model", ["rwp", "walk", "gauss_markov"])
+    def test_series_entry_shapes_agree(self, model):
+        cell = CellSpec(
+            topology=TOPO,
+            seed=3,
+            metrics=("series", "contacts", "churn"),
+            duration=4.0,
+            mobility=MobilitySpec(model=model),
+            num_sources=10,
+        )
+
+        def build(runner_cls, **kwargs):
+            topo = cell.topology.build(cell.seed)
+            return runner_cls(
+                topo,
+                cell.resolved_params(),
+                duration=cell.duration,
+                seed=cell.seed,
+                sources=sample_sources(topo.num_nodes, cell.num_sources, cell.seed),
+                mobility_factory=cell.mobility.factory(),
+                **kwargs,
+            )
+
+        series = build(TimeSeriesRunner, track_link_deltas=True)
+        series_result = series.run()
+        des = build(DesRunner, link=LinkSpec(), num_queries=0)
+        des_result = des.run()
+
+        stats, des_stats = series.network.stats, des.network.stats
+        assert stats.snapshot() == des_stats.snapshot()
+        assert stats.total() > 0
+        assert stats.total_bytes() == des_stats.total_bytes()
+        assert series.protocol.total_contacts() == des_result.final_contacts
+        assert sum(series_result.lost_per_bin) == des_result.contacts_lost
+        # the campaign entry point runs the same configuration
+        assert execute_cell(cell) == series_result.to_metrics(cell.metrics)

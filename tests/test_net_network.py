@@ -82,10 +82,6 @@ class TestMisc:
     def test_num_nodes(self, net):
         assert net.num_nodes == 6
 
-    def test_invalid_hop_delay(self):
-        with pytest.raises(ValueError):
-            Network(line_topology(3), hop_delay=-1.0)
-
 
 class TestLinkModelAndDeliver:
     def _net(self, **link_kw):
@@ -111,12 +107,14 @@ class TestLinkModelAndDeliver:
         h = net.deliver(FloodQuery(source=0, target=3), 0, 3, lambda: None)
         assert h is None
 
-    def test_no_link_model_uses_hop_delay(self):
-        net = Network(line_topology(6), hop_delay=0.5)
+    def test_no_link_model_delivers_at_zero_delay(self):
+        net = Network(line_topology(6))
+        net.sim.run(until=1.5)
         got = []
         net.deliver(FloodQuery(source=0, target=1), 0, 1, lambda: got.append(net.sim.now))
         net.sim.run()
-        assert got == [0.5]
+        assert got == [1.5]
+        assert net.byte_seconds == 0.0
 
     def test_byte_seconds_accumulates(self):
         net = self._net(latency=0.5)
