@@ -24,13 +24,12 @@ Package layout
 ``repro.scenarios``  — Table 1 scenarios and workload generation
 ``repro.metrics``    — comparison and summary helpers
 ``repro.campaign``   — declarative sweep grids run over a process pool
-                       with a persistent, resumable JSONL result store
-                       (``python -m repro.campaign``)
+                       with a persistent, resumable result store
+                       (``python -m repro.campaign``; its ``figure``
+                       command regenerates artifacts by id)
 ``repro.artifacts``  — the paper-artifact registry: each table/figure
                        defined once as an ``Artifact`` (spec recipe +
                        table layout + options + metadata)
-``repro.experiments``— the ``card-repro`` CLI: regeneration by id
-                       through ``repro.api``
 ``repro.api``        — the stable facade: ``list_artifacts`` /
                        ``describe`` / ``run`` (multi-seed mean ± CI)
 """

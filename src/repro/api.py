@@ -24,11 +24,11 @@ reduces to a mean ± 95 %-CI variant via
 :func:`repro.campaign.aggregate.group_reduce` (one row per case/grid
 configuration, averaged over seeds only).
 
-Layering contract: this module never imports anything under
-:mod:`repro.experiments` — the facade sits below the ``card-repro``
-CLI, which resolves every id through *it* (``card-lint`` CARD-L01 and
-``tests/test_api.py`` enforce this).  Output stability is pinned by the
-golden fixtures under ``tests/golden/``.
+Layering contract: the facade sits below every command line —
+``python -m repro.campaign figure`` and the HTTP facade resolve and run
+ids through *it*, and no ``*.__main__`` module is in its import-time
+closure (``tests/test_api.py`` enforces this).  Output stability is
+pinned by the golden fixtures under ``tests/golden/``.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ class Artifact:
         bit-for-bit guard that rejects multi-seed specs.
     derived:
         True for an artifact that merely re-derives others' output (the
-        fig03+fig04 joint); ``python -m repro.experiments all`` skips it
+        fig03+fig04 joint); ``python -m repro.campaign figure all`` skips it
         so each table is produced once.
     """
 

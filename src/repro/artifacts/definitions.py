@@ -1298,7 +1298,7 @@ TABLE1_CI = define(
 )
 
 
-#: every artifact, in ``python -m repro.experiments all`` execution order
+#: every artifact, in ``python -m repro.campaign figure all`` execution order
 DEFINITIONS: Tuple[Artifact, ...] = (
     TABLE1, FIG03, FIG04, FIG03_04, FIG05, FIG06, FIG07, FIG08, FIG09,
     FIG10, FIG11, FIG12, FIG13, FIG14, FIG15,

@@ -1,8 +1,7 @@
 """The single artifact registry: id → :class:`Artifact`.
 
 Everything resolves ids here: :func:`repro.api.run`, ``python -m
-repro.experiments`` / ``card-repro``, ``python -m repro.campaign
-figure`` and the HTTP facade.  The entries are the
+repro.campaign figure`` and the HTTP facade.  The entries are the
 :data:`~repro.artifacts.definitions.DEFINITIONS` — one ``define(...)``
 per artifact — keyed by id in execution order.
 """
@@ -23,7 +22,7 @@ __all__ = [
     "ensure_report_ok",
 ]
 
-#: id → Artifact, in ``python -m repro.experiments all`` execution order.
+#: id → Artifact, in ``python -m repro.campaign figure all`` execution order.
 ARTIFACTS: Dict[str, Artifact] = {a.id: a for a in DEFINITIONS}
 
 

@@ -14,11 +14,18 @@ workers, then prove the second invocation is pure cache::
 Regenerate a paper artifact: ``figure <id>`` writes the figure's
 declarative spec (``--out``) for the run/resume/--shard workflow, or —
 without ``--out`` — executes the missing cells against ``--store`` and
-prints the exact legacy table::
+prints the exact table (``--seeds`` gives mean ± 95 % CI instead)::
 
     python -m repro.campaign figure fig10 --out fig10.json --scale 0.5
     python -m repro.campaign run fig10.json --store fig10.jsonl --workers 4
     python -m repro.campaign figure fig10 --store fig10.jsonl --scale 0.5
+    python -m repro.campaign figure fig07 --seeds 0,1,2
+
+``figure all`` runs every artifact once against one store (in-memory
+without ``--store``), so artifacts that share cells pay for them once;
+``figure --list`` prints the ids::
+
+    python -m repro.campaign figure all --scale 0.3 --sources 40
 
 The result store defaults to ``<spec>.results.jsonl`` next to the spec
 file; pass ``--store`` to share one store between campaigns.  Stores are
@@ -255,23 +262,48 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _parse_seeds(text: Optional[str]):
+    """``--seeds 0,1,2`` → ``(0, 1, 2)``."""
+    if text is None:
+        return None
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(
+            f"--seeds expects comma-separated integers (e.g. 0,1,2), "
+            f"got {text!r}"
+        ) from None
+
+
 def _cmd_figure(args) -> int:
-    """Write an artifact's spec, or execute + reduce it to its table.
+    """List artifact ids, write one artifact's spec, or run artifacts.
 
-    Unknown ids fail with the full list of valid artifact ids (the
-    registry's ``ValueError``, rendered by ``main``'s error handler).
+    ``all`` runs every non-derived artifact, in registry order, against
+    one store, so overlapping artifacts share their cells.  Unknown ids
+    fail with the full list of valid artifact ids (the registry's
+    ``ValueError``, rendered by ``main``'s error handler).
     """
-    from repro.artifacts.registry import get_artifact
+    import repro.api as api
+    from repro.artifacts.registry import ARTIFACTS, get_artifact
 
-    artifact = get_artifact(args.exp_id)
-    kwargs = {"scale": args.scale, "seed": args.seed}
+    if args.list or args.exp_id is None:
+        print("\n".join(ARTIFACTS))
+        return 0
+    seeds = _parse_seeds(args.seeds)
+    options = {}
     if args.sources is not None:
-        kwargs["num_sources"] = args.sources
+        options["num_sources"] = args.sources
     if args.duration is not None:
-        kwargs["duration"] = args.duration
+        options["duration"] = args.duration
 
     if args.out is not None:
-        spec = artifact.spec(**kwargs)
+        if args.exp_id == "all" or seeds is not None:
+            raise ValueError("--out writes one artifact's single-seed spec; "
+                             "it takes neither 'all' nor --seeds")
+        if args.seed is not None:
+            options["seed"] = args.seed
+        artifact = get_artifact(args.exp_id)
+        spec = artifact.spec(scale=args.scale, **options)
         out = Path(args.out)
         spec.save(out)
         print(f"wrote {spec.num_cells}-cell spec {spec.name!r} to {out}")
@@ -281,19 +313,31 @@ def _cmd_figure(args) -> int:
             f"--store {out.with_suffix('.results.jsonl')}"
         )
         return 0
+    ids = [args.exp_id]
+    if args.exp_id == "all":
+        # a derived artifact re-derives others' tables: produce each once
+        ids = [a.id for a in ARTIFACTS.values() if not a.derived]
     store = open_store(args.store)
-    result = artifact.run(
-        store=store,
-        n_workers=args.workers,
-        telemetry=getattr(args, "trace", None),
-        **kwargs,
-    )
-    print(result.render())
+    for exp_id in ids:
+        t0 = time.perf_counter()  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
+        result = api.run(
+            exp_id,
+            scale=args.scale,
+            seed=args.seed,
+            seeds=seeds,
+            workers=args.workers,
+            store=store,
+            telemetry=args.trace,
+            **options,
+        )
+        dt = time.perf_counter() - t0  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
+        print(result.render())
+        if result.telemetry is not None:
+            print(f"traced {result.telemetry['cells']} cells "
+                  f"({result.telemetry['total_cell_seconds']:.2f} cell-seconds)")
+        print(f"[{exp_id} finished in {dt:.1f}s]\n")
     if store.path is not None:
         print(f"store: {store.path} ({len(store)} records)")
-    if result.telemetry is not None:
-        print(f"traced {result.telemetry['cells']} cells "
-              f"({result.telemetry['total_cell_seconds']:.2f} cell-seconds)")
     return 0
 
 
@@ -492,7 +536,14 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_figure.add_argument(
         "exp_id",
-        help="artifact id (e.g. fig10, table1, smallworld, mobility_rate)",
+        nargs="?",
+        help=(
+            "artifact id (e.g. fig10, table1, smallworld, mobility_rate) "
+            "or 'all'; without one, list the ids"
+        ),
+    )
+    p_figure.add_argument(
+        "--list", action="store_true", help="list artifact ids and exit"
     )
     p_figure.add_argument(
         "--out",
@@ -502,7 +553,10 @@ def main(argv: Optional[list] = None) -> int:
     p_figure.add_argument(
         "--store",
         default=None,
-        help="JSONL result store (default: in-memory, nothing persisted)",
+        help=(
+            "result store: a JSONL path or sqlite:///path.db, shared by "
+            "every artifact run (default: in-memory, nothing persisted)"
+        ),
     )
     p_figure.add_argument("--workers", type=int, default=1, help="process-pool width")
     add_trace_arg(p_figure)
@@ -511,7 +565,14 @@ def main(argv: Optional[list] = None) -> int:
         default="1.0",
         help="size scale: a number or a profile name (paper, xl=20x)",
     )
-    p_figure.add_argument("--seed", type=int, default=0, help="root seed")
+    p_figure.add_argument(
+        "--seed", type=int, default=None, help="root seed (default 0)"
+    )
+    p_figure.add_argument(
+        "--seeds",
+        default=None,
+        help="comma-separated root seeds (e.g. 0,1,2): mean ± 95%% CI",
+    )
     p_figure.add_argument(
         "--sources", type=int, default=None, help="measured source sample size"
     )

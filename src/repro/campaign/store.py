@@ -325,7 +325,12 @@ class SqliteStore(CellStore):
         self.corrupt_lines = 0
         self._local = threading.local()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn()  # create the schema eagerly: fail fast on bad paths
+        try:
+            self._conn()  # create the schema eagerly: fail fast on bad paths
+        except sqlite3.DatabaseError as exc:
+            raise ValueError(
+                f"{self.path} is not a sqlite result store: {exc}"
+            ) from None
 
     # ------------------------------------------------------------------
     def _conn(self) -> sqlite3.Connection:

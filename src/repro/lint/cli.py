@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule id prefixes to run (e.g. CARD-D,CARD-L01)",
+        help="comma-separated rule id prefixes to run (e.g. CARD-D,CARD-L02)",
     )
     parser.add_argument(
         "--ignore",

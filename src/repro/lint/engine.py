@@ -97,18 +97,13 @@ class LayerConstraint:
     sources: Tuple[str, ...]
     #: module/package prefixes the sources must never reach
     forbidden: Tuple[str, ...]
-    #: False = only import-time edges count (lazy imports are fine)
-    include_deferred: bool
     reason: str
 
 
-#: The repo's dependency DAG, as data.  ``repro.api``/``repro.artifacts``
-#: sit above the campaign engine and must never pull the legacy
-#: experiment harness back in (not even at import time — the facade's
-#: contract is that ``import repro.api`` loads no ``repro.experiments``
-#: module).  ``repro.net``/``repro.core``/``repro.des`` are simulation
-#: layers: orchestration (campaign/service/artifacts) may import them,
-#: never the reverse, not even lazily.  The engine proper (spec, runner,
+#: The repo's dependency DAG, as data; deferred (function-level) imports
+#: count like top-level ones.  ``repro.net``/``repro.core``/``repro.des``
+#: are simulation layers: orchestration (campaign/service/artifacts) may
+#: import them, never the reverse.  The engine proper (spec, runner,
 #: stores, aggregation, queue, workers, daemon) runs cells and knows no
 #: artifact: the definitions and the facade sit above it, and only the
 #: ``__main__`` CLIs and ``service/http.py`` (which serves the registry)
@@ -116,17 +111,9 @@ class LayerConstraint:
 #: aggregation layer returns, is the one shared module.
 DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
     LayerConstraint(
-        rule="CARD-L01",
-        sources=("repro.api", "repro.artifacts"),
-        forbidden=("repro.experiments",),
-        include_deferred=False,
-        reason="the stable facade must not load the legacy harness",
-    ),
-    LayerConstraint(
         rule="CARD-L02",
         sources=("repro.net", "repro.core", "repro.des"),
         forbidden=("repro.campaign", "repro.service", "repro.artifacts"),
-        include_deferred=True,
         reason="simulation layers must not depend on orchestration layers",
     ),
     LayerConstraint(
@@ -147,7 +134,6 @@ DEFAULT_LAYER_CONSTRAINTS: Tuple[LayerConstraint, ...] = (
             "repro.artifacts.definitions",
             "repro.artifacts.registry",
         ),
-        include_deferred=True,
         reason="the campaign engine must not know the artifact definitions",
     ),
 )

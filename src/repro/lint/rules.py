@@ -20,8 +20,6 @@ Determinism (cells must be pure functions of their content-hashed spec):
 Layering (the dependency DAG is data in
 :data:`repro.lint.engine.DEFAULT_LAYER_CONSTRAINTS`):
 
-* **CARD-L01** — the stable facade (``repro.api``, ``repro.artifacts``)
-  never imports the legacy ``repro.experiments`` harness at import time;
 * **CARD-L02** — simulation layers (``repro.net``/``repro.core``/
   ``repro.des``) never import orchestration
   (``repro.campaign``/``repro.service``/``repro.artifacts``), not even
@@ -434,24 +432,18 @@ class LayerRule(Rule):
             # facade re-exports (edges into a module's own ancestor
             # package) are not dependencies: walk without them
             closure = graph.closure(
-                sources,
-                include_deferred=constraint.include_deferred,
-                follow_ancestors=False,
+                sources, include_deferred=True, follow_ancestors=False
             )
             # report every edge that crosses into forbidden territory,
             # with the chain that reaches the importing module
             for module in sorted(closure):
-                for edge in graph.imports_of(
-                    module, include_deferred=constraint.include_deferred
-                ):
+                for edge in graph.imports_of(module, include_deferred=True):
                     if module.startswith(edge.dst + "."):
                         continue
                     if not _matches_prefix(edge.dst, constraint.forbidden):
                         continue
                     chain = graph.chain(
-                        sources,
-                        module,
-                        include_deferred=constraint.include_deferred,
+                        sources, module, include_deferred=True,
                         follow_ancestors=False,
                     ) or [module]
                     via = " -> ".join(chain + [edge.dst])
@@ -473,10 +465,9 @@ class LayerRule(Rule):
 
 
 # ----------------------------------------------------------------------
-#: what a user runs: the four console scripts, the facade and the cell
+#: what a user runs: the three console scripts, the facade and the cell
 #: executor — every ``*.__main__`` is an entry point as well
 ENTRY_ROOTS = (
-    "repro.experiments.__main__",
     "repro.campaign.__main__",
     "repro.service.__main__",
     "repro.lint.cli",
@@ -734,7 +725,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     GlobalRngRule(),
     CellEntropyRule(),
-    LayerRule("CARD-L01"),
     LayerRule("CARD-L02"),
     LayerRule("CARD-L03"),
     ReachabilityRule(),

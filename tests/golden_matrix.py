@@ -3,7 +3,7 @@
 The golden fixtures under ``tests/golden/`` pin the exact artifact output
 (headers, rows, ASCII plots) of every registered artifact at small-N
 configurations, captured from the campaign path.  They replace the
-deleted ``repro.experiments.legacy`` parity oracles: instead of holding
+deleted legacy parity oracles: instead of holding
 the campaign engine equal to a second live implementation, the matrix
 holds it equal to the committed output of the last validated build.
 Three cross-artifact files pin what the per-artifact fixtures don't:

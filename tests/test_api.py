@@ -2,9 +2,10 @@
 
 Covers the redesign's contracts:
 
-* import layering — ``repro.api`` never loads anything under
-  ``repro.experiments`` (the facade sits below the CLI harness);
-* facade ↔ CLI output equality for one snapshot and one series artifact;
+* import layering — ``repro.api`` loads no ``*.__main__`` module (the
+  facade sits below every command line);
+* facade ↔ ``figure`` CLI output equality for one snapshot, one series
+  and one multi-seed run;
 * multi-seed ``run(id, seeds=(…))`` mean ± CI shape and determinism;
 * the campaign-native ``mobility_rate`` artifact.
 """
@@ -73,10 +74,10 @@ class TestFacadeBasics:
 
 
 class TestImportLayering:
-    def test_api_never_imports_legacy(self):
-        # static check over the import graph (the CARD-L01 invariant):
-        # no import-time path from the facade into the legacy harness.
-        # Function-level imports are deferred and legitimately excluded.
+    def test_facade_import_closure_holds_no_cli(self):
+        # static check over the import graph: no import-time path from
+        # the facade into a command line.  Function-level imports are
+        # deferred and legitimately excluded.
         from pathlib import Path
 
         import repro
@@ -87,16 +88,16 @@ class TestImportLayering:
             ["repro.api", "repro.artifacts"], include_deferred=False,
             follow_ancestors=False,
         )
-        bad = sorted(m for m in closure if m.startswith("repro.experiments"))
+        bad = sorted(m for m in closure if m.endswith(".__main__"))
         assert not bad, f"facade import closure reaches {bad}"
 
-    def test_api_run_never_imports_legacy(self):
+    def test_api_run_never_imports_cli(self):
         # one subprocess smoke test stays: the static graph can't see
         # importlib tricks, so prove the property end-to-end once.
         code = (
             "import sys, repro.api as api; "
             "api.run('table1', scale=0.12); "
-            "bad = [m for m in sys.modules if m.startswith('repro.experiments')]; "
+            "bad = [m for m in sys.modules if m.endswith('.__main__')]; "
             "assert not bad, f'facade loaded {bad}'"
         )
         proc = subprocess.run(
@@ -107,41 +108,36 @@ class TestImportLayering:
 
 class TestFacadeCliEquality:
     @pytest.mark.parametrize(
-        "artifact_id,cli_args,kwargs",
+        "cli_args,kwargs",
         [
             (
-                "fig05",
                 ["fig05", "--scale", "0.2", "--sources", "10"],
                 dict(scale=0.2, num_sources=10),
             ),
             (
-                "fig10",
-                [
-                    "fig10", "--scale", "0.2", "--sources", "10",
-                    "--duration", "4",
-                ],
+                ["fig10", "--scale", "0.2", "--sources", "10",
+                 "--duration", "4"],
                 dict(scale=0.2, num_sources=10, duration=4.0),
+            ),
+            (
+                ["fig07", "--scale", "0.2", "--sources", "10",
+                 "--seeds", "0,1"],
+                dict(scale=0.2, num_sources=10, seeds=(0, 1)),
             ),
         ],
     )
-    def test_facade_matches_cli_output(
-        self, artifact_id, cli_args, kwargs, capsys
-    ):
-        from repro.experiments.__main__ import main
+    def test_facade_matches_cli_output(self, cli_args, kwargs, capsys):
+        from repro.campaign.__main__ import main
 
-        result = api.run(artifact_id, **kwargs)
-        assert main(cli_args) == 0
-        out = capsys.readouterr().out
-        assert result.render() in out
-
-    def test_facade_matches_campaign_figure_cli(self, tmp_path, capsys):
-        from repro.campaign.__main__ import main as campaign_main
-
-        result = api.run("fig05", scale=0.2, num_sources=10)
-        assert campaign_main(
-            ["figure", "fig05", "--scale", "0.2", "--sources", "10"]
-        ) == 0
+        result = api.run(cli_args[0], **kwargs)
+        assert main(["figure", *cli_args]) == 0
         assert result.render() in capsys.readouterr().out
+
+    def test_seed_with_seeds_rejected(self, capsys):
+        from repro.campaign.__main__ import main
+
+        assert main(["figure", "fig07", "--seed", "1", "--seeds", "0,1"]) == 1
+        assert "not both" in capsys.readouterr().err
 
 
 class TestMultiSeed:

@@ -395,10 +395,6 @@ class TestFigurePorts:
         assert {t.scenario for t in spec.topologies} == set(range(1, 9))
 
     def test_registry_has_one_name_per_artifact(self):
-        import repro.experiments as cli_package
-
-        # the second id → runner dict is gone; the CLI package holds no names
-        assert not hasattr(cli_package, "EXPERIMENTS")
         assert [a.id for a in ARTIFACTS.values() if a.derived] == ["fig03_04"]
 
 
@@ -479,13 +475,13 @@ class TestLayering:
 
         return build_graph(Path(repro.__file__).parent)
 
-    def test_import_repro_does_not_load_experiments(self):
+    def test_import_repro_loads_no_cli(self):
         # the campaign exports reachable from `import repro` must not drag
-        # the experiment CLI in (aggregate is lazy) —
+        # a command line in (aggregate is lazy) —
         # asserted statically over the import-time edges of the graph
         graph = self._graph()
         closure = graph.closure(["repro"], include_deferred=False)
-        bad = sorted(m for m in closure if m.startswith("repro.experiments"))
+        bad = sorted(m for m in closure if m.endswith(".__main__"))
         assert not bad, f"`import repro` reaches {bad}"
 
     def test_toplevel_import_graph_is_cycle_free(self):

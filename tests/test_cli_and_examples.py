@@ -1,46 +1,69 @@
 """Smoke tests for the CLI entry point and every example script."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import main
+from repro.campaign.__main__ import main
 
 REPO = Path(__file__).resolve().parents[1]
 
 
 class TestCLI:
     def test_list(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig07" in out and "table1" in out
+        assert main(["figure", "--list"]) == 0
+        ids = capsys.readouterr().out.split()
+        assert ids[0] == "table1" and "fig07" in ids and "fig15" in ids
 
     def test_no_args_lists(self, capsys):
-        assert main([]) == 0
+        assert main(["figure"]) == 0
         assert "fig15" in capsys.readouterr().out
 
     def test_run_single_experiment(self, capsys):
-        assert main(["table1", "--scale", "0.15"]) == 0
+        assert main(["figure", "table1", "--scale", "0.15"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
-        assert "finished in" in out
+        assert "[table1 finished in" in out
 
     def test_sources_flag_filtered_per_signature(self, capsys):
         # table1 takes no num_sources; the CLI must not crash passing it
-        assert main(["table1", "--scale", "0.15", "--sources", "10"]) == 0
+        assert main(
+            ["figure", "table1", "--scale", "0.15", "--sources", "10"]
+        ) == 0
 
     def test_experiment_with_sources(self, capsys):
-        assert main(["fig07", "--scale", "0.2", "--sources", "15"]) == 0
+        assert main(
+            ["figure", "fig07", "--scale", "0.2", "--sources", "15"]
+        ) == 0
         assert "NoC" in capsys.readouterr().out
 
     def test_unknown_experiment_lists_valid_ids(self, capsys):
         # CLI UX: a typo'd id prints the valid ids, not a bare KeyError
-        assert main(["nope"]) == 1
+        assert main(["figure", "nope"]) == 1
         err = capsys.readouterr().err
-        assert "unknown experiment 'nope'" in err
+        assert "unknown artifact 'nope'" in err
         assert "fig07" in err and "mobility_rate" in err
+
+    def test_all_shares_one_store(self, capsys):
+        # every artifact runs against one in-memory store, so artifacts
+        # that re-read a sibling's cells execute none of their own
+        assert main(
+            ["figure", "all", "--scale", "0.15", "--sources", "10",
+             "--duration", "3"]
+        ) == 0
+        out = capsys.readouterr().out
+        parts = re.split(r"\[(\S+) finished in [0-9.]+s\]", out)
+        sections = dict(zip(parts[1::2], parts[0::2]))
+        assert "fig03_04" not in sections  # derived: produced once
+        for exp_id in ("fig04", "fig12"):
+            assert "via repro.campaign (0 cells executed" in sections[exp_id]
+
+    def test_out_rejects_all(self, tmp_path, capsys):
+        assert main(["figure", "all", "--out", str(tmp_path / "s.json")]) == 1
+        assert "--out" in capsys.readouterr().err
 
 
 #: every runnable example -> one line of its output that a deterministic

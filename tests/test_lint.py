@@ -40,7 +40,6 @@ RULE_IDS = {
     "CARD-D01",
     "CARD-D02",
     "CARD-D03",
-    "CARD-L01",
     "CARD-L02",
     "CARD-L03",
     "CARD-R01",
@@ -263,39 +262,6 @@ class TestCellEntropyRule:
 
 
 class TestLayerRules:
-    def test_facade_toplevel_import_of_harness_flagged(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_pkg(
-            tmp_path,
-            {
-                "api.py": "from repro.experiments import harness\n",
-                "experiments/harness.py": "X = 1\n",
-            },
-        )
-        report = lint_pkg(pkg, select=("CARD-L01",), paths=[])
-        assert rules_hit(report) == ["CARD-L01"]
-        assert "repro.experiments" in report.findings[0].message
-
-    def test_facade_lazy_import_of_harness_allowed(
-        self, tmp_path, monkeypatch
-    ):
-        # CARD-L01 is an import-time contract; function-level is fine
-        monkeypatch.chdir(tmp_path)
-        pkg = make_pkg(
-            tmp_path,
-            {
-                "api.py": """
-                def plot():
-                    from repro.experiments import harness
-                    return harness.X
-                """,
-                "experiments/harness.py": "X = 1\n",
-            },
-        )
-        assert lint_pkg(pkg, select=("CARD-L01",), paths=[]).findings == []
-
     def test_simulation_layer_lazy_import_still_flagged(
         self, tmp_path, monkeypatch
     ):

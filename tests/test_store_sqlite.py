@@ -51,6 +51,20 @@ class TestOpenStore:
         with pytest.raises(ValueError, match="durability"):
             open_store(tmp_path / "r.db", durability="warp")
 
+    def test_non_sqlite_file_is_a_clean_error(self, tmp_path, capsys):
+        # a JSONL store saved under a .db name: one error line, no traceback
+        from repro.campaign.__main__ import main
+
+        path = tmp_path / "r.db"
+        path.write_text(json.dumps({"key": "k", "cell": _cell(0)}) + "\n")
+        for target in (path, f"sqlite:///{path}"):
+            with pytest.raises(ValueError) as excinfo:
+                open_store(target)
+            assert f"{path} is not a sqlite result store" in str(excinfo.value)
+        assert main(["figure", "fig05", "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSqliteStore:
     def test_append_get_roundtrip(self, tmp_path):
