@@ -22,7 +22,6 @@ Package layout
 ``repro.routing``    — the neighborhood oracle (R-hop zone knowledge)
 ``repro.discovery``  — flooding / expanding-ring / bordercast baselines
 ``repro.scenarios``  — Table 1 scenarios and workload generation
-``repro.metrics``    — comparison and summary helpers
 ``repro.campaign``   — declarative sweep grids run over a process pool
                        with a persistent, resumable result store
                        (``python -m repro.campaign``; its ``figure``
@@ -52,12 +51,10 @@ from repro.mobility import (
     StaticMobility,
 )
 from repro.net import MessageStats, Network, Topology
-from repro.net.failures import FailureInjector
 from repro.analysis import smallworld_report
 from repro.routing import NeighborhoodTables
 from repro.discovery import (
     BordercastDiscovery,
-    CARDDiscoveryAdapter,
     ExpandingRingDiscovery,
     FloodingDiscovery,
 )
@@ -90,11 +87,9 @@ __all__ = [
     "MessageStats",
     "Network",
     "Topology",
-    "FailureInjector",
     "smallworld_report",
     "NeighborhoodTables",
     "BordercastDiscovery",
-    "CARDDiscoveryAdapter",
     "ExpandingRingDiscovery",
     "FloodingDiscovery",
     "TABLE1_SCENARIOS",

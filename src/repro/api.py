@@ -46,6 +46,7 @@ from repro.artifacts.registry import (
 )
 from repro.artifacts.result import ExperimentResult
 from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import coerce_seed, coerce_seeds
 from repro.campaign.store import CellStore, StoreLike, open_store
 
 __all__ = ["list_artifacts", "describe", "run", "ExperimentResult", "Artifact"]
@@ -98,7 +99,9 @@ def run(
     seed:
         Root seed for the single-seed (paper-exact) artifact; defaults
         to the artifact's ``default_seeds[0]`` (0).  Mutually exclusive
-        with ``seeds``.
+        with ``seeds``.  Seeds follow the spec's integer rule: a bool or
+        a non-integral number raises ``ValueError`` instead of being
+        truncated into another seed's run.
     seeds:
         A tuple of distinct root seeds switches to the mean ± 95 %-CI
         variant: the sweep runs once per seed and
@@ -137,13 +140,15 @@ def run(
     """
     artifact = get_artifact(artifact_id)
     result_store = _as_store(store)
+    if seed is not None:
+        seed = coerce_seed(seed)
     if seeds is not None:
         if seed is not None:
             raise ValueError(
                 "pass either seed= (exact artifact) or seeds= (mean±CI), "
                 "not both"
             )
-        seed_tuple = tuple(int(s) for s in seeds)
+        seed_tuple = coerce_seeds(seeds)
         if not seed_tuple:
             raise ValueError("seeds must be a non-empty tuple of ints")
         if len(set(seed_tuple)) != len(seed_tuple):
@@ -168,7 +173,7 @@ def run(
     if scale is not None:
         options["scale"] = scale
     if seed is not None:
-        options["seed"] = int(seed)
+        options["seed"] = seed
     return artifact.run(
         store=result_store,
         n_workers=workers,

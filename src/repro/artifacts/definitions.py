@@ -60,7 +60,6 @@ from repro.campaign.spec import (
     TopologySpec,
 )
 from repro.core.edge_policy import EdgePolicy
-from repro.metrics.summary import normalized_tradeoff
 from repro.scenarios.factory import FIG9_CONFIGS, FIG15_CONFIGS, scaled
 from repro.scenarios.table1 import TABLE1_SCENARIOS
 from repro.util.ascii_plot import ascii_histogram, ascii_series
@@ -618,7 +617,12 @@ def _fig14_table(spec, store, *, exp_id, title, validation_rounds=5):
         )
         reach.append(float(m["mean_reachability"]))
         frac50.append(float(m["frac_ge50"]))
-    norm = normalized_tradeoff(noc_values, reach, overhead)
+    # each curve scaled into [0, 1] by its own peak, as Fig 14 plots
+    # them; a flat-zero series stays zero
+    r_peak = max(reach) if reach and max(reach) > 0 else 1.0
+    o_peak = max(overhead) if overhead and max(overhead) > 0 else 1.0
+    reach_norm = [v / r_peak for v in reach]
+    overhead_norm = [v / o_peak for v in overhead]
     return ExperimentResult(
         exp_id=exp_id,
         title=title,
@@ -628,14 +632,14 @@ def _fig14_table(spec, store, *, exp_id, title, validation_rounds=5):
         ],
         rows=[
             [
-                k,
-                round(rn, 3),
-                round(on, 3),
+                int(k),
+                round(reach_norm[i], 3),
+                round(overhead_norm[i], 3),
                 round(reach[i], 2),
                 round(overhead[i], 1),
                 round(frac50[i], 3),
             ]
-            for i, (k, rn, on) in enumerate(norm)
+            for i, k in enumerate(noc_values)
         ],
         notes=format_notes(
             (
@@ -649,10 +653,7 @@ def _fig14_table(spec, store, *, exp_id, title, validation_rounds=5):
         ),
         plots=[
             ascii_series(
-                {
-                    "reachability": [row[1] for row in norm],
-                    "overhead": [row[2] for row in norm],
-                },
+                {"reachability": reach_norm, "overhead": overhead_norm},
                 noc_values,
                 title="Fig 14 — normalized reachability vs overhead",
             )

@@ -349,8 +349,11 @@ def _cmd_merge(args) -> int:
     consumed in argument order, so later stores win duplicate keys.
     """
     for target in args.inputs:
+        # checked before anything opens: opening a sqlite URI creates
+        # the file, so a typo would merge 0 records from an empty store
         text = str(target)
-        if not text.startswith("sqlite:") and not Path(text).exists():
+        path = text[len("sqlite:///"):] if text.startswith("sqlite:///") else text
+        if not Path(path).exists():
             raise FileNotFoundError(text)
     report = merge_stores(args.out, args.inputs)
     print(

@@ -7,8 +7,7 @@ This module provides the generic reduction —
     stored_records → group_reduce(by=..., values=...) → ExperimentResult
 
 — so campaign output drops into the same rendering/consumption paths as
-the legacy figure runners (``result.render()``, ``repro.metrics``,
-benchmark assertions on ``result.raw``).
+every artifact table (``result.render()``, assertions on ``result.raw``).
 
 For the exact table reducers that sit above the engine,
 :func:`labeled_metrics` joins a spec's case labels back to the stored

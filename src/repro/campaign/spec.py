@@ -48,6 +48,7 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -75,6 +76,8 @@ __all__ = [
     "CellSpec",
     "CampaignSpec",
     "content_hash",
+    "coerce_seed",
+    "coerce_seeds",
 ]
 
 #: Bumped whenever the canonical cell-dict schema changes incompatibly
@@ -205,12 +208,19 @@ def _number(kind: type, lo: float = -math.inf, hi: float = math.inf, *, strict=F
 
 def _tuple(label: str, values: object, item=None) -> tuple:
     _reject_bare_string(label, values)
+    if not isinstance(values, Iterable):
+        raise ValueError(f"{label} must be a list of values, got {values!r}")
     return tuple(values if item is None else (item(label, v) for v in values))  # type: ignore
 
 
 _int, _float = partial(_number, int), partial(_number, float)
 _ints, _floats = partial(_tuple, item=_int()), partial(_tuple, item=_float())
 _count = _int(1)
+
+#: The seed rules of :class:`CellSpec` and :class:`CampaignSpec`, for
+#: callers that take seeds before any spec exists (``repro.api.run``).
+coerce_seed = partial(_int(), "seed")
+coerce_seeds = partial(_ints, "seeds")
 
 
 def _json_map(label: str, mapping: object) -> Dict[str, object]:

@@ -28,11 +28,7 @@ import numpy as np
 from repro.core.maintenance import ContactMaintainer, ValidationOutcome
 from repro.core.params import CARDParams
 from repro.core.query import QueryEngine, QueryResult
-from repro.core.reachability import (
-    contact_ids_map,
-    reachability_all,
-    reachability_distribution,
-)
+from repro.core.reachability import contact_ids_map, reachability_all
 from repro.core.selection import ContactSelector, SourceSelectionResult
 from repro.core.state import ContactTable
 from repro.net.network import Network
@@ -150,10 +146,6 @@ class CARDProtocol:
     def membership(self) -> np.ndarray:
         return self.tables.membership
 
-    def contact_count(self, source: int) -> int:
-        table = self.contact_tables.get(source)
-        return 0 if table is None else len(table)
-
     def total_contacts(self) -> int:
         """Sum of contact-table sizes (the Fig 13 'total contacts' series)."""
         return sum(len(t) for t in self.contact_tables.values())
@@ -163,23 +155,11 @@ class CARDProtocol:
         sources: Optional[Sequence[int]] = None,
         *,
         depth: Optional[int] = None,
-        max_contacts: Optional[int] = None,
     ) -> np.ndarray:
-        """Per-source reachability (%), honoring a contact-prefix cap."""
+        """Per-source reachability (%) at depth ``depth`` (default D)."""
         d = self.params.depth if depth is None else int(depth)
-        contacts = contact_ids_map(self.contact_tables, max_contacts=max_contacts)
-        return reachability_all(self.membership, contacts, sources, d)
-
-    def reachability_distribution(
-        self,
-        sources: Optional[Sequence[int]] = None,
-        *,
-        depth: Optional[int] = None,
-        max_contacts: Optional[int] = None,
-    ) -> np.ndarray:
-        """The paper's 5 %-bin reachability histogram."""
-        return reachability_distribution(
-            self.reachability(sources, depth=depth, max_contacts=max_contacts)
+        return reachability_all(
+            self.membership, contact_ids_map(self.contact_tables), sources, d
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -143,20 +143,9 @@ class PackedMembership:
         return f"PackedMembership(n={self.n}, rows={rows})"
 
 
-def contact_ids_map(
-    tables: Dict[int, ContactTable], *, max_contacts: Optional[int] = None
-) -> Dict[int, Sequence[int]]:
-    """Extract ``source → contact ids`` (optionally truncated to a prefix).
-
-    Truncation enables "reachability vs NoC" curves from a single NoC=max
-    selection run: the first ``k`` contacts of a table are exactly what a
-    run with NoC=k would have selected (selection is sequential).
-    """
-    out: Dict[int, Sequence[int]] = {}
-    for src, table in tables.items():
-        ids = table.ids()
-        out[src] = ids if max_contacts is None else ids[:max_contacts]
-    return out
+def contact_ids_map(tables: Dict[int, ContactTable]) -> Dict[int, Sequence[int]]:
+    """Extract ``source → contact ids`` from the contact tables."""
+    return {src: table.ids() for src, table in tables.items()}
 
 
 def reachability_percent(
@@ -261,8 +250,6 @@ def reachability_all(
     contacts: Dict[int, Sequence[int]],
     sources: Optional[Sequence[int]] = None,
     depth: int = 1,
-    *,
-    packed: Optional[PackedMembership] = None,
 ) -> np.ndarray:
     """Reachability (%) for every source (or the given subset).
 
@@ -270,11 +257,6 @@ def reachability_all(
     closure are packed once, then each source's union is an OR-reduction
     over uint64 words.  Results are bit-identical to calling
     :func:`reachability_percent` per source (popcount == bool sum).
-
-    ``packed`` lets sweeps over contact prefixes (``sweep_noc``) or
-    depths reuse one packing; it must cover every row the walk touches
-    (a full ``PackedMembership.from_membership(membership)`` always
-    does).
     """
     n = membership.shape[0]
     if depth < 0:
@@ -289,13 +271,8 @@ def reachability_all(
     if depth == 0:
         return _depth0_percents(membership, srcs)
     with obs.span("reach_union"):
-        if packed is None:
-            ids = (
-                None
-                if sources is None
-                else _contact_closure(srcs, contacts, depth)
-            )
-            packed = PackedMembership.from_membership(membership, ids)
+        ids = None if sources is None else _contact_closure(srcs, contacts, depth)
+        packed = PackedMembership.from_membership(membership, ids)
         out = np.empty(len(srcs), dtype=np.float64)
         for k, source in enumerate(srcs):
             reached = packed.row(source).copy()

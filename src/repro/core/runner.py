@@ -24,12 +24,7 @@ from repro import obs
 from repro.core.des_runner import DesRunner
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
-from repro.core.reachability import (
-    PackedMembership,
-    contact_ids_map,
-    reachability_all,
-    reachability_distribution,
-)
+from repro.core.reachability import reachability_distribution
 from repro.core.selection import SourceSelectionResult
 from repro.des.process import PeriodicProcess
 from repro.net.link import LinkSpec
@@ -182,60 +177,6 @@ class SnapshotRunner:
             )
             for s in self.sources
         ]
-
-    # ------------------------------------------------------------------
-    def sweep_noc(self, result: SnapshotResult, noc_values: Sequence[int]):
-        """Reachability and overhead as a function of NoC from one run.
-
-        Because selection is sequential, the first ``k`` contacts of a
-        NoC=K run are exactly a NoC=k run's contacts, and the cumulative
-        message marks recorded per contact give the matching overhead —
-        one run yields the whole Fig 3/Fig 4 x-axis (common random numbers
-        across sweep points, variance-free comparisons).
-
-        Returns a list of rows ``(noc, mean_reachability, mean_forward,
-        mean_backtrack)``.
-        """
-        membership = self.protocol.membership
-        # one packing serves every NoC prefix (contact sets only shrink)
-        packed = PackedMembership.from_membership(membership)
-        rows = []
-        for k in noc_values:
-            contacts = contact_ids_map(
-                self.protocol.contact_tables, max_contacts=int(k)
-            )
-            reach = reachability_all(
-                membership,
-                contacts,
-                self.sources,
-                self.params.depth,
-                packed=packed,
-            )
-            fwd: List[int] = []
-            back: List[int] = []
-            for s in self.sources:
-                sel = result.selection[s]
-                marks = sel.per_contact_cumulative
-                if k <= 0:
-                    fwd.append(0)
-                    back.append(0)
-                elif len(marks) >= k:
-                    f, b = marks[k - 1]
-                    fwd.append(f)
-                    back.append(b)
-                else:
-                    # fewer than k contacts achieved: all messages were spent
-                    fwd.append(sel.forward_msgs)
-                    back.append(sel.backtrack_msgs)
-            rows.append(
-                (
-                    int(k),
-                    float(reach.mean()) if reach.size else 0.0,
-                    float(np.mean(fwd)) if fwd else 0.0,
-                    float(np.mean(back)) if back else 0.0,
-                )
-            )
-        return rows
 
 
 # ----------------------------------------------------------------------

@@ -83,7 +83,7 @@ class SourceSelectionResult:
     forward_msgs: int = 0
     backtrack_msgs: int = 0
     #: cumulative (forward, backtrack) totals *after* the k-th contact was
-    #: added — lets a single NoC=K run report every NoC<K sweep point
+    #: added
     per_contact_cumulative: List[Tuple[int, int]] = field(default_factory=list)
 
     @property

@@ -59,8 +59,8 @@ class Contact:
 class ContactTable:
     """The set of contacts a source currently maintains.
 
-    Preserves insertion order (selection order matters: reachability-vs-NoC
-    curves are computed from prefixes of the table).
+    Preserves insertion order: ``ids()`` and iteration follow the order
+    in which contacts were selected.
     """
 
     def __init__(self, owner: int) -> None:

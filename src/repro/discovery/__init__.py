@@ -9,25 +9,18 @@
   Haas [8], with query detection QD1 (relay marking) and QD2 (overhearing),
   exactly the configuration the paper's Fig 15 uses.
 
-All schemes implement :class:`repro.discovery.base.DiscoveryScheme` and
-report :class:`repro.discovery.base.DiscoveryResult`, so the comparison
-harness treats CARD (via :class:`repro.discovery.base.CARDDiscoveryAdapter`)
-and the baselines uniformly.
+Each scheme answers ``query(source, target)`` with a
+:class:`repro.discovery.base.DiscoveryResult`; the Fig 15 and query
+ablation cells (:mod:`repro.campaign.runner`) call them directly.
 """
 
-from repro.discovery.base import (
-    DiscoveryScheme,
-    DiscoveryResult,
-    CARDDiscoveryAdapter,
-)
+from repro.discovery.base import DiscoveryResult
 from repro.discovery.flooding import FloodingDiscovery
 from repro.discovery.expanding_ring import ExpandingRingDiscovery
 from repro.discovery.bordercast import BordercastDiscovery, QDMode
 
 __all__ = [
-    "DiscoveryScheme",
     "DiscoveryResult",
-    "CARDDiscoveryAdapter",
     "FloodingDiscovery",
     "ExpandingRingDiscovery",
     "BordercastDiscovery",

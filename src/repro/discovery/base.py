@@ -1,20 +1,17 @@
-"""Common interface for resource-discovery schemes.
+"""The result type every baseline discovery scheme reports.
 
-The Fig 15 harness runs the same (source, target) workload through every
-scheme; a uniform result type keeps the accounting honest — all schemes
-count *forward control transmissions* and exclude replies, matching the
+The Fig 15 cell runs the same (source, target) workload through every
+scheme; one result type keeps the accounting honest — all schemes count
+*forward control transmissions* and exclude replies, matching the
 convention used for CARD's querying traffic.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.core.protocol import CARDProtocol
-
-__all__ = ["DiscoveryScheme", "DiscoveryResult", "CARDDiscoveryAdapter"]
+__all__ = ["DiscoveryResult"]
 
 
 @dataclass
@@ -40,74 +37,3 @@ class DiscoveryResult:
         """Transmissions + receptions (the NS-2-like traffic metric)."""
         rx = self.msgs if self.rx_events is None else self.rx_events
         return self.msgs + rx
-
-
-class DiscoveryScheme(abc.ABC):
-    """A resource-discovery mechanism queried one (source, target) at a time."""
-
-    #: short name used in comparison tables
-    name: str = "scheme"
-
-    @abc.abstractmethod
-    def query(self, source: int, target: int) -> DiscoveryResult:
-        """Attempt to discover ``target`` from ``source``."""
-
-    def query_batch(
-        self, workload: Sequence[Tuple[int, int]]
-    ) -> List[DiscoveryResult]:
-        """Run a whole workload; schemes with a batched engine override this.
-
-        The default simply loops :meth:`query`, so every scheme accepts a
-        workload and the comparison harness stays scheme-agnostic.
-        """
-        return [self.query(int(s), int(t)) for s, t in workload]
-
-    def prepare(self) -> int:
-        """Build whatever standing state the scheme needs (contacts, zones).
-
-        Returns the number of control messages spent on preparation; blind
-        schemes need none.  Called once before a query batch.
-        """
-        return 0
-
-
-class CARDDiscoveryAdapter(DiscoveryScheme):
-    """Wraps a :class:`CARDProtocol` as a :class:`DiscoveryScheme`.
-
-    ``prepare`` runs bootstrap contact selection and reports its cost,
-    which the Fig 15 harness shows as the separate "CARD Overhead" bar
-    (selection + backtracking + maintenance, per the paper).
-    """
-
-    name = "CARD"
-
-    def __init__(self, protocol: CARDProtocol, *, max_depth: Optional[int] = None):
-        self.protocol = protocol
-        self.max_depth = max_depth
-
-    def prepare(self) -> int:
-        results = self.protocol.bootstrap()
-        return sum(r.total_msgs for r in results.values())
-
-    def query(self, source: int, target: int) -> DiscoveryResult:
-        res = self.protocol.query(source, target, max_depth=self.max_depth)
-        depth = "miss" if res.depth_found is None else f"D={res.depth_found}"
-        return DiscoveryResult(
-            source, target, res.success, res.msgs, detail=depth
-        )
-
-    def query_batch(
-        self, workload: Sequence[Tuple[int, int]]
-    ) -> List[DiscoveryResult]:
-        return [
-            DiscoveryResult(
-                res.source,
-                res.target,
-                res.success,
-                res.msgs,
-                detail=(
-                    "miss" if res.depth_found is None else f"D={res.depth_found}"
-                ),
-            )
-            for res in self.protocol.query_many(workload, max_depth=self.max_depth)
-        ]

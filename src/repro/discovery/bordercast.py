@@ -28,7 +28,7 @@ from typing import List, Set
 
 import numpy as np
 
-from repro.discovery.base import DiscoveryResult, DiscoveryScheme
+from repro.discovery.base import DiscoveryResult
 from repro.net.graph import bfs_tree, UNREACHABLE
 from repro.net.messages import BordercastQuery, next_query_id
 from repro.net.network import Network
@@ -46,7 +46,7 @@ class QDMode(enum.Enum):
     QD2 = "qd2"
 
 
-class BordercastDiscovery(DiscoveryScheme):
+class BordercastDiscovery:
     """ZRP-style bordercast search over R-hop zones.
 
     Parameters
@@ -59,8 +59,6 @@ class BordercastDiscovery(DiscoveryScheme):
     qd:
         Query-detection mode (default QD2, as in the paper).
     """
-
-    name = "Bordercasting"
 
     def __init__(
         self,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.discovery.base import DiscoveryResult, DiscoveryScheme
+from repro.discovery.base import DiscoveryResult
 from repro.net.graph import bfs_hops
 from repro.net.messages import FloodQuery, next_query_id
 from repro.net.network import Network
@@ -28,7 +28,7 @@ from repro.net.network import Network
 __all__ = ["ExpandingRingDiscovery"]
 
 
-class ExpandingRingDiscovery(DiscoveryScheme):
+class ExpandingRingDiscovery:
     """TTL-doubling ring search with a final full flood.
 
     Parameters
@@ -41,8 +41,6 @@ class ExpandingRingDiscovery(DiscoveryScheme):
         Upper bound of the default schedule (acts as the "network-wide"
         TTL); pick ≥ the network diameter for guaranteed coverage.
     """
-
-    name = "ExpandingRing"
 
     def __init__(
         self,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.discovery.base import DiscoveryResult, DiscoveryScheme
+from repro.discovery.base import DiscoveryResult
 from repro.net.graph import bfs_hops
 from repro.net.messages import FloodQuery, next_query_id
 from repro.net.network import Network
@@ -22,10 +22,8 @@ from repro.net.network import Network
 __all__ = ["FloodingDiscovery"]
 
 
-class FloodingDiscovery(DiscoveryScheme):
+class FloodingDiscovery:
     """Network-wide flood per query."""
-
-    name = "Flooding"
 
     def __init__(self, network: Network) -> None:
         self.network = network

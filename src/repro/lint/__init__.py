@@ -10,7 +10,7 @@ conventions into machine-checked rules.
 
 Run it as ``card-lint src tests`` or ``python -m repro.lint``; see
 :mod:`repro.lint.rules` for the catalog and the README's "Static
-analysis" section for the pragma/baseline workflow.  Pure stdlib
+analysis" section for the pragma workflow.  Pure stdlib
 (``ast``/``tokenize``) — no new runtime dependencies.
 """
 

@@ -1,8 +1,7 @@
 """``card-lint`` / ``python -m repro.lint`` — the CLI over the engine.
 
 Exit codes: 0 = clean, 1 = findings (or unparseable files), 2 = usage
-error (bad paths, malformed baseline, determinism rules in the
-baseline).
+error (bad paths, a missing ``--package-root``).
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from repro.lint.engine import (
 from repro.lint.rules import rule_catalog
 
 __all__ = ["main"]
-
-#: baseline the CLI picks up automatically when present in the cwd
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,19 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="FILE",
         help="also write the JSON report to FILE (e.g. for CI artifacts)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "grandfathered-findings file (default: ./lint-baseline.json "
-            "when it exists; determinism rules may never be baselined)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file, report every finding",
     )
     parser.add_argument(
         "--package-root",
@@ -110,8 +93,6 @@ def _print_text(report: LintReport) -> None:
     ]
     if report.suppressed:
         bits.append(f"{report.suppressed} suppressed by pragma")
-    if report.baselined:
-        bits.append(f"{report.baselined} baselined")
     if report.parse_errors:
         bits.append(f"{len(report.parse_errors)} unparseable")
     print(
@@ -149,26 +130,12 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    baseline: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline = Path(args.baseline)
-            if not baseline.is_file():
-                print(
-                    f"error: baseline {baseline} not found", file=sys.stderr
-                )
-                return 2
-        elif Path(DEFAULT_BASELINE).is_file():
-            baseline = Path(DEFAULT_BASELINE)
-
     config = LintConfig.default(package_root)
     config.select = _split(args.select)
     config.ignore = _split(args.ignore)
 
     try:
-        report = run_lint(
-            [Path(p) for p in args.paths], config, baseline=baseline
-        )
+        report = run_lint([Path(p) for p in args.paths], config)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
-"""The ``card-lint`` engine: file discovery, pragmas, baseline, reporting.
+"""The ``card-lint`` engine: file discovery, pragmas, reporting.
 
 The engine is deliberately small: it walks the given paths, parses each
 ``*.py`` file once, hands the AST to every registered rule
-(:mod:`repro.lint.rules`), then filters the findings through per-line
-``# card-lint: disable=RULE`` pragmas and the committed baseline file.
+(:mod:`repro.lint.rules`), then filters the findings through
+``# card-lint: disable=RULE`` pragmas.
 
 Two kinds of rules exist:
 
@@ -21,27 +21,23 @@ Suppression syntax (the ``--`` justification is free text, encouraged):
 * ``# card-lint: disable-file=CARD-D01 -- why`` anywhere in the file
   (conventionally at the top) to exempt the whole file from a rule.
 
-The baseline file grandfathers pre-existing findings so the linter can
-be adopted without a flag-day fix-up — except for determinism rules
-(``CARD-D*``), which may never be baselined: a grandfathered determinism
-hole would silently void the bit-identical-artifacts guarantee.
+Pragmas are the only suppression: an exception sits next to the code
+it excuses, with its justification, and nowhere else.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.importgraph import ImportGraph, build_graph
 
 __all__ = [
-    "BASELINE_VERSION",
     "REPORT_VERSION",
     "Finding",
     "LintConfig",
@@ -52,9 +48,7 @@ __all__ = [
 ]
 
 #: schema version of the JSON report emitted by ``--format json``
-REPORT_VERSION = 1
-#: schema version of the baseline file
-BASELINE_VERSION = 1
+REPORT_VERSION = 2
 
 
 class LintUsageError(Exception):
@@ -228,47 +222,6 @@ def _suppressed(finding: Finding, source: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-def _load_baseline(path: Path) -> List[Dict[str, object]]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LintUsageError(f"cannot read baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or "findings" not in data:
-        raise LintUsageError(
-            f"baseline {path} must be an object with a 'findings' list"
-        )
-    entries = data["findings"]
-    if not isinstance(entries, list):
-        raise LintUsageError(f"baseline {path}: 'findings' must be a list")
-    for entry in entries:
-        rule = entry.get("rule", "") if isinstance(entry, dict) else ""
-        if not isinstance(entry, dict) or not rule or "path" not in entry:
-            raise LintUsageError(
-                f"baseline {path}: every entry needs 'rule' and 'path'"
-            )
-        if str(rule).startswith("CARD-D"):
-            raise LintUsageError(
-                f"baseline {path} grandfathers determinism rule {rule}; "
-                "determinism findings must be fixed or pragma'd with a "
-                "justification, never baselined"
-            )
-    return entries
-
-
-def _baselined(finding: Finding, entries: Sequence[Mapping[str, object]]) -> bool:
-    for entry in entries:
-        if entry["rule"] != finding.rule:
-            continue
-        epath = str(entry["path"]).replace("\\", "/")
-        if finding.path != epath and not finding.path.endswith("/" + epath):
-            continue
-        if "line" in entry and int(entry["line"]) != finding.line:  # type: ignore[arg-type]
-            continue
-        return True
-    return False
-
-
-# ----------------------------------------------------------------------
 @dataclass
 class LintReport:
     """Outcome of one lint run."""
@@ -276,7 +229,6 @@ class LintReport:
     findings: List[Finding]
     files_checked: int
     suppressed: int
-    baselined: int
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -302,7 +254,6 @@ class LintReport:
                 "files": self.files_checked,
                 "findings": len(self.findings),
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
                 "parse_errors": [
                     {"path": path, "error": err}
                     for path, err in self.parse_errors
@@ -374,8 +325,6 @@ def _parse_unit(path: Path, config: LintConfig) -> Optional[ModuleUnit]:
 def run_lint(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
-    *,
-    baseline: Optional[Path] = None,
 ) -> LintReport:
     """Lint ``paths`` under ``config``; the library entry point.
 
@@ -388,7 +337,6 @@ def run_lint(
     from repro.lint.rules import ALL_RULES
 
     config = config or LintConfig.default()
-    baseline_entries = _load_baseline(baseline) if baseline else []
 
     findings: List[Finding] = []
     parse_errors: List[Tuple[str, str]] = []
@@ -423,7 +371,6 @@ def run_lint(
     source_by_path: Dict[str, str] = {u.rel: u.source for u in units}
     kept: List[Finding] = []
     suppressed = 0
-    baselined = 0
     for finding in sorted(
         set(findings), key=lambda f: (f.path, f.line, f.rule, f.col)
     ):
@@ -436,8 +383,6 @@ def run_lint(
             source_by_path[finding.path] = source
         if _suppressed(finding, source):
             suppressed += 1
-        elif _baselined(finding, baseline_entries):
-            baselined += 1
         else:
             kept.append(finding)
 
@@ -445,6 +390,5 @@ def run_lint(
         findings=kept,
         files_checked=len(units),
         suppressed=suppressed,
-        baselined=baselined,
         parse_errors=parse_errors,
     )

@@ -5,12 +5,12 @@ the network exclusively through this class:
 
 * :meth:`transmit` — account one hop-transmission of a typed message; this
   is *the* counter behind every overhead figure in the paper;
-* :meth:`unicast_path` — walk a source route hop by hop, verifying each link
-  against the live adjacency (used by validation and DSQ forwarding);
-* :meth:`random_neighbor` — the CSQ's "forward to a randomly chosen
-  neighbor" primitive, with exclusions;
-* neighborhood accessors delegating to the owned
-  :class:`~repro.routing.neighborhood.NeighborhoodTables`.
+* :meth:`transmit_path` — the bulk form of :meth:`transmit` that CSQ
+  walks and DSQ rounds flush their hop transmitters through;
+* :meth:`deliver` — transmit one hop and schedule its receipt (the
+  ``des`` regime);
+* one-hop accessors (:meth:`neighbors`, :meth:`are_neighbors`)
+  delegating to the :class:`~repro.net.topology.Topology`.
 
 By default the façade does not model propagation delay or loss — the
 paper's simulations ignore the MAC layer, and all reported metrics are
@@ -157,51 +157,6 @@ class Network:
             delay = self.link.delay(sender, receiver, message.wire_size())
         self.byte_seconds += message.wire_size() * delay
         return self.sim.schedule(delay, on_receive, *args)
-
-    def unicast_path(
-        self,
-        message: Message,
-        path: Sequence[int],
-        *,
-        kind: Optional[MessageKind] = None,
-    ) -> bool:
-        """Send ``message`` along an explicit source route, counting each hop.
-
-        Returns True if every consecutive pair in ``path`` is a live link
-        (message delivered); on the first broken link the hops already taken
-        remain counted (they were transmitted) and False is returned.
-
-        This models loose source routing *without* repair; protocols with
-        repair (contact validation) walk the path themselves.
-        """
-        for a, b in zip(path, path[1:]):
-            self.transmit(message, int(a), kind=kind)
-            if not self.are_neighbors(int(a), int(b)):
-                return False
-        return True
-
-    def random_neighbor(
-        self,
-        u: int,
-        rng: np.random.Generator,
-        exclude: Optional[Sequence[int]] = None,
-    ) -> Optional[int]:
-        """A uniformly random neighbor of ``u`` not in ``exclude``.
-
-        Implements the CSQ forwarding rule "forwards the query to one of its
-        randomly chosen neighbors (excluding the one from which CSQ was
-        received)".  Returns None when no eligible neighbor exists (the
-        walk must then backtrack).
-        """
-        nbrs = self.topology.adj[u]
-        if exclude:
-            excl = set(int(e) for e in exclude)
-            eligible = [int(v) for v in nbrs if int(v) not in excl]
-        else:
-            eligible = [int(v) for v in nbrs]
-        if not eligible:
-            return None
-        return eligible[int(rng.integers(len(eligible)))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network({self.topology!r}, t={self.sim.now:.6g})"

@@ -41,8 +41,9 @@ __all__ = ["ArtifactService", "make_server"]
 
 #: Options a run request may pass through to :func:`repro.api.run`.
 #: ``store`` is deliberately absent — the service owns its store — and
-#: ``telemetry`` stays a server-side decision.
-_RUN_OPTIONS = ("scale", "seed", "seeds", "workers", "resume")
+#: ``workers`` and ``telemetry`` stay server-side decisions, so no
+#: request picks how many processes the server forks.
+_RUN_OPTIONS = ("scale", "seed", "seeds", "resume")
 
 
 class ArtifactService:
@@ -107,14 +108,14 @@ class ArtifactService:
                 f"unknown run option(s) {sorted(unknown)}; "
                 f"allowed: {', '.join(_RUN_OPTIONS)}"
             )
-        if "seeds" in options:
-            options["seeds"] = tuple(options["seeds"])  # type: ignore[arg-type]
         kwargs = {k: options[k] for k in _RUN_OPTIONS if k in options}
         with self._run_lock:
             # Pick up rows appended by workers since the last request
             # (a no-op for sqlite, which always reads live).
             self.store.load()
-            result = api.run(exp_id, store=self.store, **kwargs)
+            result = api.run(
+                exp_id, store=self.store, workers=self.workers, **kwargs
+            )
         return {
             "exp_id": result.exp_id,
             "title": result.title,

@@ -201,6 +201,25 @@ class TestMultiSeed:
         with pytest.raises(ValueError, match="duplicates"):
             api.run("fig07", scale=0.2, seeds=(0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": 1.7}, {"seed": True}, {"seeds": (0.5, 1.9)}, {"seeds": (0, True)},
+         {"seeds": 3}, {"seeds": "01"}],
+    )
+    def test_non_integer_seeds_rejected(self, kwargs):
+        # int() would truncate these into some other seed's run
+        with pytest.raises(ValueError, match="seed"):
+            api.run("table1", scale=0.2, **kwargs)
+
+    def test_integral_seed_types_accepted(self):
+        import numpy as np
+
+        exact = api.run("fig07", scale=0.2, num_sources=10, noc_values=(0,), seed=1)
+        again = api.run(
+            "fig07", scale=0.2, num_sources=10, noc_values=(0,), seed=np.int64(1)
+        )
+        assert again.rows == exact.rows
+
     def test_seed_and_seeds_together_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             api.run("fig07", scale=0.2, seed=7, seeds=(0, 1))

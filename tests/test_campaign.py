@@ -22,6 +22,8 @@ from repro.campaign.spec import CampaignSpec, CellSpec, TopologySpec, content_ha
 from repro.campaign.store import ResultStore
 from repro.campaign.__main__ import main as campaign_main
 from repro.core.params import CARDParams, SelectionMethod
+from repro.core.runner import SnapshotRunner
+from repro.scenarios.factory import sample_sources
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -305,6 +307,29 @@ class TestExecuteCell:
         # everything must survive a JSON round trip (store format)
         assert json.loads(json.dumps(metrics)) == metrics
 
+    @pytest.mark.parametrize("full_selection", [False, True])
+    def test_frac_ge50_is_the_share_at_or_above_half(self, full_selection):
+        cell = CellSpec(
+            topology=TopologySpec(kind="standard", num_nodes=150, salt="frac"),
+            params={"R": 3, "r": 10, "noc": 6},
+            metrics=("tradeoff",),
+            num_sources=30,
+            full_selection=full_selection,
+        )
+        frac = execute_cell(cell)["frac_ge50"]
+        topo = cell.topology.build(cell.seed)
+        sources = sample_sources(topo.num_nodes, cell.num_sources, cell.seed)
+        runner = SnapshotRunner(
+            topo,
+            cell.resolved_params(),
+            seed=cell.seed,
+            sources=None if full_selection else sources,
+        )
+        runner.run()
+        reach = runner.protocol.reachability(sources)
+        assert 0.0 < frac < 1.0
+        assert frac == np.count_nonzero(reach >= 50.0) / len(sources)
+
 
 # ----------------------------------------------------------------------
 class TestAggregate:
@@ -463,6 +488,15 @@ class TestCLI:
         spec_path.write_text(text)
         assert campaign_main(["status", str(spec_path)]) == 1
         assert "unknown topology keys ['num_node']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("uri", ["sqlite:///{}", "{}"])
+    def test_merge_missing_sqlite_input_is_an_error(self, tmp_path, capsys, uri):
+        # a typo'd input must not be created empty and merged as 0 records
+        missing = tmp_path / "typo.db"
+        out = tmp_path / "out.jsonl"
+        assert campaign_main(["merge", str(out), uri.format(missing)]) == 1
+        assert "error: no such file" in capsys.readouterr().err
+        assert not missing.exists() and not out.exists()
 
 
 class TestLayering:

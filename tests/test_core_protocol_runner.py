@@ -81,13 +81,35 @@ class TestProtocol:
         outcomes, reselect = card.maintain(0)
         assert reselect is not None  # table was below NoC
 
-    def test_reachability_monotone_in_contacts(self, dense_topo):
-        card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=4), seed=1)
+    def test_query_result_shape(self, dense_topo):
+        card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=3, depth=3), seed=2)
         card.bootstrap()
-        r0 = card.reachability(max_contacts=0).mean()
-        r2 = card.reachability(max_contacts=2).mean()
-        r4 = card.reachability(max_contacts=4).mean()
+        res = card.query(0, 60)
+        assert res.source == 0 and res.target == 60
+        assert isinstance(res.success, bool)
+        assert (res.depth_found is not None) == res.success
+        assert (res.path is not None) == res.success
+
+    def test_reachability_monotone_in_contacts(self, dense_topo):
+        def mean_reach(noc):
+            card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=noc), seed=1)
+            card.bootstrap()
+            return card.reachability().mean()
+
+        r0, r2, r4 = mean_reach(0), mean_reach(2), mean_reach(4)
         assert r0 < r2 <= r4
+
+    def test_smaller_noc_selects_a_prefix(self, dense_topo):
+        # each source draws from its own stream, so raising NoC only
+        # appends contacts to what the smaller budget selected
+        def tables(noc):
+            card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=noc), seed=1)
+            card.bootstrap()
+            return {s: tuple(card.table_for(s).ids()) for s in range(dense_topo.num_nodes)}
+
+        small, large = tables(2), tables(4)
+        for s, ids in small.items():
+            assert large[s][: len(ids)] == ids
 
     def test_reachability_monotone_in_depth(self, dense_topo):
         card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=4), seed=1)
@@ -98,6 +120,19 @@ class TestProtocol:
 
 
 class TestSnapshotRunner:
+    def test_noc_zero_costs_nothing(self, dense_topo):
+        result = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=0), seed=2).run()
+        assert result.mean_contacts == 0.0
+        assert result.selection_per_node() == 0.0
+        assert result.backtracking_per_node() == 0.0
+
+    def test_noc_zero_reaches_only_the_zone(self, dense_topo):
+        result = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=0), seed=2).run()
+        n = dense_topo.num_nodes
+        dist = g.hop_distance_matrix(dense_topo.adj)  # test oracle
+        zone = ((dist >= 0) & (dist <= 2)).sum(axis=1)
+        assert np.allclose(result.reachability, 100.0 * zone / n)
+
     def test_run_produces_consistent_result(self, dense_topo):
         runner = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=3), seed=2)
         result = runner.run()
@@ -114,21 +149,6 @@ class TestSnapshotRunner:
         result = runner.run()
         assert result.reachability.shape == (3,)
         assert result.distribution.sum() == 3
-
-    def test_sweep_noc_monotone(self, dense_topo):
-        runner = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=5), seed=2)
-        result = runner.run()
-        rows = runner.sweep_noc(result, [1, 2, 3, 4, 5])
-        reaches = [row[1] for row in rows]
-        assert reaches == sorted(reaches)
-        backs = [row[3] for row in rows]
-        assert backs == sorted(backs)
-
-    def test_sweep_noc_zero(self, dense_topo):
-        runner = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=2), seed=2)
-        result = runner.run()
-        rows = runner.sweep_noc(result, [0])
-        assert rows[0][2] == 0.0 and rows[0][3] == 0.0
 
 
 class TestTimeSeriesRunner:

@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.params import CARDParams
-from repro.core.protocol import CARDProtocol
-from repro.discovery.base import CARDDiscoveryAdapter
 from repro.discovery.bordercast import BordercastDiscovery, QDMode
 from repro.discovery.expanding_ring import ExpandingRingDiscovery
 from repro.discovery.flooding import FloodingDiscovery
@@ -159,21 +156,23 @@ class TestBordercast:
         assert net.stats.total(MessageKind.FLOOD) == 0
 
 
-class TestCARDAdapter:
-    def test_prepare_reports_selection_cost(self):
-        topo = random_topology(n=120, area=(350.0, 350.0), tx=65.0, seed=8)
-        card = CARDProtocol(Network(topo), CARDParams(R=2, r=7, noc=3, depth=3), seed=2)
-        adapter = CARDDiscoveryAdapter(card, max_depth=3)
-        cost = adapter.prepare()
-        assert cost > 0
-        assert card.total_contacts() > 0
+_SCHEMES = {
+    "flood": lambda net, topo: FloodingDiscovery(net),
+    "ring": lambda net, topo: ExpandingRingDiscovery(net),
+    "border": lambda net, topo: BordercastDiscovery(
+        net, NeighborhoodTables(topo, 2), qd=QDMode.QD2
+    ),
+}
 
-    def test_query_result_shape(self):
-        topo = random_topology(n=120, area=(350.0, 350.0), tx=65.0, seed=8)
-        card = CARDProtocol(Network(topo), CARDParams(R=2, r=7, noc=3, depth=3), seed=2)
-        adapter = CARDDiscoveryAdapter(card, max_depth=3)
-        adapter.prepare()
-        res = adapter.query(0, 60)
-        assert res.source == 0 and res.target == 60
-        assert isinstance(res.success, bool)
-        assert res.detail is not None
+
+class TestResultShape:
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_query_result_shape(self, name):
+        topo = grid_topology(8)
+        net = Network(topo)
+        res = _SCHEMES[name](net, topo).query(0, 63)
+        assert res.source == 0 and res.target == 63
+        assert res.success is True
+        assert res.msgs == net.stats.total() > 0
+        # broadcasts are heard by every neighbour of the transmitter
+        assert res.radio_events >= 2 * res.msgs

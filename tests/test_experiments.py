@@ -153,6 +153,22 @@ class TestComparisonFigures:
         # overhead normalized curve peaks at the max NoC
         assert res.rows[-1][2] == pytest.approx(1.0)
 
+    def test_fig14_curves_scaled_by_their_own_peaks(self):
+        res = run_experiment("fig14", scale=0.25, seed=0, max_noc=4, **FEW_SOURCES)
+        reach_peak = max(row[3] for row in res.rows)
+        overhead_peak = max(row[4] for row in res.rows)
+        for row in res.rows:
+            # columns 3/4 are the raw values rounded to 2 and 1 places
+            assert row[1] == pytest.approx(row[3] / reach_peak, abs=2e-3)
+            assert row[2] == pytest.approx(row[4] / overhead_peak, abs=2e-3)
+
+    def test_fig14_flat_zero_overhead_stays_zero(self):
+        # NoC=0 selects nothing: the overhead series is all zeros and its
+        # normalised column must read 0.0, not divide by its zero peak
+        res = run_experiment("fig14", scale=0.2, seed=0, max_noc=0, **FEW_SOURCES)
+        assert [row[2] for row in res.rows] == [0.0]
+        assert [row[1] for row in res.rows] == [1.0]
+
     def test_fig15_card_beats_flooding(self):
         res = run_experiment("fig15", scale=0.25, seed=0, num_queries=15)
         for row in res.rows:

@@ -1,14 +1,14 @@
-"""Tests for topology liveness and the failure injector."""
+"""Tests for topology liveness and CARD under node crashes."""
 
 import numpy as np
 
 from repro.net import graph as g
 import pytest
 
+from repro.campaign.runner import execute_cell
+from repro.campaign.spec import CellSpec, TopologySpec
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
-from repro.des.engine import Simulator
-from repro.net.failures import FailureInjector
 from repro.net.network import Network
 from tests.conftest import grid_topology, line_topology, random_topology
 
@@ -38,6 +38,26 @@ class TestTopologyLiveness:
         assert not grid5.is_active(0)
         assert (~grid5.active).sum() == 3
 
+    def test_fail_nodes_on_dead_nodes_is_a_no_op(self, grid5):
+        grid5.fail_nodes([3, 4])
+        e1 = grid5.epoch
+        grid5.fail_nodes([3, 4])
+        assert grid5.epoch == e1
+        assert (~grid5.active).sum() == 2
+
+    def test_fail_nodes_takes_numpy_ids(self, grid5):
+        # the crash-wave cell passes the array its generator drew
+        grid5.fail_nodes(np.array([7, 12], dtype=np.int64))
+        assert not grid5.is_active(7) and not grid5.is_active(12)
+        assert 7 not in grid5.adj[12] and len(grid5.adj[7]) == 0
+
+    def test_revived_nodes_get_their_links_back(self, grid5):
+        before = [sorted(grid5.adj[u]) for u in range(grid5.num_nodes)]
+        grid5.fail_nodes([6, 7, 8])
+        for u in (6, 7, 8):
+            grid5.set_active(u, True)
+        assert [sorted(grid5.adj[u]) for u in range(grid5.num_nodes)] == before
+
     def test_active_mask_readonly(self, line10):
         with pytest.raises(ValueError):
             line10.active[0] = False
@@ -51,79 +71,6 @@ class TestTopologyLiveness:
         before = np.array(line10.positions)
         line10.set_active(5, False)
         assert (line10.positions == before).all()
-
-
-class TestFailureInjector:
-    def test_scheduled_failure_applies_at_time(self, line10):
-        sim = Simulator()
-        inj = FailureInjector(sim, line10)
-        inj.fail_at(3.0, 5)
-        sim.run(until=2.0)
-        assert line10.is_active(5)
-        sim.run(until=4.0)
-        assert not line10.is_active(5)
-        assert inj.log == [(3.0, 5, False)]
-
-    def test_recovery_cycle(self, line10):
-        sim = Simulator()
-        inj = FailureInjector(sim, line10)
-        inj.fail_at(1.0, 4)
-        inj.recover_at(2.0, 4)
-        sim.run(until=5.0)
-        assert line10.is_active(4)
-        assert [alive for _, _, alive in inj.log] == [False, True]
-
-    def test_on_change_callbacks(self, line10):
-        sim = Simulator()
-        calls = []
-        inj = FailureInjector(sim, line10, on_change=[lambda: calls.append(sim.now)])
-        inj.fail_at(1.5, 2)
-        sim.run(until=3.0)
-        assert calls == [1.5]
-
-    def test_fail_now_outside_sim(self, line10):
-        inj = FailureInjector(Simulator(), line10)
-        inj.fail_now(7)
-        assert not line10.is_active(7)
-        inj.recover_now(7)
-        assert line10.is_active(7)
-
-    def test_random_failures_bounded_by_horizon(self, grid5):
-        sim = Simulator()
-        inj = FailureInjector(sim, grid5)
-        count = inj.schedule_random_failures(
-            np.random.default_rng(0), rate=2.0, horizon=5.0
-        )
-        assert count > 0
-        sim.run(until=10.0)
-        assert len(inj.failed_nodes) > 0
-        for t, _, _ in inj.log:
-            assert t < 5.0
-
-    def test_random_failures_with_repair(self, grid5):
-        sim = Simulator()
-        inj = FailureInjector(sim, grid5)
-        inj.schedule_random_failures(
-            np.random.default_rng(1), rate=3.0, horizon=4.0, mttr=0.5
-        )
-        sim.run(until=50.0)
-        # with short repair times, most nodes come back
-        assert len(inj.failed_nodes) <= 3
-
-    def test_cancel_all(self, line10):
-        sim = Simulator()
-        inj = FailureInjector(sim, line10)
-        inj.fail_at(1.0, 3)
-        inj.cancel_all()
-        sim.run(until=5.0)
-        assert line10.is_active(3)
-
-    def test_rate_validation(self, line10):
-        inj = FailureInjector(Simulator(), line10)
-        with pytest.raises(ValueError):
-            inj.schedule_random_failures(
-                np.random.default_rng(0), rate=0.0, horizon=1.0
-            )
 
 
 class TestCARDUnderFailures:
@@ -150,3 +97,41 @@ class TestCARDUnderFailures:
         topo.set_active(60, False)
         res = card.query(0, 60, max_depth=2)
         assert not res.success  # dead nodes are not in anyone's zone
+
+
+def _crash_cell(**workload):
+    return CellSpec(
+        topology=TopologySpec(num_nodes=150, salt="crash"),
+        params={"R": 2, "r": 7, "noc": 4, "depth": 3},
+        seed=3,
+        metrics=("failures",),
+        workload={"num_queries": 15, **workload},
+    )
+
+
+class TestCrashWaveCell:
+    """The ``failures`` cell family: bootstrap, crash a wave, repair once."""
+
+    def test_fails_the_requested_fraction(self):
+        m = execute_cell(_crash_cell(fail_fraction=0.2))
+        assert m["num_nodes"] == 150
+        assert m["num_failed"] == 30
+
+    def test_a_zero_fraction_still_fails_one_node(self):
+        assert execute_cell(_crash_cell(fail_fraction=0.0))["num_failed"] == 1
+
+    def test_crash_alone_leaves_contact_tables(self):
+        # dead relays are only noticed by the next validation round
+        m = execute_cell(_crash_cell())
+        assert m["contacts_crash"] == m["contacts_before"] > 0
+
+    def test_repair_round_drops_at_most_the_lost_contacts(self):
+        # survivors validate every contact; a lost one is dropped and may
+        # be re-selected, so the repaired tables hold at least the rest
+        m = execute_cell(_crash_cell(fail_fraction=0.3))
+        assert m["repair_msgs"] > 0
+        assert m["contacts_lost"] > 0
+        assert m["contacts_repaired"] >= m["contacts_crash"] - m["contacts_lost"]
+
+    def test_cell_is_reproducible(self):
+        assert execute_cell(_crash_cell()) == execute_cell(_crash_cell())

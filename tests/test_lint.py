@@ -4,8 +4,8 @@ Structure:
 
 * good/bad fixture pairs per rule family (determinism, layering,
   reachability, concurrency, spec hygiene) over tiny synthetic packages;
-* pragma (``disable`` / ``disable-file`` / ``*``) and baseline behaviour,
-  including the hard rejection of baselined determinism rules;
+* pragma (``disable`` / ``disable-file`` / ``*``) behaviour — pragmas
+  are the only suppression;
 * the import-graph library (closures, deferral, ancestor semantics,
   top-level cycle detection);
 * the CLI: exit codes, ``--format json`` schema, ``--select``;
@@ -27,7 +27,6 @@ import pytest
 
 from repro.lint import (
     LintConfig,
-    LintUsageError,
     build_graph,
     run_lint,
 )
@@ -70,13 +69,11 @@ def make_pkg(tmp_path: Path, files: dict) -> Path:
     return pkg
 
 
-def lint_pkg(pkg: Path, *, select=(), paths=None, baseline=None):
+def lint_pkg(pkg: Path, *, select=(), paths=None):
     config = LintConfig(package_root=pkg)
     if select:
         config.select = tuple(select)
-    return run_lint(
-        paths if paths is not None else [pkg], config, baseline=baseline
-    )
+    return run_lint(paths if paths is not None else [pkg], config)
 
 
 def rules_hit(report):
@@ -168,7 +165,7 @@ class TestWallClockRule:
             "import time\nSTAMP = time.time()\n"
         )
         report = run_lint(
-            [bench], LintConfig(package_root=None), baseline=None
+            [bench], LintConfig(package_root=None)
         )
         assert len(report.findings) == 1
         assert report.findings[0].path.endswith("bench_bad.py")
@@ -610,81 +607,6 @@ class TestPragmas:
         assert rules_hit(report) == ["CARD-D02"]
 
 
-class TestBaseline:
-    def _bad_pkg(self, tmp_path):
-        return make_pkg(
-            tmp_path,
-            {
-                "service/db.py": """
-                import sqlite3
-
-                def open_db(path):
-                    return sqlite3.connect(path)
-                """
-            },
-        )
-
-    def test_baseline_grandfathers_finding(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        pkg = self._bad_pkg(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": [
-                        {
-                            "rule": "CARD-C01",
-                            "path": "src/repro/service/db.py",
-                        }
-                    ],
-                }
-            )
-        )
-        report = lint_pkg(pkg, select=("CARD-C01",), baseline=baseline)
-        assert report.findings == []
-        assert report.baselined == 1
-
-    def test_baseline_does_not_hide_other_rules(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        pkg = self._bad_pkg(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": [
-                        {"rule": "CARD-C03", "path": "src/repro/service/db.py"}
-                    ],
-                }
-            )
-        )
-        report = lint_pkg(pkg, select=("CARD-C01",), baseline=baseline)
-        assert rules_hit(report) == ["CARD-C01"]
-
-    def test_determinism_rules_may_never_be_baselined(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        pkg = self._bad_pkg(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": [{"rule": "CARD-D01", "path": "x.py"}],
-                }
-            )
-        )
-        with pytest.raises(LintUsageError, match="determinism"):
-            lint_pkg(pkg, baseline=baseline)
-
-    def test_committed_baseline_is_empty(self):
-        # the repo guarantee: nothing is grandfathered, determinism least
-        data = json.loads((REPO / "lint-baseline.json").read_text())
-        assert data["findings"] == []
-
-
 # ----------------------------------------------------------------------
 class TestImportGraph:
     def test_closure_deferred_and_ancestors(self, tmp_path):
@@ -760,62 +682,48 @@ class TestCli:
     def test_clean_file_exits_zero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ok.py").write_text("X = 1\n")
-        assert main(["ok.py", "--no-baseline"]) == 0
+        assert main(["ok.py"]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.py").write_text("import random\n")
-        assert main(["bad.py", "--no-baseline"]) == 1
+        assert main(["bad.py"]) == 1
         assert "CARD-D02" in capsys.readouterr().out
 
     def test_parse_error_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.py").write_text("def f(:\n")
-        assert main(["broken.py", "--no-baseline"]) == 1
+        assert main(["broken.py"]) == 1
         assert "parse error" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["nope.py", "--no-baseline"]) == 2
+        assert main(["nope.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_determinism_baseline_exits_two(self, tmp_path, monkeypatch, capsys):
+    def test_a_baseline_file_suppresses_nothing(self, tmp_path, monkeypatch, capsys):
+        # pragmas are the only suppression: a grandfathering file left in
+        # the cwd is not read, and the flags that named one are gone
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "ok.py").write_text("X = 1\n")
-        (tmp_path / "base.json").write_text(
-            json.dumps(
-                {"version": 1, "findings": [{"rule": "CARD-D02", "path": "x"}]}
-            )
-        )
-        assert main(["ok.py", "--baseline", "base.json"]) == 2
-        assert "determinism" in capsys.readouterr().err
-
-    def test_default_baseline_autodetected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        pkg = make_pkg(
-            tmp_path,
-            {"service/db.py": "import sqlite3\nC = sqlite3.connect('x')\n"},
-        )
+        (tmp_path / "bad.py").write_text("import random\n")
         (tmp_path / "lint-baseline.json").write_text(
             json.dumps(
-                {
-                    "version": 1,
-                    "findings": [
-                        {"rule": "CARD-C01", "path": "src/repro/service/db.py"}
-                    ],
-                }
+                {"version": 1, "findings": [{"rule": "CARD-D02", "path": "bad.py"}]}
             )
         )
-        assert main(["src", "--package-root", str(pkg)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
+        assert main(["bad.py"]) == 1
+        assert "CARD-D02" in capsys.readouterr().out
+        for flag in ("--baseline=lint-baseline.json", "--no-baseline"):
+            with pytest.raises(SystemExit):
+                main(["bad.py", flag])
 
     def test_json_report_schema(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.py").write_text("import random\n")
         assert (
             main(
-                ["bad.py", "--no-baseline", "--format", "json", "--out", "r.json"]
+                ["bad.py", "--format", "json", "--out", "r.json"]
             )
             == 1
         )
@@ -823,7 +731,7 @@ class TestCli:
         on_disk = json.loads((tmp_path / "r.json").read_text())
         assert printed == on_disk
         assert printed["tool"] == "card-lint"
-        assert printed["version"] == 1
+        assert printed["version"] == 2
         assert {r["id"] for r in printed["rules"]} == RULE_IDS
         finding = printed["findings"][0]
         assert set(finding) == {
@@ -831,13 +739,14 @@ class TestCli:
         }
         assert printed["summary"]["findings"] == 1
         assert printed["summary"]["files"] == 1
+        assert "baselined" not in printed["summary"]
 
     def test_select_scopes_rules(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.py").write_text(
             "import random\nimport time\nT = time.time()\n"
         )
-        assert main(["bad.py", "--no-baseline", "--select", "CARD-D01"]) == 1
+        assert main(["bad.py", "--select", "CARD-D01"]) == 1
         out = capsys.readouterr().out
         assert "CARD-D01" in out
         assert "CARD-D02" not in out
@@ -861,7 +770,7 @@ class TestRealTree:
             for p in ("src", "tests", "benchmarks", "examples")
             if (REPO / p).is_dir()
         ]
-        report = run_lint(paths, LintConfig.default(), baseline=None)
+        report = run_lint(paths, LintConfig.default())
         assert report.parse_errors == []
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
@@ -880,7 +789,7 @@ class TestRealTree:
         )
         monkeypatch.chdir(tmp_path)
         rc = main(
-            ["src", "--no-baseline", "--format", "json", "--out", "report.json"]
+            ["src", "--format", "json", "--out", "report.json"]
         )
         assert rc == 1
         data = json.loads(Path("report.json").read_text())
@@ -935,7 +844,7 @@ class TestRealTree:
             path.write_text(path.read_text(encoding="utf-8") + lines, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         rc = main(
-            ["src", "--no-baseline", "--select", "CARD-R01", "--format",
+            ["src", "--select", "CARD-R01", "--format",
              "json", "--out", "report.json"]
         )
         assert rc == 1
@@ -958,7 +867,7 @@ class TestRealTree:
         )
         monkeypatch.chdir(tmp_path)
         rc = main(
-            ["src", "--no-baseline", "--format", "json", "--out", "report.json"]
+            ["src", "--format", "json", "--out", "report.json"]
         )
         assert rc == 1
         data = json.loads(Path("report.json").read_text())

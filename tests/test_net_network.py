@@ -1,6 +1,5 @@
 """Tests for the Network façade."""
 
-import numpy as np
 import pytest
 
 from repro.net.messages import FloodQuery, MessageKind
@@ -27,52 +26,6 @@ class TestTransmit:
         net.sim.schedule(4.0, lambda: net.transmit(FloodQuery(source=0, target=1), 0))
         net.sim.run()
         assert net.stats.series([MessageKind.FLOOD], horizon=6.0) == [0.0, 0.0, 1.0 / 6]
-
-
-class TestUnicastPath:
-    def test_complete_path_counts_hops(self, net):
-        ok = net.unicast_path(FloodQuery(source=0, target=3), [0, 1, 2, 3])
-        assert ok
-        assert net.stats.total() == 3
-
-    def test_broken_path_stops_early(self):
-        topo = line_topology(6)
-        net = Network(topo)
-        pos = np.array(topo.positions)
-        pos[2] = [pos[2][0], 9.9]
-        pos[2][0] += 200.0  # teleport node 2 away... but clamp to area
-        pos[2][0] = min(pos[2][0], topo.area[0])
-        topo.set_positions(pos)
-        ok = net.unicast_path(FloodQuery(source=0, target=3), [0, 1, 2, 3])
-        assert not ok
-        # hop 0->1 transmitted, then 1->2 transmitted and found broken
-        assert net.stats.total() == 2
-
-    def test_single_node_path_free(self, net):
-        assert net.unicast_path(FloodQuery(source=0, target=0), [0])
-        assert net.stats.total() == 0
-
-
-class TestRandomNeighbor:
-    def test_respects_exclusions(self, net):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            nbr = net.random_neighbor(2, rng, exclude=[1])
-            assert nbr == 3
-
-    def test_returns_none_when_exhausted(self, net):
-        rng = np.random.default_rng(0)
-        assert net.random_neighbor(0, rng, exclude=[1]) is None
-
-    def test_uniform_over_eligible(self, net):
-        rng = np.random.default_rng(1)
-        picks = {net.random_neighbor(2, rng) for _ in range(50)}
-        assert picks == {1, 3}
-
-    def test_deterministic_with_seed(self, net):
-        a = [net.random_neighbor(2, np.random.default_rng(5)) for _ in range(5)]
-        b = [net.random_neighbor(2, np.random.default_rng(5)) for _ in range(5)]
-        assert a == b
 
 
 class TestMisc:

@@ -1,15 +1,7 @@
-"""Tests for scenarios (Table 1, factory, workloads) and metrics helpers."""
+"""Tests for scenarios (Table 1, factory, workloads)."""
 
-import numpy as np
 import pytest
 
-from repro.metrics.comparison import ComparisonRow, SchemeComparison
-from repro.metrics.summary import (
-    fraction_above,
-    normalized_tradeoff,
-    reachability_summary,
-)
-from repro.discovery.base import DiscoveryResult, DiscoveryScheme
 from repro.net.graph import bfs_hops
 from repro.scenarios.factory import (
     FIG9_CONFIGS,
@@ -91,72 +83,3 @@ class TestFactory:
         topo = build_topology(1, (50.0, 50.0), 10.0, seed=0)
         with pytest.raises(ValueError):
             query_workload(topo, 3)
-
-
-class TestSummary:
-    def test_reachability_summary_keys(self):
-        s = reachability_summary(np.array([10.0, 20.0, 30.0, 40.0]))
-        assert s["mean"] == pytest.approx(25.0)
-        assert s["median"] == pytest.approx(25.0)
-        assert s["max"] == 40.0
-
-    def test_empty_summary(self):
-        assert reachability_summary(np.array([]))["mean"] == 0.0
-
-    def test_fraction_above(self):
-        p = np.array([10.0, 50.0, 90.0])
-        assert fraction_above(p, 50.0) == pytest.approx(2 / 3)
-        assert fraction_above(np.array([]), 50.0) == 0.0
-
-    def test_normalized_tradeoff(self):
-        rows = normalized_tradeoff([0, 1, 2], [0.0, 25.0, 50.0], [0.0, 100.0, 400.0])
-        assert rows[-1] == (2, 1.0, 1.0)
-        assert rows[1] == (1, 0.5, 0.25)
-
-    def test_normalized_tradeoff_zero_series(self):
-        rows = normalized_tradeoff([0], [0.0], [0.0])
-        assert rows == [(0, 0.0, 0.0)]
-
-    def test_normalized_tradeoff_length_mismatch(self):
-        with pytest.raises(ValueError):
-            normalized_tradeoff([0, 1], [1.0], [1.0, 2.0])
-
-
-class _StubScheme(DiscoveryScheme):
-    name = "stub"
-
-    def __init__(self, cost, succeed=True, prep=0):
-        self.cost = cost
-        self.succeed = succeed
-        self.prep = prep
-
-    def prepare(self):
-        return self.prep
-
-    def query(self, source, target):
-        return DiscoveryResult(source, target, self.succeed, self.cost)
-
-
-class TestSchemeComparison:
-    def test_aggregates(self):
-        comp = SchemeComparison([_StubScheme(cost=7, prep=100)])
-        rows = comp.run([(0, 1), (1, 2), (2, 3)])
-        row = rows[0]
-        assert row.queries == 3
-        assert row.query_msgs == 21
-        assert row.prepare_msgs == 100
-        assert row.success_rate == 1.0
-        assert row.msgs_per_query == pytest.approx(7.0)
-
-    def test_failure_counted(self):
-        comp = SchemeComparison([_StubScheme(cost=1, succeed=False)])
-        row = comp.run([(0, 1)])[0]
-        assert row.successes == 0 and row.success_rate == 0.0
-
-    def test_empty_scheme_list_rejected(self):
-        with pytest.raises(ValueError):
-            SchemeComparison([])
-
-    def test_row_zero_queries(self):
-        row = ComparisonRow("x", 0, 0, 0, 0)
-        assert row.success_rate == 0.0 and row.msgs_per_query == 0.0

@@ -11,8 +11,10 @@ import urllib.request
 
 import pytest
 
+from repro import api
+from repro.artifacts.result import ExperimentResult
 from repro.campaign.store import ResultStore
-from repro.service.http import make_server
+from repro.service.http import ArtifactService, make_server
 from repro.service.queue import WorkQueue
 
 
@@ -163,6 +165,33 @@ class TestRunRoute:
         )
         assert status == 400
         assert "unknown run option" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "body", [{"seeds": 3}, {"seeds": "01"}, {"seed": 1.5}, {"seeds": [0, 1.5]}]
+    )
+    def test_run_bad_seeds_400(self, server, body):
+        status, payload = request(server, "POST", "/artifacts/table1/run", body)
+        assert status == 400
+        assert "seed" in payload["error"]
+
+    def test_run_body_cannot_pick_workers(self, server):
+        status, payload = request(
+            server, "POST", "/artifacts/fig05/run", {"scale": 0.15, "workers": 64}
+        )
+        assert status == 400
+        assert "unknown run option" in payload["error"]
+
+    def test_run_uses_the_server_worker_count(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(exp_id, **kwargs):
+            calls.append(kwargs)
+            return ExperimentResult(exp_id=exp_id, title="t", headers=[], rows=[])
+
+        monkeypatch.setattr(api, "run", fake_run)
+        service = ArtifactService(None, root=tmp_path, workers=2)
+        service.run("fig05", {"scale": 0.15})
+        assert [c["workers"] for c in calls] == [2]
 
     def test_run_unknown_artifact_404(self, server):
         status, payload = request(server, "POST", "/artifacts/nope/run", {})
