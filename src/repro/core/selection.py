@@ -250,7 +250,8 @@ class ContactSelector:
         """The one CSQ walk; ``ctx`` holds what the source's walks share."""
         p = self.params
         net = self.network
-        adj = net.adj
+        adjl = net.topology.adj_lists
+        shuffle = rng.shuffle
         is_em = p.method is SelectionMethod.EM
         msg = ContactSelectionQuery(
             source=ctx.source,
@@ -267,9 +268,16 @@ class ContactSelector:
         blocked = ctx.blocked.tobytes()
 
         # The DFS stack is two parallel lists: the walk path and, per node,
-        # an iterator over its lazily shuffled neighbor order.
+        # an iterator over its shuffled neighbor order.  Shuffling a copy of
+        # the cached Python row consumes exactly the draws of
+        # ``rng.permutation(adj[u])`` (the same Fisher-Yates over the same
+        # bounded integers), so walks stay bit-identical to the array form.
         path: List[int] = [int(u) for u in seg]
-        orders = [iter(rng.permutation(adj[u]).tolist()) for u in path]
+        orders = []
+        for u in path:
+            o = adjl[u][:]
+            shuffle(o)
+            orders.append(iter(o))
 
         # Hop transmitters are accumulated and accounted in one bulk flush
         # per category at walk end: the clock does not advance inside a
@@ -331,7 +339,9 @@ class ContactSelector:
                 visited[nxt] = 1
                 seen_count += 1
             path.append(nxt)
-            orders.append(iter(rng.permutation(adj[nxt]).tolist()))
+            o = adjl[nxt][:]
+            shuffle(o)
+            orders.append(iter(o))
             hops = d + 1
             # Admission decision at the receiving node (step 3).  The RNG
             # is consumed exactly when admit() consumes it: only under PM,

@@ -62,7 +62,7 @@ class PeriodicProcess:
             raise ValueError("jitter > 0 requires an rng")
         self.sim = sim
         self.period = float(period)
-        self.callback = callback
+        self.callback: Optional[Callable[[], None]] = callback
         self.jitter = float(jitter)
         self.rng = rng
         #: count of completed firings
@@ -91,6 +91,9 @@ class PeriodicProcess:
     def stop(self) -> None:
         """Cancel the pending firing and suppress all future ones."""
         self._stopped = True
+        # the callback usually closes over the process's owner, which holds
+        # the process: drop it to break that cycle, as EventHandle.cancel does
+        self.callback = None
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None

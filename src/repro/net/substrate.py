@@ -63,6 +63,7 @@ parity suite uses it as the reference).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -420,13 +421,20 @@ class DistanceSubstrate:
     ) -> None:
         if int(horizon) < 1:
             raise ValueError("horizon must be >= 1")
-        self.topology = topology
+        # the topology owns its substrate: a strong back-reference would
+        # make a cycle, and every finished run would wait for the cyclic GC
+        self._topology = weakref.ref(topology)
         self.horizon = int(horizon)
         self.incremental = bool(incremental)
         self._stats = SubstrateStats()
         self._epoch = -1
         self._band = None  # a _DenseBand or _SparseBand, None when stale
         self._cache = _EpochCache()
+
+    @property
+    def topology(self) -> "Topology":
+        """The topology this substrate serves (held weakly; see ``__init__``)."""
+        return self._topology()
 
     # ------------------------------------------------------------------
     # backend + horizon management
@@ -752,9 +760,13 @@ class GlobalDistanceView:
     _ROW_CACHE_LIMIT = 256
 
     def __init__(self, topology: "Topology") -> None:
-        self.topology = topology
+        self._topology = weakref.ref(topology)  # as DistanceSubstrate's
         self._epoch = -1
         self._rows: Dict[int, np.ndarray] = {}
+
+    @property
+    def topology(self) -> "Topology":
+        return self._topology()
 
     horizon: Optional[int] = None
 

@@ -6,7 +6,10 @@ A :class:`Topology` owns the ground truth the whole simulator works from:
 * ``tx_range`` — the common transmission range of the unit-disk model;
 * ``csr`` / ``adj`` — the connectivity derived from the above: one CSR
   ``(indptr, indices)`` pair per epoch, and ``adj`` as the list of its
-  per-node sorted neighbor rows (views, not copies).
+  per-node sorted neighbor rows (views, not copies);
+* ``adj_lists`` — the same rows as plain Python ``list[int]``, built on
+  first use per epoch for the per-hop loops (CSQ walks, one-hop checks)
+  that would otherwise pay a numpy call per node.
 
 Mobility models mutate positions (through :meth:`set_positions`), which
 invalidates and lazily rebuilds the adjacency.  An ``epoch`` counter
@@ -38,6 +41,7 @@ Two facilities support the incremental neighborhood substrate:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -125,6 +129,7 @@ class Topology:
         # connectivity of the last build: CSR arrays, their row views, and
         # the sorted ``row * N + col`` keys the next rebuild is diffed against
         self._adj: Optional[List[np.ndarray]] = None
+        self._adj_lists: Optional[List[List[int]]] = None
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_keys: Optional[np.ndarray] = None
         self._edge_keys_epoch = -1
@@ -192,11 +197,27 @@ class Topology:
         if self._adj is None:
             old_keys, old_epoch = self._edge_keys, self._edge_keys_epoch
             self._adj = self._build_adjacency()
+            self._adj_lists = None
             if self._track_deltas and old_keys is not None:
                 changed = _changed_nodes(old_keys, self._edge_keys, self.num_nodes)
                 self._change_log.append((old_epoch, self.epoch, changed))
             self._edge_keys_epoch = self.epoch
         return self._adj
+
+    @property
+    def adj_lists(self) -> List[List[int]]:
+        """:attr:`adj` as plain Python lists, built once per epoch.
+
+        ``adj_lists[u] == adj[u].tolist()``.  Callers must not mutate the
+        rows: a walk that shuffles one copies it first.
+        """
+        _ = self.adj  # an epoch change rebuilds the CSR and drops the lists
+        if self._adj_lists is None:
+            indptr, indices = self._csr
+            flat = indices.tolist()
+            bounds = indptr.tolist()
+            self._adj_lists = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return self._adj_lists
 
     @property
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -361,9 +382,9 @@ class Topology:
 
     def are_neighbors(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` share a direct (one-hop) link."""
-        nbrs = self.adj[u]
-        i = int(np.searchsorted(nbrs, v))
-        return i < len(nbrs) and int(nbrs[i]) == v
+        nbrs = self.adj_lists[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])

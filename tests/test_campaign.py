@@ -4,6 +4,7 @@ CLI workflow."""
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -329,6 +330,36 @@ class TestExecuteCell:
         reach = runner.protocol.reachability(sources)
         assert 0.0 < frac < 1.0
         assert frac == np.count_nonzero(reach >= 50.0) / len(sources)
+
+
+    # one real cell per metric family; the first cell of each artifact's
+    # scale-0.2 spec is well under a second
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            "table1",  # topology
+            "fig14",  # reachability, overhead, tradeoff
+            "ablation_overlap",  # overlap
+            "fig10",  # series
+            "mobility_rate",  # series, contacts, churn
+            "fig15",  # comparison
+            "ablation_query",  # query
+            "ablation_failures",  # failures
+            "smallworld",
+            "fig_des_latency",  # des
+        ],
+    )
+    def test_finished_cell_is_freed_by_refcount(self, artifact):
+        """A finished cell leaves nothing for the cyclic collector, so its
+        topology and distance band are gone before the next cell peaks."""
+        cell = ARTIFACTS[artifact].build_spec(scale=0.2, seed=0).expand()[0]
+        gc.collect()
+        gc.disable()
+        try:
+            execute_cell(cell)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,50 @@ class TestWalk:
             assert a.contact == b.contact and a.path == b.path
 
 
+class _NoPermutation(np.random.Generator):
+    """A generator whose ``permutation`` raises.  ``Generator`` is an
+    extension type, so the method cannot be monkeypatched; a subclass
+    draws identically otherwise."""
+
+    def permutation(self, x, axis=0):
+        raise AssertionError("the CSQ walk must not call permutation")
+
+
+class TestWalkDraws:
+    @pytest.mark.parametrize("method", [SelectionMethod.EM, SelectionMethod.PM])
+    def test_walk_never_calls_permutation(self, method):
+        topo = random_topology(n=150, seed=4)
+        params = CARDParams(R=2, r=8, noc=4, method=method)
+        sources = list(range(0, 150, 10))
+
+        def run(gen):
+            sel, net, _ = make_selector(topo, params)
+            rngs = {s: gen(np.random.PCG64(s)) for s in sources}
+            res = sel.select_contacts_many(sources, rngs)
+            first = res[sources[0]].table
+            # a maintenance-style re-selection topping up a shrunk table
+            table = ContactTable(sources[0])
+            for c in list(first)[:1]:
+                table.add(c)
+            again = sel.select_contacts(
+                sources[0], gen(np.random.PCG64(99)), table=table
+            )
+            walks = {
+                s: (r.attempts, r.forward_msgs, r.backtrack_msgs,
+                    [(c.node, list(c.path)) for c in r.table])
+                for s, r in res.items()
+            }
+            return walks, [(c.node, list(c.path)) for c in again.table], (
+                net.stats.total(MessageKind.CONTACT_SELECTION),
+                net.stats.total(MessageKind.BACKTRACK),
+            )
+
+        plain = run(np.random.Generator)
+        guarded = run(_NoPermutation)
+        assert guarded == plain
+        assert sum(len(w[3]) for w in plain[0].values()) > 0
+
+
 class TestSelectContacts:
     def test_respects_noc(self):
         topo = grid_topology(10)

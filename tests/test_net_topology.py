@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.topology import Topology
-from tests.conftest import grid_topology, line_topology
+from tests.conftest import grid_topology, line_topology, random_topology
 
 
 class TestConstruction:
@@ -121,6 +121,54 @@ class TestMobilityRebuild:
             line10.set_positions(pos)
         assert line10.epoch == epoch
         assert [a.tolist() for a in line10.adj] == before
+
+
+class TestAdjLists:
+    """``adj_lists`` is ``adj`` as Python lists, current at every epoch."""
+
+    @staticmethod
+    def as_lists(topo):
+        return [row.tolist() for row in topo.adj]
+
+    def test_tracks_every_epoch_change(self):
+        topo = random_topology(n=60, seed=5)
+        assert topo.adj_lists == self.as_lists(topo)
+        rng = np.random.default_rng(0)
+        pos = np.array(topo.positions)
+        pos += rng.uniform(-20.0, 20.0, size=pos.shape)
+        topo.set_positions(np.clip(pos, 0.0, 400.0))
+        assert topo.adj_lists == self.as_lists(topo)
+        topo.fail_nodes([3, 7, 11])
+        assert topo.adj_lists == self.as_lists(topo)
+        assert topo.adj_lists[3] == []
+        topo.set_active(7, True)
+        assert topo.adj_lists == self.as_lists(topo)
+        topo.set_active(5, False)
+        assert topo.adj_lists == self.as_lists(topo)
+
+    def test_are_neighbors_matches_membership(self):
+        topo = random_topology(n=60, seed=5)
+        topo.fail_nodes([4])  # one empty row
+        n = topo.num_nodes
+        for u in range(n):
+            row = topo.adj[u]
+            # every id, plus one past the last node
+            for v in range(n + 1):
+                want = v in row
+                assert bool(topo.are_neighbors(u, v)) is want
+                assert bool(topo.are_neighbors(np.int64(u), np.int64(v))) is want
+        assert not topo.are_neighbors(4, 0)
+
+    def test_not_rebuilt_within_an_epoch(self, grid5):
+        lists = grid5.adj_lists
+        _ = grid5.adj, grid5.csr
+        grid5.are_neighbors(0, 1)
+        assert grid5.adj_lists is lists
+        grid5.set_active(3, True)  # already alive: no epoch change
+        assert grid5.adj_lists is lists
+        grid5.set_positions(np.array(grid5.positions))
+        assert grid5.adj_lists is not lists
+        assert grid5.adj_lists == lists  # same positions, same links
 
 
 class TestDerived:

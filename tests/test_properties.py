@@ -83,6 +83,39 @@ class TestSelectionProperties:
         assert out.forward_msgs + out.backtrack_msgs <= 50 + params.R + 1
 
 
+class TestWalkDrawProperties:
+    """The CSQ walk shuffles a copy of a cached Python row where it used
+    to draw ``rng.permutation`` of the numpy row.  Both run the same
+    Fisher-Yates over the same bounded integers; this pins that, on
+    whatever numpy is installed, so every walk, golden and cell key stays
+    put."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 10_000), max_size=30, unique=True).map(
+                    sorted
+                ),
+                st.booleans(),  # an admission draw after this frame (PM)
+            ),
+            max_size=12,
+        ),
+    )
+    def test_list_shuffle_draws_what_permutation_draws(self, seed, frames):
+        old = np.random.default_rng(seed)
+        new = np.random.default_rng(seed)
+        for row, admission_draw in frames:
+            want = old.permutation(np.array(row, dtype=np.int64)).tolist()
+            got = row[:]
+            new.shuffle(got)
+            assert got == want
+            if admission_draw:
+                assert new.random() == old.random()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
 class TestMaintenanceProperties:
     @settings(**COMMON)
     @given(seed=st.integers(0, 10_000))
