@@ -48,7 +48,6 @@ from repro.mobility import (
     GaussMarkov,
     RandomWalk,
     RandomWaypoint,
-    StaticMobility,
 )
 from repro.net import MessageStats, Network, Topology
 from repro.analysis import smallworld_report
@@ -83,7 +82,6 @@ __all__ = [
     "GaussMarkov",
     "RandomWalk",
     "RandomWaypoint",
-    "StaticMobility",
     "MessageStats",
     "Network",
     "Topology",

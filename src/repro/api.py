@@ -139,6 +139,10 @@ def run(
         The rendered-table bundle; ``result.render()`` prints it.
     """
     artifact = get_artifact(artifact_id)
+    if not isinstance(resume, bool):
+        # a JSON body's "false" or 0 would otherwise be read for its
+        # truthiness and silently pick the wrong branch
+        raise ValueError(f"resume must be true or false, got {resume!r}")
     result_store = _as_store(store)
     if seed is not None:
         seed = coerce_seed(seed)

@@ -652,14 +652,6 @@ class CampaignRunner:
             outcomes=outcomes,
         )
 
-    def resume(
-        self,
-        *,
-        progress: Optional[Callable[[CellOutcome, int, int], None]] = None,
-    ) -> CampaignReport:
-        """Execute only the cells missing from the store (alias of run)."""
-        return self.run(force=False, progress=progress)
-
     # ------------------------------------------------------------------
     def _execute(self, pending: List[Tuple[str, CellSpec]]):
         """Yield (key, metrics, elapsed, error, trace) per pending cell."""

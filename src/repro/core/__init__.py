@@ -34,7 +34,6 @@ from repro.core.maintenance import ContactMaintainer, ValidationOutcome
 from repro.core.query import QueryEngine, QueryResult
 from repro.core.protocol import CARDProtocol
 from repro.core.reachability import (
-    reachability_percent,
     reachability_all,
     reachability_distribution,
     DIST_BIN_EDGES,
@@ -54,7 +53,6 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "CARDProtocol",
-    "reachability_percent",
     "reachability_all",
     "reachability_distribution",
     "DIST_BIN_EDGES",

@@ -117,7 +117,8 @@ class ContactMaintainer:
                 )
         # rule (4)/(5): hop count must still lie within [2R, r]
         hops = len(new_path) - 1
-        if p.enforce_band_on_validation and not (2 * p.R <= hops <= p.r):
+        lo, hi = p.contact_band
+        if p.enforce_band_on_validation and not (lo <= hops <= hi):
             return ValidationOutcome(
                 contact.node, False, "lost-band", msgs, recoveries
             )

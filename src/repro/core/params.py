@@ -20,7 +20,7 @@ plus the maintenance/runtime knobs the paper describes qualitatively
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,16 +47,7 @@ class SelectionMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class CARDParams:
-    """Immutable CARD parameter set.
-
-    Examples
-    --------
-    >>> p = CARDParams(R=3, r=10, noc=5)
-    >>> p.contact_band
-    (6, 10)
-    >>> p.with_(noc=8).noc
-    8
-    """
+    """Immutable CARD parameter set."""
 
     #: neighborhood radius R (hops), >= 1
     R: int = 3
@@ -131,16 +122,16 @@ class CARDParams:
         return self.method is SelectionMethod.EM
 
     @property
+    def contact_band(self) -> tuple:
+        """The ``[2R, r]`` hop band a validated contact must lie in."""
+        return (2 * self.R, self.r)
+
+    @property
     def effective_max_walk_steps(self) -> Optional[int]:
         """The walk-step cap actually applied by the selector."""
         if self.max_walk_steps is not None:
             return self.max_walk_steps
         return None if self.effective_loop_prevention else 40 * self.r
-
-    @property
-    def contact_band(self) -> tuple:
-        """The (2R, r] hop band contacts are meant to occupy."""
-        return (2 * self.R, self.r)
 
     def admission_probability(self, d: int) -> float:
         """PM admission probability for a CSQ at walk distance ``d``.
@@ -155,10 +146,6 @@ class CARDParams:
             return 1.0 if d >= hi else 0.0
         p = (d - lo) / (hi - lo)
         return min(1.0, max(0.0, p))
-
-    def with_(self, **changes: object) -> "CARDParams":
-        """Return a copy with the given fields replaced (sweep helper)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # serialisation (campaign specs store parameter overrides as JSON)

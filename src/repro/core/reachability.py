@@ -13,13 +13,11 @@ The paper reports reachability two ways and we provide both:
 Implementation notes: membership is the boolean N×N matrix (dense or the
 CSR-backed :class:`~repro.net.substrate.SparseMembership`) from
 :class:`~repro.routing.neighborhood.NeighborhoodTables`.
-:func:`reachability_percent` is the single-source reference
-implementation; :func:`reachability_all` answers every source in one
-pass over a :class:`PackedMembership` — neighborhood rows packed to
-uint64 bit-words (``np.packbits``), so the union over a contact level is
-an OR-reduction over ``N/64`` words per row instead of ``N`` bools, and
-each row is densified exactly once per call however many sources share a
-contact.  Counts come from a word popcount, which equals the bool-row
+:func:`reachability_all` answers every source in one pass over a
+:class:`PackedMembership` — neighborhood rows packed to uint64 bit-words
+(``np.packbits``), so the union over a contact level is an OR-reduction
+over ``N/64`` words per row instead of ``N`` bools, and each row is
+densified exactly once per call however many sources share a contact.  Counts come from a word popcount, which equals the bool-row
 sum bit for bit — callers see identical floats either way.
 """
 
@@ -36,7 +34,6 @@ from repro.core.state import ContactTable
 __all__ = [
     "DIST_BIN_EDGES",
     "PackedMembership",
-    "reachability_percent",
     "reachability_all",
     "reachability_distribution",
     "contact_ids_map",
@@ -130,10 +127,6 @@ class PackedMembership:
             )
         return self.words[idx]
 
-    def popcount(self, words: np.ndarray) -> int:
-        """Set bits in ``words`` (== bool-row ``.sum()`` of the union)."""
-        return _popcount(words)
-
     @property
     def nbytes(self) -> int:
         return int(self.words.nbytes)
@@ -146,49 +139,6 @@ class PackedMembership:
 def contact_ids_map(tables: Dict[int, ContactTable]) -> Dict[int, Sequence[int]]:
     """Extract ``source → contact ids`` from the contact tables."""
     return {src: table.ids() for src, table in tables.items()}
-
-
-def reachability_percent(
-    membership: np.ndarray,
-    contacts: Dict[int, Sequence[int]],
-    source: int,
-    depth: int = 1,
-) -> float:
-    """Reachability (%) of one source at contact depth ``depth``.
-
-    The single-source reference implementation (dense bool rows); the
-    batched :func:`reachability_all` must agree with it bit for bit.
-
-    Parameters
-    ----------
-    membership:
-        Boolean ``(N, N)`` neighborhood matrix (``membership[u, v]`` iff v
-        within R hops of u).
-    contacts:
-        ``node → contact ids``; nodes absent from the map have none.
-    source, depth:
-        The querying node and the depth of search D (levels of contacts).
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    n = membership.shape[0]
-    reached = membership[source].copy()
-    level = {int(source)}
-    seen = {int(source)}
-    for _ in range(depth):
-        nxt = set()
-        for u in level:
-            for c in contacts.get(u, ()):
-                c = int(c)
-                if c not in seen:
-                    nxt.add(c)
-                    seen.add(c)
-        if not nxt:
-            break
-        rows = membership[np.fromiter(nxt, dtype=np.int64)]
-        reached |= rows.any(axis=0)
-        level = nxt
-    return 100.0 * float(reached.sum()) / n
 
 
 def _as_node_id(s: object, n: int) -> int:
@@ -255,8 +205,9 @@ def reachability_all(
 
     One packed-bitset pass: rows for the sources and their contact
     closure are packed once, then each source's union is an OR-reduction
-    over uint64 words.  Results are bit-identical to calling
-    :func:`reachability_percent` per source (popcount == bool sum).
+    over uint64 words.  Results are bit-identical to the single-source
+    dense-row union (``reachability_percent`` in ``tests/oracles.py``;
+    popcount == bool sum).
     """
     n = membership.shape[0]
     if depth < 0:

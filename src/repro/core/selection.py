@@ -29,7 +29,7 @@ usually less than NoC" and the reachability plateau of Fig 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,9 +82,6 @@ class SourceSelectionResult:
     attempts: int
     forward_msgs: int = 0
     backtrack_msgs: int = 0
-    #: cumulative (forward, backtrack) totals *after* the k-th contact was
-    #: added
-    per_contact_cumulative: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def total_msgs(self) -> int:
@@ -164,57 +161,20 @@ class ContactSelector:
     # ------------------------------------------------------------------
     # admission decision (§III.C.2)
     # ------------------------------------------------------------------
-    def admit(
-        self,
-        candidate: int,
-        source: int,
-        contact_list: Sequence[int],
-        edge_list: Sequence[int],
-        d: int,
-        rng: np.random.Generator,
-    ) -> bool:
-        """Would ``candidate``, at walk distance ``d``, become a contact?"""
-        p = self.params
-        member = self.tables.membership
-        # a node that already is a contact can never be re-admitted,
-        # independent of any overlap policy (identity dedup)
-        if candidate in contact_list:
-            return False
-        # overlap with the source's neighborhood (always checked)
-        if member[candidate, source]:
-            return False
-        # overlap with already-selected contacts' neighborhoods
-        if p.check_contact_overlap and len(contact_list) > 0:
-            ids = np.fromiter(contact_list, dtype=np.int64)
-            if member[candidate, ids].any():
-                return False
-        if p.method is SelectionMethod.EM:
-            # Edge Method: also require no edge node in the neighborhood,
-            # which guarantees true hop distance > 2R (§III.C.2b)
-            if p.check_edge_overlap and len(edge_list) > 0:
-                ids = np.asarray(edge_list, dtype=np.int64)
-                if member[candidate, ids].any():
-                    return False
-            return True
-        # Probabilistic Method
-        prob = p.admission_probability(d)
-        if prob <= 0.0:
-            return False
-        return bool(rng.random() < prob)
-
     def _admissible_mask(
         self,
         source: int,
         contact_list: Sequence[int],
         edge_list: Sequence[int],
     ) -> np.ndarray:
-        """``mask[c]`` == "would :meth:`admit` pass ``c``'s overlap checks".
+        """``mask[c]`` == "would ``c`` pass the admission overlap checks".
 
         Relies on membership symmetry: ``member[cand, x] == member[x,
         cand]`` (hop distance is symmetric), so the per-candidate probes
-        of :meth:`admit` collapse into one row gather over ``source``,
-        the contact list and (under EM) the edge list.  Under PM a True
-        entry still faces the per-depth admission draw.
+        of the paper's admission rule (the scalar ``admit`` oracle in
+        ``tests/oracles.py``) collapse into one row gather over
+        ``source``, the contact list and (under EM) the edge list.  Under
+        PM a True entry still faces the per-depth admission draw.
         """
         p = self.params
         member = self.tables.membership
@@ -234,16 +194,6 @@ class ContactSelector:
     # ------------------------------------------------------------------
     # one CSQ walk
     # ------------------------------------------------------------------
-    def select_one(
-        self,
-        source: int,
-        edge_node: int,
-        contact_list: Sequence[int],
-        rng: np.random.Generator,
-    ) -> SelectionOutcome:
-        """Launch one CSQ through ``edge_node`` and walk it to completion."""
-        return self._walk(_WalkContext(self, source, contact_list), edge_node, rng)
-
     def _walk(
         self, ctx: _WalkContext, edge_node: int, rng: np.random.Generator
     ) -> SelectionOutcome:
@@ -263,7 +213,7 @@ class ContactSelector:
         seg = self.tables.path_within(ctx.source, edge_node)
         if seg is None:
             return SelectionOutcome(None, None, 0, 0, 0, exhausted=False)
-        # the overlap half of admit(), answered for every node at once;
+        # the overlap half of the admission rule, answered for every node;
         # indexing bytes yields Python ints — no numpy scalar per candidate
         blocked = ctx.blocked.tobytes()
 
@@ -344,9 +294,9 @@ class ContactSelector:
             orders.append(iter(o))
             hops = d + 1
             # Admission decision at the receiving node (step 3).  The RNG
-            # is consumed exactly when admit() consumes it: only under PM,
-            # only when every overlap check passed and the admission
-            # probability at this depth is positive.
+            # is consumed only under PM, only when every overlap check
+            # passed and the admission probability at this depth is
+            # positive.
             if not blocked[nxt]:
                 if is_em:
                     contact = nxt
@@ -457,9 +407,6 @@ class ContactSelector:
             if outcome.contact is not None and outcome.path is not None:
                 table.add(Contact(outcome.contact, outcome.path, selected_at=now))
                 ctx.add_contact(outcome.contact)
-                result.per_contact_cumulative.append(
-                    (result.forward_msgs, result.backtrack_msgs)
-                )
                 productive.append(edge)
                 failures = 0
             else:

@@ -52,9 +52,6 @@ class Contact:
         """Length of the stored route in hops."""
         return len(self.path) - 1
 
-    def age(self, now: float) -> float:
-        return now - self.selected_at
-
 
 class ContactTable:
     """The set of contacts a source currently maintains.

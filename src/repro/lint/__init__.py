@@ -8,9 +8,9 @@ never imports the legacy harness, sqlite transitions take their locks
 eagerly, JSONL appends are single writes.  This package turns those
 conventions into machine-checked rules.
 
-Run it as ``card-lint src tests`` or ``python -m repro.lint``; see
-:mod:`repro.lint.rules` for the catalog and the README's "Static
-analysis" section for the pragma workflow.  Pure stdlib
+Run it as ``card-lint src tests benchmarks examples`` or ``python -m
+repro.lint``; see :mod:`repro.lint.rules` for the catalog and the
+README's "Static analysis" section for the pragma workflow.  Pure stdlib
 (``ast``/``tokenize``) — no new runtime dependencies.
 """
 

@@ -37,7 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         default=["src"],
-        help="files or directories to lint (default: src)",
+        help=(
+            "files or directories to lint (default: src); CARD-R02 counts "
+            "uses only in the files given, so lint the repo as "
+            "'src tests benchmarks examples'"
+        ),
     )
     parser.add_argument(
         "--format",

@@ -10,8 +10,8 @@ Two kinds of rules exist:
 * **module rules** see one file at a time (wall-clock calls, global RNG,
   sqlite transaction discipline, …);
 * **project rules** see the whole-package import graph
-  (:mod:`repro.lint.importgraph`) and run once per invocation, whatever
-  paths were given — layering, entropy-reachability and module
+  (:mod:`repro.lint.importgraph`) and every scanned file, and run once
+  per invocation — layering, entropy-reachability and module and name
   reachability cannot be judged file-locally.
 
 Suppression syntax (the ``--`` justification is free text, encouraged):
@@ -333,6 +333,8 @@ def run_lint(
     ``config.package_root`` regardless of which paths were given — their
     findings land in package files even when only ``tests/`` was
     scanned, because the invariants they enforce are package-global.
+    CARD-R02 is the exception: it judges the package files among
+    ``paths`` by the uses it finds in the other scanned files.
     """
     from repro.lint.rules import ALL_RULES
 
@@ -363,7 +365,7 @@ def run_lint(
         graph = build_graph(Path(config.package_root))
         for rule in project_rules:
             if config.rule_enabled(rule.id):
-                findings.extend(rule.check_project(graph, config))
+                findings.extend(rule.check_project(graph, units, config))
 
     # pragma suppression — look the source up in scanned units first,
     # falling back to reading the file (project findings may point at

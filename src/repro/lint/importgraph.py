@@ -154,90 +154,6 @@ class ImportGraph:
                 reach(edge.dst, current)
         return parents
 
-    # ------------------------------------------------------------------
-    def toplevel_cycles(self) -> List[List[str]]:
-        """Module-level import cycles (each a list of dotted names).
-
-        A non-trivial strongly-connected component over the
-        ``deferred=False`` edges means a fresh ``import`` of any member
-        can hit a partially-initialised module, depending on which side
-        is imported first.  Returns ``[]`` for a sound layering.
-        """
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-
-        def strongconnect(node: str) -> None:
-            # iterative Tarjan (the graph is small but recursion depth
-            # should not depend on package size)
-            work = [(node, iter(self._toplevel_neighbors(node)))]
-            index[node] = low[node] = counter[0]
-            counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            while work:
-                current, neighbors = work[-1]
-                advanced = False
-                for nxt in neighbors:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter[0]
-                        counter[0] += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(self._toplevel_neighbors(nxt))))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        low[current] = min(low[current], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[current])
-                if low[current] == index[current]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    if len(component) > 1:
-                        sccs.append(sorted(component))
-
-        for module in sorted(self.modules):
-            if module not in index:
-                strongconnect(module)
-        return sccs
-
-    def _toplevel_neighbors(self, module: str) -> List[str]:
-        """Module bodies an import in ``module`` can cause to execute.
-
-        Edges into ``module``'s own ancestor packages are skipped — those
-        packages are necessarily already in ``sys.modules`` (partially
-        initialised at worst) when ``module``'s body runs, so they cannot
-        re-execute.  The same holds for a destination's ancestors that
-        ``module`` shares: only packages that first execute *because of*
-        this edge count toward a cycle.
-        """
-        own = set(self.ancestors(module))
-        seen: Set[str] = set()
-        out: List[str] = []
-        for edge in self.imports_of(module, include_deferred=False):
-            if edge.dst in own:
-                continue
-            for dst in [edge.dst, *self.ancestors(edge.dst)]:
-                if dst in own or dst == module:
-                    continue
-                if dst not in seen and dst in self.modules:
-                    seen.add(dst)
-                    out.append(dst)
-        return out
-
 
 # ----------------------------------------------------------------------
 def _module_name(root: str, package_root: Path, path: Path) -> Optional[str]:

@@ -35,7 +35,15 @@ Reachability:
   closure of the entry points (:data:`ENTRY_ROOTS` plus every
   ``*.__main__``), walked without ancestor packages so a facade
   re-export is not a use; a package counts while anything inside it is
-  reached.
+  reached;
+* **CARD-R02** — every public top-level def or class, and every public
+  method, under the package is named (an ``ast.Name`` or
+  ``ast.Attribute``) by some scanned file outside ``tests/``: code only
+  tests reach is deleted, or is a test oracle and lives in ``tests/``.
+  Imports and ``__all__`` strings are not uses; ``visit_*``, ``do_*``
+  and ``log_message`` are dispatched by name and exempt.  The verdict
+  depends on the scan covering every caller, so lint ``src tests
+  benchmarks examples`` together.
 
 Concurrency/durability discipline:
 
@@ -53,7 +61,7 @@ Concurrency/durability discipline:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import Finding, LintConfig, ModuleUnit
 from repro.lint.importgraph import ImportGraph
@@ -64,7 +72,8 @@ __all__ = ["ALL_RULES", "Rule", "rule_catalog"]
 # ----------------------------------------------------------------------
 class Rule:
     """Base class: module rules override ``check``, project rules
-    ``check_project`` (and set ``project_wide = True``)."""
+    ``check_project`` (and set ``project_wide = True``); a project rule
+    sees the package's import graph and every scanned file."""
 
     id: str = ""
     category: str = ""
@@ -75,7 +84,10 @@ class Rule:
         return []
 
     def check_project(
-        self, graph: ImportGraph, config: LintConfig
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
     ) -> List[Finding]:
         return []
 
@@ -350,7 +362,10 @@ class CellEntropyRule(Rule):
     project_wide = True
 
     def check_project(
-        self, graph: ImportGraph, config: LintConfig
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
     ) -> List[Finding]:
         findings: List[Finding] = []
         roots = [r for r in config.cell_entry_roots if r in graph.modules]
@@ -417,7 +432,10 @@ class LayerRule(Rule):
         self.summary = "module imports must follow the dependency DAG"
 
     def check_project(
-        self, graph: ImportGraph, config: LintConfig
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
     ) -> List[Finding]:
         constraints = [
             c for c in config.layer_constraints if c.rule == self.id
@@ -487,7 +505,10 @@ class ReachabilityRule(Rule):
     project_wide = True
 
     def check_project(
-        self, graph: ImportGraph, config: LintConfig
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
     ) -> List[Finding]:
         roots = sorted(
             m
@@ -526,6 +547,76 @@ class ReachabilityRule(Rule):
                     ),
                 )
             )
+        return findings
+
+
+# ----------------------------------------------------------------------
+#: names CARD-R02 never judges: private names and dunders (``_``), and
+#: methods the runtime calls by a name no source spells out — ``ast``
+#: visitors (``visit_*``) and ``http.server`` handlers (``do_*``,
+#: ``log_message``)
+_UNJUDGED_PREFIXES = ("_", "visit_", "do_")
+_UNJUDGED_NAMES = frozenset({"log_message"})
+
+
+def _judged_defs(tree: ast.Module) -> Iterator[ast.AST]:
+    """Top-level defs and classes, and the methods of top-level classes,
+    whose names are public and not dispatched by name."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for n in [node, *(m for m in members if isinstance(m, defs[:2]))]:
+            if not (
+                n.name.startswith(_UNJUDGED_PREFIXES)
+                or n.name in _UNJUDGED_NAMES
+            ):
+                yield n
+
+
+class NameReachabilityRule(Rule):
+    id = "CARD-R02"
+    category = "reachability"
+    summary = (
+        "every public def, class and method in the package is named by "
+        "some scanned file outside tests/; an import or an __all__ entry "
+        "is not a use"
+    )
+    project_wide = True
+
+    def check_project(
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
+    ) -> List[Finding]:
+        used: Set[str] = set()
+        for unit in units:
+            if unit.top_dir == "tests":
+                continue
+            for node in ast.walk(unit.tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        findings: List[Finding] = []
+        for unit in units:
+            if not _matches_prefix(unit.module, (graph.root,)):
+                continue
+            for node in _judged_defs(unit.tree):
+                if node.name in used:
+                    continue
+                findings.append(
+                    self.finding(
+                        unit,
+                        node,
+                        f"{node.name} is named only under tests/; delete it "
+                        "(and the tests that check only it), move a test "
+                        "oracle to tests/oracles.py, or pragma it with the "
+                        "reason it stays",
+                    )
+                )
         return findings
 
 
@@ -728,6 +819,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     LayerRule("CARD-L02"),
     LayerRule("CARD-L03"),
     ReachabilityRule(),
+    NameReachabilityRule(),
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),

@@ -1,9 +1,8 @@
 """Mobility models.
 
 The paper's evaluation uses the **random way-point** model (§IV); it is
-implemented here together with a static model (the degenerate case the
-reachability snapshots use), a bounded random walk, and Gauss-Markov — the
-latter two cover the paper's future-work note that "different mobility
+implemented here together with a bounded random walk and Gauss-Markov,
+which cover the paper's future-work note that "different mobility
 models may have different effects on performance of CARD" (§IV.B footnote).
 
 All models share the :class:`~repro.mobility.base.MobilityModel` interface:
@@ -13,7 +12,6 @@ integrator) and draw from a caller-supplied seeded generator.
 """
 
 from repro.mobility.base import MobilityModel, MobilityDriver
-from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
 from repro.mobility.walk import RandomWalk
 from repro.mobility.gauss_markov import GaussMarkov
@@ -21,7 +19,6 @@ from repro.mobility.gauss_markov import GaussMarkov
 __all__ = [
     "MobilityModel",
     "MobilityDriver",
-    "StaticMobility",
     "RandomWaypoint",
     "RandomWalk",
     "GaussMarkov",

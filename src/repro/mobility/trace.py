@@ -19,9 +19,9 @@ semantics and our RWP integrator.
 
 from __future__ import annotations
 
-# card-lint: disable-file=CARD-R01 -- replaying a recorded trace is not a
-# cell option yet; it becomes MobilitySpec(model="trace") once specs are
-# declared as data (with the trace file content in the cell hash)
+# card-lint: disable-file=CARD-R01,CARD-R02 -- replaying a recorded trace is
+# not a cell option yet, so only tests reach this module; ROADMAP [9] makes
+# it MobilitySpec(model="trace"), with the trace file content in the cell hash
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple

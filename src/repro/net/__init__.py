@@ -34,7 +34,6 @@ from repro.net.graph import (
     GraphStats,
     PairSampleStats,
     sample_pair_stats,
-    shortest_path,
 )
 from repro.net.substrate import (
     DistanceSubstrate,
@@ -74,7 +73,6 @@ __all__ = [
     "GraphStats",
     "PairSampleStats",
     "sample_pair_stats",
-    "shortest_path",
     "Message",
     "MessageKind",
     "ContactSelectionQuery",

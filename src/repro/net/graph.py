@@ -17,8 +17,7 @@ mean hop count.  This module provides:
 * :func:`hop_distance_matrix` — all-pairs hop distances, delegated to
   ``scipy.sparse.csgraph`` (C-speed BFS over a CSR matrix) with a pure-Python
   fallback, per the HPC guide's "use compiled code for the hot spot";
-* :func:`connected_components`, :func:`graph_stats` — the Table 1 columns;
-* :func:`shortest_path` — hop-optimal path extraction for query replies.
+* :func:`connected_components`, :func:`graph_stats` — the Table 1 columns.
 
 Adjacency representation: ``list[np.ndarray]`` — ``adj[u]`` is a sorted int
 array of u's neighbors.  This is the format produced by
@@ -52,7 +51,6 @@ __all__ = [
     "GraphStats",
     "PairSampleStats",
     "sample_pair_stats",
-    "shortest_path",
     "adjacency_to_csr",
     "csr_to_matrix",
 ]
@@ -573,22 +571,3 @@ def graph_stats(
         diameter_upper=diameter_upper,
         mean_hops_se=mean_hops_se,
     )
-
-
-def shortest_path(adj: Sequence[np.ndarray], source: int, target: int) -> Optional[List[int]]:
-    """A hop-optimal path from ``source`` to ``target`` (inclusive), or None.
-
-    Deterministic: ties broken toward lower node ids via sorted adjacency.
-    """
-    if source == target:
-        return [source]
-    dist, parent = bfs_tree(adj, source)
-    if dist[target] == UNREACHABLE:
-        return None
-    path = [target]
-    node = target
-    while node != source:
-        node = int(parent[node])
-        path.append(node)
-    path.reverse()
-    return path

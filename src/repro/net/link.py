@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.util.rng import spawn_rng
-from repro.util.validation import check_in_range, check_non_negative
+from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["LinkSpec", "LinkModel"]
 
@@ -56,7 +56,7 @@ class LinkSpec:
     def __post_init__(self) -> None:
         check_non_negative("latency", self.latency)
         check_non_negative("jitter", self.jitter)
-        check_in_range("loss", self.loss, 0.0, 1.0)
+        check_probability("loss", self.loss)
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive (or None)")
 

@@ -156,10 +156,6 @@ class MessageStats:
             out += c.per_node
         return out
 
-    def mean_per_node(self, *kinds: MessageKind) -> float:
-        """Mean messages per node — the paper's "overhead per node" metric."""
-        return float(self.total(*kinds)) / self.num_nodes
-
     def series(
         self,
         kinds: Sequence[MessageKind],
@@ -177,10 +173,6 @@ class MessageStats:
                 if 0 <= b < nbins:
                     out[b] += count
         return [v / self.num_nodes for v in out]
-
-    def overhead_series(self, horizon: float) -> List[float]:
-        """Time series of the paper's total-overhead aggregate."""
-        return self.series(OVERHEAD_CATEGORIES, horizon)
 
     def snapshot(self) -> Dict[str, int]:
         """Category → total, for reporting."""

@@ -658,13 +658,6 @@ class DistanceView:
         """Ids within ``horizon`` hops of ``u`` (including ``u``), sorted."""
         return self.substrate._fresh_band().row_within(int(u), self.horizon)
 
-    def within(self, u: int, h: int) -> np.ndarray:
-        """Ids within ``h`` ≤ horizon hops of ``u`` (including ``u``)."""
-        h = int(h)
-        if h > self.horizon:
-            raise ValueError(f"radius {h} exceeds view horizon {self.horizon}")
-        return self.substrate._fresh_band().row_within(int(u), h)
-
     def ring(self, u: int, h: Optional[int] = None) -> np.ndarray:
         """Ids at *exactly* ``h`` hops (default: the horizon — edge nodes)."""
         h = self.horizon if h is None else int(h)
@@ -696,14 +689,6 @@ class DistanceView:
         if d == 0:
             return [u]
         return band.descend(sub.topology.adj, u, v, d)
-
-    def any_within(self, u: int, ids) -> bool:
-        """True iff any id of ``ids`` lies within ``horizon`` hops of ``u``."""
-        ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids,
-                         dtype=np.int64)
-        if ids.size == 0:
-            return False
-        return bool((self.hops_many(u, ids) != g.UNREACHABLE).any())
 
     # -- matrix views ---------------------------------------------------
     def membership(self, radius: Optional[int] = None):
@@ -793,10 +778,6 @@ class GlobalDistanceView:
     def members(self, u: int) -> np.ndarray:
         """Every node reachable from ``u`` (its connected component)."""
         return np.flatnonzero(self._row(u) >= 0)
-
-    def within(self, u: int, h: int) -> np.ndarray:
-        row = self._row(u)
-        return np.flatnonzero((row >= 0) & (row <= int(h)))
 
     def sample_pair_stats(
         self, k: int, rng: np.random.Generator

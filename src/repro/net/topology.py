@@ -261,18 +261,10 @@ class Topology:
     def is_active(self, u: int) -> bool:
         return bool(self._active[u])
 
-    def set_active(self, u: int, alive: bool) -> None:
-        """Fail (or revive) node ``u``: a failed node keeps its position but
-        loses every link, exactly like a powered-off radio.  Rebuilds
-        connectivity (epoch bump) when the state actually changes."""
-        if bool(self._active[u]) == bool(alive):
-            return
-        self._active[u] = bool(alive)
-        self._adj = None
-        self.epoch += 1
-
     def fail_nodes(self, nodes) -> None:
-        """Fail several nodes in one epoch bump."""
+        """Fail ``nodes`` in one epoch bump: a failed node keeps its
+        position but loses every link, exactly like a powered-off radio.
+        Failing a node that is already down changes nothing."""
         changed = False
         for u in nodes:
             if self._active[int(u)]:
@@ -369,16 +361,6 @@ class Topology:
                 self._global_view = GlobalDistanceView(self)
             return self._global_view
         return self.substrate(int(horizon)).view(int(horizon))
-
-    def neighborhood_matrix(self, radius: int):
-        """R-hop neighborhood membership matrix (``M[u, v]`` iff within R).
-
-        Served by the radius-bounded substrate — dense boolean below the
-        sparse threshold, a row-materialising
-        :class:`~repro.net.substrate.SparseMembership` above it; no
-        all-pairs matrix either way.
-        """
-        return self.substrate(int(radius)).membership(int(radius))
 
     def are_neighbors(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` share a direct (one-hop) link."""

@@ -155,13 +155,5 @@ class NeighborhoodTables:
         """
         return self._view.path(u, v)
 
-    def any_member_of(self, u: int, candidates) -> bool:
-        """True iff *any* id in ``candidates`` lies in u's neighborhood.
-
-        Vectorized form of the CSQ overlap checks (source / Contact_List /
-        Edge_List membership).
-        """
-        return self._view.any_within(u, candidates)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborhoodTables(R={self.radius}, epoch={self.substrate.epoch})"

@@ -8,6 +8,7 @@ parameters printed in the figure's legend.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,8 +52,15 @@ def resolve_scale(scale) -> float:
     """A numeric scale from a float or a profile name (``"xl"``).
 
     Raises ``ValueError`` naming the known profiles for unknown strings
-    or out-of-range numbers, matching the CLI's friendly-error style.
+    or out-of-range numbers, matching the CLI's friendly-error style.  A
+    bool is not a scale (``True`` would silently run at 1.0), and
+    neither is anything but a real number or a string.
     """
+    if isinstance(scale, bool) or not isinstance(scale, (numbers.Real, str)):
+        raise ValueError(
+            f"scale must be a number in (0, {MAX_SCALE:g}] or a profile "
+            f"name, got {scale!r}"
+        )
     if isinstance(scale, str):
         try:
             return float(scale) if scale not in SCALE_PROFILES else SCALE_PROFILES[scale]

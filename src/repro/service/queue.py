@@ -299,13 +299,6 @@ class WorkQueue:
             raise
         return count
 
-    def retry_failed(self) -> int:
-        """Return ``failed`` cells to the pending set; count retried."""
-        return self._conn().execute(
-            "UPDATE cells SET state = 'pending', error = NULL "
-            "WHERE state = 'failed'"
-        ).rowcount
-
     # -- introspection --------------------------------------------------
     def counts(self) -> Dict[str, int]:
         """Cells per state (every state present, zero-filled)."""

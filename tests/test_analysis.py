@@ -76,13 +76,13 @@ class TestContactGraph:
 
 class TestDegreesOfSeparation:
     def test_own_zone_is_level_zero(self, line10):
-        membership = line10.neighborhood_matrix(2)
+        membership = line10.substrate(2).membership(2)
         sep = degrees_of_separation(membership, {}, sources=[0])
         assert sep[0, 0] == 0 and sep[0, 2] == 0
         assert sep[0, 3] == -1  # no contacts: nothing beyond the zone
 
     def test_contact_adds_level_one(self, line10):
-        membership = line10.neighborhood_matrix(2)
+        membership = line10.substrate(2).membership(2)
         t = ContactTable(0)
         t.add(Contact(node=6, path=[0, 1, 2, 3, 4, 5, 6]))
         sep = degrees_of_separation(membership, {0: t}, sources=[0])
@@ -90,7 +90,7 @@ class TestDegreesOfSeparation:
         assert sep[0, 9] == -1
 
     def test_chains_add_levels(self, line10):
-        membership = line10.neighborhood_matrix(1)
+        membership = line10.substrate(1).membership(1)
         t0 = ContactTable(0)
         t0.add(Contact(node=4, path=[0, 1, 2, 3, 4]))
         t4 = ContactTable(4)

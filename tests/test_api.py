@@ -72,6 +72,20 @@ class TestFacadeBasics:
         forced = api.run("fig07", resume=False, **kwargs)
         assert "1 cells executed" in forced.notes[-1]
 
+    @pytest.mark.parametrize(
+        "kwargs, word",
+        [
+            ({"resume": "false"}, "resume"),
+            ({"resume": 0}, "resume"),
+            ({"scale": True}, "scale"),
+            ({"scale": [1]}, "scale"),
+        ],
+    )
+    def test_mistyped_resume_or_scale_rejected(self, kwargs, word):
+        # truthiness reads "false" as True, and float(True) is scale 1.0
+        with pytest.raises(ValueError, match=word):
+            api.run("table1", **{"scale": 0.12, **kwargs})
+
 
 class TestImportLayering:
     def test_facade_import_closure_holds_no_cli(self):

@@ -1,9 +1,10 @@
 """Contracts of the bulk-accounting engines.
 
-Selection has one CSQ walk engine (`ContactSelector.select_one`); what
+Selection has one CSQ walk engine (`ContactSelector._walk`); what
 it promises beyond its own unit tests is pinned here: source-order
 independence, the admissibility mask equalling the scalar `admit()`
-rule, and bulk hop accounting equalling per-hop `transmit`.  The DSQ engine
+rule of `tests/oracles.py`, and bulk hop accounting equalling per-hop
+`transmit`.  The DSQ engine
 (`QueryEngine.query` / `query_many`, one per-pair routine over the
 frozen contact fabric) promises *bit-identical* results to the
 recursive one-hop-per-call walk kept here as `oracle_query` — same
@@ -31,6 +32,7 @@ from repro.net.topology import Topology
 from repro.mobility.waypoint import RandomWaypoint
 
 from tests.conftest import grid_topology, random_topology
+from tests.oracles import admit, select_one
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +93,6 @@ def assert_same_selection(res_a, res_b) -> None:
         assert a.attempts == b.attempts
         assert a.forward_msgs == b.forward_msgs
         assert a.backtrack_msgs == b.backtrack_msgs
-        assert a.per_contact_cumulative == b.per_contact_cumulative
         assert a.table.ids() == b.table.ids()
         for ca, cb in zip(a.table, b.table):
             assert ca.path == cb.path
@@ -192,7 +193,7 @@ class TestAdmissibleMask:
                 # at d == r the PM admission probability is 1, so admit()
                 # reduces to its overlap checks under both methods
                 want = [
-                    sel.admit(c, source, contact_list, edges, card.params.r, rng)
+                    admit(sel, c, source, contact_list, edges, card.params.r, rng)
                     for c in range(card.network.num_nodes)
                 ]
                 assert mask.tolist() == want
@@ -224,7 +225,7 @@ class TestAdmissibleMask:
                 edge = next_edge(
                     EdgePolicy.RANDOM, ordered, res.attempts, (), card_b.tables
                 )
-                out = sel_b.select_one(source, edge, table.ids(), rng)
+                out = select_one(sel_b, source, edge, table.ids(), rng)
                 res.attempts += 1
                 res.forward_msgs += out.forward_msgs
                 res.backtrack_msgs += out.backtrack_msgs
@@ -232,9 +233,6 @@ class TestAdmissibleMask:
                     failures += 1
                     continue
                 table.add(Contact(out.contact, out.path))
-                res.per_contact_cumulative.append(
-                    (res.forward_msgs, res.backtrack_msgs)
-                )
                 failures = 0
             res_b[source] = res
             assert (
@@ -264,8 +262,8 @@ class TestBulkAccounting:
 
         net.transmit_path = spy
         source = 5
-        outcome = card.selector.select_one(
-            source, int(card.tables.edge_nodes(source)[0]), (),
+        outcome = select_one(
+            card.selector, source, int(card.tables.edge_nodes(source)[0]), (),
             np.random.default_rng(1),
         )
         hops = {kind: tx for _, tx, kind in flushes}

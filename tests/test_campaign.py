@@ -25,6 +25,7 @@ from repro.campaign.__main__ import main as campaign_main
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.runner import SnapshotRunner
 from repro.scenarios.factory import sample_sources
+from tests.oracles import toplevel_cycles
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -251,7 +252,7 @@ class TestRunnerDeterminism:
 
         executed = []
         runner = CampaignRunner(spec, ResultStore(part))
-        report = runner.resume(progress=lambda o, i, n: executed.append(o.key))
+        report = runner.run(progress=lambda o, i, n: executed.append(o.key))
         assert report.executed == 2 and report.cached == 2
         assert set(executed).isdisjoint(kept)
         # resumed store converges to the full run
@@ -553,7 +554,7 @@ class TestLayering:
         # a non-trivial SCC over import-time edges means some first-import
         # order hits a partially-initialised module; the static check
         # covers every order at once (the old suite sampled five)
-        cycles = self._graph().toplevel_cycles()
+        cycles = toplevel_cycles(self._graph())
         assert cycles == [], f"top-level import cycles: {cycles}"
 
     def test_first_import_order_smoke(self):

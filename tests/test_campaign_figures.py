@@ -288,8 +288,8 @@ class TestTimeSeriesCells:
         truncated.write_text("\n".join(lines[:3]) + '\n{"key": "zzz", "metr')
         resumed = ResultStore(truncated)
         assert resumed.corrupt_lines == 1
-        report_snap = CampaignRunner(snap, store=resumed).resume()
-        report_series = CampaignRunner(series, store=resumed).resume()
+        report_snap = CampaignRunner(snap, store=resumed).run()
+        report_series = CampaignRunner(series, store=resumed).run()
         assert report_snap.executed + report_series.executed == 1
         assert report_snap.cached + report_series.cached == 3
         # resumed store converges on the full run, bit for bit

@@ -144,9 +144,6 @@ class TestAdjacencyOracle:
         topo.fail_nodes([3, 17, 40])
         active[[3, 17, 40]] = False
         assert_adj_exact(topo, all_pairs_adjacency(pos, 50.0, active))
-        topo.set_active(17, True)
-        active[17] = True
-        assert_adj_exact(topo, all_pairs_adjacency(pos, 50.0, active))
 
     def test_csr_matrix_matches_row_lists(self):
         topo = Topology.uniform_random(120, (400.0, 400.0), 60.0, np.random.default_rng(7))

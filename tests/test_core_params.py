@@ -61,16 +61,6 @@ class TestDerived:
     def test_contact_band(self):
         assert CARDParams(R=3, r=10).contact_band == (6, 10)
 
-    def test_with_returns_modified_copy(self):
-        p = CARDParams(R=3, r=10, noc=5)
-        q = p.with_(noc=8)
-        assert q.noc == 8 and p.noc == 5
-        assert q.R == 3
-
-    def test_with_revalidates(self):
-        with pytest.raises(ValueError):
-            CARDParams(R=3, r=10).with_(r=5)
-
     def test_describe_mentions_method(self):
         em = CARDParams().describe()
         pm = CARDParams(method=SelectionMethod.PM, pm_equation=1).describe()

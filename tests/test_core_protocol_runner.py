@@ -8,10 +8,10 @@ import pytest
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.core.runner import SnapshotRunner, TimeSeriesRunner
-from repro.mobility.static import StaticMobility
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.network import Network
 from tests.conftest import grid_topology, random_topology
+from tests.oracles import StaticMobility
 
 
 @pytest.fixture

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from repro.core.reachability import (
     DIST_BIN_EDGES,
     PackedMembership,
+    _popcount,
     contact_ids_map,
     reachability_all,
     reachability_distribution,
-    reachability_percent,
 )
 from repro.core.state import Contact, ContactTable
 from repro.net.substrate import SparseMembership
+from tests.oracles import reachability_percent
 
 
 def line_membership(n, radius):
@@ -140,7 +141,7 @@ class TestReachabilityAllPacked:
         m = random_membership(33, 11)  # n not a multiple of 64: padding bits
         packed = PackedMembership.from_membership(m)
         for u in range(33):
-            assert packed.popcount(packed.row(u)) == int(m[u].sum())
+            assert _popcount(packed.row(u)) == int(m[u].sum())
 
     def test_non_integer_sources_rejected(self):
         m = random_membership(10, 0)

@@ -15,6 +15,7 @@ from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, line_topology, random_topology
+from tests.oracles import admit, select_one
 
 
 def make_selector(topo, params):
@@ -31,9 +32,9 @@ class TestAdmission:
         rng = np.random.default_rng(0)
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         # node 3 is within 2R of source 0: edge node 2 is its neighbor
-        assert not sel.admit(3, 0, (), edge_list, d=3, rng=rng)
+        assert not admit(sel, 3, 0, (), edge_list, d=3, rng=rng)
         # node 6 is beyond 2R+1: no source/edge overlap
-        assert sel.admit(6, 0, (), edge_list, d=6, rng=rng)
+        assert admit(sel, 6, 0, (), edge_list, d=6, rng=rng)
 
     def test_em_rejects_contact_neighborhood_overlap(self):
         topo = line_topology(20)
@@ -43,9 +44,9 @@ class TestAdmission:
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         # 8 would be admissible, but 7 is already a contact and 8 is within
         # R=2 of 7 → overlap with an existing contact's neighborhood
-        assert not sel.admit(8, 0, (7,), edge_list, d=8, rng=rng)
+        assert not admit(sel, 8, 0, (7,), edge_list, d=8, rng=rng)
         # 10 is 3 hops from contact 7 → no overlap
-        assert sel.admit(10, 0, (7,), edge_list, d=10, rng=rng)
+        assert admit(sel, 10, 0, (7,), edge_list, d=10, rng=rng)
 
     def test_em_guarantees_distance_beyond_2R(self):
         """EM admission implies true hop distance > 2R (the Fig 1 fix)."""
@@ -56,7 +57,7 @@ class TestAdmission:
         dist = g.hop_distance_matrix(topo.adj)  # test oracle
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         for x in range(1, 100):
-            if sel.admit(x, 0, (), edge_list, d=5, rng=rng):
+            if admit(sel, x, 0, (), edge_list, d=5, rng=rng):
                 assert dist[0, x] > 2 * params.R or dist[0, x] == -1
 
     def test_pm_probability_zero_inside_band(self):
@@ -65,14 +66,14 @@ class TestAdmission:
         sel, _, _ = make_selector(topo, params)
         rng = np.random.default_rng(0)
         # d == 2R → P = 0, never admitted even without overlap
-        assert not any(sel.admit(9, 0, (), (), d=4, rng=rng) for _ in range(50))
+        assert not any(admit(sel, 9, 0, (), (), d=4, rng=rng) for _ in range(50))
 
     def test_pm_probability_one_at_r(self):
         topo = line_topology(20)
         params = CARDParams(R=2, r=10, method=SelectionMethod.PM, pm_equation=2)
         sel, _, _ = make_selector(topo, params)
         rng = np.random.default_rng(0)
-        assert sel.admit(12, 0, (), (), d=10, rng=rng)
+        assert admit(sel, 12, 0, (), (), d=10, rng=rng)
 
     def test_pm_ignores_edge_list(self):
         """PM checks source+contacts only; a node near an edge node can win."""
@@ -82,7 +83,7 @@ class TestAdmission:
         rng = np.random.default_rng(0)
         # node 5: within R of edge node 2? dist(5,2)=3 > R... choose node 4:
         # not in source's R=2 neighborhood, d=4 with eq1 → P=(4-2)/(10-2)=.25
-        hits = sum(sel.admit(5, 0, (), tuple(tables.edge_nodes(0)), d=5, rng=rng) for _ in range(300))
+        hits = sum(admit(sel, 5, 0, (), tuple(tables.edge_nodes(0)), d=5, rng=rng) for _ in range(300))
         assert 0 < hits < 300  # probabilistic admission, not deterministic
 
     def test_ablation_flags_disable_checks(self):
@@ -94,7 +95,7 @@ class TestAdmission:
         sel, _, _ = make_selector(topo, params)
         rng = np.random.default_rng(0)
         # 8 overlaps contact 7's neighborhood but the check is off
-        assert sel.admit(8, 0, (7,), (), d=8, rng=rng)
+        assert admit(sel, 8, 0, (7,), (), d=8, rng=rng)
 
 
 class TestWalk:
@@ -103,7 +104,7 @@ class TestWalk:
         params = CARDParams(R=2, r=8, noc=1, method=SelectionMethod.EM)
         sel, net, tables = make_selector(topo, params)
         rng = np.random.default_rng(0)
-        out = sel.select_one(0, int(tables.edge_nodes(0)[0]), (), rng)
+        out = select_one(sel, 0, int(tables.edge_nodes(0)[0]), (), rng)
         assert out.contact is not None
         # EM invariant: contact strictly beyond 2R
         assert g.hop_distance_matrix(topo.adj)[0, out.contact] > 4
@@ -117,7 +118,7 @@ class TestWalk:
         topo = line_topology(30)
         params = CARDParams(R=2, r=6, noc=1)
         sel, _, tables = make_selector(topo, params)
-        out = sel.select_one(0, 2, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 2, (), np.random.default_rng(0))
         assert out.contact is not None
         assert len(out.path) - 1 <= 6
 
@@ -125,7 +126,7 @@ class TestWalk:
         topo = line_topology(20)
         params = CARDParams(R=2, r=8, noc=1)
         sel, net, tables = make_selector(topo, params)
-        out = sel.select_one(0, 2, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 2, (), np.random.default_rng(0))
         assert net.stats.total(MessageKind.CONTACT_SELECTION) == out.forward_msgs
         assert net.stats.total(MessageKind.BACKTRACK) == out.backtrack_msgs
         assert out.forward_msgs >= len(out.path) - 1
@@ -134,7 +135,7 @@ class TestWalk:
         topo = line_topology(20)
         params = CARDParams(R=2, r=8, noc=1)
         sel, net, _ = make_selector(topo, params)
-        out = sel.select_one(0, 2, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 2, (), np.random.default_rng(0))
         assert net.stats.total(MessageKind.REPLY) == len(out.path) - 1
 
     def test_exhausted_when_no_candidate(self):
@@ -142,7 +143,7 @@ class TestWalk:
         topo = line_topology(5)
         params = CARDParams(R=2, r=8, noc=1)
         sel, net, tables = make_selector(topo, params)
-        out = sel.select_one(0, 2, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 2, (), np.random.default_rng(0))
         assert out.contact is None
         assert out.exhausted
         # the walk visited everything reachable within r hops
@@ -152,14 +153,14 @@ class TestWalk:
         topo = line_topology(5)
         params = CARDParams(R=2, r=8, noc=1)
         sel, _, _ = make_selector(topo, params)
-        out = sel.select_one(0, 2, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 2, (), np.random.default_rng(0))
         assert out.backtrack_msgs > 0
 
     def test_step_cap_inconclusive(self):
         topo = grid_topology(8)
         params = CARDParams(R=2, r=10, noc=1, max_walk_steps=2)
         sel, _, tables = make_selector(topo, params)
-        out = sel.select_one(0, int(tables.edge_nodes(0)[0]), (), np.random.default_rng(0))
+        out = select_one(sel, 0, int(tables.edge_nodes(0)[0]), (), np.random.default_rng(0))
         # with 2 walk steps past the edge the query tops out at depth
         # R+2 = 4 = 2R, where EM admission is impossible
         assert out.contact is None
@@ -169,7 +170,7 @@ class TestWalk:
         topo = line_topology(6, spacing=100.0, tx=50.0)  # disconnected
         params = CARDParams(R=2, r=6, noc=1)
         sel, _, _ = make_selector(topo, params)
-        out = sel.select_one(0, 3, (), np.random.default_rng(0))
+        out = select_one(sel, 0, 3, (), np.random.default_rng(0))
         assert out.contact is None and out.forward_msgs == 0
 
     def test_deterministic_given_rng(self):
@@ -179,8 +180,8 @@ class TestWalk:
         sel2, _, _ = make_selector(topo, params)
         e = int(t1.edge_nodes(0)[0]) if len(t1.edge_nodes(0)) else None
         if e is not None:
-            a = sel1.select_one(0, e, (), np.random.default_rng(3))
-            b = sel2.select_one(0, e, (), np.random.default_rng(3))
+            a = select_one(sel1, 0, e, (), np.random.default_rng(3))
+            b = select_one(sel2, 0, e, (), np.random.default_rng(3))
             assert a.contact == b.contact and a.path == b.path
 
 
@@ -283,19 +284,6 @@ class TestSelectContacts:
         # node 5 is at distance 5 > 2R → actually admissible; allow either,
         # but attempts must stay bounded
         assert res.attempts <= 2 + res.num_contacts * 6
-
-    def test_cumulative_marks_monotone(self):
-        topo = grid_topology(12)
-        params = CARDParams(R=2, r=10, noc=6)
-        sel, _, _ = make_selector(topo, params)
-        res = sel.select_contacts(66, np.random.default_rng(2))
-        marks = res.per_contact_cumulative
-        assert len(marks) == res.num_contacts
-        for (f1, b1), (f2, b2) in zip(marks, marks[1:]):
-            assert f2 >= f1 and b2 >= b1
-        if marks:
-            assert marks[-1][0] <= res.forward_msgs
-            assert marks[-1][1] <= res.backtrack_msgs
 
     def test_existing_table_extended(self):
         topo = grid_topology(12)

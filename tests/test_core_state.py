@@ -19,10 +19,6 @@ class TestContact:
         with pytest.raises(ValueError):
             Contact(node=0, path=[0])
 
-    def test_age(self):
-        c = Contact(node=1, path=[0, 1], selected_at=2.0)
-        assert c.age(5.0) == 3.0
-
 
 class TestContactTable:
     def test_add_and_query(self):

@@ -15,21 +15,16 @@ from tests.conftest import grid_topology, line_topology, random_topology
 
 class TestTopologyLiveness:
     def test_failed_node_loses_links(self, line10):
-        line10.set_active(5, False)
+        line10.fail_nodes([5])
         assert len(line10.adj[5]) == 0
         assert 5 not in line10.adj[4]
         assert 5 not in line10.adj[6]
 
     def test_failure_bumps_epoch_once(self, line10):
         e0 = line10.epoch
-        line10.set_active(3, False)
-        line10.set_active(3, False)  # no-op repeat
+        line10.fail_nodes([3])
+        line10.fail_nodes([3])  # no-op repeat
         assert line10.epoch == e0 + 1
-
-    def test_recovery_restores_links(self, line10):
-        line10.set_active(5, False)
-        line10.set_active(5, True)
-        assert list(line10.adj[5]) == [4, 6]
 
     def test_fail_nodes_bulk(self, grid5):
         e0 = grid5.epoch
@@ -51,25 +46,18 @@ class TestTopologyLiveness:
         assert not grid5.is_active(7) and not grid5.is_active(12)
         assert 7 not in grid5.adj[12] and len(grid5.adj[7]) == 0
 
-    def test_revived_nodes_get_their_links_back(self, grid5):
-        before = [sorted(grid5.adj[u]) for u in range(grid5.num_nodes)]
-        grid5.fail_nodes([6, 7, 8])
-        for u in (6, 7, 8):
-            grid5.set_active(u, True)
-        assert [sorted(grid5.adj[u]) for u in range(grid5.num_nodes)] == before
-
     def test_active_mask_readonly(self, line10):
         with pytest.raises(ValueError):
             line10.active[0] = False
 
     def test_failed_node_splits_network(self, line10):
-        line10.set_active(5, False)
+        line10.fail_nodes([5])
         dist = g.hop_distance_matrix(line10.adj)
         assert dist[0, 9] == -1
 
     def test_positions_survive_failure(self, line10):
         before = np.array(line10.positions)
-        line10.set_active(5, False)
+        line10.fail_nodes([5])
         assert (line10.positions == before).all()
 
 
@@ -94,7 +82,7 @@ class TestCARDUnderFailures:
         topo = random_topology(n=120, area=(350.0, 350.0), tx=65.0, seed=3)
         card = CARDProtocol(Network(topo), CARDParams(R=2, r=7, noc=3, depth=2), seed=3)
         card.bootstrap()
-        topo.set_active(60, False)
+        topo.fail_nodes([60])
         res = card.query(0, 60, max_depth=2)
         assert not res.success  # dead nodes are not in anyone's zone
 

@@ -32,6 +32,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main
 from repro.lint.rules import ALL_RULES
+from tests.oracles import toplevel_cycles
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -42,6 +43,7 @@ RULE_IDS = {
     "CARD-L02",
     "CARD-L03",
     "CARD-R01",
+    "CARD-R02",
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
@@ -394,6 +396,152 @@ class TestReachabilityRule:
         assert lint_pkg(pkg, select=("CARD-R01",), paths=[]).findings == []
 
 
+class TestNameReachabilityRule:
+    ENGINE = """
+    class Box:
+        def __init__(self):
+            self.items = []
+
+        def size(self):
+            return len(self.items)
+
+        def _grow(self):
+            self.items.append(0)
+
+
+    def run():
+        return Box()
+
+
+    def helper():
+        return 1
+    """
+
+    @staticmethod
+    def lint_tree(tmp_path, files):
+        """Lint {path under tmp_path: source} — the package plus the
+        trees beside it — with CARD-R02 alone."""
+        for rel, source in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source), encoding="utf-8")
+        pkg = make_pkg(tmp_path, {})  # adds the package's __init__ files
+        top = sorted({rel.split("/", 1)[0] for rel in files})
+        return lint_pkg(
+            pkg, select=("CARD-R02",), paths=[Path(d) for d in top]
+        )
+
+    def test_a_def_only_a_test_calls_is_flagged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": self.ENGINE,
+                "src/repro/api.py": "from repro.core import engine\nBOX = engine.run()\n",
+                "tests/test_engine.py": """
+                from repro.core import engine
+
+                def test_helper():
+                    assert engine.helper() == 1
+                    assert engine.run().size() == 0
+                """,
+            },
+        )
+        assert rules_hit(report) == ["CARD-R02"]
+        assert sorted(
+            (f.path, f.message.split()[0]) for f in report.findings
+        ) == [
+            ("src/repro/core/engine.py", "helper"),
+            ("src/repro/core/engine.py", "size"),
+        ]
+
+    @pytest.mark.parametrize("caller", ["examples", "benchmarks"])
+    def test_a_caller_in_examples_or_benchmarks_is_a_use(
+        self, tmp_path, monkeypatch, caller
+    ):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": self.ENGINE,
+                f"{caller}/demo.py": """
+                from repro.core import engine
+
+                print(engine.run().size(), engine.helper())
+                """,
+            },
+        )
+        assert report.findings == []
+
+    def test_private_and_dispatched_names_are_exempt(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/service/handler.py": """
+                import ast
+                from http.server import BaseHTTPRequestHandler
+
+
+                def _private():
+                    return 1
+
+
+                class Handler(BaseHTTPRequestHandler):
+                    def __init__(self, *args):
+                        super().__init__(*args)
+
+                    def do_GET(self):
+                        pass
+
+                    def log_message(self, fmt, *args):
+                        pass
+
+
+                class Names(ast.NodeVisitor):
+                    def visit_Name(self, node):
+                        pass
+                """,
+                "src/repro/api.py": (
+                    "from repro.service import handler\n"
+                    "SERVED = (handler.Handler, handler.Names)\n"
+                ),
+            },
+        )
+        assert report.findings == []
+
+    def test_an_import_or_all_entry_is_not_a_use(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": "def helper():\n    return 1\n",
+                "src/repro/__init__.py": (
+                    "from repro.core.engine import helper\n"
+                    "__all__ = ['helper']\n"
+                ),
+                "examples/demo.py": "from repro.core.engine import helper\n",
+            },
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["helper"]
+
+    def test_pragma_suppresses(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": (
+                    "def helper():  # card-lint: disable=CARD-R02 -- fixture\n"
+                    "    return 1\n"
+                ),
+            },
+        )
+        assert report.findings == []
+        assert report.suppressed == 1
+
+
 class TestSqliteTxnRule:
     def test_deferred_begin_and_implicit_isolation_flagged(
         self, tmp_path, monkeypatch
@@ -656,7 +804,7 @@ class TestImportGraph:
                 "b.py": "from repro.a import Y\nX = 1\n",
             },
         )
-        assert build_graph(pkg).toplevel_cycles() == [["repro.a", "repro.b"]]
+        assert toplevel_cycles(build_graph(pkg)) == [["repro.a", "repro.b"]]
 
     def test_deferred_cycle_is_not_a_cycle(self, tmp_path):
         pkg = make_pkg(
@@ -666,7 +814,7 @@ class TestImportGraph:
                 "b.py": "def f():\n    from repro.a import Y\n    return Y\nX = 1\n",
             },
         )
-        assert build_graph(pkg).toplevel_cycles() == []
+        assert toplevel_cycles(build_graph(pkg)) == []
 
     def test_facade_reexports_are_not_cycles(self, tmp_path):
         # `from repro import b` inside repro.a: the root package is
@@ -674,7 +822,7 @@ class TestImportGraph:
         pkg = make_pkg(tmp_path, {"a.py": "from repro import b\n", "b.py": ""})
         root_init = pkg / "__init__.py"
         root_init.write_text("from repro import a, b\n")
-        assert build_graph(pkg).toplevel_cycles() == []
+        assert toplevel_cycles(build_graph(pkg)) == []
 
 
 # ----------------------------------------------------------------------

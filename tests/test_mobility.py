@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.des.engine import Simulator
 from repro.mobility.base import MobilityDriver
 from repro.mobility.gauss_markov import GaussMarkov
-from repro.mobility.static import StaticMobility
 from repro.mobility.walk import RandomWalk
 from repro.mobility.waypoint import RandomWaypoint
 from tests.conftest import line_topology
+from tests.oracles import StaticMobility
 
 AREA = (100.0, 80.0)
 

@@ -54,7 +54,7 @@ class TestTraceRecording:
         assert np.allclose(a.positions, b.positions, atol=1e-6)
 
     def test_static_model_empty_trace(self):
-        from repro.mobility.static import StaticMobility
+        from tests.oracles import StaticMobility
 
         model = StaticMobility(np.full((4, 2), 50.0), AREA)
         trace = record_trace(model, horizon=2.0)

@@ -170,29 +170,6 @@ class TestGraphStats:
         assert len(g.graph_stats(line10.adj).row()) == 4
 
 
-class TestShortestPath:
-    def test_path_endpoints_and_length(self, grid5):
-        path = g.shortest_path(grid5.adj, 0, 24)
-        assert path[0] == 0 and path[-1] == 24
-        assert len(path) - 1 == 8  # manhattan distance on 5x5 grid
-
-    def test_path_edges_valid(self, rand_topo):
-        dist = g.hop_distance_matrix(rand_topo.adj)
-        pairs = np.argwhere(dist > 0)[:50]
-        for a, b in pairs:
-            path = g.shortest_path(rand_topo.adj, int(a), int(b))
-            assert len(path) - 1 == dist[a, b]
-            for u, v in zip(path, path[1:]):
-                assert v in rand_topo.adj[u]
-
-    def test_self_path(self, grid5):
-        assert g.shortest_path(grid5.adj, 3, 3) == [3]
-
-    def test_disconnected_returns_none(self):
-        topo = line_topology(2, spacing=100.0, tx=50.0)
-        assert g.shortest_path(topo.adj, 0, 1) is None
-
-
 class TestSamplePairStats:
     """Sampled diameter bounds must honestly bracket the exact value."""
 

@@ -60,11 +60,6 @@ class TestMessageStats:
         assert list(per) == [0, 5, 0]
         assert list(s.per_node()) == [0, 6, 0]
 
-    def test_mean_per_node(self):
-        s = MessageStats(4)
-        s.record(MessageKind.QUERY, 0, count=8)
-        assert s.mean_per_node(MessageKind.QUERY) == 2.0
-
     def test_time_binning(self):
         s = MessageStats(2, time_bin=2.0)
         s.record(MessageKind.VALIDATION, 0, time=0.5)
@@ -85,7 +80,7 @@ class TestMessageStats:
         s.record(MessageKind.BACKTRACK, 0, time=0.2)
         s.record(MessageKind.VALIDATION, 0, time=0.3)
         s.record(MessageKind.QUERY, 0, time=0.4)  # not overhead
-        assert s.overhead_series(1.0) == [3.0]
+        assert s.series(OVERHEAD_CATEGORIES, 1.0) == [3.0]
 
     def test_overhead_categories_contents(self):
         assert MessageKind.CONTACT_SELECTION in OVERHEAD_CATEGORIES

@@ -141,9 +141,7 @@ class TestAdjLists:
         topo.fail_nodes([3, 7, 11])
         assert topo.adj_lists == self.as_lists(topo)
         assert topo.adj_lists[3] == []
-        topo.set_active(7, True)
-        assert topo.adj_lists == self.as_lists(topo)
-        topo.set_active(5, False)
+        topo.fail_nodes([5])
         assert topo.adj_lists == self.as_lists(topo)
 
     def test_are_neighbors_matches_membership(self):
@@ -164,7 +162,7 @@ class TestAdjLists:
         _ = grid5.adj, grid5.csr
         grid5.are_neighbors(0, 1)
         assert grid5.adj_lists is lists
-        grid5.set_active(3, True)  # already alive: no epoch change
+        grid5.fail_nodes([])  # nothing fails: no epoch change
         assert grid5.adj_lists is lists
         grid5.set_positions(np.array(grid5.positions))
         assert grid5.adj_lists is not lists
@@ -173,7 +171,7 @@ class TestAdjLists:
 
 class TestDerived:
     def test_neighborhood_matrix(self, grid5):
-        m = grid5.neighborhood_matrix(1)
+        m = grid5.substrate(1).membership(1)
         assert m[0, 1] and m[0, 5] and not m[0, 2]
 
     def test_stats_passthrough(self, line10):

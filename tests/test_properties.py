@@ -20,6 +20,7 @@ from repro.net.graph import bfs_hops, hop_distance_matrix
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
+from tests.oracles import select_one
 
 COMMON = dict(
     max_examples=12,
@@ -78,7 +79,7 @@ class TestSelectionProperties:
         edges = tables.edge_nodes(0)
         if len(edges) == 0:
             return
-        out = sel.select_one(0, int(edges[0]), (), np.random.default_rng(seed))
+        out = select_one(sel, 0, int(edges[0]), (), np.random.default_rng(seed))
         # steps = forward beyond the seg + backtracks <= cap (+seg cost)
         assert out.forward_msgs + out.backtrack_msgs <= 50 + params.R + 1
 

@@ -36,12 +36,6 @@ class TestMembership:
         assert t.size(0) == 4   # 0,1,2,3
         assert t.size(5) == 7   # 2..8
 
-    def test_any_member_of(self, line10):
-        t = NeighborhoodTables(line10, radius=2)
-        assert t.any_member_of(0, [9, 2])
-        assert not t.any_member_of(0, [8, 9])
-        assert not t.any_member_of(0, [])
-
     def test_invalid_radius(self, line10):
         with pytest.raises((ValueError, TypeError)):
             NeighborhoodTables(line10, radius=0)
@@ -135,7 +129,7 @@ class TestPathWithinOracle:
         tx=st.sampled_from([1.0, 40.0, 60.0, 90.0, 600.0]),
         seed=st.integers(0, 2**16),
         radius=st.integers(1, 5),
-        bump=st.sampled_from(["set_positions", "fail_nodes", "set_active"]),
+        bump=st.sampled_from(["set_positions", "fail_nodes"]),
     )
     def test_every_pair_equals_bfs_oracle(self, backend, n, tx, seed, radius, bump):
         """All n² pairs — self pairs, out-of-zone pairs, isolated nodes and
@@ -152,10 +146,8 @@ class TestPathWithinOracle:
                 pos = np.array(topo.positions)
                 pos += rng.uniform(-40.0, 40.0, size=pos.shape)
                 topo.set_positions(np.clip(pos, 0.0, AREA))
-            elif bump == "fail_nodes":
-                topo.fail_nodes(rng.choice(n, size=(n + 2) // 3, replace=False))
             else:
-                topo.set_active(int(rng.integers(n)), False)
+                topo.fail_nodes(rng.choice(n, size=(n + 2) // 3, replace=False))
             self.check(t, pairs)
 
     def test_every_epoch_bump_refreshes_the_route(self):
@@ -166,17 +158,12 @@ class TestPathWithinOracle:
         t = NeighborhoodTables(topo, radius=4)
         pairs = [(0, 2), (0, 7), (0, 1), (12, 2), (0, 2)]
         assert t.path_within(0, 2) == [0, 1, 2]
-        topo.set_active(1, False)
+        topo.fail_nodes([1])
         assert t.path_within(0, 2) == [0, 5, 6, 7, 2]
         self.check(t, pairs)
-        topo.set_active(1, True)
-        assert t.path_within(0, 2) == [0, 1, 2]
-        self.check(t, pairs)
-        topo.fail_nodes([1, 6])
+        topo.fail_nodes([6])
         assert t.path_within(0, 2) is None  # 0-5-10-11-12-7-2 is 6 hops
         self.check(t, pairs)
-        topo.set_active(6, True)
-        assert t.path_within(0, 2) == [0, 5, 6, 7, 2]
         pos = np.array(topo.positions)
         pos[5] = pos[24]  # node 5 moves onto the far corner
         topo.set_positions(pos)

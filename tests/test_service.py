@@ -151,14 +151,6 @@ class TestWorkQueue:
         assert not queue.heartbeat(lease.key, "w1")
         assert not queue.commit(lease.key, "w1", elapsed=9.0)
 
-    def test_retry_failed(self, tmp_path):
-        queue = make_queue(tmp_path)
-        enqueue_keys(queue, 1)
-        lease = queue.lease("w1")
-        queue.commit(lease.key, "w1", error="boom")
-        assert queue.retry_failed() == 1
-        assert queue.counts()["pending"] == 1
-
     def test_ttl_round_trips_via_meta(self, tmp_path):
         queue = WorkQueue(tmp_path / "q.db", ttl=7.5)
         queue.set_meta("ttl", queue.ttl)

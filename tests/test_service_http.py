@@ -174,6 +174,20 @@ class TestRunRoute:
         assert status == 400
         assert "seed" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "body, word",
+        [
+            ({"scale": 0.12, "resume": "false"}, "resume"),
+            ({"scale": 0.12, "resume": 0}, "resume"),
+            ({"scale": True}, "scale"),
+            ({"scale": [1]}, "scale"),
+        ],
+    )
+    def test_run_mistyped_resume_or_scale_400(self, server, body, word):
+        status, payload = request(server, "POST", "/artifacts/table1/run", body)
+        assert status == 400
+        assert word in payload["error"]
+
     def test_run_body_cannot_pick_workers(self, server):
         status, payload = request(
             server, "POST", "/artifacts/fig05/run", {"scale": 0.15, "workers": 64}

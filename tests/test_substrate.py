@@ -201,7 +201,7 @@ class TestTopologyDiff:
         topo = line_topology(6)
         topo.enable_delta_tracking()
         e0 = topo.epoch
-        topo.set_active(2, False)
+        topo.fail_nodes([2])
         changed = topo.diff(e0)
         assert set(changed.tolist()) == {1, 2, 3}
 

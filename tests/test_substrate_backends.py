@@ -145,8 +145,6 @@ class TestBandEqualsOracleDynamic:
         sub.refresh()
         topo.fail_nodes([3, 40, 41, 77])
         assert_matches_oracle(topo, sub, 3)
-        topo.set_active(40, True)  # revive one
-        assert_matches_oracle(topo, sub, 3)
 
 
 class TestMultiHorizonViews:
@@ -171,15 +169,12 @@ class TestMultiHorizonViews:
         for u in (0, 17, 61):
             row = full[u]
             assert (view.members(u) == np.flatnonzero((row >= 0) & (row <= 4))).all()
-            assert (view.within(u, 2) == np.flatnonzero((row >= 0) & (row <= 2))).all()
             assert (view.ring(u) == np.flatnonzero(row == 4)).all()
             assert (view.ring(u, 1) == np.flatnonzero(row == 1)).all()
         clip = np.where((full >= 0) & (full <= 4), full, -1).astype(
             view.band().dtype
         )
         assert (view.band() == clip).all()
-        with pytest.raises(ValueError):
-            view.within(0, 5)
 
     def test_two_r_view_epoch_invalidation_regression(self):
         """The 2R view must track epoch bumps exactly like the R view —
