@@ -121,10 +121,10 @@ def run(
         even when cached (a forced re-measurement — results are
         re-appended, the store is never rewritten).
     telemetry:
-        Per-cell tracing (see :meth:`repro.obs.ObsConfig.coerce`):
-        ``True`` writes ``<store>.trace.jsonl`` next to a persistent
-        store, a path selects the trace file explicitly, an
-        :class:`~repro.obs.ObsConfig` gives full control.  The returned
+        Per-cell tracing, resolved by :func:`repro.obs.resolve_telemetry`:
+        ``None``/``False`` off, ``True`` writes ``<store>.trace.jsonl``
+        next to a persistent store (in memory only for an ephemeral
+        one), a path selects the trace file explicitly.  The returned
         result carries the aggregated
         :meth:`~repro.obs.TraceSummary.as_dict` in ``result.telemetry``.
         Metrics, content hashes and golden parity are unaffected.

@@ -162,8 +162,9 @@ class Artifact:
 
         A warm ``store`` turns execution into cache hits (cells are
         keyed by content hash, so overlapping artifacts share work);
-        ``force`` re-executes cached cells too.  ``telemetry`` (see
-        :meth:`repro.obs.ObsConfig.coerce`) traces every executed cell
+        ``force`` re-executes cached cells too.  ``telemetry`` (``None``/
+        ``False``, ``True`` or a trace file path, resolved by
+        :func:`repro.obs.resolve_telemetry`) traces every executed cell
         and attaches the aggregated summary to the result's
         ``telemetry`` field; stored metrics are identical either way.
         """
@@ -241,10 +242,10 @@ def campaign_note(report: CampaignReport) -> str:
 
 
 def ensure_report_ok(report: CampaignReport, spec_name: str) -> None:
-    """Raise with the first failed cell's traceback on a failed run."""
+    """Raise naming every failed cell, with the first one's error."""
     if not report.ok:
-        errors = [o.error for o in report.outcomes if o.error]
+        failed = [o for o in report.outcomes if o.error]
         raise RuntimeError(
-            f"{spec_name} campaign had {report.failed} failed cells:\n"
-            f"{errors[0]}"
+            f"{spec_name} campaign had {report.failed} failed cells "
+            f"({', '.join(o.key for o in failed)}):\n{failed[0].error}"
         )

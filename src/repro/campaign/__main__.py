@@ -7,12 +7,12 @@ workers, then prove the second invocation is pure cache::
 
     python -m repro.campaign example --out sweep.json
     python -m repro.campaign run sweep.json --workers 4
-    python -m repro.campaign resume sweep.json      # 0 executed
+    python -m repro.campaign run sweep.json         # 0 executed
     python -m repro.campaign status sweep.json
     python -m repro.campaign report sweep.json --format csv
 
 Regenerate a paper artifact: ``figure <id>`` writes the figure's
-declarative spec (``--out``) for the run/resume/--shard workflow, or —
+declarative spec (``--out``) for the run/--shard workflow, or —
 without ``--out`` — executes the missing cells against ``--store`` and
 prints the exact table (``--seeds`` gives mean ± 95 % CI instead)::
 
@@ -70,7 +70,6 @@ from repro.campaign.aggregate import aggregate_table
 from repro.campaign.runner import CampaignRunner, CellOutcome
 from repro.campaign.spec import CampaignSpec, TopologySpec
 from repro.campaign.store import merge_stores, open_store
-from repro.obs import default_trace_path
 
 __all__ = ["main"]
 
@@ -118,7 +117,7 @@ def _parse_shard(text: Optional[str]):
     return (index, count)
 
 
-def _cmd_run(args, *, force: bool) -> int:
+def _cmd_run(args) -> int:
     spec, store, store_path = _load(args)
     runner = CampaignRunner(
         spec,
@@ -127,14 +126,13 @@ def _cmd_run(args, *, force: bool) -> int:
         shard=_parse_shard(args.shard),
         telemetry=getattr(args, "trace", None),
     )
-    report = runner.run(force=force, progress=_progress)
+    report = runner.run(force=args.force, progress=_progress)
     print(report.summary())
     print(f"store: {store_path} ({len(store)} records)")
-    if runner.telemetry is not None and runner.telemetry.trace_path:
+    if runner.trace_path:
         print(
-            f"trace: {runner.telemetry.trace_path} "
-            f"(python -m repro.campaign trace summary "
-            f"{runner.telemetry.trace_path})"
+            f"trace: {runner.trace_path} "
+            f"(python -m repro.campaign trace summary {runner.trace_path})"
         )
     if not report.ok:
         for outcome in report.outcomes:
@@ -366,11 +364,11 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-TRACE_ACTIONS = ("summary", "slowest", "phases", "export")
+TRACE_ACTIONS = ("summary", "slowest", "export")
 
 
 def _cmd_trace(args) -> int:
-    """Aggregate a ``trace.jsonl`` file: summary | slowest | phases | export."""
+    """Aggregate a ``trace.jsonl`` file: summary | slowest | export."""
     from repro import obs
 
     if args.action not in TRACE_ACTIONS:
@@ -392,11 +390,6 @@ def _cmd_trace(args) -> int:
         return 0
     if args.action == "slowest":
         print(obs.render_slowest(obs.slowest(log, limit=args.limit)))
-        return 0
-    if args.action == "phases":
-        summary = obs.summarize(log)
-        # the summary's phase table alone (scripting-friendly)
-        print(summary.render().split("\n\n")[1])
         return 0
     out = Path(
         args.out
@@ -503,9 +496,6 @@ def main(argv: Optional[list] = None) -> int:
     p_run.add_argument(
         "--force", action="store_true", help="re-execute cached cells too"
     )
-    p_resume = sub.add_parser("resume", help="execute only the missing cells")
-    add_spec_args(p_resume, shard=True)
-    add_trace_arg(p_resume)
     p_status = sub.add_parser("status", help="show stored vs missing cells")
     add_spec_args(p_status, workers=False, shard=True)
     p_status.add_argument(
@@ -607,10 +597,10 @@ def main(argv: Optional[list] = None) -> int:
         "--tiny", action="store_true", help="2-cell smoke spec (CI)"
     )
     p_trace = sub.add_parser(
-        "trace", help="aggregate a trace.jsonl (summary|slowest|phases|export)"
+        "trace", help="aggregate a trace.jsonl (summary|slowest|export)"
     )
     p_trace.add_argument(
-        "action", metavar="ACTION", help="summary | slowest | phases | export"
+        "action", metavar="ACTION", help="summary | slowest | export"
     )
     p_trace.add_argument("trace_file", help="path to a trace.jsonl file")
     p_trace.add_argument(
@@ -625,9 +615,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, force=args.force)
-        if args.command == "resume":
-            return _cmd_run(args, force=False)
+            return _cmd_run(args)
         if args.command == "status":
             return _cmd_status(args)
         if args.command == "report":

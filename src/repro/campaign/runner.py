@@ -5,9 +5,10 @@ into work:
 
 1. expand the spec into cells and hash each one;
 2. drop cells the :class:`~repro.campaign.store.ResultStore` already
-   holds (cache hits — this is also what makes ``resume`` incremental);
+   holds (cache hits — this is also what makes a re-run incremental);
 3. execute the rest, either in-process (``n_workers=1``, bit-identical
-   and debugger-friendly) or over a ``multiprocessing`` pool;
+   and debugger-friendly) or over a process pool, where a cell that
+   kills its worker fails by name instead of hanging the run;
 4. append every finished cell to the store as soon as it lands (only the
    parent writes, so the JSONL file needs no locking).
 
@@ -36,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.store import CellStore, StoreLike, open_store
-from repro.obs import CellTrace, ObsConfig
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
@@ -394,37 +394,25 @@ def _failures_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     }
 
 
-def _worker(payload: Tuple[str, Dict[str, object], Optional[Dict[str, object]]]):
+def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
     """Pool target: run one serialised cell, never raise.
 
-    Returns ``(key, metrics, elapsed, error, trace_record)``.  When
-    telemetry is configured (third payload element non-None) the worker
-    activates a :class:`~repro.obs.CellTrace` for the cell, appends the
-    finished record to the trace file itself (each process owns its own
-    appends — crash-safe, no locks) and also returns the record so the
-    parent can embed/summarise without re-reading the file.
+    ``payload`` is ``(key, cell_dict, trace_on, trace_path)``.  Returns
+    ``(key, metrics, elapsed, error, trace_record)``.  With tracing on
+    the cell runs inside a :class:`~repro.obs.TracedCell`, which appends
+    the finished record to ``trace_path`` from this process (each worker
+    owns its own appends — crash-safe, no locks); the record also rides
+    back so the parent can summarise without re-reading the file.
     """
-    key, cell_dict, obs_dict = payload
-    config = None if obs_dict is None else ObsConfig.from_dict(obs_dict)
-    trace_record: Optional[Dict[str, object]] = None
+    key, cell_dict, trace_on, trace_path = payload
     started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
-    error: Optional[str] = None
     metrics: Optional[Dict[str, object]] = None
-    if config is not None:
-        obs.activate(CellTrace(key, memory=config.memory))
-    try:
-        metrics = execute_cell(CellSpec.from_dict(cell_dict))
-    except Exception:  # noqa: BLE001 - report, don't kill the pool
-        error = traceback.format_exc()
-    finally:
-        if config is not None:
-            trace = obs.current()
-            obs.deactivate()
-            if trace is not None:
-                trace_record = trace.finish(error=error)
-                if config.trace_path is not None:
-                    obs.write_record(config.trace_path, trace_record)
-    return key, metrics, time.perf_counter() - started, error, trace_record  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+    with obs.TracedCell(key, on=trace_on, path=trace_path) as traced:
+        try:
+            metrics = execute_cell(CellSpec.from_dict(cell_dict))
+        except Exception:  # noqa: BLE001 - report, don't kill the pool
+            traced.error = traceback.format_exc()
+    return key, metrics, time.perf_counter() - started, traced.error, traced.record  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
 
 
 # ----------------------------------------------------------------------
@@ -511,13 +499,12 @@ class CampaignRunner:
         shard assignment is stable across machines.  Stores are keyed by
         content hash, so per-shard JSONL stores concatenate safely.
     telemetry:
-        Per-cell tracing (see :class:`repro.obs.ObsConfig.coerce`):
-        ``None``/``False`` off (the default — zero overhead, stored
-        records byte-identical), ``True`` on with the trace file next to
-        the store, a path for an explicit trace file, or a full
-        :class:`~repro.obs.ObsConfig`.  Cell *metrics* and content
-        hashes are identical either way; only the trace file and (with
-        ``embed=True``) a top-level ``_obs`` block differ.
+        Per-cell tracing, resolved by :func:`repro.obs.resolve_telemetry`:
+        ``None``/``False`` off (the default — zero overhead), ``True`` on
+        with the trace file next to a persistent store (records kept in
+        memory for an ephemeral one), or a trace file path.  Stored
+        records, cell metrics and content hashes are identical either
+        way; only the trace file differs.
     """
 
     def __init__(
@@ -542,7 +529,7 @@ class CampaignRunner:
         self.store: CellStore = open_store(store)
         self.n_workers = int(n_workers)
         self.shard = shard
-        self.telemetry: Optional[ObsConfig] = ObsConfig.coerce(
+        self.trace_on, self.trace_path = obs.resolve_telemetry(
             telemetry, store_path=self.store.path
         )
 
@@ -614,17 +601,6 @@ class CampaignRunner:
                 trace=trace_record,
             )
             if error is None:
-                embed = None
-                if (
-                    trace_record is not None
-                    and self.telemetry is not None
-                    and self.telemetry.embed
-                ):
-                    embed = {
-                        k: trace_record[k]
-                        for k in ("pid", "elapsed", "phases", "counters")
-                        if k in trace_record
-                    }
                 self.store.append(
                     key,
                     by_key[key].to_dict(),
@@ -634,7 +610,6 @@ class CampaignRunner:
                         "elapsed": round(elapsed, 4),
                         "finished_at": time.time(),  # card-lint: disable=CARD-D01 -- store meta timestamp; outside the content hash
                     },
-                    obs=embed,
                 )
             outcomes.append(outcome)
             finished += 1
@@ -654,18 +629,58 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------
     def _execute(self, pending: List[Tuple[str, CellSpec]]):
-        """Yield (key, metrics, elapsed, error, trace) per pending cell."""
+        """Yield (key, metrics, elapsed, error, trace) per pending cell.
+
+        With ``n_workers > 1`` the cells fan out over a process pool.  A
+        cell that kills its worker breaks the pool; every cell left
+        without a result is then re-run alone in a fresh one-worker
+        executor, so the one that dies again fails by name — never more
+        than two attempts — and the rest complete.
+        """
         if not pending:
             return
-        obs_dict = None if self.telemetry is None else self.telemetry.to_dict()
-        payloads = [(key, cell.to_dict(), obs_dict) for key, cell in pending]
+        payloads = [
+            (key, cell.to_dict(), self.trace_on, self.trace_path)
+            for key, cell in pending
+        ]
         if self.n_workers == 1 or len(payloads) == 1:
             for payload in payloads:
                 yield _worker(payload)
             return
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         # the platform-default start method (fork on Linux, spawn on
         # macOS/Windows — fork is unsafe under the Objective-C runtime);
         # payloads are plain JSON-ready dicts, so both methods work
         ctx = mp.get_context()
-        with ctx.Pool(processes=min(self.n_workers, len(payloads))) as pool:
-            yield from pool.imap_unordered(_worker, payloads)
+        orphaned = []
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.n_workers, len(payloads)), mp_context=ctx
+        )
+        try:
+            futures = {pool.submit(_worker, p): p for p in payloads}
+            for future in as_completed(futures):
+                payload = futures.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    orphaned.append(payload)
+                    continue
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
+        for payload in orphaned:
+            started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as alone:
+                future = alone.submit(_worker, payload)
+                # the executor starts its one process on submit; keep it
+                # for the exit code, which BrokenProcessPool does not carry
+                (process,) = alone._processes.values()
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    process.join()
+                    error = f"worker process died (exit code {process.exitcode})"
+                    result = (payload[0], None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+            yield result

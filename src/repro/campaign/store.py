@@ -79,8 +79,6 @@ class CellStore:
         cell: Mapping[str, object],
         metrics: Mapping[str, object],
         meta: Optional[Mapping[str, object]] = None,
-        *,
-        obs: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, object]:
         raise NotImplementedError
 
@@ -213,24 +211,14 @@ class ResultStore(CellStore):
         cell: Mapping[str, object],
         metrics: Mapping[str, object],
         meta: Optional[Mapping[str, object]] = None,
-        *,
-        obs: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, object]:
-        """Record one finished cell (durable before returning).
-
-        ``obs`` — an optional telemetry block stored as a top-level
-        ``_obs`` key, *next to* (never inside) ``metrics``: content
-        hashes cover only the cell spec and readers consume ``metrics``,
-        so the block is invisible to both unless explicitly asked for.
-        """
+        """Record one finished cell (durable before returning)."""
         record: Dict[str, object] = {
             "key": key,
             "cell": dict(cell),
             "metrics": dict(metrics),
             "meta": dict(meta) if meta else {},
         }
-        if obs:
-            record["_obs"] = dict(obs)
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
@@ -372,8 +360,6 @@ class SqliteStore(CellStore):
         cell: Mapping[str, object],
         metrics: Mapping[str, object],
         meta: Optional[Mapping[str, object]] = None,
-        *,
-        obs: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, object]:
         """Upsert one finished cell (durable before returning)."""
         record: Dict[str, object] = {
@@ -382,8 +368,6 @@ class SqliteStore(CellStore):
             "metrics": dict(metrics),
             "meta": dict(meta) if meta else {},
         }
-        if obs:
-            record["_obs"] = dict(obs)
         self._conn().execute(
             "INSERT OR REPLACE INTO results (key, record) VALUES (?, ?)",
             (str(key), json.dumps(record, sort_keys=True)),
@@ -529,7 +513,6 @@ def merge_stores(
                 record.get("cell", {}),  # type: ignore[arg-type]
                 record["metrics"],  # type: ignore[arg-type]
                 record.get("meta"),  # type: ignore[arg-type]
-                obs=record.get("_obs"),  # type: ignore[arg-type]
             )
             merged += 1
         if src is not out_store:

@@ -2,9 +2,11 @@
 
 Two halves:
 
-* :mod:`repro.obs.trace` — the collection side: :class:`ObsConfig`,
-  :class:`CellTrace`, and the module-level :func:`span`/:func:`add`
-  instrumentation hooks that cost one global read when disabled;
+* :mod:`repro.obs.trace` — the collection side:
+  :func:`resolve_telemetry` (the one ``telemetry=`` switch),
+  :class:`CellTrace`, :class:`TracedCell`, and the module-level
+  :func:`span`/:func:`add` instrumentation hooks that cost one global
+  read when disabled;
 * :mod:`repro.obs.report` — the aggregation side: :func:`load_trace`,
   :func:`summarize`, :func:`slowest` and the Chrome-trace export.
 
@@ -19,13 +21,13 @@ Instrumented code imports only from here::
 
 from repro.obs.trace import (
     CellTrace,
-    ObsConfig,
+    TracedCell,
     activate,
     active,
     add,
     current,
     deactivate,
-    default_trace_path,
+    resolve_telemetry,
     set_counter,
     span,
     write_record,
@@ -42,8 +44,9 @@ from repro.obs.report import (
 )
 
 __all__ = [
-    "ObsConfig",
+    "resolve_telemetry",
     "CellTrace",
+    "TracedCell",
     "span",
     "add",
     "set_counter",
@@ -52,7 +55,6 @@ __all__ = [
     "activate",
     "deactivate",
     "write_record",
-    "default_trace_path",
     "TraceLog",
     "PhaseStat",
     "TraceSummary",

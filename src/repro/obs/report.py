@@ -133,8 +133,6 @@ class TraceSummary:
     phases: List[PhaseStat] = field(default_factory=list)
     #: counters summed across cells, sorted by name
     counters: Dict[str, float] = field(default_factory=dict)
-    #: peak tracemalloc bytes over all cells (None when not tracked)
-    mem_peak_bytes: Optional[int] = None
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -147,7 +145,6 @@ class TraceSummary:
             "workers": int(self.workers),
             "phases": [p.as_dict() for p in self.phases],
             "counters": dict(self.counters),
-            "mem_peak_bytes": self.mem_peak_bytes,
         }
 
     def render(self) -> str:
@@ -184,11 +181,6 @@ class TraceSummary:
             parts.append(
                 format_table(["counter", "total"], counter_rows)
             )
-        if self.mem_peak_bytes is not None:
-            parts.append(
-                f"peak traced memory (max over cells): "
-                f"{self.mem_peak_bytes / 1e6:.1f} MB"
-            )
         return "\n\n".join(parts)
 
 
@@ -216,7 +208,6 @@ def summarize(
     pids = set()
     failed = 0
     total_cell_seconds = 0.0
-    mem_peak: Optional[int] = None
     for rec in recs:
         elapsed = float(rec.get("elapsed", 0.0))  # type: ignore[arg-type]
         total_cell_seconds += elapsed
@@ -238,9 +229,6 @@ def summarize(
             phase_count[name] = phase_count.get(name, 0) + 1
         for name, value in dict(rec.get("counters") or {}).items():  # type: ignore[call-overload]
             counters[name] = counters.get(name, 0) + float(value)
-        if rec.get("mem_peak_bytes") is not None:
-            peak = int(rec["mem_peak_bytes"])  # type: ignore[arg-type]
-            mem_peak = peak if mem_peak is None else max(mem_peak, peak)
     wall_span = (max(ends) - min(starts)) if starts else total_cell_seconds
     phases = [
         PhaseStat(
@@ -266,7 +254,6 @@ def summarize(
         workers=len(pids),
         phases=phases,
         counters={k: counters[k] for k in sorted(counters)},
-        mem_peak_bytes=mem_peak,
     )
 
 

@@ -15,7 +15,7 @@ single flat, JSON-safe record::
       "phases": {"topology_build": 0.01, "metrics:reachability": 0.9},
       "spans": [{"name": ..., "t0": 0.0, "t1": 0.01, "depth": 0}, ...],
       "counters": {"substrate_full_rebuilds": 1, ...},
-      "mem_peak_bytes": 1234           # only when memory tracking is on
+      "meta": {"worker": "host:pid"}   # only when the trace has meta
     }
 
 Design constraints, in order:
@@ -49,14 +49,14 @@ from __future__ import annotations
 import json
 import os
 import time
-import tracemalloc
-from dataclasses import dataclass
+import traceback
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "ObsConfig",
+    "resolve_telemetry",
     "CellTrace",
+    "TracedCell",
     "span",
     "add",
     "set_counter",
@@ -65,97 +65,36 @@ __all__ = [
     "activate",
     "deactivate",
     "write_record",
-    "default_trace_path",
 ]
 
 
 # ----------------------------------------------------------------------
-# configuration
+# the telemetry= switch
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ObsConfig:
-    """How a campaign run records telemetry.
+def resolve_telemetry(
+    telemetry: object, *, store_path: Optional[Union[str, Path]] = None
+) -> Tuple[bool, Optional[str]]:
+    """Resolve the ``telemetry=`` argument every entry point takes into
+    ``(on, trace_path)``.
 
-    Attributes
-    ----------
-    trace_path:
-        Where finished cell records are appended (one JSON line each).
-        ``None`` keeps records in memory only (they still ride back to
-        the parent in the worker return value).
-    embed:
-        Also embed a compact ``_obs`` block (phases + counters) into the
-        stored result record.  Off by default so existing stores stay
-        byte-identical; cell *content hashes* are never affected either
-        way (they cover only the cell spec).
-    memory:
-        Track ``tracemalloc`` peaks per cell.  Costs ~2x wall time on
-        allocation-heavy cells, so it is opt-in.
+    ``None``/``False`` → off.  ``True`` → on, with the trace file
+    ``<store>.trace.jsonl`` next to a persistent store, or records kept
+    in memory only (``trace_path`` None) for an ephemeral one.  A
+    ``str``/path → on, tracing into that file.  Anything else raises
+    :class:`TypeError`.
     """
-
-    trace_path: Optional[str] = None
-    embed: bool = False
-    memory: bool = False
-
-    # -- serialisation (the config rides to pool workers as a dict) ----
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "trace_path": self.trace_path,
-            "embed": bool(self.embed),
-            "memory": bool(self.memory),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ObsConfig":
-        return cls(
-            trace_path=(
-                None if data.get("trace_path") is None else str(data["trace_path"])
-            ),
-            embed=bool(data.get("embed", False)),
-            memory=bool(data.get("memory", False)),
-        )
-
-    @classmethod
-    def coerce(
-        cls,
-        telemetry: Union[None, bool, str, Path, "ObsConfig"],
-        *,
-        store_path: Optional[Path] = None,
-    ) -> Optional["ObsConfig"]:
-        """Normalise the ``telemetry=`` argument every entry point takes.
-
-        ``None``/``False`` → disabled.  ``True`` → tracing on, with the
-        trace file defaulting next to the result store (memory-only when
-        the store is ephemeral).  A string/path → tracing into that
-        file.  An :class:`ObsConfig` → as given, filling the default
-        trace path when unset and a persistent store exists.
-        """
-        if telemetry is None or telemetry is False:
-            return None
-        if telemetry is True:
-            return cls(trace_path=default_trace_path(store_path))
-        if isinstance(telemetry, (str, Path)):
-            return cls(trace_path=str(telemetry))
-        if isinstance(telemetry, cls):
-            if telemetry.trace_path is None and store_path is not None:
-                return cls(
-                    trace_path=default_trace_path(store_path),
-                    embed=telemetry.embed,
-                    memory=telemetry.memory,
-                )
-            return telemetry
-        raise TypeError(
-            f"telemetry must be None, bool, a path or ObsConfig, "
-            f"got {telemetry!r}"
-        )
-
-
-def default_trace_path(store_path: Optional[Union[str, Path]]) -> Optional[str]:
-    """The trace file that belongs to a result store: ``<store>.trace.jsonl``
-    for ``<store>.jsonl``, next to it.  None for in-memory stores."""
-    if store_path is None:
-        return None
-    path = Path(store_path)
-    return str(path.with_suffix(".trace.jsonl"))
+    if telemetry is None or telemetry is False:
+        return False, None
+    if telemetry is True:
+        if store_path is None:
+            return True, None
+        return True, str(Path(store_path).with_suffix(".trace.jsonl"))
+    if isinstance(telemetry, (str, Path)):
+        return True, str(telemetry)
+    raise TypeError(
+        "telemetry must be None or False (off), True (on) or a trace "
+        f"file path (str or Path), got {telemetry!r}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +162,6 @@ class CellTrace:
         self,
         key: str,
         *,
-        memory: bool = False,
         meta: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.key = str(key)
@@ -231,13 +169,6 @@ class CellTrace:
         self.spans: List[Dict[str, object]] = []
         self.counters: Dict[str, float] = {}
         self._stack: List[_Span] = []
-        #: whether *this trace* started tracemalloc (never stop a tracer
-        #: someone else already runs)
-        self._owns_tracemalloc = False
-        if memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-        self.memory = bool(memory)
         self.t_wall = time.time()
         self._t0 = time.perf_counter()
 
@@ -300,11 +231,6 @@ class CellTrace:
         }
         if self.meta:
             record["meta"] = dict(self.meta)
-        if self.memory and tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            record["mem_peak_bytes"] = int(peak)
-            if self._owns_tracemalloc:
-                tracemalloc.stop()
         return record
 
 
@@ -378,3 +304,51 @@ def write_record(path: Union[str, Path], record: Mapping[str, object]) -> None:
     with path.open("a", encoding="utf-8") as fh:
         fh.write(line)
         fh.flush()
+
+
+# ----------------------------------------------------------------------
+# one cell's trace, start to finish
+# ----------------------------------------------------------------------
+class TracedCell:
+    """One cell's trace, opened and closed around a ``with`` block.
+
+    With ``on`` false this does nothing and ``trace``/``record`` stay
+    None.  With ``on`` true, entering activates a fresh
+    :class:`CellTrace` for ``key``; leaving deactivates it and finishes
+    it into ``record`` with ``error`` — set by the caller for a failure
+    it caught, else the traceback of an exception leaving the block —
+    and, when ``path`` is set, appends the record to that trace file.
+    The campaign pool worker and the service worker both open their
+    cells through this, so they write the same record.
+    """
+
+    __slots__ = ("trace", "path", "error", "record")
+
+    def __init__(
+        self,
+        key: str,
+        *,
+        on: bool,
+        path: Optional[str] = None,
+        meta: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        self.trace = CellTrace(key, meta=meta) if on else None
+        self.path = path
+        self.error: Optional[str] = None
+        self.record: Optional[Dict[str, object]] = None
+
+    def __enter__(self) -> "TracedCell":
+        if self.trace is not None:
+            activate(self.trace)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self.trace is None:
+            return False
+        deactivate()
+        if exc_type is not None and self.error is None:
+            self.error = "".join(traceback.format_exception(exc_type, exc, tb))
+        self.record = self.trace.finish(error=self.error)
+        if self.path is not None:
+            write_record(self.path, self.record)
+        return False

@@ -17,10 +17,11 @@ Correctness leans on three properties rather than coordination:
   worker that lost its lease finds out and counts the cell as lost, not
   done.
 
-With telemetry enabled each cell gets a :class:`~repro.obs.CellTrace`
-carrying ``lease`` / ``execute`` / ``commit`` spans plus the worker id
-in its meta, appended crash-safely to the campaign trace file — the
-same record shape :mod:`repro.obs.report` already aggregates.
+With telemetry enabled each cell runs inside a
+:class:`~repro.obs.TracedCell` — the helper the campaign pool worker
+uses too — carrying ``lease`` / ``execute`` / ``commit`` spans plus the
+worker id in its meta, appended crash-safely to the campaign trace
+file: the same record shape :mod:`repro.obs.report` already aggregates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro import obs
 from repro.campaign.runner import execute_cell
 from repro.campaign.spec import CellSpec
 from repro.campaign.store import CellStore, open_store
-from repro.obs import CellTrace, ObsConfig
 from repro.service.queue import Lease, WorkQueue
 
 __all__ = ["WorkerStats", "run_worker", "worker_main", "default_worker_id"]
@@ -116,7 +116,7 @@ def run_worker(
     store: CellStore,
     *,
     worker_id: Optional[str] = None,
-    telemetry: Union[None, bool, str, Path, ObsConfig] = None,
+    telemetry: Union[None, bool, str, Path] = None,
     poll: float = 0.5,
     max_cells: Optional[int] = None,
     execute: Callable[[CellSpec], Dict[str, object]] = execute_cell,
@@ -137,8 +137,9 @@ def run_worker(
         The shared result store; every committed cell is appended with
         ``meta={"worker", "elapsed", "finished_at"}``.
     telemetry:
-        As accepted by :meth:`repro.obs.ObsConfig.coerce`; per-cell
-        traces carry ``lease``/``execute``/``commit`` spans.
+        ``None``/``False``, ``True`` or a trace file path, resolved by
+        :func:`repro.obs.resolve_telemetry`; per-cell traces carry
+        ``lease``/``execute``/``commit`` spans.
     execute:
         The cell executor (injectable for tests; defaults to the real
         :func:`~repro.campaign.runner.execute_cell`).
@@ -149,7 +150,9 @@ def run_worker(
     if not isinstance(queue, WorkQueue):
         queue = WorkQueue(queue)
     owner = worker_id if worker_id else default_worker_id()
-    config = ObsConfig.coerce(telemetry, store_path=store.path)
+    trace_on, trace_path = obs.resolve_telemetry(
+        telemetry, store_path=store.path
+    )
     stats = WorkerStats(worker_id=owner)
     started = time.perf_counter()
 
@@ -169,63 +172,56 @@ def run_worker(
             continue
         lease_seconds = time.perf_counter() - lease_t0
 
-        trace: Optional[CellTrace] = None
-        if config is not None:
-            trace = obs.activate(
-                CellTrace(lease.key, memory=config.memory, meta={"worker": owner})
-            )
-            trace.record_phase("lease", lease_seconds)
+        with obs.TracedCell(
+            lease.key, on=trace_on, path=trace_path, meta={"worker": owner}
+        ) as traced:
+            if traced.trace is not None:
+                traced.trace.record_phase("lease", lease_seconds)
+            pump = _HeartbeatPump(queue, lease.key, owner).start()
+            cell_t0 = time.perf_counter()
+            metrics: Optional[Dict[str, object]] = None
+            try:
+                with obs.span("execute"):
+                    metrics = execute(CellSpec.from_dict(lease.cell))
+            except Exception:  # noqa: BLE001 - report via the queue, keep draining
+                traced.error = traceback.format_exc()
+            finally:
+                pump.stop()
+            elapsed = time.perf_counter() - cell_t0
+            error = traced.error
 
-        pump = _HeartbeatPump(queue, lease.key, owner).start()
-        cell_t0 = time.perf_counter()
-        error: Optional[str] = None
-        metrics: Optional[Dict[str, object]] = None
-        try:
-            with obs.span("execute"):
-                metrics = execute(CellSpec.from_dict(lease.cell))
-        except Exception:  # noqa: BLE001 - report via the queue, keep draining
-            error = traceback.format_exc()
-        finally:
-            pump.stop()
-        elapsed = time.perf_counter() - cell_t0
-
-        event = "done"
-        if not pump.alive:
-            # The lease expired under us; a peer owns (or re-ran) the
-            # cell.  Drop the result — the peer's identical append wins.
-            stats.lost_leases += 1
-            event = "lost"
-        else:
-            with obs.span("commit"):
-                if error is None and metrics is not None:
-                    store.append(
-                        lease.key,
-                        lease.cell,
-                        metrics,
-                        meta={
-                            "worker": owner,
-                            "elapsed": round(elapsed, 4),
-                            "finished_at": time.time(),
-                        },
-                    )
-                committed = queue.commit(
-                    lease.key, owner, elapsed=elapsed, error=error
-                )
-            if not committed:
+            event = "done"
+            if not pump.alive:
+                # The lease expired under us; a peer owns (or re-ran) the
+                # cell.  Drop the result — the peer's identical append wins.
                 stats.lost_leases += 1
                 event = "lost"
-            elif error is None:
-                stats.executed += 1
-                stats.keys.append(lease.key)
             else:
-                stats.failed += 1
-                event = "failed"
+                with obs.span("commit"):
+                    if error is None and metrics is not None:
+                        store.append(
+                            lease.key,
+                            lease.cell,
+                            metrics,
+                            meta={
+                                "worker": owner,
+                                "elapsed": round(elapsed, 4),
+                                "finished_at": time.time(),
+                            },
+                        )
+                    committed = queue.commit(
+                        lease.key, owner, elapsed=elapsed, error=error
+                    )
+                if not committed:
+                    stats.lost_leases += 1
+                    event = "lost"
+                elif error is None:
+                    stats.executed += 1
+                    stats.keys.append(lease.key)
+                else:
+                    stats.failed += 1
+                    event = "failed"
 
-        if trace is not None:
-            obs.deactivate()
-            record = trace.finish(error=error)
-            if config is not None and config.trace_path is not None:
-                obs.write_record(config.trace_path, record)
         if progress is not None:
             progress(event, stats)
 

@@ -464,7 +464,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "2 executed" in out
 
-        assert campaign_main(["resume", str(spec_path)]) == 0
+        # a second run executes only what is missing: nothing
+        assert campaign_main(["run", str(spec_path)]) == 0
         out = capsys.readouterr().out
         assert "0 executed" in out and "2 cached" in out
 

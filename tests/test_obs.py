@@ -7,6 +7,8 @@ The load-bearing guarantees, in test order:
   byte-identical with and without telemetry (content hashes are covered
   separately by the pinned-hash tests, which never see obs state);
 * trace.jsonl tolerates the truncated line a killed worker leaves;
+* ``telemetry=`` has one resolver, and the campaign pool worker and the
+  service worker write the same record through one helper;
 * ``trace summary`` aggregation is deterministic for ``n_workers=1``.
 """
 
@@ -18,18 +20,21 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.artifacts.registry import get_artifact
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, TopologySpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, merge_stores
 from repro.obs import (
     CellTrace,
-    ObsConfig,
+    TracedCell,
     chrome_trace,
-    default_trace_path,
     load_trace,
+    resolve_telemetry,
     slowest,
     summarize,
 )
+from repro.service.queue import WorkQueue
+from repro.service.worker import run_worker
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -111,31 +116,90 @@ class TestCellTrace:
         assert not obs.active()
 
 
-class TestObsConfig:
-    def test_coerce_disabled(self):
-        assert ObsConfig.coerce(None) is None
-        assert ObsConfig.coerce(False) is None
+class TestResolveTelemetry:
+    def test_off(self, tmp_path):
+        assert resolve_telemetry(None) == (False, None)
+        assert resolve_telemetry(False, store_path=tmp_path / "s.jsonl") == (
+            False, None,
+        )
 
-    def test_coerce_true_uses_store_path(self, tmp_path):
-        cfg = ObsConfig.coerce(True, store_path=tmp_path / "s.jsonl")
-        assert cfg.trace_path == str(tmp_path / "s.trace.jsonl")
-        assert ObsConfig.coerce(True).trace_path is None  # ephemeral store
+    def test_true_uses_store_path(self, tmp_path):
+        assert resolve_telemetry(True, store_path=tmp_path / "s.jsonl") == (
+            True, str(tmp_path / "s.trace.jsonl"),
+        )
+        assert resolve_telemetry(True) == (True, None)  # ephemeral store
 
-    def test_coerce_path_and_config(self, tmp_path):
-        cfg = ObsConfig.coerce(tmp_path / "t.jsonl")
-        assert cfg.trace_path == str(tmp_path / "t.jsonl")
-        explicit = ObsConfig(embed=True, memory=True)
-        filled = ObsConfig.coerce(explicit, store_path=tmp_path / "s.jsonl")
-        assert filled.embed and filled.memory
-        assert filled.trace_path == default_trace_path(tmp_path / "s.jsonl")
+    def test_path_wins_over_store(self, tmp_path):
+        for given in (tmp_path / "t.jsonl", str(tmp_path / "t.jsonl")):
+            assert resolve_telemetry(
+                given, store_path=tmp_path / "s.jsonl"
+            ) == (True, str(tmp_path / "t.jsonl"))
 
-    def test_coerce_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            ObsConfig.coerce(42)
+    @pytest.mark.parametrize("bad", [42, 1, 0, object(), {"embed": True}])
+    def test_rejects_anything_else_naming_the_accepted_forms(self, bad):
+        with pytest.raises(TypeError, match=r"None or False.*True.*path"):
+            resolve_telemetry(bad)
 
-    def test_roundtrips_through_dict(self):
-        cfg = ObsConfig(trace_path="/x/y.jsonl", embed=True)
-        assert ObsConfig.from_dict(cfg.to_dict()) == cfg
+    def test_entry_points_reject_bad_telemetry(self):
+        with pytest.raises(TypeError, match="telemetry must be"):
+            CampaignRunner(tiny_spec(seeds=(0,)), telemetry=3)
+
+
+class TestTracedCell:
+    def test_off_is_a_no_op(self, tmp_path):
+        with TracedCell("k", on=False, path=str(tmp_path / "t.jsonl")) as t:
+            assert not obs.active()
+        assert t.trace is None and t.record is None
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_on_activates_finishes_and_writes(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TracedCell("k", on=True, path=str(path), meta={"w": 1}) as t:
+            assert obs.current() is t.trace
+            with obs.span("phase"):
+                pass
+            t.error = "caught"
+        assert not obs.active()
+        assert t.record["error"] == "caught" and t.record["meta"] == {"w": 1}
+        assert load_trace(path).records == [t.record]
+
+    def test_escaping_exception_is_the_records_error(self):
+        with pytest.raises(RuntimeError):
+            with TracedCell("k", on=True) as t:
+                raise RuntimeError("boom")
+        assert not obs.active()
+        assert "RuntimeError: boom" in t.record["error"]
+
+
+#: the record keys ``trace summary|slowest|export`` read
+RECORD_KEYS = {
+    "key", "pid", "t_wall", "elapsed", "error", "phases", "spans", "counters",
+}
+
+
+class TestOneRecordShape:
+    def test_campaign_and_service_workers_write_the_same_record(self, tmp_path):
+        spec = get_artifact("fig05").spec(scale=0.3)
+        cells = list(spec.unique_cells().items())
+        key, cell = cells[0]
+        # shard 1/n of n cells is exactly the first cell
+        runner_trace = tmp_path / "runner.trace.jsonl"
+        CampaignRunner(
+            spec, ResultStore(None), shard=(1, len(cells)),
+            telemetry=runner_trace,
+        ).run()
+        queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
+        queue.enqueue([(key, cell.to_dict())])
+        worker_trace = tmp_path / "worker.trace.jsonl"
+        run_worker(
+            queue, ResultStore(None), worker_id="w1", telemetry=worker_trace
+        )
+        (from_runner,) = load_trace(runner_trace).records
+        (from_worker,) = load_trace(worker_trace).records
+        assert from_runner["key"] == from_worker["key"] == key
+        assert set(from_runner) == RECORD_KEYS
+        assert set(from_worker) == RECORD_KEYS | {"meta"}
+        assert from_worker["meta"] == {"worker": "w1"}
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +222,21 @@ class TestDisabledModeIsInvisible:
         CampaignRunner(tiny_spec(seeds=(0,)), ResultStore(None)).run()
         assert not obs.active()
 
-    def test_embed_flag_adds_top_level_obs_block_only(self, tmp_path):
+    def test_old_store_records_with_an_obs_block_still_load(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
-        cfg = ObsConfig(embed=True)
-        CampaignRunner(tiny_spec(seeds=(0,)), store, telemetry=cfg).run()
+        CampaignRunner(tiny_spec(seeds=(0,)), store).run()
         (key,) = store.keys()
         record = store.get(key)
-        assert "_obs" in record
-        assert set(record["_obs"]) <= {"pid", "elapsed", "phases", "counters"}
-        assert "_obs" not in record["metrics"]  # metrics() stays clean
-        # and the embedded block survives a reload from disk
-        reloaded = ResultStore(tmp_path / "s.jsonl")
-        assert reloaded.get(key)["_obs"] == record["_obs"]
+        assert "_obs" not in record
+        # a record written while stores embedded an ``_obs`` block
+        old = dict(record, _obs={"pid": 1, "elapsed": 0.5, "phases": {}})
+        (tmp_path / "old.jsonl").write_text(json.dumps(old) + "\n")
+        reloaded = ResultStore(tmp_path / "old.jsonl")
+        assert reloaded.metrics(key) == record["metrics"]
+        # merging carries the cell and metrics, not the block
+        merge_stores(tmp_path / "merged.jsonl", [tmp_path / "old.jsonl"])
+        merged = ResultStore(tmp_path / "merged.jsonl").get(key)
+        assert "_obs" not in merged and merged["metrics"] == record["metrics"]
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +272,14 @@ class TestTraceFile:
         assert len(log) == 0 and log.corrupt_lines == 0
         assert summarize(log).cells == 0
         assert summarize(log).render()  # renders without raising
+
+    def test_old_records_with_memory_peaks_still_summarize(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        record = CellTrace("aaa").finish()
+        obs.write_record(path, dict(record, mem_peak_bytes=1234))
+        summary = summarize(load_trace(path))
+        assert summary.cells == 1 and summary.failed == 0
+        assert "mem_peak_bytes" not in summary.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +465,6 @@ class TestApiAndCli:
         assert "per-phase wall time" in summary.stdout
         assert "metrics:selection" in summary.stdout
         assert cli("trace", "slowest", str(trace_file), "--limit", "3").returncode == 0
-        assert cli("trace", "phases", str(trace_file)).returncode == 0
         export = cli("trace", "export", str(trace_file), "--out", str(tmp_path / "c.json"))
         assert export.returncode == 0
         assert json.loads((tmp_path / "c.json").read_text())["traceEvents"]

@@ -24,7 +24,11 @@ def server(tmp_path):
     srv = make_server(
         "127.0.0.1", 0, str(tmp_path / "facade.db"), root=tmp_path
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # a short poll keeps each teardown's shutdown() from waiting out
+    # the default 0.5 s
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()

@@ -1,0 +1,162 @@
+"""A cell that kills its pool worker fails loudly, within a bound, by name.
+
+The campaign fans cells out over a process pool.  When one cell's process
+dies (``os._exit``, a segfault, the OOM killer) the pool breaks; every
+cell left without a result is re-run alone, so the run ends with exactly
+the dying cell failed — never stored — and every other cell stored.  The
+doomed executor is installed by monkeypatching the parent, which only
+reaches the workers under the fork start method.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing as mp
+import os
+import subprocess
+import sys
+import threading
+import urllib.error
+import urllib.request
+from pathlib import Path
+
+import pytest
+
+from repro import api
+from repro.artifacts.registry import get_artifact
+from repro.campaign import runner
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.store import ResultStore
+from repro.service.http import make_server
+
+pytestmark = pytest.mark.skipif(
+    mp.get_start_method() != "fork",
+    reason="the patched executor reaches pool workers only by fork",
+)
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: the artifact every case runs: 8 cells, about 0.3 s with 2 workers
+ARTIFACT, SCALE = "table1", 0.2
+
+
+def artifact_keys():
+    return list(get_artifact(ARTIFACT).spec(scale=SCALE).unique_cells())
+
+
+def within(seconds, fn):
+    """``fn()``'s result (or exception), failing if it runs past
+    ``seconds`` — a hung pool fails the test instead of the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+@pytest.fixture()
+def doomed(monkeypatch):
+    """One table1 cell key whose worker process exits with code 3."""
+    key = artifact_keys()[3]
+    real = runner.execute_cell
+
+    def execute(cell):
+        if cell.key() == key:
+            os._exit(3)
+        return real(cell)
+
+    monkeypatch.setattr(runner, "execute_cell", execute)
+    return key
+
+
+def test_api_run_fails_the_dying_cell_by_name(doomed, tmp_path):
+    store = ResultStore(tmp_path / "s.jsonl")
+    with pytest.raises(RuntimeError) as info:
+        within(10, lambda: api.run(ARTIFACT, scale=SCALE, workers=2, store=store))
+    message = str(info.value)
+    assert "1 failed cells" in message and doomed in message
+    assert "worker process died (exit code 3)" in message
+    others = set(artifact_keys()) - {doomed}
+    assert not any(key in message for key in others)
+    assert set(ResultStore(tmp_path / "s.jsonl").keys()) == others
+
+
+def test_runner_reports_one_failed_outcome_and_stores_the_rest(doomed):
+    spec = get_artifact(ARTIFACT).spec(scale=SCALE)
+    store = ResultStore(None)
+    report = within(10, CampaignRunner(spec, store, n_workers=2).run)
+    (failed,) = [o for o in report.outcomes if not o.ok]
+    assert failed.key == doomed and failed.metrics is None
+    assert failed.error == "worker process died (exit code 3)"
+    assert report.failed == 1 and report.executed == len(report.outcomes)
+    assert doomed not in store
+    assert len(store) == len(report.outcomes) - 1
+
+
+def test_cli_figure_exits_1(tmp_path):
+    key = artifact_keys()[3]
+    script = (
+        "import os, sys\n"
+        "from repro.campaign import runner\n"
+        "from repro.campaign.__main__ import main\n"
+        "real = runner.execute_cell\n"
+        "def execute(cell):\n"
+        "    if cell.key() == sys.argv[1]:\n"
+        "        os._exit(3)\n"
+        "    return real(cell)\n"
+        "runner.execute_cell = execute\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", script, key, "figure", ARTIFACT,
+            "--scale", str(SCALE), "--workers", "2",
+            "--store", str(tmp_path / "s.jsonl"),
+        ],
+        capture_output=True, text=True, timeout=60, cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 1
+    assert key in proc.stderr and "worker process died" in proc.stderr
+
+
+def test_http_answers_500_then_serves_the_next_run(doomed, tmp_path, monkeypatch):
+    srv = make_server("127.0.0.1", 0, str(tmp_path / "f.db"), workers=2)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    host, port = srv.server_address[:2]
+
+    def post():
+        req = urllib.request.Request(
+            f"http://{host}:{port}/artifacts/{ARTIFACT}/run",
+            data=json.dumps({"scale": SCALE}).encode(), method="POST",
+        )
+        try:
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                return resp.status, json.loads(resp.read().decode())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read().decode())
+
+    try:
+        status, payload = post()
+        assert status == 500 and doomed in json.dumps(payload)
+        monkeypatch.undo()  # the cell stops killing its worker
+        status, payload = post()
+        # _run_lock was released; only the failed cell runs again
+        assert status == 200 and payload["meta"]["executed"] == 1
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
