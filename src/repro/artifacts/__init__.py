@@ -4,8 +4,8 @@ This package is the single registry behind every way of regenerating a
 paper artifact — the :mod:`repro.api` facade, ``python -m
 repro.campaign figure`` and the HTTP facade all resolve ids here.  It
 sits *above* the campaign engine (which never imports it back, bar
-:mod:`repro.artifacts.result`; ``card-lint`` rule CARD-L03), as one
-import chain:
+:mod:`repro.artifacts.result`; rule CARD-L03 of ``python -m
+tools.card_lint`` checks it), as one import chain:
 
 * :mod:`repro.artifacts.result` — :class:`ExperimentResult`, the
   renderable table every producer returns;

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.artifacts.recipes import require_single_seed
 from repro.artifacts.result import ExperimentResult
-from repro.campaign.runner import CampaignReport, CampaignRunner
+from repro.campaign.runner import CampaignReport, CampaignRunner, CellOutcome
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import StoreLike, open_store
 from repro.scenarios.factory import SCALE_PROFILES, resolve_scale
 
-__all__ = ["Artifact", "define", "campaign_note", "ensure_report_ok"]
+__all__ = ["Artifact", "CellsFailed", "define", "campaign_note", "ensure_report_ok"]
 
 #: CLI-style knobs silently dropped when an artifact declares no such
 #: option (e.g. ``num_sources`` for table1, ``duration`` for snapshot
@@ -241,11 +241,19 @@ def campaign_note(report: CampaignReport) -> str:
     )
 
 
-def ensure_report_ok(report: CampaignReport, spec_name: str) -> None:
-    """Raise naming every failed cell, with the first one's error."""
-    if not report.ok:
-        failed = [o for o in report.outcomes if o.error]
-        raise RuntimeError(
-            f"{spec_name} campaign had {report.failed} failed cells "
+class CellsFailed(RuntimeError):
+    """A campaign ended with failed cells; ``failed`` holds their
+    outcomes, and the message names every key with the first error."""
+
+    def __init__(self, spec_name: str, failed: List[CellOutcome]) -> None:
+        super().__init__(
+            f"{spec_name} campaign had {len(failed)} failed cells "
             f"({', '.join(o.key for o in failed)}):\n{failed[0].error}"
         )
+        self.failed = failed
+
+
+def ensure_report_ok(report: CampaignReport, spec_name: str) -> None:
+    """Raise :class:`CellsFailed` if any cell of ``report`` failed."""
+    if not report.ok:
+        raise CellsFailed(spec_name, [o for o in report.outcomes if o.error])

@@ -135,12 +135,17 @@ def _cmd_run(args) -> int:
             f"(python -m repro.campaign trace summary {runner.trace_path})"
         )
     if not report.ok:
-        for outcome in report.outcomes:
-            if outcome.error:
-                print(f"--- failed cell {outcome.key[:12]} ---", file=sys.stderr)
-                print(outcome.error, file=sys.stderr)
+        _print_failures(o for o in report.outcomes if o.error)
         return 1
     return 0
+
+
+def _print_failures(failed) -> None:
+    """One ``--- failed cell <key> ---`` block per failed outcome, with
+    its error, on stderr."""
+    for outcome in failed:
+        print(f"--- failed cell {outcome.key} ---", file=sys.stderr)
+        print(outcome.error, file=sys.stderr)
 
 
 def _cmd_status(args) -> int:
@@ -282,6 +287,7 @@ def _cmd_figure(args) -> int:
     ``ValueError``, rendered by ``main``'s error handler).
     """
     import repro.api as api
+    from repro.artifacts.artifact import CellsFailed
     from repro.artifacts.registry import ARTIFACTS, get_artifact
 
     if args.list or args.exp_id is None:
@@ -318,16 +324,20 @@ def _cmd_figure(args) -> int:
     store = open_store(args.store)
     for exp_id in ids:
         t0 = time.perf_counter()  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
-        result = api.run(
-            exp_id,
-            scale=args.scale,
-            seed=args.seed,
-            seeds=seeds,
-            workers=args.workers,
-            store=store,
-            telemetry=args.trace,
-            **options,
-        )
+        try:
+            result = api.run(
+                exp_id,
+                scale=args.scale,
+                seed=args.seed,
+                seeds=seeds,
+                workers=args.workers,
+                store=store,
+                telemetry=args.trace,
+                **options,
+            )
+        except CellsFailed as exc:
+            _print_failures(exc.failed)
+            return 1
         dt = time.perf_counter() - t0  # card-lint: disable=CARD-D01 -- CLI wall-time print; never enters results
         print(result.render())
         if result.telemetry is not None:

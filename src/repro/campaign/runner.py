@@ -32,7 +32,7 @@ import multiprocessing as mp
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.campaign.spec import CampaignSpec, CellSpec
@@ -394,6 +394,17 @@ def _failures_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     }
 
 
+#: in a pool worker, the queue :func:`_worker` posts each cell key to as
+#: the cell starts (set by :func:`_init_worker`); None elsewhere
+_started_keys = None
+
+
+def _init_worker(started_keys, go) -> None:
+    global _started_keys
+    _started_keys = started_keys
+    go.wait()
+
+
 def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
     """Pool target: run one serialised cell, never raise.
 
@@ -405,6 +416,8 @@ def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
     back so the parent can summarise without re-reading the file.
     """
     key, cell_dict, trace_on, trace_path = payload
+    if _started_keys is not None:
+        _started_keys.put(key)
     started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
     metrics: Optional[Dict[str, object]] = None
     with obs.TracedCell(key, on=trace_on, path=trace_path) as traced:
@@ -632,10 +645,12 @@ class CampaignRunner:
         """Yield (key, metrics, elapsed, error, trace) per pending cell.
 
         With ``n_workers > 1`` the cells fan out over a process pool.  A
-        cell that kills its worker breaks the pool; every cell left
-        without a result is then re-run alone in a fresh one-worker
-        executor, so the one that dies again fails by name — never more
-        than two attempts — and the rest complete.
+        cell that kills its worker breaks the pool.  The cells a worker
+        had started without a result (at most one per worker) then re-run
+        alone, each in a fresh one-worker executor, so the one that dies
+        again fails by name; the cells no worker had started go to a
+        fresh full-width pool under the same rule.  No cell starts more
+        than twice.
         """
         if not pending:
             return
@@ -647,40 +662,87 @@ class CampaignRunner:
             for payload in payloads:
                 yield _worker(payload)
             return
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
         # the platform-default start method (fork on Linux, spawn on
         # macOS/Windows — fork is unsafe under the Objective-C runtime);
         # payloads are plain JSON-ready dicts, so both methods work
         ctx = mp.get_context()
-        orphaned = []
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.n_workers, len(payloads)), mp_context=ctx
-        )
-        try:
-            futures = {pool.submit(_worker, p): p for p in payloads}
-            for future in as_completed(futures):
-                payload = futures.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    orphaned.append(payload)
-                    continue
-                yield result
-        finally:
-            pool.shutdown(cancel_futures=True)
-        for payload in orphaned:
-            started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
-            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as alone:
-                future = alone.submit(_worker, payload)
-                # the executor starts its one process on submit; keep it
-                # for the exit code, which BrokenProcessPool does not carry
-                (process,) = alone._processes.values()
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    process.join()
-                    error = f"worker process died (exit code {process.exitcode})"
-                    result = (payload[0], None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+        while payloads:
+            orphaned, started = yield from _fan_out(payloads, ctx, self.n_workers)
+            taken = [p for p in orphaned if p[0] in started]
+            payloads = [p for p in orphaned if p[0] not in started]
+            if not taken:
+                # the pool broke before any cell started: nothing singles
+                # a cell out, so each runs alone
+                taken, payloads = payloads, []
+            for payload in taken:
+                yield _run_alone(payload, ctx)
+
+
+def _fan_out(payloads, ctx, n_workers: int):
+    """Run ``payloads`` on one pool, yielding each result as it lands.
+
+    Returns ``(orphaned, started)``: the payloads left without a result
+    when a dying worker broke the pool (none if no worker died), and the
+    key of every cell a worker began.  The workers post those keys on a
+    pipe that the parent drains after each result, so it never fills.
+    """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    posted, go = ctx.SimpleQueue(), ctx.Event()
+    started: Set[str] = set()
+
+    def drain() -> None:
+        while not posted.empty():
+            started.add(posted.get())
+
+    orphaned = []
+    pool = ProcessPoolExecutor(
+        max_workers=min(n_workers, len(payloads)),
+        mp_context=ctx,
+        initializer=_init_worker,
+        initargs=(posted, go),
+    )
+    try:
+        futures = {pool.submit(_worker, p): p for p in payloads}
+        # no cell starts before the last is queued: the executor marks
+        # itself broken without taking submit's lock (CPython 3.11), so a
+        # submit that races a worker's death can lose its future and leave
+        # as_completed waiting forever
+        go.set()
+        for future in as_completed(futures):
+            drain()
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                orphaned.append(futures[future])
+                continue
             yield result
+    finally:
+        go.set()  # a submit that raised must not leave the workers waiting
+        pool.shutdown(cancel_futures=True)
+    drain()
+    posted.close()
+    return orphaned, started
+
+
+def _run_alone(payload, ctx):
+    """Run one cell in a fresh one-worker executor; a death fails it by
+    name with the worker's exit code."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as alone:
+        future = alone.submit(_worker, payload)
+        # the executor starts its one process on submit; keep it for the
+        # exit code, which BrokenProcessPool does not carry
+        (process,) = alone._processes.values()
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            pass
+    # read only now: the executor's own thread reaps the dead process, and
+    # leaving the `with` block waits for it
+    error = f"worker process died (exit code {process.exitcode})"
+    return (payload[0], None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.core.params import SelectionMethod
 from repro.core.selection import ContactSelector, SelectionOutcome, _WalkContext
-from repro.lint.importgraph import ImportGraph
 from repro.mobility.base import MobilityModel
+from tools.card_lint.importgraph import ImportGraph
 
 
 # ----------------------------------------------------------------------

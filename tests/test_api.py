@@ -95,7 +95,7 @@ class TestImportLayering:
         from pathlib import Path
 
         import repro
-        from repro.lint.importgraph import build_graph
+        from tools.card_lint.importgraph import build_graph
 
         graph = build_graph(Path(repro.__file__).parent)
         closure = graph.closure(

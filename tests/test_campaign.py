@@ -233,6 +233,20 @@ class TestRunnerDeterminism:
         for key in store1.keys():
             assert store1.metrics(key) == store2.metrics(key)
 
+    def test_spawn_start_method_renders_the_same(self, monkeypatch):
+        # spawn is the default start method on macOS and Windows: pool
+        # workers import the package afresh instead of inheriting it
+        import multiprocessing as mp
+
+        spawn = mp.get_context("spawn")
+        asked = []
+        one = run_experiment("fig05", scale=0.2, workers=1).render()
+        monkeypatch.setattr(
+            mp, "get_context", lambda method=None: asked.append(method) or spawn
+        )
+        assert run_experiment("fig05", scale=0.2, workers=2).render() == one
+        assert asked
+
     def test_rerun_is_pure_cache(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path / "s.jsonl")
@@ -538,7 +552,7 @@ class TestLayering:
         from pathlib import Path
 
         import repro
-        from repro.lint.importgraph import build_graph
+        from tools.card_lint.importgraph import build_graph
 
         return build_graph(Path(repro.__file__).parent)
 

@@ -1,5 +1,6 @@
-"""Smoke tests for the CLI entry point and every example script."""
+"""Smoke tests for the CLI entry points and every example script."""
 
+import importlib
 import re
 import subprocess
 import sys
@@ -64,6 +65,17 @@ class TestCLI:
     def test_out_rejects_all(self, tmp_path, capsys):
         assert main(["figure", "all", "--out", str(tmp_path / "s.json")]) == 1
         assert "--out" in capsys.readouterr().err
+
+    def test_console_scripts_resolve(self):
+        # an installed command whose target module moved or went away
+        # fails only when someone runs it: import every target here
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        pyproject = tomllib.loads((REPO / "pyproject.toml").read_text())
+        scripts = pyproject["project"]["scripts"]
+        assert scripts
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 #: every runnable example -> one line of its output that a deterministic

@@ -1,11 +1,12 @@
 """A cell that kills its pool worker fails loudly, within a bound, by name.
 
 The campaign fans cells out over a process pool.  When one cell's process
-dies (``os._exit``, a segfault, the OOM killer) the pool breaks; every
-cell left without a result is re-run alone, so the run ends with exactly
-the dying cell failed — never stored — and every other cell stored.  The
-doomed executor is installed by monkeypatching the parent, which only
-reaches the workers under the fork start method.
+dies (``os._exit``, a segfault, the OOM killer) the pool breaks.  The
+cells the workers had started re-run alone and the others in a fresh
+pool, so the run ends with exactly the dying cell failed — never stored
+— and every other cell stored.  The doomed executor is installed by
+monkeypatching the parent, which only reaches the workers under the fork
+start method.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from repro import api
 from repro.artifacts.registry import get_artifact
 from repro.campaign import runner
 from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import CampaignSpec, TopologySpec
 from repro.campaign.store import ResultStore
 from repro.service.http import make_server
 
@@ -103,6 +106,63 @@ def test_runner_reports_one_failed_outcome_and_stores_the_rest(doomed):
     assert len(store) == len(report.outcomes) - 1
 
 
+def test_orphans_rerun_in_a_fresh_pool_not_one_process_each(tmp_path, monkeypatch):
+    # the first cell kills its worker at once, while the other worker
+    # holds the second: only those two may re-run alone, and the cells
+    # no worker had started share a fresh two-worker pool
+    keys = artifact_keys()
+    assert len(keys) >= 8
+    log = tmp_path / "starts.log"
+    real = runner.execute_cell
+
+    def execute(cell):
+        key = cell.key()
+        with open(log, "a") as fh:
+            fh.write(f"{key} {os.getpid()}\n")
+        if key == keys[0]:
+            os._exit(3)
+        return real(cell)
+
+    monkeypatch.setattr(runner, "execute_cell", execute)
+    spec = get_artifact(ARTIFACT).spec(scale=SCALE)
+    store = ResultStore(None)
+    report = within(20, CampaignRunner(spec, store, n_workers=2).run)
+    (failed,) = [o for o in report.outcomes if not o.ok]
+    assert failed.key == keys[0]
+    assert failed.error == "worker process died (exit code 3)"
+    assert set(store.keys()) == set(keys[1:])
+    starts = [line.split() for line in log.read_text().splitlines()]
+    assert max(Counter(key for key, _ in starts).values()) <= 2
+    # the last start of each cell is the one that produced its result
+    ran_in = dict(starts)
+    assert len({ran_in[key] for key in keys[1:]}) < len(keys) - 1
+
+
+def test_a_large_campaign_whose_first_cell_dies_completes(monkeypatch):
+    # thousands of cells take long enough to submit that the first one
+    # could kill its worker before the last is queued; the run must
+    # neither raise nor hang, and must not re-run 2 999 cells one by one
+    spec = CampaignSpec(
+        name="many",
+        topologies=(TopologySpec(kind="standard", num_nodes=60),),
+        seeds=tuple(range(3000)),
+        metrics=("topology",),
+    )
+    doomed = next(iter(spec.unique_cells()))
+
+    def execute(cell):
+        if cell.key() == doomed:
+            os._exit(3)
+        return {"n": 1}
+
+    monkeypatch.setattr(runner, "execute_cell", execute)
+    store = ResultStore(None)
+    report = within(20, CampaignRunner(spec, store, n_workers=2).run)
+    (failed,) = [o for o in report.outcomes if not o.ok]
+    assert failed.key == doomed
+    assert len(store) == spec.num_cells - 1
+
+
 def test_cli_figure_exits_1(tmp_path):
     key = artifact_keys()[3]
     script = (
@@ -128,6 +188,8 @@ def test_cli_figure_exits_1(tmp_path):
     )
     assert proc.returncode == 1
     assert key in proc.stderr and "worker process died" in proc.stderr
+    assert f"--- failed cell {key} ---" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_http_answers_500_then_serves_the_next_run(doomed, tmp_path, monkeypatch):

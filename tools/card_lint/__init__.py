@@ -1,4 +1,4 @@
-"""``repro.lint`` — invariant-enforcing static analysis for this repo.
+"""``card-lint`` — invariant-enforcing static analysis for this repo.
 
 The reproduction's headline guarantee (bit-identical artifacts across
 worker counts, crash/resume and ``kill -9`` mid-lease) rests on
@@ -8,21 +8,22 @@ never imports the legacy harness, sqlite transitions take their locks
 eagerly, JSONL appends are single writes.  This package turns those
 conventions into machine-checked rules.
 
-Run it as ``card-lint src tests benchmarks examples`` or ``python -m
-repro.lint``; see :mod:`repro.lint.rules` for the catalog and the
-README's "Static analysis" section for the pragma workflow.  Pure stdlib
-(``ast``/``tokenize``) — no new runtime dependencies.
+It checks the repository's own code and ships with no product: run it
+from the repository root as ``python -m tools.card_lint src tests
+benchmarks examples tools``.  See :mod:`tools.card_lint.rules` for the
+catalog and the README's "Static analysis" section for the pragma
+workflow.  Pure stdlib (``ast``/``tokenize``) — no new dependencies.
 """
 
-from repro.lint.engine import (
+from .engine import (
     Finding,
     LintConfig,
     LintReport,
     LintUsageError,
     run_lint,
 )
-from repro.lint.importgraph import ImportEdge, ImportGraph, build_graph
-from repro.lint.rules import ALL_RULES, rule_catalog
+from .importgraph import ImportEdge, ImportGraph, build_graph
+from .rules import ALL_RULES, rule_catalog
 
 __all__ = [
     "ALL_RULES",

@@ -1,4 +1,4 @@
-"""``card-lint`` / ``python -m repro.lint`` — the CLI over the engine.
+"""``python -m tools.card_lint`` — the ``card-lint`` CLI over the engine.
 
 Exit codes: 0 = clean, 1 = findings (or unparseable files), 2 = usage
 error (bad paths, a missing ``--package-root``).
@@ -13,20 +13,20 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.engine import (
+from .engine import (
     LintConfig,
     LintReport,
     LintUsageError,
     run_lint,
 )
-from repro.lint.rules import rule_catalog
+from .rules import rule_catalog
 
 __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="card-lint",
+        prog="python -m tools.card_lint",
         description=(
             "Repo-invariant static analysis: determinism, layering, "
             "concurrency discipline and spec hygiene as named, "
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "files or directories to lint (default: src); CARD-R02 counts "
             "uses only in the files given, so lint the repo as "
-            "'src tests benchmarks examples'"
+            "'src tests benchmarks examples tools'"
         ),
     )
     parser.add_argument(
@@ -107,7 +107,7 @@ def _print_text(report: LintReport) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _run(argv)
-    except BrokenPipeError:  # e.g. `card-lint ... | head`
+    except BrokenPipeError:  # e.g. `python -m tools.card_lint ... | head`
         # swap stdout for /dev/null so the interpreter's exit flush
         # doesn't raise a second time
         devnull = os.open(os.devnull, os.O_WRONLY)

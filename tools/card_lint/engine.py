@@ -2,7 +2,7 @@
 
 The engine is deliberately small: it walks the given paths, parses each
 ``*.py`` file once, hands the AST to every registered rule
-(:mod:`repro.lint.rules`), then filters the findings through
+(:mod:`tools.card_lint.rules`), then filters the findings through
 ``# card-lint: disable=RULE`` pragmas.
 
 Two kinds of rules exist:
@@ -10,7 +10,7 @@ Two kinds of rules exist:
 * **module rules** see one file at a time (wall-clock calls, global RNG,
   sqlite transaction discipline, …);
 * **project rules** see the whole-package import graph
-  (:mod:`repro.lint.importgraph`) and every scanned file, and run once
+  (:mod:`tools.card_lint.importgraph`) and every scanned file, and run once
   per invocation — layering, entropy-reachability and module and name
   reachability cannot be judged file-locally.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.importgraph import ImportGraph, build_graph
+from .importgraph import ImportGraph, build_graph
 
 __all__ = [
     "REPORT_VERSION",
@@ -236,7 +236,7 @@ class LintReport:
         return not self.findings and not self.parse_errors
 
     def to_dict(self) -> Dict[str, object]:
-        from repro.lint.rules import ALL_RULES  # local: rules import engine
+        from .rules import ALL_RULES  # local: rules import engine
 
         return {
             "tool": "card-lint",
@@ -336,7 +336,7 @@ def run_lint(
     CARD-R02 is the exception: it judges the package files among
     ``paths`` by the uses it finds in the other scanned files.
     """
-    from repro.lint.rules import ALL_RULES
+    from .rules import ALL_RULES
 
     config = config or LintConfig.default()
 

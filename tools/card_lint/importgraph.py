@@ -1,6 +1,6 @@
 """Static import graph over the ``repro`` package.
 
-The layering and determinism rules of :mod:`repro.lint` need to answer
+The layering and determinism rules of :mod:`tools.card_lint` need to answer
 two questions without running any code:
 
 * which modules does ``import repro.api`` pull in *at import time*

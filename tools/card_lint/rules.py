@@ -18,7 +18,7 @@ Determinism (cells must be pure functions of their content-hashed spec):
   cell metrics.
 
 Layering (the dependency DAG is data in
-:data:`repro.lint.engine.DEFAULT_LAYER_CONSTRAINTS`):
+:data:`tools.card_lint.engine.DEFAULT_LAYER_CONSTRAINTS`):
 
 * **CARD-L02** — simulation layers (``repro.net``/``repro.core``/
   ``repro.des``) never import orchestration
@@ -43,7 +43,7 @@ Reachability:
   Imports and ``__all__`` strings are not uses; ``visit_*``, ``do_*``
   and ``log_message`` are dispatched by name and exempt.  The verdict
   depends on the scan covering every caller, so lint ``src tests
-  benchmarks examples`` together.
+  benchmarks examples tools`` together.
 
 Concurrency/durability discipline:
 
@@ -63,8 +63,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.engine import Finding, LintConfig, ModuleUnit
-from repro.lint.importgraph import ImportGraph
+from .engine import Finding, LintConfig, ModuleUnit
+from .importgraph import ImportGraph
 
 __all__ = ["ALL_RULES", "Rule", "rule_catalog"]
 
@@ -415,7 +415,7 @@ class CellEntropyRule(Rule):
 
 
 def _display(path) -> str:
-    from repro.lint.engine import _display_path
+    from .engine import _display_path
 
     return _display_path(path)
 
@@ -483,12 +483,11 @@ class LayerRule(Rule):
 
 
 # ----------------------------------------------------------------------
-#: what a user runs: the three console scripts, the facade and the cell
+#: what a user runs: the two console scripts, the facade and the cell
 #: executor — every ``*.__main__`` is an entry point as well
 ENTRY_ROOTS = (
     "repro.campaign.__main__",
     "repro.service.__main__",
-    "repro.lint.cli",
     "repro.api",
     "repro.campaign.runner",
 )

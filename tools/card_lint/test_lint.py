@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.lint` — the invariant-enforcing static analysis.
+"""Tests for :mod:`tools.card_lint` — the invariant-enforcing static analysis.
 
 Structure:
 
@@ -25,16 +25,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    LintConfig,
-    build_graph,
-    run_lint,
-)
-from repro.lint.cli import main
-from repro.lint.rules import ALL_RULES
 from tests.oracles import toplevel_cycles
 
-REPO = Path(__file__).resolve().parent.parent
+from . import LintConfig, build_graph, run_lint
+from .cli import main
+from .rules import ALL_RULES
+
+REPO = Path(__file__).resolve().parents[2]
 
 RULE_IDS = {
     "CARD-D01",
@@ -915,7 +912,7 @@ class TestRealTree:
         monkeypatch.chdir(REPO)
         paths = [
             Path(p)
-            for p in ("src", "tests", "benchmarks", "examples")
+            for p in ("src", "tests", "benchmarks", "examples", "tools")
             if (REPO / p).is_dir()
         ]
         report = run_lint(paths, LintConfig.default())
