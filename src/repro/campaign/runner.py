@@ -7,8 +7,10 @@ into work:
 2. drop cells the :class:`~repro.campaign.store.ResultStore` already
    holds (cache hits — this is also what makes a re-run incremental);
 3. execute the rest, either in-process (``n_workers=1``, bit-identical
-   and debugger-friendly) or over a process pool, where a cell that
-   kills its worker fails by name instead of hanging the run;
+   and debugger-friendly) or over worker processes that each hold one
+   cell at a time, so a cell that kills its worker fails by name while
+   every other cell runs once, and a worker whose parent is gone exits
+   when its cell ends;
 4. append every finished cell to the store as soon as it lands (only the
    parent writes, so the JSONL file needs no locking).
 
@@ -28,11 +30,14 @@ sampler that closes each stats bin.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import multiprocessing as mp
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.campaign.spec import CampaignSpec, CellSpec
@@ -394,17 +399,6 @@ def _failures_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     }
 
 
-#: in a pool worker, the queue :func:`_worker` posts each cell key to as
-#: the cell starts (set by :func:`_init_worker`); None elsewhere
-_started_keys = None
-
-
-def _init_worker(started_keys, go) -> None:
-    global _started_keys
-    _started_keys = started_keys
-    go.wait()
-
-
 def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
     """Pool target: run one serialised cell, never raise.
 
@@ -416,8 +410,6 @@ def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
     back so the parent can summarise without re-reading the file.
     """
     key, cell_dict, trace_on, trace_path = payload
-    if _started_keys is not None:
-        _started_keys.put(key)
     started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
     metrics: Optional[Dict[str, object]] = None
     with obs.TracedCell(key, on=trace_on, path=trace_path) as traced:
@@ -644,13 +636,10 @@ class CampaignRunner:
     def _execute(self, pending: List[Tuple[str, CellSpec]]):
         """Yield (key, metrics, elapsed, error, trace) per pending cell.
 
-        With ``n_workers > 1`` the cells fan out over a process pool.  A
-        cell that kills its worker breaks the pool.  The cells a worker
-        had started without a result (at most one per worker) then re-run
-        alone, each in a fresh one-worker executor, so the one that dies
-        again fails by name; the cells no worker had started go to a
-        fresh full-width pool under the same rule.  No cell starts more
-        than twice.
+        With ``n_workers > 1`` the cells fan out over worker processes
+        that each hold one cell at a time.  A cell that kills its worker
+        fails by name with the worker's exit code; every other cell runs
+        once, at full width, and no worker outlives the run.
         """
         if not pending:
             return
@@ -662,87 +651,74 @@ class CampaignRunner:
             for payload in payloads:
                 yield _worker(payload)
             return
-        # the platform-default start method (fork on Linux, spawn on
-        # macOS/Windows — fork is unsafe under the Objective-C runtime);
-        # payloads are plain JSON-ready dicts, so both methods work
-        ctx = mp.get_context()
-        while payloads:
-            orphaned, started = yield from _fan_out(payloads, ctx, self.n_workers)
-            taken = [p for p in orphaned if p[0] in started]
-            payloads = [p for p in orphaned if p[0] not in started]
-            if not taken:
-                # the pool broke before any cell started: nothing singles
-                # a cell out, so each runs alone
-                taken, payloads = payloads, []
-            for payload in taken:
-                yield _run_alone(payload, ctx)
+        yield from _fan_out(payloads, self.n_workers)
 
 
-def _fan_out(payloads, ctx, n_workers: int):
-    """Run ``payloads`` on one pool, yielding each result as it lands.
-
-    Returns ``(orphaned, started)``: the payloads left without a result
-    when a dying worker broke the pool (none if no worker died), and the
-    key of every cell a worker began.  The workers post those keys on a
-    pipe that the parent drains after each result, so it never fills.
-    """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    posted, go = ctx.SimpleQueue(), ctx.Event()
-    started: Set[str] = set()
-
-    def drain() -> None:
-        while not posted.empty():
-            started.add(posted.get())
-
-    orphaned = []
-    pool = ProcessPoolExecutor(
-        max_workers=min(n_workers, len(payloads)),
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(posted, go),
-    )
+def _serve(conn: Connection, parent_end: Connection) -> None:
+    """Worker process body: run each payload the parent sends, reply with
+    its result, and stop at ``None`` or when the parent is gone."""
+    # while this process holds the parent's end, a dead parent's pipe
+    # would never read as end of file here
+    parent_end.close()
     try:
-        futures = {pool.submit(_worker, p): p for p in payloads}
-        # no cell starts before the last is queued: the executor marks
-        # itself broken without taking submit's lock (CPython 3.11), so a
-        # submit that races a worker's death can lose its future and leave
-        # as_completed waiting forever
-        go.set()
-        for future in as_completed(futures):
-            drain()
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                orphaned.append(futures[future])
-                continue
-            yield result
+        for payload in iter(conn.recv, None):
+            conn.send(_worker(payload))
+    except (EOFError, OSError):
+        pass  # the parent is gone: nobody is left to take a result
+
+
+def _fan_out(payloads, n_workers: int):
+    """Run ``payloads`` on up to ``n_workers`` worker processes, yielding
+    each result as it lands.
+
+    The parent sends a worker one payload at a time, so it always knows
+    the cell each worker holds.  A worker whose pipe reads as end of file
+    has died: exactly its cell fails, and a new worker starts only while
+    cells are still waiting.
+    """
+    # the platform-default start method (fork on Linux, spawn on
+    # macOS/Windows — fork is unsafe under the Objective-C runtime);
+    # payloads are plain JSON-ready dicts, so both methods work
+    ctx = mp.get_context()
+    todo = iter(payloads)
+    workers: Dict[Connection, mp.process.BaseProcess] = {}
+    busy: Dict[Connection, Tuple[str, float]] = {}
+    try:
+        while True:
+            for payload in itertools.islice(todo, n_workers - len(busy)):
+                conn = next((c for c in workers if c not in busy), None)
+                if conn is None:
+                    conn, child_end = ctx.Pipe()
+                    workers[conn] = ctx.Process(
+                        target=_serve,
+                        args=(child_end, conn),
+                        daemon=True,  # never blocks the exit of its parent
+                    )
+                    workers[conn].start()
+                    child_end.close()
+                conn.send(payload)
+                busy[conn] = (payload[0], time.perf_counter())  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+            if not busy:
+                return
+            for conn in wait(list(busy)):
+                key, started = busy.pop(conn)
+                try:
+                    result = conn.recv()
+                except EOFError:
+                    process = workers.pop(conn)
+                    process.join()
+                    conn.close()
+                    error = f"worker process died (exit code {process.exitcode})"
+                    result = (key, None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+                yield result
     finally:
-        go.set()  # a submit that raised must not leave the workers waiting
-        pool.shutdown(cancel_futures=True)
-    drain()
-    posted.close()
-    return orphaned, started
-
-
-def _run_alone(payload, ctx):
-    """Run one cell in a fresh one-worker executor; a death fails it by
-    name with the worker's exit code."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as alone:
-        future = alone.submit(_worker, payload)
-        # the executor starts its one process on submit; keep it for the
-        # exit code, which BrokenProcessPool does not carry
-        (process,) = alone._processes.values()
-        try:
-            return future.result()
-        except BrokenProcessPool:
-            pass
-    # read only now: the executor's own thread reaps the dead process, and
-    # leaving the `with` block waits for it
-    error = f"worker process died (exit code {process.exitcode})"
-    return (payload[0], None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+        for conn, process in workers.items():
+            if conn in busy:
+                process.terminate()
+            else:
+                # a worker that died idle has nobody left to read the None
+                with contextlib.suppress(OSError):
+                    conn.send(None)
+        for conn, process in workers.items():
+            process.join()
+            conn.close()

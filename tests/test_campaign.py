@@ -233,18 +233,29 @@ class TestRunnerDeterminism:
         for key in store1.keys():
             assert store1.metrics(key) == store2.metrics(key)
 
-    def test_spawn_start_method_renders_the_same(self, monkeypatch):
-        # spawn is the default start method on macOS and Windows: pool
-        # workers import the package afresh instead of inheriting it
+    @pytest.fixture(scope="class")
+    def fig05_in_process(self):
+        return run_experiment("fig05", scale=0.2, workers=1).render()
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_width_and_start_method_render_the_same(
+        self, monkeypatch, fig05_in_process, workers, start
+    ):
+        # spawn is the default start method on macOS and Windows: workers
+        # import the package afresh instead of inheriting it; 4 workers
+        # are more than a 2-CPU host has
         import multiprocessing as mp
 
-        spawn = mp.get_context("spawn")
+        if start not in mp.get_all_start_methods():
+            pytest.skip(f"no {start} start method on this platform")
+        context = mp.get_context(start)
         asked = []
-        one = run_experiment("fig05", scale=0.2, workers=1).render()
         monkeypatch.setattr(
-            mp, "get_context", lambda method=None: asked.append(method) or spawn
+            mp, "get_context", lambda method=None: asked.append(method) or context
         )
-        assert run_experiment("fig05", scale=0.2, workers=2).render() == one
+        render = run_experiment("fig05", scale=0.2, workers=workers).render()
+        assert render == fig05_in_process
         assert asked
 
     def test_rerun_is_pure_cache(self, tmp_path):

@@ -1,12 +1,12 @@
-"""A cell that kills its pool worker fails loudly, within a bound, by name.
+"""A cell that kills its worker process fails loudly, within a bound, by name.
 
-The campaign fans cells out over a process pool.  When one cell's process
-dies (``os._exit``, a segfault, the OOM killer) the pool breaks.  The
-cells the workers had started re-run alone and the others in a fresh
-pool, so the run ends with exactly the dying cell failed — never stored
-— and every other cell stored.  The doomed executor is installed by
-monkeypatching the parent, which only reaches the workers under the fork
-start method.
+The campaign fans cells out over worker processes that each hold one
+cell at a time.  When one cell's process dies (``os._exit``, a segfault,
+the OOM killer) its pipe reads as end of file, so exactly that cell
+fails — never stored — while every other cell runs once and is stored.
+A worker whose parent is killed exits instead of waiting for work.  The
+doomed executor is installed by monkeypatching the parent, which only
+reaches the workers under the fork start method.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -108,8 +110,8 @@ def test_runner_reports_one_failed_outcome_and_stores_the_rest(doomed):
 
 def test_orphans_rerun_in_a_fresh_pool_not_one_process_each(tmp_path, monkeypatch):
     # the first cell kills its worker at once, while the other worker
-    # holds the second: only those two may re-run alone, and the cells
-    # no worker had started share a fresh two-worker pool
+    # holds the second: no cell starts twice, and the cells after them
+    # share the two workers instead of taking a process each
     keys = artifact_keys()
     assert len(keys) >= 8
     log = tmp_path / "starts.log"
@@ -136,6 +138,38 @@ def test_orphans_rerun_in_a_fresh_pool_not_one_process_each(tmp_path, monkeypatc
     # the last start of each cell is the one that produced its result
     ran_in = dict(starts)
     assert len({ran_in[key] for key in keys[1:]}) < len(keys) - 1
+
+
+def test_a_dying_worker_fails_only_its_own_cell(tmp_path, monkeypatch):
+    # the first cell dies only once another worker holds a cell: that
+    # cell is not orphaned, and no cell, the dying one included, starts
+    # twice
+    keys = artifact_keys()
+    log = tmp_path / "starts.log"
+    real = runner.execute_cell
+
+    def execute(cell):
+        key = cell.key()
+        with open(log, "a") as fh:
+            fh.write(f"{key} {os.getpid()}\n")
+        if key == keys[0]:
+            for _ in range(1000):
+                if len(log.read_text().splitlines()) >= 2:
+                    break
+                time.sleep(0.01)
+            os._exit(3)
+        return real(cell)
+
+    monkeypatch.setattr(runner, "execute_cell", execute)
+    spec = get_artifact(ARTIFACT).spec(scale=SCALE)
+    store = ResultStore(None)
+    report = within(20, CampaignRunner(spec, store, n_workers=2).run)
+    (failed,) = [o for o in report.outcomes if not o.ok]
+    assert failed.key == keys[0]
+    assert failed.error == "worker process died (exit code 3)"
+    assert set(store.keys()) == set(keys[1:])
+    started = Counter(line.split()[0] for line in log.read_text().splitlines())
+    assert started == Counter(keys)
 
 
 def test_a_large_campaign_whose_first_cell_dies_completes(monkeypatch):
@@ -190,6 +224,70 @@ def test_cli_figure_exits_1(tmp_path):
     assert key in proc.stderr and "worker process died" in proc.stderr
     assert f"--- failed cell {key} ---" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _state(pid):
+    """``pid``'s one-letter state from ``/proc/<pid>/stat``, or None when
+    it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def test_no_worker_outlives_a_killed_run(tmp_path):
+    # the run is SIGKILLed while both workers hold a 0.5 s cell: each
+    # must finish that cell at most and exit, not wait for work forever
+    log = tmp_path / "pids.log"
+    script = (
+        "import os, sys, time\n"
+        "from repro.campaign import runner\n"
+        "from repro.campaign.runner import CampaignRunner\n"
+        "from repro.campaign.spec import CampaignSpec, TopologySpec\n"
+        "def execute(cell):\n"
+        "    with open(sys.argv[1], 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(0.5)\n"
+        "    return {'n': 1}\n"
+        "runner.execute_cell = execute\n"
+        "spec = CampaignSpec(\n"
+        "    name='slow', seeds=tuple(range(20)), metrics=('topology',),\n"
+        "    topologies=(TopologySpec(kind='standard', num_nodes=60),),\n"
+        ")\n"
+        "CampaignRunner(spec, None, n_workers=2).run()\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(log)], cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    pids = set()
+
+    def logged():
+        return {int(p) for p in log.read_text().split()} if log.exists() else set()
+
+    def kill_then_wait():
+        while len(logged()) < 2:
+            assert proc.poll() is None, "the campaign ended before its workers started"
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait()
+        pids.update(logged())
+        for _ in range(100):
+            alive = [pid for pid in pids if _state(pid) not in (None, "Z")]
+            if not alive:
+                break
+            time.sleep(0.05)
+        assert not alive, f"workers {alive} outlived their run by 5 s"
+
+    try:
+        within(20, kill_then_wait)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids | logged():
+            if _state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_http_answers_500_then_serves_the_next_run(doomed, tmp_path, monkeypatch):

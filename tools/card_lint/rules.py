@@ -38,7 +38,8 @@ Reachability:
   reached;
 * **CARD-R02** — every public top-level def or class, and every public
   method, under the package is named (an ``ast.Name`` or
-  ``ast.Attribute``) by some scanned file outside ``tests/``: code only
+  ``ast.Attribute``) by some scanned file that is not a test (one under
+  ``tests/``, or a ``test_*.py`` or ``conftest.py`` anywhere): code only
   tests reach is deleted, or is a test oracle and lives in ``tests/``.
   Imports and ``__all__`` strings are not uses; ``visit_*``, ``do_*``
   and ``log_message`` are dispatched by name and exempt.  The verdict
@@ -558,6 +559,17 @@ _UNJUDGED_PREFIXES = ("_", "visit_", "do_")
 _UNJUDGED_NAMES = frozenset({"log_message"})
 
 
+def _is_test(unit: ModuleUnit) -> bool:
+    """Whether CARD-R02 reads ``unit`` as a test: anything under
+    ``tests/``, and a ``test_*.py`` or ``conftest.py`` in any tree."""
+    name = unit.path.name
+    return (
+        unit.top_dir == "tests"
+        or name == "conftest.py"
+        or name.startswith("test_")
+    )
+
+
 def _judged_defs(tree: ast.Module) -> Iterator[ast.AST]:
     """Top-level defs and classes, and the methods of top-level classes,
     whose names are public and not dispatched by name."""
@@ -579,8 +591,8 @@ class NameReachabilityRule(Rule):
     category = "reachability"
     summary = (
         "every public def, class and method in the package is named by "
-        "some scanned file outside tests/; an import or an __all__ entry "
-        "is not a use"
+        "some scanned file that is not a test (under tests/, test_*.py or "
+        "conftest.py); an import or an __all__ entry is not a use"
     )
     project_wide = True
 
@@ -592,7 +604,7 @@ class NameReachabilityRule(Rule):
     ) -> List[Finding]:
         used: Set[str] = set()
         for unit in units:
-            if unit.top_dir == "tests":
+            if _is_test(unit):
                 continue
             for node in ast.walk(unit.tree):
                 if isinstance(node, ast.Name):
@@ -610,7 +622,7 @@ class NameReachabilityRule(Rule):
                     self.finding(
                         unit,
                         node,
-                        f"{node.name} is named only under tests/; delete it "
+                        f"{node.name} is named only by tests; delete it "
                         "(and the tests that check only it), move a test "
                         "oracle to tests/oracles.py, or pragma it with the "
                         "reason it stays",

@@ -452,6 +452,27 @@ class TestNameReachabilityRule:
             ("src/repro/core/engine.py", "size"),
         ]
 
+    @pytest.mark.parametrize(
+        "test_file", ["tools/x/test_y.py", "examples/demo/conftest.py"]
+    )
+    def test_a_test_file_outside_tests_is_not_a_use(
+        self, tmp_path, monkeypatch, test_file
+    ):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/engine.py": "def helper():\n    return 1\n",
+                test_file: """
+                from repro.core import engine
+
+                def test_helper():
+                    assert engine.helper() == 1
+                """,
+            },
+        )
+        assert [f.message.split()[0] for f in report.findings] == ["helper"]
+
     @pytest.mark.parametrize("caller", ["examples", "benchmarks"])
     def test_a_caller_in_examples_or_benchmarks_is_a_use(
         self, tmp_path, monkeypatch, caller
