@@ -30,7 +30,8 @@ without ``--store``), so artifacts that share cells pay for them once;
 The result store defaults to ``<spec>.results.jsonl`` next to the spec
 file; pass ``--store`` to share one store between campaigns.  Stores are
 append-only JSONL keyed by cell content hash — interrupting a run loses
-at most the cell in flight, and re-running skips everything stored.
+at most the sweep group in flight (cells that differ only in NoC or D
+run as one group), and re-running skips everything stored.
 Because the key covers only cell *content*, overlapping figures share
 work: e.g. fig12 re-reads fig11's cells from a shared store.
 

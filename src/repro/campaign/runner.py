@@ -1,4 +1,4 @@
-"""Campaign execution: grid expansion, caching, process fan-out.
+"""Campaign execution: grid expansion, caching, sweep groups, process fan-out.
 
 :class:`CampaignRunner` turns a :class:`~repro.campaign.spec.CampaignSpec`
 into work:
@@ -6,21 +6,29 @@ into work:
 1. expand the spec into cells and hash each one;
 2. drop cells the :class:`~repro.campaign.store.ResultStore` already
    holds (cache hits — this is also what makes a re-run incremental);
-3. execute the rest, either in-process (``n_workers=1``, bit-identical
+3. partition the rest into sweep groups (:func:`sweep_groups`): snapshot
+   cells that differ only in NoC or D share one topology, one distance
+   band and one contact-selection run, at the group's largest NoC, and
+   each member reads its own NoC and D off that run; every other cell
+   is a group of one;
+4. execute the groups, either in-process (``n_workers=1``, bit-identical
    and debugger-friendly) or over worker processes that each hold one
-   cell at a time, so a cell that kills its worker fails by name while
-   every other cell runs once, and a worker whose parent is gone exits
-   when its cell ends;
-4. append every finished cell to the store as soon as it lands (only the
-   parent writes, so the JSONL file needs no locking).
+   group at a time, so a group that kills its worker fails by name while
+   every other group runs once, and a worker whose parent is gone exits
+   when its group ends;
+5. append every finished cell to the store as soon as its group lands
+   (only the parent writes, so the JSONL file needs no locking).
 
 Cells are pure functions of their spec — every random stream is derived
-from the cell's own seed — so the worker count and completion order
-cannot change any stored metric, only the wall-clock.
+from the cell's own seed, and selection at NoC=k is the k-contact prefix
+of selection at any larger NoC — so the worker count, the grouping and
+the completion order cannot change any stored metric, only the
+wall-clock.
 
-:func:`execute_cell` is the single entry point workers run.  It covers
-the three measurement regimes: snapshot cells (contact selection on a static
-topology, plus the structural/workload families), time-series cells
+:func:`execute_cell` is the single entry point workers run, once per
+group member.  It covers the three measurement regimes: snapshot cells
+(contact selection on a static topology, plus the structural/workload
+families), time-series cells
 (:class:`~repro.core.runner.TimeSeriesRunner` under a declarative
 :class:`~repro.campaign.spec.MobilitySpec`) and event-driven cells
 (:class:`~repro.core.des_runner.DesRunner`).  Series and des cells run on
@@ -32,12 +40,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import multiprocessing as mp
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.campaign.spec import CampaignSpec, CellSpec
@@ -45,7 +54,6 @@ from repro.campaign.store import CellStore, StoreLike, open_store
 from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
-from repro.core.reachability import reachability_distribution
 from repro.core.des_runner import DesRunner
 from repro.core.runner import SnapshotRunner, TimeSeriesRunner
 from repro.discovery.bordercast import BordercastDiscovery, QDMode
@@ -57,7 +65,13 @@ from repro.routing.neighborhood import NeighborhoodTables
 from repro.scenarios.factory import query_workload, sample_sources
 from repro.util.rng import spawn_rng
 
-__all__ = ["CampaignRunner", "CampaignReport", "CellOutcome", "execute_cell"]
+__all__ = [
+    "CampaignRunner",
+    "CampaignReport",
+    "CellOutcome",
+    "execute_cell",
+    "sweep_groups",
+]
 
 #: Above this node count the ``topology``/``smallworld`` families switch
 #: their path-length statistics to the sampled no-APSP estimator
@@ -74,9 +88,61 @@ def _pair_sample(num_nodes: int) -> Optional[int]:
     return PAIR_STATS_SAMPLE if num_nodes >= PAIR_STATS_THRESHOLD else None
 
 
+#: Metric families read off one contact-selection run.  Snapshot cells
+#: that record only these and differ only in ``params.noc`` or
+#: ``params.depth`` form one sweep group (:func:`sweep_groups`).
+SELECTION_FAMILIES = frozenset({"reachability", "overhead", "overlap", "tradeoff"})
+
+
+def _group_key(cell: CellSpec) -> str:
+    """The cell's spec without the NoC and D of a groupable cell: cells
+    with equal keys share one selection run."""
+    data = cell.to_dict()
+    if (
+        not (cell.is_des or cell.is_time_series)
+        and set(cell.metrics) <= SELECTION_FAMILIES
+    ):
+        data["params"] = {
+            k: v for k, v in data["params"].items() if k not in ("noc", "depth")
+        }
+    return json.dumps(data, sort_keys=True)
+
+
+def sweep_groups(
+    pairs: Sequence[Tuple[str, CellSpec]],
+) -> List[List[Tuple[str, CellSpec]]]:
+    """Partition ``(key, cell)`` pairs into sweep groups, each ordered
+    by descending resolved NoC (the leader first), groups in order of
+    their first member.
+
+    Cells whose specs differ only in ``params.noc`` or ``params.depth``
+    and record only :data:`SELECTION_FAMILIES` share a group; every
+    other cell is a group of one.  Run a group's members in this order
+    through :func:`execute_cell` with one ``shared`` dict.
+    """
+    groups: Dict[str, List[Tuple[str, CellSpec]]] = {}
+    for key, cell in pairs:
+        groups.setdefault(_group_key(cell), []).append((key, cell))
+    return [
+        sorted(members, key=lambda kc: -kc[1].resolved_params().noc)
+        for members in groups.values()
+    ]
+
+
 # ----------------------------------------------------------------------
-def execute_cell(cell: CellSpec) -> Dict[str, object]:
+def execute_cell(
+    cell: CellSpec, shared: Optional[Dict[str, object]] = None
+) -> Dict[str, object]:
     """Run one cell and return its flat, JSON-safe metrics dict.
+
+    ``shared`` carries what the members of one sweep group
+    (:func:`sweep_groups`) share: pass the same dict to every member,
+    in group order.  The first member builds the topology and, for the
+    selection families, runs contact selection at its NoC; each later
+    member reads its own NoC and D off that run
+    (:meth:`~repro.core.runner.SnapshotRunner.view`), with the metrics
+    it would have had alone.  Without ``shared`` the cell is a group of
+    one.
 
     Snapshot metric families (selected by ``cell.metrics``):
 
@@ -106,12 +172,18 @@ def execute_cell(cell: CellSpec) -> Dict[str, object]:
     family (discovery latency distribution, staleness/loss failure
     split, overhead in messages and byte·seconds).
     """
-    with obs.span("topology_build"):
-        topo = cell.topology.build(cell.seed)
+    shared = {} if shared is None else shared
+    group = _group_key(cell)
+    if shared.setdefault("group", group) != group:
+        raise ValueError("execute_cell: cell is not in the shared run's sweep group")
+    topo = shared.get("topology")
+    if topo is None:
+        with obs.span("topology_build"):
+            topo = shared["topology"] = cell.topology.build(cell.seed)
     if cell.is_des or cell.is_time_series:
         out = _execute_mobile(cell, topo)
     else:
-        out = _execute_snapshot(cell, topo)
+        out = _execute_snapshot(cell, topo, shared)
     if obs.active():
         # cold-vs-refresh split: full_rebuilds counts cold band builds,
         # incremental_updates/rows_recomputed the mobility refresh work
@@ -156,7 +228,9 @@ def _execute_mobile(cell: CellSpec, topo: Topology) -> Dict[str, object]:
         return runner.run().to_metrics(cell.metrics)
 
 
-def _execute_snapshot(cell: CellSpec, topo: Topology) -> Dict[str, object]:
+def _execute_snapshot(
+    cell: CellSpec, topo: Topology, shared: Dict[str, object]
+) -> Dict[str, object]:
     out: Dict[str, object] = {}
     if "topology" in cell.metrics:
         with obs.span("metrics:topology"):
@@ -182,10 +256,9 @@ def _execute_snapshot(cell: CellSpec, topo: Topology) -> Dict[str, object]:
                 diameter_upper=int(st.diameter_upper),
                 mean_hops_se=float(st.mean_hops_se or 0.0),
             )
-    selection_families = {"reachability", "overhead", "overlap", "tradeoff"}
-    if selection_families & set(cell.metrics):
+    if SELECTION_FAMILIES & set(cell.metrics):
         with obs.span("metrics:selection"):
-            out.update(_selection_metrics(cell, topo))
+            out.update(_selection_metrics(cell, topo, shared))
     if "smallworld" in cell.metrics:
         with obs.span("metrics:smallworld"):
             out.update(_smallworld_metrics(cell, topo))
@@ -201,38 +274,48 @@ def _execute_snapshot(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     return out
 
 
-def _selection_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
-    """The SnapshotRunner families: one selection run, several views."""
+def _selection_metrics(
+    cell: CellSpec, topo: Topology, shared: Dict[str, object]
+) -> Dict[str, object]:
+    """The SnapshotRunner families: one selection run, several views.
+
+    The group's first member selects at its NoC (the group's largest);
+    every later member is a :meth:`~repro.core.runner.SnapshotRunner.view`
+    of that run at its own NoC and D.
+    """
     params: CARDParams = cell.resolved_params()
-    sources = sample_sources(topo.num_nodes, cell.num_sources, cell.seed)
-    if cell.full_selection:
-        # every node selects contacts; `sources` only bounds measurement
-        runner = SnapshotRunner(topo, params, seed=cell.seed, sources=None)
-        result = runner.run()
-        reach = runner.protocol.reachability(sources)
-        distribution = reachability_distribution(reach)
-        measured = topo.num_nodes if sources is None else len(sources)
+    runner = shared.get("selection")
+    if isinstance(runner, SnapshotRunner):
+        result = runner.view(params.noc, params.depth)
     else:
-        runner = SnapshotRunner(topo, params, seed=cell.seed, sources=sources)
+        sources = sample_sources(topo.num_nodes, cell.num_sources, cell.seed)
+        # with full_selection every node selects contacts and `sources`
+        # only bounds measurement
+        runner = SnapshotRunner(
+            topo,
+            params,
+            seed=cell.seed,
+            sources=None if cell.full_selection else sources,
+            measured=sources,
+        )
         result = runner.run()
-        reach = result.reachability
-        distribution = result.distribution
-        measured = len(result.sources)
+        shared["selection"] = runner
+    reach = result.reachability
     out: Dict[str, object] = {}
     if "reachability" in cell.metrics:
         out["mean_reachability"] = float(reach.mean()) if reach.size else 0.0
-        out["distribution"] = [int(v) for v in distribution]
+        out["distribution"] = [int(v) for v in result.distribution]
         out["mean_contacts"] = float(result.mean_contacts)
-        out["measured_sources"] = measured
+        out["measured_sources"] = int(reach.size)
     if "overhead" in cell.metrics:
         out["selection_msgs_per_source"] = float(result.selection_per_node())
         out["backtrack_msgs_per_source"] = float(result.backtracking_per_node())
         for category, count in result.message_totals.items():
             out[f"msgs_{category}"] = int(count)
     if "overlap" in cell.metrics:
-        out["overlap_fraction"] = float(runner.overlap_fraction())
+        out["overlap_fraction"] = float(runner.overlap_fraction(result))
     if "tradeoff" in cell.metrics:
-        out["route_hops"] = runner.route_hops()
+        out["route_hops"] = result.route_hops()
         out["frac_ge50"] = float((reach >= 50.0).mean()) if reach.size else 0.0
     return out
 
@@ -399,25 +482,34 @@ def _failures_metrics(cell: CellSpec, topo: Topology) -> Dict[str, object]:
     }
 
 
-def _worker(payload: Tuple[str, Dict[str, object], bool, Optional[str]]):
-    """Pool target: run one serialised cell, never raise.
+def _worker(payload: Tuple[List[Tuple[str, Dict[str, object]]], bool, Optional[str]]):
+    """Pool target: run one sweep group of serialised cells, never raise.
 
-    ``payload`` is ``(key, cell_dict, trace_on, trace_path)``.  Returns
-    ``(key, metrics, elapsed, error, trace_record)``.  With tracing on
-    the cell runs inside a :class:`~repro.obs.TracedCell`, which appends
-    the finished record to ``trace_path`` from this process (each worker
-    owns its own appends — crash-safe, no locks); the record also rides
-    back so the parent can summarise without re-reading the file.
+    ``payload`` is ``(members, trace_on, trace_path)`` with ``members``
+    the group's ``(key, cell_dict)`` pairs, leader first.  Returns one
+    ``(key, metrics, elapsed, error, trace_record)`` per member.  Each
+    member runs inside its own :class:`~repro.obs.TracedCell` and is
+    timed on its own, so the leader is charged the group's shared work
+    (topology, band, selection) and every other member only its view:
+    the members' times sum to the group's.  With tracing on each record
+    is appended to ``trace_path`` from this process (each worker owns its
+    own appends — crash-safe, no locks); the records also ride back so
+    the parent can summarise without re-reading the file.
     """
-    key, cell_dict, trace_on, trace_path = payload
-    started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
-    metrics: Optional[Dict[str, object]] = None
-    with obs.TracedCell(key, on=trace_on, path=trace_path) as traced:
-        try:
-            metrics = execute_cell(CellSpec.from_dict(cell_dict))
-        except Exception:  # noqa: BLE001 - report, don't kill the pool
-            traced.error = traceback.format_exc()
-    return key, metrics, time.perf_counter() - started, traced.error, traced.record  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+    members, trace_on, trace_path = payload
+    shared: Dict[str, object] = {}
+    results = []
+    for key, cell_dict in members:
+        started = time.perf_counter()  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+        metrics: Optional[Dict[str, object]] = None
+        with obs.TracedCell(key, on=trace_on, path=trace_path) as traced:
+            try:
+                metrics = execute_cell(CellSpec.from_dict(cell_dict), shared)
+            except Exception:  # noqa: BLE001 - report, don't kill the pool
+                traced.error = traceback.format_exc()
+        elapsed = time.perf_counter() - started  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+        results.append((key, metrics, elapsed, traced.error, traced.record))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -636,27 +728,32 @@ class CampaignRunner:
     def _execute(self, pending: List[Tuple[str, CellSpec]]):
         """Yield (key, metrics, elapsed, error, trace) per pending cell.
 
-        With ``n_workers > 1`` the cells fan out over worker processes
-        that each hold one cell at a time.  A cell that kills its worker
-        fails by name with the worker's exit code; every other cell runs
-        once, at full width, and no worker outlives the run.
+        Pending cells run in sweep groups (:func:`sweep_groups`): one
+        topology, one distance band and one selection run per group.
+        With ``n_workers > 1`` the groups fan out over worker processes
+        that each hold one group at a time.  A group that kills its
+        worker fails, every member by name, with the worker's exit code;
+        every other group runs once, at full width, and no worker
+        outlives the run.
         """
-        if not pending:
-            return
         payloads = [
-            (key, cell.to_dict(), self.trace_on, self.trace_path)
-            for key, cell in pending
+            (
+                [(key, cell.to_dict()) for key, cell in group],
+                self.trace_on,
+                self.trace_path,
+            )
+            for group in sweep_groups(pending)
         ]
-        if self.n_workers == 1 or len(payloads) == 1:
+        if self.n_workers == 1 or len(payloads) <= 1:
             for payload in payloads:
-                yield _worker(payload)
+                yield from _worker(payload)
             return
         yield from _fan_out(payloads, self.n_workers)
 
 
 def _serve(conn: Connection, parent_end: Connection) -> None:
-    """Worker process body: run each payload the parent sends, reply with
-    its result, and stop at ``None`` or when the parent is gone."""
+    """Worker process body: run each group the parent sends, reply with
+    its results, and stop at ``None`` or when the parent is gone."""
     # while this process holds the parent's end, a dead parent's pipe
     # would never read as end of file here
     parent_end.close()
@@ -669,12 +766,12 @@ def _serve(conn: Connection, parent_end: Connection) -> None:
 
 def _fan_out(payloads, n_workers: int):
     """Run ``payloads`` on up to ``n_workers`` worker processes, yielding
-    each result as it lands.
+    each member's result as its group lands.
 
-    The parent sends a worker one payload at a time, so it always knows
-    the cell each worker holds.  A worker whose pipe reads as end of file
-    has died: exactly its cell fails, and a new worker starts only while
-    cells are still waiting.
+    The parent sends a worker one group at a time, so it always knows
+    the cells each worker holds.  A worker whose pipe reads as end of
+    file has died: exactly its group's cells fail, and a new worker
+    starts only while groups are still waiting.
     """
     # the platform-default start method (fork on Linux, spawn on
     # macOS/Windows — fork is unsafe under the Objective-C runtime);
@@ -682,7 +779,7 @@ def _fan_out(payloads, n_workers: int):
     ctx = mp.get_context()
     todo = iter(payloads)
     workers: Dict[Connection, mp.process.BaseProcess] = {}
-    busy: Dict[Connection, Tuple[str, float]] = {}
+    busy: Dict[Connection, Tuple[List[str], float]] = {}
     try:
         while True:
             for payload in itertools.islice(todo, n_workers - len(busy)):
@@ -697,20 +794,21 @@ def _fan_out(payloads, n_workers: int):
                     workers[conn].start()
                     child_end.close()
                 conn.send(payload)
-                busy[conn] = (payload[0], time.perf_counter())  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+                busy[conn] = ([key for key, _ in payload[0]], time.perf_counter())  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
             if not busy:
                 return
             for conn in wait(list(busy)):
-                key, started = busy.pop(conn)
+                keys, started = busy.pop(conn)
                 try:
-                    result = conn.recv()
+                    results = conn.recv()
                 except EOFError:
                     process = workers.pop(conn)
                     process.join()
                     conn.close()
                     error = f"worker process died (exit code {process.exitcode})"
-                    result = (key, None, time.perf_counter() - started, error, None)  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
-                yield result
+                    elapsed = time.perf_counter() - started  # card-lint: disable=CARD-D01 -- worker wall-time telemetry; never enters metrics
+                    results = [(key, None, elapsed, error, None) for key in keys]
+                yield from results
     finally:
         for conn, process in workers.items():
             if conn in busy:

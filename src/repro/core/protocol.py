@@ -155,12 +155,15 @@ class CARDProtocol:
         sources: Optional[Sequence[int]] = None,
         *,
         depth: Optional[int] = None,
+        noc: Optional[int] = None,
     ) -> np.ndarray:
-        """Per-source reachability (%) at depth ``depth`` (default D)."""
+        """Per-source reachability (%) at depth ``depth`` (default D),
+        counting only each table's first ``noc`` contacts when given."""
         d = self.params.depth if depth is None else int(depth)
-        return reachability_all(
-            self.membership, contact_ids_map(self.contact_tables), sources, d
-        )
+        contacts = contact_ids_map(self.contact_tables)
+        if noc is not None:
+            contacts = {s: ids[:noc] for s, ids in contacts.items()}
+        return reachability_all(self.membership, contacts, sources, d)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

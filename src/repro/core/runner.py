@@ -15,7 +15,7 @@ Two measurement regimes cover all of the paper's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -52,14 +52,12 @@ class SnapshotResult:
     num_nodes: int
     #: sources that ran contact selection
     sources: List[int]
-    #: per-source reachability (%) at the configured depth
+    #: reachability (%) of each measured source at the configured depth
     reachability: np.ndarray
     #: the 20-bin reachability histogram (Figs 5-9 series)
     distribution: np.ndarray
     #: per-source selection results (attempts, msgs, per-contact marks)
     selection: Dict[int, SourceSelectionResult]
-    #: network-wide message totals by category name
-    message_totals: Dict[str, int]
 
     @property
     def mean_reachability(self) -> float:
@@ -72,6 +70,23 @@ class SnapshotResult:
         return float(
             np.mean([r.num_contacts for r in self.selection.values()])
         )
+
+    @property
+    def message_totals(self) -> Dict[str, int]:
+        """Selection's message totals by category name, as
+        :meth:`~repro.net.stats.MessageStats.snapshot` reports them: only
+        categories that recorded something, sorted by name.  A CSQ walk
+        transmits its forward and backtrack hops, and an admission sends
+        the path reply back along the stored route."""
+        results = self.selection.values()
+        totals = {
+            MessageKind.CONTACT_SELECTION.value: sum(r.forward_msgs for r in results),
+            MessageKind.BACKTRACK.value: sum(r.backtrack_msgs for r in results),
+            MessageKind.REPLY.value: sum(
+                c.path_hops for r in results for c in r.table
+            ),
+        }
+        return {k: v for k, v in sorted(totals.items()) if v > 0}
 
     def backtracking_per_node(self) -> float:
         """Mean CSQ backtracking messages per source (Fig 4's y-axis)."""
@@ -87,9 +102,25 @@ class SnapshotResult:
             return 0.0
         return float(np.mean([r.forward_msgs for r in self.selection.values()]))
 
+    def route_hops(self) -> List[int]:
+        """Total stored-route hops per source, in source order.
+
+        One validation cycle costs one message per path hop, so these
+        are the per-source weights of Fig 14's maintenance term.
+        """
+        return [
+            int(sum(c.path_hops for c in self.selection[s].table))
+            for s in self.sources
+        ]
+
 
 class SnapshotRunner:
     """Static-topology CARD measurement.
+
+    One :meth:`run` selects contacts once; :meth:`view` then reads what a
+    run at any smaller NoC, and at any depth, would report — the sweep
+    of Figs 3, 4, 7, 8 and 14 costs one selection instead of one per
+    point.
 
     Parameters
     ----------
@@ -103,6 +134,9 @@ class SnapshotRunner:
         Which nodes select contacts; default all.  Reachability at depth
         D≥2 follows contacts of *any* node, so restricting sources is only
         meaningful for D=1 studies or quick looks.
+    measured:
+        Whose reachability is measured; default ``sources``.  Fig 8 lets
+        every node select and measures a sample.
     """
 
     def __init__(
@@ -112,6 +146,7 @@ class SnapshotRunner:
         *,
         seed: Optional[int] = None,
         sources: Optional[Sequence[int]] = None,
+        measured: Optional[Sequence[int]] = None,
     ) -> None:
         self.network = Network(topology)
         self.params = params
@@ -121,28 +156,46 @@ class SnapshotRunner:
             if sources is None
             else [int(s) for s in sources]
         )
+        self.measured = self.sources if measured is None else [int(s) for s in measured]
         self.protocol = CARDProtocol(self.network, params, seed=seed)
+        self.selection: Dict[int, SourceSelectionResult] = {}
 
     def run(self) -> SnapshotResult:
-        """Select contacts for all sources, then measure."""
+        """Select contacts for all sources, then measure at the
+        configured NoC and depth."""
         with obs.span("bootstrap"):
-            selection = self.protocol.bootstrap(self.sources)
+            self.selection = self.protocol.bootstrap(self.sources)
+        return self.view(self.params.noc, self.params.depth)
+
+    def view(self, noc: int, depth: int) -> SnapshotResult:
+        """What a run at NoC = ``noc`` and D = ``depth`` reports, read
+        off this one: every source's first ``noc`` contacts and its
+        counters at the ``noc``-th mark
+        (:meth:`~repro.core.selection.SourceSelectionResult.prefix`),
+        with reachability over those truncated tables at ``depth``.
+        ``noc`` may not exceed the NoC this runner selected at.
+        """
+        if not 0 <= noc <= self.params.noc:
+            raise ValueError(
+                f"a view needs 0 <= noc <= {self.params.noc} (the NoC this "
+                f"runner selected at), got {noc}"
+            )
+        selection = {s: r.prefix(noc) for s, r in self.selection.items()}
         with obs.span("reachability"):
-            reach = self.protocol.reachability(self.sources)
+            reach = self.protocol.reachability(self.measured, depth=depth, noc=noc)
         return SnapshotResult(
-            params=self.params,
+            params=replace(self.params, noc=noc, depth=depth),
             num_nodes=self.network.num_nodes,
             sources=list(self.sources),
             reachability=reach,
             distribution=reachability_distribution(reach),
             selection=selection,
-            message_totals=self.network.stats.snapshot(),
         )
 
     # ------------------------------------------------------------------
-    def overlap_fraction(self) -> float:
-        """Fraction of selected contacts whose neighborhood overlaps the
-        source's.
+    def overlap_fraction(self, result: SnapshotResult) -> float:
+        """Fraction of ``result``'s contacts whose neighborhood overlaps
+        their source's.
 
         Overlap means true hop distance <= 2R (the geometric condition
         Fig 1 illustrates) — which is exactly "inside the 2R band", so
@@ -155,28 +208,12 @@ class SnapshotRunner:
         view = self.protocol.tables.contact_view
         total = 0
         overlapping = 0
-        for s, table in self.protocol.contact_tables.items():
-            for c in table:
+        for s, res in result.selection.items():
+            for c in res.table:
                 total += 1
                 if view.hops(s, c.node) >= 0:
                     overlapping += 1
         return overlapping / total if total else 0.0
-
-    def route_hops(self) -> List[int]:
-        """Total stored-route hops per source, in source order.
-
-        One validation cycle costs one message per path hop, so these
-        are the per-source weights of Fig 14's maintenance term.
-        """
-        return [
-            int(
-                sum(
-                    c.path_hops
-                    for c in self.protocol.contact_tables[s]
-                )
-            )
-            for s in self.sources
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ usually less than NoC" and the reachability plateau of Fig 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +82,11 @@ class SourceSelectionResult:
     attempts: int
     forward_msgs: int = 0
     backtrack_msgs: int = 0
+    #: one mark per contact this selection admitted, in admission order:
+    #: the cumulative ``(attempts, forward_msgs, backtrack_msgs)`` right
+    #: after that contact was added.  Kept beside the table, not in it —
+    #: maintenance rewrites and drops table entries, marks stay as run.
+    marks: List[Tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def total_msgs(self) -> int:
@@ -90,6 +95,36 @@ class SourceSelectionResult:
     @property
     def num_contacts(self) -> int:
         return len(self.table)
+
+    def prefix(self, noc: int) -> "SourceSelectionResult":
+        """The result selection at target NoC = ``noc`` would have
+        returned, read off this run (whose target was at least ``noc``).
+
+        Selection at NoC=k is the k-contact prefix of selection at any
+        larger NoC (see :meth:`ContactSelector._select_for_source`): the
+        first ``noc`` contacts with the counters of the ``noc``-th mark,
+        or everything when this run found fewer contacts than ``noc``.
+        Only a selection that started from an empty table has a prefix.
+        """
+        if len(self.marks) != len(self.table):
+            raise ValueError(
+                "prefix needs a selection that started from an empty table "
+                f"({len(self.table)} contacts, {len(self.marks)} marks)"
+            )
+        if noc > len(self.marks):
+            return self
+        head = ContactTable(self.source)
+        for contact in list(self.table)[:noc]:
+            head.add(contact)
+        attempts, forward, backtrack = self.marks[noc - 1] if noc else (0, 0, 0)
+        return SourceSelectionResult(
+            source=self.source,
+            table=head,
+            attempts=attempts,
+            forward_msgs=forward,
+            backtrack_msgs=backtrack,
+            marks=self.marks[:noc],
+        )
 
 
 class _WalkContext:
@@ -381,6 +416,16 @@ class ContactSelector:
 
         Kept apart so bootstrap does not re-enter :meth:`select_contacts`,
         whose calls the ledger counts as maintenance re-selections.
+
+        **Invariant:** selection at NoC=k is, walk by walk, the k-contact
+        prefix of selection at any NoC=K > k.  The target is read only by
+        the loop's stopping test: every draw (the edge order, each walk's
+        shuffles and PM admissions) comes from ``rng`` in the same order
+        whatever the target, so the K run makes exactly the k run's walks
+        until its k-th admission, then carries on.  Each admission records
+        a mark (:attr:`SourceSelectionResult.marks`) from which
+        :meth:`SourceSelectionResult.prefix` reads the k run back.
+        ``tests/test_properties.py::TestSelectionPrefixProperty`` pins it.
         """
         p = self.params
         target = p.noc if noc is None else int(noc)
@@ -406,6 +451,9 @@ class ContactSelector:
             result.backtrack_msgs += outcome.backtrack_msgs
             if outcome.contact is not None and outcome.path is not None:
                 table.add(Contact(outcome.contact, outcome.path, selected_at=now))
+                result.marks.append(
+                    (result.attempts, result.forward_msgs, result.backtrack_msgs)
+                )
                 ctx.add_contact(outcome.contact)
                 productive.append(edge)
                 failures = 0

@@ -18,7 +18,8 @@ from repro.campaign.aggregate import (
 )
 from repro.api import run as run_experiment
 from repro.artifacts.registry import ARTIFACTS
-from repro.campaign.runner import CampaignRunner, execute_cell
+from repro import obs
+from repro.campaign.runner import CampaignRunner, execute_cell, sweep_groups
 from repro.campaign.spec import CampaignSpec, CellSpec, TopologySpec, content_hash
 from repro.campaign.store import ResultStore
 from repro.campaign.__main__ import main as campaign_main
@@ -233,14 +234,22 @@ class TestRunnerDeterminism:
         for key in store1.keys():
             assert store1.metrics(key) == store2.metrics(key)
 
-    @pytest.fixture(scope="class")
-    def fig05_in_process(self):
-        return run_experiment("fig05", scale=0.2, workers=1).render()
+    #: fig05's seven cells are groups of one; fig07 over three seeds is
+    #: three sweep groups of seven NoC values each
+    RENDERED = {"fig05": {"scale": 0.2}, "fig07": {"scale": 0.2, "seeds": (0, 1, 2)}}
 
+    @pytest.fixture(scope="class")
+    def in_process(self):
+        return {
+            artifact: run_experiment(artifact, workers=1, **options).render()
+            for artifact, options in self.RENDERED.items()
+        }
+
+    @pytest.mark.parametrize("artifact", sorted(RENDERED))
     @pytest.mark.parametrize("start", ["fork", "spawn"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_width_and_start_method_render_the_same(
-        self, monkeypatch, fig05_in_process, workers, start
+        self, monkeypatch, in_process, workers, start, artifact
     ):
         # spawn is the default start method on macOS and Windows: workers
         # import the package afresh instead of inheriting it; 4 workers
@@ -254,8 +263,9 @@ class TestRunnerDeterminism:
         monkeypatch.setattr(
             mp, "get_context", lambda method=None: asked.append(method) or context
         )
-        render = run_experiment("fig05", scale=0.2, workers=workers).render()
-        assert render == fig05_in_process
+        options = self.RENDERED[artifact]
+        render = run_experiment(artifact, workers=workers, **options).render()
+        assert render == in_process[artifact]
         assert asked
 
     def test_rerun_is_pure_cache(self, tmp_path):
@@ -389,6 +399,81 @@ class TestExecuteCell:
 
 
 # ----------------------------------------------------------------------
+class TestSweepGroups:
+    """Cells that differ only in NoC or D run as one sweep group: one
+    topology, one band, one selection run, a view per member."""
+
+    #: the paper's NoC and D sweeps; fig04's cells are a prefix of fig03's
+    SWEEPS = ("fig03", "fig04", "fig07", "fig08", "fig14")
+
+    def test_grouped_metrics_equal_each_member_alone(self):
+        pairs = {}
+        store = ResultStore(None)
+        for artifact in self.SWEEPS:
+            spec = ARTIFACTS[artifact].spec(scale=0.3)
+            groups = sweep_groups(list(spec.unique_cells().items()))
+            assert max(len(g) for g in groups) > 1, artifact
+            assert CampaignRunner(spec, store).run().ok
+            pairs.update(spec.unique_cells())
+        for key, cell in pairs.items():
+            assert json.dumps(store.metrics(key)) == json.dumps(
+                execute_cell(cell)
+            ), key
+
+    def test_only_selection_snapshot_cells_group(self):
+        base = CellSpec(
+            topology=TopologySpec(kind="standard", num_nodes=60, salt="grp"),
+            params={"R": 2, "r": 5, "noc": 2},
+            metrics=("reachability", "overhead"),
+        )
+        def with_params(cell, **params):
+            return CellSpec.from_dict(
+                {**cell.to_dict(), "params": {**cell.params, **params}}
+            )
+        topo = CellSpec.from_dict({**base.to_dict(), "metrics": ["topology", "reachability"]})
+        cells = [
+            base,
+            with_params(base, noc=4),
+            with_params(base, depth=2, noc=3),
+            with_params(base, r=6),  # another radius: its own run
+            topo,
+            with_params(topo, noc=4),  # records topology: never grouped
+        ]
+        groups = sweep_groups([(c.key(), c) for c in cells])
+        assert [[c.resolved_params().noc for _, c in g] for g in groups] == [
+            [4, 3, 2], [2], [2], [4]
+        ]
+
+    def test_shared_run_rejects_a_cell_of_another_group(self):
+        (cell, *_), (other, *_) = (
+            list(spec.unique_cells().values())
+            for spec in (tiny_spec(), tiny_spec(base_params={"R": 2, "r": 6}))
+        )
+        shared = {}
+        execute_cell(cell, shared)
+        with pytest.raises(ValueError, match="sweep group"):
+            execute_cell(other, shared)
+
+    def test_telemetry_records_every_member_as_a_cell(self, tmp_path):
+        spec = ARTIFACTS["fig07"].spec(scale=0.2, seeds=(0, 1))
+        store = tmp_path / "s.jsonl"
+        report = CampaignRunner(spec, str(store), telemetry=True).run()
+        assert report.ok and report.executed == 14
+        log = obs.load_trace(store.with_suffix(".trace.jsonl"))
+        keys = sorted(o.key for o in report.outcomes)
+        assert sorted(r["key"] for r in log.records) == keys
+        assert obs.summarize(log).cells == 14
+        assert sorted(row["key"] for row in obs.slowest(log, limit=100)) == keys
+        # the shared work is the leader's: only two records built a
+        # topology and ran selection, one per seed
+        built = [r for r in log.records if "topology_build" in r["phases"]]
+        assert len(built) == 2
+        assert all("bootstrap" in r["phases"] for r in built)
+        assert not any(
+            "bootstrap" in r["phases"] for r in log.records if r not in built
+        )
+
+
 class TestAggregate:
     def test_mean_ci(self):
         assert mean_ci([]) == (0.0, 0.0)

@@ -130,7 +130,8 @@ class TestAdjacencyOracle:
         pos = np.array([[1.0, 1.0], [2.0, 2.0]])[:n]
         topo = Topology(pos, 5.0, (10.0, 10.0))
         assert_adj_exact(topo, all_pairs_adjacency(pos, 5.0))
-        assert g.adjacency_to_csr(topo.adj).shape == (n, n)
+        if g._HAVE_SCIPY:  # adjacency_to_csr is scipy-only
+            assert g.adjacency_to_csr(topo.adj).shape == (n, n)
         topo.enable_delta_tracking()
         e0 = topo.epoch
         topo.set_positions(pos)
@@ -145,6 +146,7 @@ class TestAdjacencyOracle:
         active[[3, 17, 40]] = False
         assert_adj_exact(topo, all_pairs_adjacency(pos, 50.0, active))
 
+    @pytest.mark.skipif(not g._HAVE_SCIPY, reason="scipy not installed")
     def test_csr_matrix_matches_row_lists(self):
         topo = Topology.uniform_random(120, (400.0, 400.0), 60.0, np.random.default_rng(7))
         from_rows = g.adjacency_to_csr(topo.adj)
@@ -152,6 +154,7 @@ class TestAdjacencyOracle:
         assert (from_rows != from_csr).nnz == 0
         assert from_csr.dtype == from_rows.dtype == np.int8
 
+    @pytest.mark.skipif(not g._HAVE_SCIPY, reason="scipy not installed")
     def test_adjacency_to_csr_accepts_plain_lists(self):
         mat = g.adjacency_to_csr([[1, 2], [0], [0], []])
         assert mat.toarray().tolist() == [

@@ -142,6 +142,45 @@ class TestSnapshotRunner:
         assert 0 <= result.mean_reachability <= 100
         assert result.message_totals.get("selection", 0) > 0
 
+    def test_message_totals_equal_the_network_counters(self, dense_topo):
+        runner = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=3), seed=2)
+        result = runner.run()
+        assert result.message_totals == runner.network.stats.snapshot()
+        assert set(result.message_totals) == {"backtrack", "reply", "selection"}
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_view_equals_a_run_at_that_noc_and_depth(self, dense_topo, full):
+        sources = None if full else range(0, 150, 5)
+        measured = range(0, 150, 7)
+
+        def runner(noc, depth):
+            return SnapshotRunner(
+                dense_topo, CARDParams(R=2, r=7, noc=noc, depth=depth), seed=2,
+                sources=sources, measured=measured,
+            )
+
+        leader = runner(6, 1)
+        leader.run()
+        for noc, depth in [(0, 1), (1, 2), (3, 1), (3, 3), (6, 2)]:
+            alone = runner(noc, depth)
+            want = alone.run()
+            got = leader.view(noc, depth)
+            assert got.params == want.params
+            assert np.array_equal(got.reachability, want.reachability)
+            assert np.array_equal(got.distribution, want.distribution)
+            assert got.message_totals == alone.network.stats.snapshot()
+            assert got.mean_contacts == want.mean_contacts
+            assert got.selection_per_node() == want.selection_per_node()
+            assert got.backtracking_per_node() == want.backtracking_per_node()
+            assert got.route_hops() == want.route_hops()
+            assert leader.overlap_fraction(got) == alone.overlap_fraction(want)
+
+    def test_view_above_the_selected_noc_is_refused(self, dense_topo):
+        runner = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=3), seed=2)
+        runner.run()
+        with pytest.raises(ValueError, match="noc <= 3"):
+            runner.view(4, 1)
+
     def test_source_subset(self, dense_topo):
         runner = SnapshotRunner(
             dense_topo, CARDParams(R=2, r=7, noc=3), seed=2, sources=[1, 5, 9]

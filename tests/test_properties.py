@@ -11,12 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.edge_policy import EdgePolicy
 from repro.core.maintenance import ContactMaintainer
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.reachability import reachability_distribution
 from repro.core.selection import ContactSelector
 from repro.net.graph import bfs_hops, hop_distance_matrix
+from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
@@ -82,6 +84,53 @@ class TestSelectionProperties:
         out = select_one(sel, 0, int(edges[0]), (), np.random.default_rng(seed))
         # steps = forward beyond the seg + backtracks <= cap (+seg cost)
         assert out.forward_msgs + out.backtrack_msgs <= 50 + params.R + 1
+
+
+class TestSelectionPrefixProperty:
+    """Selection at NoC=k is, walk by walk, the k-contact prefix of
+    selection at NoC=K > k — the invariant that lets one selection run
+    serve a whole NoC sweep (``SnapshotRunner.view``)."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10_000),
+        method=st.sampled_from(list(SelectionMethod)),
+        R=st.integers(1, 3),
+        extra=st.integers(0, 6),
+        policy=st.sampled_from([None, *EdgePolicy]),
+        big=st.integers(1, 8),
+        small=st.integers(0, 8),
+    )
+    def test_small_noc_is_a_prefix_of_large_noc(
+        self, seed, method, R, extra, policy, big, small
+    ):
+        small = min(small, big)
+        topo = topo_from_seed(seed, n=60)
+        sources = range(10)
+
+        def bootstrap(noc):
+            params = CARDParams(
+                R=R, r=2 * R + extra, noc=noc, method=method, edge_policy=policy
+            )
+            net = Network(topo)
+            results = CARDProtocol(net, params, seed=seed).bootstrap(sources)
+            return net, results
+
+        _, large = bootstrap(big)
+        net, alone = bootstrap(small)
+        replies = 0
+        for s in sources:
+            got, want = large[s].prefix(small), alone[s]
+            assert [(c.node, c.path) for c in got.table] == [
+                (c.node, c.path) for c in want.table
+            ]
+            assert got.marks == want.marks
+            assert (got.attempts, got.forward_msgs, got.backtrack_msgs) == (
+                want.attempts, want.forward_msgs, want.backtrack_msgs
+            )
+            replies += sum(c.path_hops for c in got.table)
+        assert replies == net.stats.total(MessageKind.REPLY)
 
 
 class TestWalkDrawProperties:
@@ -201,8 +250,6 @@ class TestAccountingProperties:
     @given(seed=st.integers(0, 10_000))
     def test_stats_equal_selection_results(self, seed):
         """Network counters agree with the per-source selection results."""
-        from repro.net.messages import MessageKind
-
         topo = topo_from_seed(seed)
         params = CARDParams(R=2, r=8, noc=3)
         net = Network(topo)

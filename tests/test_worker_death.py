@@ -1,9 +1,10 @@
 """A cell that kills its worker process fails loudly, within a bound, by name.
 
-The campaign fans cells out over worker processes that each hold one
-cell at a time.  When one cell's process dies (``os._exit``, a segfault,
-the OOM killer) its pipe reads as end of file, so exactly that cell
-fails — never stored — while every other cell runs once and is stored.
+The campaign fans sweep groups of cells out over worker processes that
+each hold one group at a time.  When one cell's process dies
+(``os._exit``, a segfault, the OOM killer) its pipe reads as end of
+file, so exactly that cell's group fails — never stored — while every
+other group runs once and is stored.
 A worker whose parent is killed exits instead of waiting for work.  The
 doomed executor is installed by monkeypatching the parent, which only
 reaches the workers under the fork start method.
@@ -75,10 +76,10 @@ def doomed(monkeypatch):
     key = artifact_keys()[3]
     real = runner.execute_cell
 
-    def execute(cell):
+    def execute(cell, *shared):
         if cell.key() == key:
             os._exit(3)
-        return real(cell)
+        return real(cell, *shared)
 
     monkeypatch.setattr(runner, "execute_cell", execute)
     return key
@@ -117,13 +118,13 @@ def test_orphans_rerun_in_a_fresh_pool_not_one_process_each(tmp_path, monkeypatc
     log = tmp_path / "starts.log"
     real = runner.execute_cell
 
-    def execute(cell):
+    def execute(cell, *shared):
         key = cell.key()
         with open(log, "a") as fh:
             fh.write(f"{key} {os.getpid()}\n")
         if key == keys[0]:
             os._exit(3)
-        return real(cell)
+        return real(cell, *shared)
 
     monkeypatch.setattr(runner, "execute_cell", execute)
     spec = get_artifact(ARTIFACT).spec(scale=SCALE)
@@ -148,7 +149,7 @@ def test_a_dying_worker_fails_only_its_own_cell(tmp_path, monkeypatch):
     log = tmp_path / "starts.log"
     real = runner.execute_cell
 
-    def execute(cell):
+    def execute(cell, *shared):
         key = cell.key()
         with open(log, "a") as fh:
             fh.write(f"{key} {os.getpid()}\n")
@@ -158,7 +159,7 @@ def test_a_dying_worker_fails_only_its_own_cell(tmp_path, monkeypatch):
                     break
                 time.sleep(0.01)
             os._exit(3)
-        return real(cell)
+        return real(cell, *shared)
 
     monkeypatch.setattr(runner, "execute_cell", execute)
     spec = get_artifact(ARTIFACT).spec(scale=SCALE)
@@ -170,6 +171,39 @@ def test_a_dying_worker_fails_only_its_own_cell(tmp_path, monkeypatch):
     assert set(store.keys()) == set(keys[1:])
     started = Counter(line.split()[0] for line in log.read_text().splitlines())
     assert started == Counter(keys)
+
+
+def test_a_dying_worker_fails_its_whole_group_and_only_it(tmp_path, monkeypatch):
+    # fig07 over three seeds is three sweep groups of seven NoC values;
+    # a member after the leader kills its worker, so the members that
+    # already finished in that worker fail with it
+    spec = get_artifact("fig07").spec(scale=SCALE, seeds=(0, 1, 2))
+    groups = [[key for key, _ in g] for g in runner.sweep_groups(
+        list(spec.unique_cells().items())
+    )]
+    assert len(groups) == 3 and all(len(g) == 7 for g in groups)
+    doomed = groups[1]
+    log = tmp_path / "starts.log"
+    real = runner.execute_cell
+
+    def execute(cell, *shared):
+        key = cell.key()
+        with open(log, "a") as fh:
+            fh.write(f"{key}\n")
+        if key == doomed[2]:
+            os._exit(3)
+        return real(cell, *shared)
+
+    monkeypatch.setattr(runner, "execute_cell", execute)
+    store = ResultStore(None)
+    report = within(30, CampaignRunner(spec, store, n_workers=2).run)
+    failed = {o.key: o.error for o in report.outcomes if not o.ok}
+    assert failed == {key: "worker process died (exit code 3)" for key in doomed}
+    assert report.failed == 7 and report.executed == 21
+    others = [key for g in groups if g is not doomed for key in g]
+    assert set(store.keys()) == set(others)
+    started = Counter(log.read_text().split())
+    assert all(started[key] == 1 for key in others)
 
 
 def test_a_large_campaign_whose_first_cell_dies_completes(monkeypatch):
@@ -184,7 +218,7 @@ def test_a_large_campaign_whose_first_cell_dies_completes(monkeypatch):
     )
     doomed = next(iter(spec.unique_cells()))
 
-    def execute(cell):
+    def execute(cell, *shared):
         if cell.key() == doomed:
             os._exit(3)
         return {"n": 1}
@@ -204,10 +238,10 @@ def test_cli_figure_exits_1(tmp_path):
         "from repro.campaign import runner\n"
         "from repro.campaign.__main__ import main\n"
         "real = runner.execute_cell\n"
-        "def execute(cell):\n"
+        "def execute(cell, *shared):\n"
         "    if cell.key() == sys.argv[1]:\n"
         "        os._exit(3)\n"
-        "    return real(cell)\n"
+        "    return real(cell, *shared)\n"
         "runner.execute_cell = execute\n"
         "sys.exit(main(sys.argv[2:]))\n"
     )
@@ -245,7 +279,7 @@ def test_no_worker_outlives_a_killed_run(tmp_path):
         "from repro.campaign import runner\n"
         "from repro.campaign.runner import CampaignRunner\n"
         "from repro.campaign.spec import CampaignSpec, TopologySpec\n"
-        "def execute(cell):\n"
+        "def execute(cell, *shared):\n"
         "    with open(sys.argv[1], 'a') as fh:\n"
         "        fh.write(f'{os.getpid()}\\n')\n"
         "    time.sleep(0.5)\n"
