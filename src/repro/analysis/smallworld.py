@@ -81,9 +81,10 @@ def path_length_stats(
             rng if rng is not None else np.random.default_rng(0),
         )
         return float(est.mean_hops), float(est.mean_hops_se)
-    dist = g.hop_distance_matrix(adj)
-    finite = dist[dist > 0]
-    return (float(finite.mean()) if finite.size else 0.0), None
+    counts = g.hop_level_counts(*g._csr_arrays(adj), np.arange(n))
+    if not counts:
+        return 0.0, None
+    return float(sum(k * c for k, c in enumerate(counts, 1))) / sum(counts), None
 
 
 def characteristic_path_length(

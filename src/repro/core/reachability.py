@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.state import ContactTable
+from repro.net.graph import _popcount
 
 __all__ = [
     "DIST_BIN_EDGES",
@@ -45,17 +46,6 @@ DIST_BIN_EDGES: np.ndarray = np.arange(5, 105, 5)
 #: Rows packed per chunk when building a :class:`PackedMembership` (bounds
 #: the transient dense block to ``chunk × N`` bools).
 _PACK_CHUNK = 1024
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-#: uint8 → set-bit-count table, the popcount fallback for numpy < 2.0.
-_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
-def _popcount(words: np.ndarray) -> int:
-    """Number of set bits in a uint64 word array."""
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum())
-    return int(_POPCOUNT_LUT[words.view(np.uint8)].sum())
 
 
 class PackedMembership:

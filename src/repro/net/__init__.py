@@ -28,7 +28,6 @@ from repro.net.graph import (
     bfs_hops,
     bfs_tree,
     bounded_hop_distances,
-    hop_distance_matrix,
     connected_components,
     graph_stats,
     GraphStats,
@@ -67,7 +66,6 @@ __all__ = [
     "GlobalDistanceView",
     "SparseMembership",
     "SubstrateStats",
-    "hop_distance_matrix",
     "connected_components",
     "graph_stats",
     "GraphStats",

@@ -14,9 +14,10 @@ mean hop count.  This module provides:
 * :func:`bounded_hop_rows` — the same distances as one flat CSR triple
   ``(indptr, indices, hops)`` holding only the in-horizon entries, built
   without any dense block — the kernel behind the substrate's sparse band;
-* :func:`hop_distance_matrix` — all-pairs hop distances, delegated to
-  ``scipy.sparse.csgraph`` (C-speed BFS over a CSR matrix) with a pure-Python
-  fallback, per the HPC guide's "use compiled code for the hot spot";
+* :func:`hop_level_counts` — the number of (source, node) pairs at each
+  hop distance, for many sources at once: one level-synchronous BFS over
+  uint64 rows holding one bit per source, so the exact Table 1 path
+  statistics and the small-world L never build an all-pairs matrix;
 * :func:`connected_components`, :func:`graph_stats` — the Table 1 columns.
 
 Adjacency representation: ``list[np.ndarray]`` — ``adj[u]`` is a sorted int
@@ -44,7 +45,7 @@ __all__ = [
     "bfs_tree",
     "bounded_hop_distances",
     "bounded_hop_rows",
-    "hop_distance_matrix",
+    "hop_level_counts",
     "neighborhood_sets",
     "connected_components",
     "graph_stats",
@@ -57,6 +58,17 @@ __all__ = [
 
 #: Marker for "no path" in integer hop-distance arrays.
 UNREACHABLE: int = -1
+
+_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+#: uint8 → set-bit-count table, the popcount fallback for numpy < 2.0.
+_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Number of set bits in a uint64 word array."""
+    if _HAS_BITWISE_COUNT:
+        return int(np.bitwise_count(words).sum())
+    return int(_POPCOUNT_LUT[words.view(np.uint8)].sum())
 
 
 def bfs_hops(adj: Sequence[np.ndarray], source: int, max_hops: Optional[int] = None) -> np.ndarray:
@@ -167,8 +179,8 @@ def bounded_hop_distances(
     product with the adjacency yields every node adjacent to it, and
     masking out already-reached nodes leaves level ``h+1``.  Total work is
     O(nnz(band) · mean_degree) — for R ≪ diameter this is far below the
-    all-pairs cost, and the band matrix is 4× smaller than the dense int32
-    matrix :func:`hop_distance_matrix` returns.  ``csr`` lets callers reuse
+    all-pairs cost, and the band matrix is 4× smaller than a dense int32
+    all-pairs matrix.  ``csr`` lets callers reuse
     a prebuilt adjacency matrix across several calls on one epoch.
 
     Without scipy the kernel falls back to vectorized per-source BFS —
@@ -297,13 +309,8 @@ def csr_to_matrix(indptr: np.ndarray, indices: np.ndarray) -> "csr_matrix":
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
-    """Convert adjacency lists to a scipy CSR matrix of unit weights.
-
-    Callers holding a :class:`~repro.net.topology.Topology` should pass its
-    stored ``csr`` arrays to :func:`csr_to_matrix` instead of flattening
-    the row list again.
-    """
+def _csr_arrays(adj: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten adjacency lists to CSR ``(indptr, indices)`` int64 arrays."""
     n = len(adj)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
@@ -312,31 +319,77 @@ def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
         if indptr[-1] > 0
         else np.empty(0, dtype=np.int64)
     )
-    return csr_to_matrix(indptr, indices)
+    return indptr, indices
 
 
-def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
-    """All-pairs hop distances as an ``(N, N)`` int32 array (−1 unreachable).
+def adjacency_to_csr(adj: Sequence[np.ndarray]) -> "csr_matrix":
+    """Convert adjacency lists to a scipy CSR matrix of unit weights.
 
-    The exact kernel for Table 1 and the small-world L: the in-package
-    consumers are the exact branches of :func:`graph_stats` and
-    :func:`repro.analysis.smallworld.path_length_stats`.  Protocol code
-    never materialises the all-pairs matrix — it reads horizon-scoped
-    views (:meth:`repro.net.topology.Topology.distance_view`), and large
-    graphs sample their global statistics (:func:`sample_pair_stats`).
-    Tests also use it as the distance oracle.
+    Callers holding a :class:`~repro.net.topology.Topology` should pass its
+    stored ``csr`` arrays to :func:`csr_to_matrix` instead of flattening
+    the row list again.
     """
-    n = len(adj)
-    if n == 0:
-        return np.empty((0, 0), dtype=np.int32)
-    if _HAVE_SCIPY:
-        # imported here, by its only user: csgraph costs ~0.1 s of process start
-        from scipy.sparse.csgraph import shortest_path as sp_shortest_path
+    return csr_to_matrix(*_csr_arrays(adj))
 
-        mat = sp_shortest_path(adjacency_to_csr(adj), method="D", unweighted=True)
-        dist = np.where(np.isinf(mat), UNREACHABLE, mat).astype(np.int32)
-        return dist
-    return np.stack([bfs_hops(adj, s) for s in range(n)])
+
+#: Source words per block of :func:`hop_level_counts`.  Every exact
+#: Table 1 graph (N < 4096) runs as one block, the fastest width measured
+#: at N = 4000 (a ~15 MB gathered block); larger source sets are cut into
+#: blocks so the gathered ``(edges, words)`` block stays bounded.
+_HOP_BLOCK_WORDS = 64
+
+
+def hop_level_counts(
+    indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int]
+) -> List[int]:
+    """Ordered pairs per hop level: ``counts[k - 1]`` is the number of
+    pairs ``(s, v)`` with ``s`` in ``sources`` and ``v`` exactly ``k`` hops
+    from ``s``.
+
+    The graph is CSR ``(indptr, indices)`` (row ``u`` lists u's
+    neighbors).  The list ends at the last nonempty level, so its length
+    is the largest eccentricity of a source within its component; pairs
+    in different components never count.
+
+    One level-synchronous BFS serves all sources: each node holds a
+    uint64 row with one bit per source, and a level gathers the frontier
+    rows of every node's neighbors, ORs them per node
+    (``np.bitwise_or.reduceat``), masks out the visited bits and
+    popcounts what is left.  Sources run in blocks of
+    ``64 · _HOP_BLOCK_WORDS``; counts add across blocks.  Memory is
+    O(N + E) words per block and no distance matrix is built.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    src = np.asarray(sources, dtype=np.int64)
+    n = len(indptr) - 1
+    # reduceat over an empty segment yields the next element, not 0: only
+    # rows with at least one neighbor are reduced
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[rows]
+    counts: List[int] = []
+    if rows.size == 0:
+        return counts
+    block = 64 * _HOP_BLOCK_WORDS
+    for lo in range(0, src.size, block):
+        ids = src[lo : lo + block]
+        bit = np.arange(ids.size, dtype=np.uint64)
+        frontier = np.zeros((n, (ids.size + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (ids, bit // 64), np.left_shift(np.uint64(1), bit % 64))
+        visited = frontier.copy()
+        for level in range(n):  # no shortest path has n hops
+            reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            reached &= ~visited[rows]
+            found = _popcount(reached)
+            if found == 0:
+                break
+            if level == len(counts):
+                counts.append(0)
+            counts[level] += found
+            visited[rows] |= reached
+            frontier = np.zeros_like(visited)
+            frontier[rows] = reached
+    return counts
 
 
 def neighborhood_sets(dist: np.ndarray, radius: int) -> np.ndarray:
@@ -512,6 +565,7 @@ def graph_stats(
     *,
     pair_sample: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
+    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> GraphStats:
     """Compute :class:`GraphStats` for an adjacency structure.
 
@@ -523,9 +577,12 @@ def graph_stats(
     ``pair_sample`` switches the path-length statistics to the sampled
     estimator (:func:`sample_pair_stats` over ``pair_sample`` giant-
     component sources) whenever the giant component is larger than the
-    sample — the N≫10³ regime where the exact all-pairs matrix would not
-    fit.  Small graphs always take the exact branch, so default-scale
-    artifacts are byte-identical with or without the knob.
+    sample — the N≫10³ regime where even the exact per-level BFS
+    (:func:`hop_level_counts` from every giant-component node) costs too
+    much.  Small graphs always take the exact branch, so default-scale
+    artifacts are byte-identical with or without the knob.  ``csr`` is
+    the adjacency as ``(indptr, indices)`` when the caller already holds
+    it (:attr:`repro.net.topology.Topology.csr`).
 
     On the sampled branch ``diameter`` is the double-sweep *lower*
     bound and the stats carry the honest interval: ``diameter_upper``
@@ -555,11 +612,12 @@ def graph_stats(
         diameter_upper = est.diameter_upper
         mean_hops_se = est.mean_hops_se
     else:
-        dist = hop_distance_matrix(adj)
-        sub = dist[np.ix_(giant, giant)]
-        finite = sub[sub > 0]
-        diameter = int(finite.max()) if finite.size else 0
-        mean_hops = float(finite.mean()) if finite.size else 0.0
+        # a BFS from the giant component stays in it; the integer sums
+        # are exact in float64, so this is the mean of the pair distances
+        indptr, indices = _csr_arrays(adj) if csr is None else csr
+        counts = hop_level_counts(indptr, indices, giant)
+        diameter = len(counts)
+        mean_hops = float(sum(k * c for k, c in enumerate(counts, 1))) / sum(counts)
     return GraphStats(
         num_nodes=n,
         num_links=num_links,

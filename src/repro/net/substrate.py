@@ -16,9 +16,9 @@ edge nodes, and 2R for the contact-overlap checks.  Accordingly, the
 * ``distance_view(horizon=None)`` — a :class:`GlobalDistanceView` for
   *explicitly sampled* global statistics
   (:meth:`~GlobalDistanceView.sample_pair_stats`); it never materialises
-  an N×N matrix.  The all-pairs ``hop_distance_matrix`` is not a view:
-  it is the exact kernel behind Table 1's path statistics and the
-  small-world L, and nothing else.
+  an N×N matrix.  Nothing builds an all-pairs matrix: Table 1's exact
+  path statistics and the small-world L count pairs per hop level with
+  :func:`repro.net.graph.hop_level_counts`.
 
 **Multi-horizon sharing** — one :class:`DistanceSubstrate` lives on each
 topology and keeps a single band at the *largest* horizon any view has
@@ -790,8 +790,8 @@ class GlobalDistanceView:
             "the global distance view never materialises an N×N matrix; "
             "use sample_pair_stats(k, rng) for global statistics, a "
             "bounded distance_view(horizon=...) for zone queries, or "
-            "repro.net.graph.hop_distance_matrix, the exact all-pairs "
-            "kernel behind Table 1 and the small-world L"
+            "repro.net.graph.hop_level_counts, the exact per-level pair "
+            "counts behind Table 1 and the small-world L"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

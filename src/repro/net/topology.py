@@ -20,9 +20,9 @@ All distance access goes through :meth:`distance_view` — a horizon-
 scoped :class:`~repro.net.substrate.DistanceView` (R for zone
 operations, 2R for contact-overlap checks, ``horizon=None`` for sampled
 global statistics).  There is deliberately no all-pairs accessor on the
-topology: the all-pairs kernel :func:`repro.net.graph.hop_distance_matrix`
-computes the exact Table 1 path statistics and the small-world L from
-the adjacency, and nothing else.
+topology: the exact Table 1 path statistics and the small-world L come
+from per-level pair counts over the adjacency
+(:func:`repro.net.graph.hop_level_counts`), not from a distance matrix.
 
 Two facilities support the incremental neighborhood substrate:
 
@@ -383,7 +383,7 @@ class Topology:
         no-APSP estimator when the giant component exceeds the sample —
         see :func:`repro.net.graph.graph_stats`.
         """
-        return g.graph_stats(self.adj, pair_sample=pair_sample, rng=rng)
+        return g.graph_stats(self.adj, pair_sample=pair_sample, rng=rng, csr=self.csr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -109,13 +109,6 @@ def spawn_workers(
     bookkeeping does not survive a fork) and run no other thread;
     :func:`run_daemon` sees to the first.
     """
-    try:
-        # the one module a cell imports on first use
-        # (`graph.hop_distance_matrix`, ~0.1 s): loaded here, forked
-        # workers inherit it instead of each importing it in every drain
-        import scipy.sparse.csgraph  # noqa: F401
-    except ImportError:
-        pass
     ctx = mp.get_context()
     procs: List[_LocalWorker] = []
     for i in range(n):

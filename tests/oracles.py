@@ -4,7 +4,8 @@ package against.
 Each oracle states a rule the package answers some faster way: the
 scalar CSQ admission decision behind the selector's batched mask, one
 walk built from scratch behind a source-selection's shared context, the
-per-source reachability union behind the packed pass, and the Tarjan
+per-source reachability union behind the packed pass, the all-pairs
+hop-distance matrix behind the per-level pair counts, and the Tarjan
 cycle search behind the layering of the import graph.  Nothing under
 ``src/`` imports this module; ``card-lint`` CARD-R02 keeps names that
 only tests reach out of the package.
@@ -19,6 +20,7 @@ import numpy as np
 from repro.core.params import SelectionMethod
 from repro.core.selection import ContactSelector, SelectionOutcome, _WalkContext
 from repro.mobility.base import MobilityModel
+from repro.net.graph import UNREACHABLE, _HAVE_SCIPY, adjacency_to_csr, bfs_hops
 from tools.card_lint.importgraph import ImportGraph
 
 
@@ -117,6 +119,29 @@ def reachability_percent(
         reached |= rows.any(axis=0)
         level = nxt
     return 100.0 * float(reached.sum()) / n
+
+
+# ----------------------------------------------------------------------
+# hop distances
+# ----------------------------------------------------------------------
+def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
+    """All-pairs hop distances as an ``(N, N)`` int32 array (−1 unreachable).
+
+    The distance oracle: scipy's unweighted Dijkstra from every node, or
+    one BFS per node without scipy.  ``repro.net.graph.hop_level_counts``
+    must equal the histogram of its positive entries over the sources'
+    rows, and the package's distance views must agree with its entries.
+    """
+    n = len(adj)
+    if n == 0:
+        return np.empty((0, 0), dtype=np.int32)
+    if _HAVE_SCIPY:
+        from scipy.sparse.csgraph import shortest_path as sp_shortest_path
+
+        mat = sp_shortest_path(adjacency_to_csr(adj), method="D", unweighted=True)
+        dist = np.where(np.isinf(mat), UNREACHABLE, mat).astype(np.int32)
+        return dist
+    return np.stack([bfs_hops(adj, s) for s in range(n)])
 
 
 # ----------------------------------------------------------------------

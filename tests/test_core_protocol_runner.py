@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.net import graph as g
 import pytest
 
 from repro.core.params import CARDParams
@@ -11,7 +10,7 @@ from repro.core.runner import SnapshotRunner, TimeSeriesRunner
 from repro.mobility.waypoint import RandomWaypoint
 from repro.net.network import Network
 from tests.conftest import grid_topology, random_topology
-from tests.oracles import StaticMobility
+from tests.oracles import StaticMobility, hop_distance_matrix
 
 
 @pytest.fixture
@@ -63,7 +62,7 @@ class TestProtocol:
         card = CARDProtocol(Network(dense_topo), CARDParams(R=2, r=7, noc=4, depth=3), seed=1)
         card.bootstrap()
         # pick a target beyond node 0's neighborhood but in its component
-        dist = g.hop_distance_matrix(dense_topo.adj)  # test oracle
+        dist = hop_distance_matrix(dense_topo.adj)  # test oracle
         candidates = np.flatnonzero((dist[0] > 4) & (dist[0] > 0))
         successes = 0
         for t in candidates[:20]:
@@ -129,7 +128,7 @@ class TestSnapshotRunner:
     def test_noc_zero_reaches_only_the_zone(self, dense_topo):
         result = SnapshotRunner(dense_topo, CARDParams(R=2, r=7, noc=0), seed=2).run()
         n = dense_topo.num_nodes
-        dist = g.hop_distance_matrix(dense_topo.adj)  # test oracle
+        dist = hop_distance_matrix(dense_topo.adj)  # test oracle
         zone = ((dist >= 0) & (dist <= 2)).sum(axis=1)
         assert np.allclose(result.reachability, 100.0 * zone / n)
 

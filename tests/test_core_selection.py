@@ -3,7 +3,6 @@ accounting, and the EM non-overlap invariant."""
 
 import numpy as np
 
-from repro.net import graph as g
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,7 @@ from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, line_topology, random_topology
-from tests.oracles import admit, select_one
+from tests.oracles import admit, hop_distance_matrix, select_one
 
 
 def make_selector(topo, params):
@@ -54,7 +53,7 @@ class TestAdmission:
         params = CARDParams(R=2, r=8, method=SelectionMethod.EM)
         sel, _, tables = make_selector(topo, params)
         rng = np.random.default_rng(1)
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         edge_list = tuple(int(e) for e in tables.edge_nodes(0))
         for x in range(1, 100):
             if admit(sel, x, 0, (), edge_list, d=5, rng=rng):
@@ -107,7 +106,7 @@ class TestWalk:
         out = select_one(sel, 0, int(tables.edge_nodes(0)[0]), (), rng)
         assert out.contact is not None
         # EM invariant: contact strictly beyond 2R
-        assert g.hop_distance_matrix(topo.adj)[0, out.contact] > 4
+        assert hop_distance_matrix(topo.adj)[0, out.contact] > 4
         # path is walkable and ends at the contact
         assert out.path[0] == 0 and out.path[-1] == out.contact
         for a, b in zip(out.path, out.path[1:]):
@@ -252,7 +251,7 @@ class TestSelectContacts:
         params = CARDParams(R=2, r=10, noc=6)
         sel, _, tables = make_selector(topo, params)
         res = sel.select_contacts(66, np.random.default_rng(1))
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         ids = res.table.ids()
         assert len(ids) >= 2  # grid is large enough for several
         for c in ids:
@@ -311,6 +310,6 @@ class TestSelectContacts:
         params = CARDParams(R=2, r=8, noc=4)
         sel, _, tables = make_selector(topo, params)
         res = sel.select_contacts(0, np.random.default_rng(seed))
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         for c in res.table.ids():
             assert dist[0, c] > 2 * params.R

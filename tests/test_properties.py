@@ -2,27 +2,32 @@
 
 These complement the per-module suites with invariants that span layers:
 selection paths are walkable routes, maintenance preserves path validity,
-query traffic accounting is internally consistent, and the whole stack is
+query traffic accounting is internally consistent, the per-level pair
+counts behind Table 1 equal the all-pairs oracle, and the whole stack is
 a deterministic function of (topology seed, protocol seed).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.smallworld import path_length_stats
 from repro.core.edge_policy import EdgePolicy
 from repro.core.maintenance import ContactMaintainer
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.reachability import reachability_distribution
 from repro.core.selection import ContactSelector
-from repro.net.graph import bfs_hops, hop_distance_matrix
+from repro.net import graph
+from repro.net.graph import bfs_hops
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
-from tests.oracles import select_one
+from tests.oracles import hop_distance_matrix, select_one
 
 COMMON = dict(
     max_examples=12,
@@ -164,6 +169,79 @@ class TestWalkDrawProperties:
             if admission_draw:
                 assert new.random() == old.random()
         assert new.bit_generator.state == old.bit_generator.state
+
+
+def random_graph(n, live, mean_degree, seed):
+    """Adjacency rows over ``n`` nodes whose edges join only the first
+    ``live``; the rest are isolated, trailing rows included."""
+    rng = np.random.default_rng(seed)
+    p = mean_degree / max(live - 1, 1)
+    upper = np.triu(rng.random((live, live)) < p, k=1)
+    linked = np.zeros((n, n), dtype=bool)
+    linked[:live, :live] = upper | upper.T
+    return [np.flatnonzero(row) for row in linked]
+
+
+def level_histogram(dist, sources):
+    """Ordered (source, node) pairs per hop level, read off the oracle."""
+    rows = dist[np.asarray(sources, dtype=np.int64)]
+    return np.bincount(rows[rows > 0])[1:].tolist()
+
+
+class TestHopLevelCountProperties:
+    """``hop_level_counts`` and the exact Table 1 / small-world statistics
+    built on it equal what the all-pairs oracle gives, on graphs with
+    isolated nodes, several components and source sets wider than one
+    64-bit word, in blocks of one word or one block for all sources."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 200),
+        live_frac=st.floats(0.0, 1.0),
+        mean_degree=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+        source_frac=st.floats(0.0, 1.0),
+        block_words=st.sampled_from([1, 64]),
+    )
+    def test_counts_and_stats_equal_the_oracle(
+        self, n, live_frac, mean_degree, seed, source_frac, block_words
+    ):
+        adj = random_graph(n, int(live_frac * n), mean_degree, seed)
+        dist = hop_distance_matrix(adj)
+        order = np.random.default_rng(seed + 1).permutation(n)
+        sources = order[: int(round(source_frac * n))]
+        indptr, indices = graph._csr_arrays(adj)
+        with mock.patch.object(graph, "_HOP_BLOCK_WORDS", block_words):
+            counts = graph.hop_level_counts(indptr, indices, sources)
+            stats = graph.graph_stats(adj)
+            length = path_length_stats(adj)
+        assert counts == level_histogram(dist, sources)
+
+        comps = graph.connected_components(adj)
+        want = (0, 0.0)
+        if comps and len(comps[0]) >= 2:
+            sub = dist[np.ix_(comps[0], comps[0])]
+            finite = sub[sub > 0]
+            want = (int(finite.max()), float(finite.mean()))
+        assert repr((stats.diameter, stats.mean_hops)) == repr(want)
+
+        finite = dist[dist > 0]
+        want_l = (float(finite.mean()) if finite.size else 0.0), None
+        assert repr(length) == repr(want_l)
+
+    @pytest.mark.parametrize(
+        "adj, sources, want",
+        [
+            ([], [], []),
+            ([np.empty(0, dtype=np.int64)], [0], []),
+            # trailing isolated rows: indptr[i] == len(indices)
+            ([np.array([1]), np.array([0]), np.empty(0, dtype=np.int64)], [2, 1, 0], [2]),
+            # a path 0-1-2 from both ends
+            ([np.array([1]), np.array([0, 2]), np.array([1])], [2, 0], [2, 2]),
+        ],
+    )
+    def test_small_cases(self, adj, sources, want):
+        assert graph.hop_level_counts(*graph._csr_arrays(adj), sources) == want
 
 
 class TestMaintenanceProperties:

@@ -15,6 +15,7 @@ from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, line_topology, random_topology
+from tests.oracles import hop_distance_matrix
 
 AREA = 400.0
 
@@ -52,7 +53,7 @@ class TestEdgeNodes:
 
     def test_edges_at_exact_radius(self, grid5):
         t = NeighborhoodTables(grid5, radius=2)
-        dist = g.hop_distance_matrix(grid5.adj)
+        dist = hop_distance_matrix(grid5.adj)
         for u in range(25):
             assert set(t.edge_nodes(u)) == set(np.flatnonzero(dist[u] == 2))
 

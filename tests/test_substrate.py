@@ -20,6 +20,7 @@ from repro.net.substrate import DistanceSubstrate
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import line_topology, random_topology
+from tests.oracles import hop_distance_matrix
 
 
 def roomy_line(n: int, spacing: float = 40.0, tx: float = 50.0) -> Topology:
@@ -40,7 +41,7 @@ def clipped(full: np.ndarray, horizon: int, dtype) -> np.ndarray:
 
 def assert_band_exact(topo: Topology, sub: DistanceSubstrate) -> None:
     band = sub.band()
-    full = g.hop_distance_matrix(topo.adj)
+    full = hop_distance_matrix(topo.adj)
     assert (band == clipped(full, sub.horizon, band.dtype)).all()
 
 
@@ -52,7 +53,7 @@ class TestBoundedKernel:
     @pytest.mark.parametrize("horizon", [1, 2, 3, 5])
     def test_matches_apsp_random(self, seed, horizon):
         topo = random_topology(n=80, seed=seed)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         band = g.bounded_hop_distances(topo.adj, horizon)
         assert (band == clipped(full, horizon, band.dtype)).all()
 
@@ -61,13 +62,13 @@ class TestBoundedKernel:
         # sparse enough that the graph fragments into several components
         topo = random_topology(n=60, area=(900.0, 900.0), tx=60.0, seed=seed)
         assert len(g.connected_components(topo.adj)) > 1
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         band = g.bounded_hop_distances(topo.adj, 3)
         assert (band == clipped(full, 3, band.dtype)).all()
 
     def test_multi_source_subset(self):
         topo = random_topology(n=70, seed=11)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         src = np.array([0, 13, 69])
         band = g.bounded_hop_distances(topo.adj, 4, src)
         assert band.shape == (3, topo.num_nodes)
@@ -140,7 +141,7 @@ class TestVectorizedBfs:
 
     def test_bfs_hops_max_hops_parity(self):
         topo = random_topology(n=60, seed=9)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         for max_hops in (0, 1, 3):
             got = g.bfs_hops(topo.adj, 5, max_hops=max_hops)
             assert (got == clipped(full[5], max_hops, got.dtype)).all()
@@ -332,14 +333,14 @@ class TestSharedSubstrate:
         assert big.substrate.horizon >= 4
         # the smaller-radius view rides the upgraded substrate
         assert small.substrate is big.substrate
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         assert (small.membership == g.neighborhood_sets(full, 2)).all()
         assert (big.membership == g.neighborhood_sets(full, 4)).all()
 
     def test_tables_match_apsp_derivation(self):
         topo = random_topology(n=80, seed=7)
         tables = NeighborhoodTables(topo, 3)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         assert (tables.membership == g.neighborhood_sets(full, 3)).all()
         for u in (0, 40, 79):
             assert (tables.edge_nodes(u) == np.flatnonzero(full[u] == 3)).all()

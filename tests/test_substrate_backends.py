@@ -27,6 +27,7 @@ from repro.net.substrate import (
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import random_topology
+from tests.oracles import hop_distance_matrix
 
 
 def bfs_oracle(topo: Topology, horizon: int) -> np.ndarray:
@@ -155,7 +156,7 @@ class TestMultiHorizonViews:
         assert zone.substrate is contact.substrate
         assert contact.substrate.horizon == 6
         # the R view still answers R-scoped: beyond-horizon is -1
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         for u in (0, 33, 79):
             for v in (2, 50):
                 want = int(full[u, v])
@@ -165,7 +166,7 @@ class TestMultiHorizonViews:
     def test_members_within_ring_band(self):
         topo = random_topology(n=80, seed=2)
         view = topo.distance_view(4)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         for u in (0, 17, 61):
             row = full[u]
             assert (view.members(u) == np.flatnonzero((row >= 0) & (row <= 4))).all()
@@ -220,7 +221,7 @@ class TestGlobalView:
         gview = topo.distance_view(None)
         assert isinstance(gview, GlobalDistanceView)
         est = gview.sample_pair_stats(60, np.random.default_rng(0))
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         finite = full[full > 0]
         assert est.num_sources == 60
         assert est.diameter == int(finite.max())
@@ -229,7 +230,7 @@ class TestGlobalView:
     def test_row_queries_are_exact(self):
         topo = random_topology(n=70, seed=7)
         gview = topo.distance_view(None)
-        full = g.hop_distance_matrix(topo.adj)
+        full = hop_distance_matrix(topo.adj)
         for u in (0, 35, 69):
             assert gview.hops(u, 3) == int(full[u, 3])
             assert (gview.hops_many(u, [1, 2, 50]) == full[u, [1, 2, 50]]).all()
@@ -238,7 +239,7 @@ class TestGlobalView:
         pos = np.array(topo.positions)
         pos[0] = [1.0, 1.0]
         topo.set_positions(pos)
-        assert gview.hops(0, 3) == int(g.hop_distance_matrix(topo.adj)[0, 3])
+        assert gview.hops(0, 3) == int(hop_distance_matrix(topo.adj)[0, 3])
 
     def test_band_is_refused(self):
         topo = random_topology(n=20, seed=0)
