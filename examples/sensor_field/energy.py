@@ -3,9 +3,12 @@
 The paper's efficiency requirement (b) is energy-motivated: "nodes ...
 comprise portable devices with limited battery power.  Therefore, resource
 discovery mechanisms should be efficient in terms of messages transmitted"
-(§III.A).  This module converts :class:`~repro.net.stats.MessageStats`
-counters into a first-order energy model so the sensor-field example can
-report battery impact, not just message tallies:
+(§III.A).  This module converts per-node transmission counts into a
+first-order energy model so the sensor-field example can report battery
+impact, not just message tallies.  :class:`~repro.net.stats.MessageStats`
+keeps only what the paper's figures read (totals, bytes, time bins), so
+the per-node tally lives here, in :class:`PerNodeStats`, which the
+example installs as ``network.stats``:
 
 * per-transmission and per-reception costs (defaults from the classic
   WaveLAN measurements: sending is ~1.6×, receiving ~1× in microjoules per
@@ -29,7 +32,40 @@ from repro.net.messages import MessageKind
 from repro.net.stats import MessageStats
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["EnergyModel", "EnergyReport"]
+__all__ = ["EnergyModel", "EnergyReport", "PerNodeStats"]
+
+
+class PerNodeStats(MessageStats):
+    """:class:`MessageStats` that also counts each node's transmissions."""
+
+    def __init__(self, num_nodes: int, time_bin: float = 2.0) -> None:
+        super().__init__(num_nodes, time_bin)
+        self.tx: Dict[MessageKind, np.ndarray] = {}
+
+    def _tally(self, kind: MessageKind) -> np.ndarray:
+        if kind not in self.tx:
+            self.tx[kind] = np.zeros(self.num_nodes, dtype=np.int64)
+        return self.tx[kind]
+
+    def record(self, kind, transmitter, time=None, nbytes=0) -> None:
+        super().record(kind, transmitter, time, nbytes)
+        self._tally(kind)[transmitter] += 1
+
+    def record_many(self, kind, transmitters, time=None, nbytes=0) -> None:
+        super().record_many(kind, transmitters, time, nbytes)
+        np.add.at(self._tally(kind), np.asarray(transmitters, dtype=np.int64), 1)
+
+    def per_node(self, *kinds: MessageKind) -> np.ndarray:
+        """Transmissions per node, summed over ``kinds`` (all if none)."""
+        out = np.zeros(self.num_nodes, dtype=np.int64)
+        for kind, counts in self.tx.items():
+            if not kinds or kind in kinds:
+                out += counts
+        return out
+
+    def reset(self) -> None:
+        super().reset()
+        self.tx.clear()
 
 
 @dataclass(frozen=True)
@@ -107,12 +143,12 @@ class EnergyModel:
     # ------------------------------------------------------------------
     def report(
         self,
-        stats: MessageStats,
+        stats: PerNodeStats,
         kinds: Optional[Sequence[MessageKind]] = None,
     ) -> EnergyReport:
         """Energy spent per node for the given categories (default: all).
 
-        Transmission energy is attributed exactly (per-node counters);
+        Transmission energy is attributed exactly (per-node tallies);
         reception energy is attributed uniformly (the accounting layer
         does not track who received what), which keeps the *total* exact
         and only smooths the per-node reception component.
@@ -127,7 +163,7 @@ class EnergyModel:
 
     def lifetime_rounds(
         self,
-        stats: MessageStats,
+        stats: PerNodeStats,
         rounds_measured: float,
         kinds: Optional[Sequence[MessageKind]] = None,
     ) -> float:

@@ -109,8 +109,9 @@ class ResourceQueryEngine:
             total += msgs
             if found is not None:
                 provider, path = found
-                for hop_tx in reversed(path[1:]):
-                    self.network.transmit(msg, int(hop_tx), kind=MessageKind.REPLY)
+                self.network.transmit_path(
+                    msg, path[:0:-1], kind=MessageKind.REPLY
+                )
                 return ResourceQueryResult(
                     source, resource, True, provider, d, total, path=path
                 )
@@ -128,8 +129,7 @@ class ResourceQueryEngine:
                 continue
             visited.add(c)
             msgs += contact.path_hops
-            for hop_tx in contact.path[:-1]:
-                self.network.transmit(msg, int(hop_tx))
+            self.network.transmit_path(msg, contact.path[:-1])
             chain = prefix + contact.path[1:]
             if depth <= 1:
                 provider = self._zone_lookup(c, resource)

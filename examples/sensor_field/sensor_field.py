@@ -14,7 +14,8 @@ example plays that scenario out with the full application stack:
 * flooding and ZRP bordercasting answer the same workload against the
   ground-truth nearest gateway;
 * an :class:`~energy.EnergyModel` converts each scheme's traffic
-  into battery terms — total joules, hottest node, and estimated rounds
+  (tallied per node by :class:`~energy.PerNodeStats`, installed as each
+  network's ``stats``) into battery terms — total joules, hottest node, and estimated rounds
   until the first battery death (the paper's requirement (b), quantified).
 
 The resource layer (``resources/``) and the energy model (``energy.py``)
@@ -35,7 +36,7 @@ from repro import (
     build_topology,
 )
 
-from energy import EnergyModel
+from energy import EnergyModel, PerNodeStats
 from resources import ResourceQueryEngine, ResourceRegistry
 
 SEED = 42
@@ -66,6 +67,7 @@ def main() -> None:
 
     # --- CARD + resource layer -------------------------------------------
     card_net = Network(topo)
+    card_net.stats = PerNodeStats(NUM_SENSORS)
     card = CARDProtocol(card_net, params, seed=SEED)
     card.bootstrap()
     standing = card_net.stats.total()
@@ -104,6 +106,7 @@ def main() -> None:
 
     # --- flooding ----------------------------------------------------------
     flood_net = Network(topo)
+    flood_net.stats = PerNodeStats(NUM_SENSORS)
     flood = FloodingDiscovery(flood_net)
     ok = msgs = 0
     for q in queriers:
@@ -114,6 +117,7 @@ def main() -> None:
 
     # --- bordercasting -------------------------------------------------------
     bc_net = Network(topo)
+    bc_net.stats = PerNodeStats(NUM_SENSORS)
     bc = BordercastDiscovery(bc_net, NeighborhoodTables(topo, params.R))
     ok = msgs = 0
     for q in queriers:

@@ -1,19 +1,74 @@
 """Tests for the sensor-field energy model."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.messages import MessageKind
-from repro.net.stats import MessageStats
 
-from energy import EnergyModel
+from energy import EnergyModel, PerNodeStats
+
+
+class TestPerNodeStats:
+    def test_tallies_every_transmitter_per_kind(self):
+        s = PerNodeStats(3)
+        s.record(MessageKind.VALIDATION, 1, time=0.5, nbytes=8)
+        s.record_many(MessageKind.VALIDATION, [1, 2, 1], time=2.5, nbytes=8)
+        s.record_many(MessageKind.BACKTRACK, [1])
+        s.record_many(MessageKind.QUERY, [])
+        assert list(s.per_node(MessageKind.VALIDATION)) == [0, 3, 1]
+        assert list(s.per_node()) == [0, 4, 1]
+        assert list(s.per_node(MessageKind.FLOOD)) == [0, 0, 0]
+        # the MessageStats counters underneath are untouched
+        assert s.snapshot() == {"backtrack": 1, "validation": 4}
+        assert s.total_bytes() == 32
+        assert s.series([MessageKind.VALIDATION], 4.0) == [1 / 3, 1.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(list(MessageKind)),
+                st.lists(st.integers(0, 3), max_size=5),
+            ),
+            max_size=25,
+        )
+    )
+    def test_per_node_equals_per_record_oracle(self, ops):
+        """Any interleaving of `record` and `record_many` tallies each
+        node exactly once per transmission it made."""
+        s = PerNodeStats(4)
+        sent = Counter()  # (kind, node) -> transmissions
+        for bulk, kind, txs in ops:
+            if bulk:
+                s.record_many(kind, txs)
+            else:
+                txs = txs[:1] or [0]
+                s.record(kind, txs[0])
+            sent.update((kind, u) for u in txs)
+        for chosen in ([], [MessageKind.QUERY], list(MessageKind)[:3]):
+            want = [0] * 4
+            for (kind, node), c in sent.items():
+                if not chosen or kind in chosen:
+                    want[node] += c
+            assert list(s.per_node(*chosen)) == want
+        assert s.total() == sum(sent.values())
+
+    def test_reset_clears_the_tally(self):
+        s = PerNodeStats(2)
+        s.record(MessageKind.QUERY, 0)
+        s.reset()
+        assert s.total() == 0 and list(s.per_node()) == [0, 0]
 
 
 class TestEnergyModel:
     def stats_with(self, counts):
-        s = MessageStats(len(counts))
+        s = PerNodeStats(len(counts))
         for node, c in enumerate(counts):
-            if c:
-                s.record(MessageKind.QUERY, node, count=c)
+            s.record_many(MessageKind.QUERY, [node] * c)
         return s
 
     def test_total_energy_exact(self):

@@ -76,7 +76,7 @@ class ContactMaintainer:
         msg = ValidationMessage(
             source=path[0], contact=contact.node, source_path=list(path)
         )
-        msgs = 0
+        reason = "validated"
         recoveries = 0
         new_path: List[int] = [path[0]]
         x = path[0]
@@ -87,43 +87,39 @@ class ContactMaintainer:
                 k += 1
                 continue
             if net.are_neighbors(x, target):
-                net.transmit(msg, x)
-                msgs += 1
                 new_path.append(target)
                 x = target
                 k += 1
                 continue
             # next hop gone — local recovery (step 3)
             if not p.local_recovery:
-                return ValidationOutcome(
-                    contact.node, False, "lost-broken", msgs, recoveries
-                )
-            spliced = False
+                reason = "lost-broken"
+                break
             for j in range(k, len(path)):
                 route = self.tables.path_within(x, path[j])
                 if route is not None and len(route) >= 2:
-                    for hop_tx in route[:-1]:
-                        net.transmit(msg, int(hop_tx))
-                        msgs += 1
                     new_path.extend(int(v) for v in route[1:])
                     x = path[j]
                     k = j + 1
                     recoveries += 1
-                    spliced = True
                     break
-            if not spliced:
-                return ValidationOutcome(
-                    contact.node, False, "lost-broken", msgs, recoveries
-                )
+            else:
+                reason = "lost-broken"
+                break
+        # each hop, lost walks' too, left the node before it on new_path;
+        # one flush, as the clock does not move inside a validation
+        tx = new_path[:-1]
+        net.transmit_path(msg, tx)
         # rule (4)/(5): hop count must still lie within [2R, r]
-        hops = len(new_path) - 1
         lo, hi = p.contact_band
-        if p.enforce_band_on_validation and not (lo <= hops <= hi):
-            return ValidationOutcome(
-                contact.node, False, "lost-band", msgs, recoveries
-            )
+        if reason == "validated" and p.enforce_band_on_validation and not (
+            lo <= len(tx) <= hi
+        ):
+            reason = "lost-band"
+        ok = reason == "validated"
         return ValidationOutcome(
-            contact.node, True, "validated", msgs, recoveries, new_path=new_path
+            contact.node, ok, reason, len(tx), recoveries,
+            new_path=new_path if ok else None,
         )
 
     # ------------------------------------------------------------------

@@ -143,10 +143,11 @@ class BordercastDiscovery:
             border_set = set(border)
             overheard: List[int] = []
             delivered: List[int] = []
+            tx = [int(a) for a, _ in tree_edges]
+            self.network.transmit_path(msg, tx)
+            msgs += len(tx)
+            rx += sum(map(self.network.topology.degree, tx))
             for a, b in tree_edges:
-                self.network.transmit(msg, int(a))
-                msgs += 1
-                rx += self.network.topology.degree(int(a))
                 if not seen[a]:
                     seen[a] = True
                 if not seen[b]:

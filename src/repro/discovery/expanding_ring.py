@@ -72,13 +72,11 @@ class ExpandingRingDiscovery:
             msg = FloodQuery(
                 source=source, target=target, query_id=next_query_id(), ttl=ttl
             )
-            ring = np.flatnonzero((dist >= 0) & (dist < ttl))
-            for u in ring:
-                if int(u) == target:
-                    continue  # the target answers rather than re-floods
-                self.network.transmit(msg, int(u))
-                msgs += 1
-                rx += self.network.topology.degree(int(u))
+            ring = np.flatnonzero((dist >= 0) & (dist < ttl)).tolist()
+            tx = [u for u in ring if u != target]  # the target answers
+            self.network.transmit_path(msg, tx)
+            msgs += len(tx)
+            rx += sum(map(self.network.topology.degree, tx))
             if 0 <= d_target <= ttl:
                 return DiscoveryResult(
                     source, target, True, msgs,

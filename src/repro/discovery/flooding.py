@@ -36,11 +36,10 @@ class FloodingDiscovery:
         transmitters = reached.copy()
         if success and target != source:
             transmitters[target] = False  # the target replies, not re-floods
-        rx = 0
-        for u in np.flatnonzero(transmitters):
-            self.network.transmit(msg, int(u))
-            rx += self.network.topology.degree(int(u))
-        msgs = int(transmitters.sum())
+        tx = np.flatnonzero(transmitters).tolist()
+        self.network.transmit_path(msg, tx)
+        rx = sum(map(self.network.topology.degree, tx))
+        msgs = len(tx)
         detail = f"hops={int(dist[target])}" if success else "disconnected"
         return DiscoveryResult(
             source, target, success, msgs, detail=detail, rx_events=rx

@@ -59,16 +59,10 @@ __all__ = [
 #: Marker for "no path" in integer hop-distance arrays.
 UNREACHABLE: int = -1
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-#: uint8 → set-bit-count table, the popcount fallback for numpy < 2.0.
-_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
 
 def _popcount(words: np.ndarray) -> int:
     """Number of set bits in a uint64 word array."""
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum())
-    return int(_POPCOUNT_LUT[words.view(np.uint8)].sum())
+    return int(np.bitwise_count(words).sum())
 
 
 def bfs_hops(adj: Sequence[np.ndarray], source: int, max_hops: Optional[int] = None) -> np.ndarray:

@@ -3,12 +3,11 @@
 Protocol implementations (CARD, flooding, bordercasting) interact with
 the network exclusively through this class:
 
-* :meth:`transmit` — account one hop-transmission of a typed message; this
-  is *the* counter behind every overhead figure in the paper;
-* :meth:`transmit_path` — the bulk form of :meth:`transmit` that CSQ
-  walks and DSQ rounds flush their hop transmitters through;
-* :meth:`deliver` — transmit one hop and schedule its receipt (the
-  ``des`` regime);
+* :meth:`transmit_path` — account the hops of one typed message in one
+  call; every protocol flushes through it, so it is *the* counter behind
+  every overhead figure in the paper;
+* :meth:`deliver` — :meth:`transmit` one hop (its only caller) and
+  schedule its receipt (the ``des`` regime);
 * one-hop accessors (:meth:`neighbors`, :meth:`are_neighbors`)
   delegating to the :class:`~repro.net.topology.Topology`.
 
@@ -113,11 +112,10 @@ class Network:
     ) -> None:
         """Account one transmission per entry of ``transmitters`` at once.
 
-        The bulk counterpart of :meth:`transmit`: a CSQ walk or a query
-        escalation round accumulates its hop transmitters and flushes
-        them in one call, with repeats allowed.  Counters end up
-        identical to per-hop :meth:`transmit` calls at the same clock
-        reading.
+        The bulk counterpart of :meth:`transmit`: a protocol accumulates
+        one message's hop transmitters and flushes them in one call, with
+        repeats allowed.  Counters end up identical to per-hop
+        :meth:`transmit` calls at the same clock reading.
         """
         k = kind if kind is not None else message.kind
         self.stats.record_many(

@@ -5,13 +5,17 @@ messages, attributed to a category and often binned over time.  This module
 centralizes that accounting:
 
 * per-category totals (selection, backtracking, validation, query, ...),
-* per-node counts (the paper reports "overhead per node"),
+* per-category byte totals (the ``des`` regime's wire sizes),
 * per-time-bin series (Figs 10-13 plot messages per 2-second window).
+
+That is everything a figure reads: the paper's "overhead per node" is
+always a total divided by N, so no per-node count is kept.
 
 A single :class:`MessageStats` instance is owned by the
 :class:`repro.net.network.Network` façade; protocol code records through
-``network.transmit(...)`` and never touches counters directly, so a message
-can never be double- or un-counted.
+``network.transmit_path(...)`` (``network.deliver(...)`` in the ``des``
+regime) and never touches counters directly, so a message can never be
+double- or un-counted.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ OVERHEAD_CATEGORIES = (
 class _KindCounters:
     """Everything counted for one :class:`MessageKind`."""
 
-    __slots__ = ("total", "nbytes", "per_node", "series")
+    __slots__ = ("total", "nbytes", "series")
 
-    def __init__(self, num_nodes: int) -> None:
+    def __init__(self) -> None:
         self.total = 0
         self.nbytes = 0
-        self.per_node = np.zeros(num_nodes, dtype=np.int64)
         #: time-bin index → transmissions in that bin
         self.series: Dict[int, int] = defaultdict(int)
 
@@ -53,7 +56,7 @@ class MessageStats:
     Parameters
     ----------
     num_nodes:
-        Network size; enables per-node breakdowns.
+        Network size; :meth:`series` reports messages per node.
     time_bin:
         Width (seconds) of the time-series bins.  The paper's time plots use
         2-second ticks.
@@ -73,30 +76,29 @@ class MessageStats:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+    def _add(self, kind: MessageKind, count: int, time, nbytes: int) -> None:
+        c = self._kinds.get(kind)
+        if c is None:
+            c = self._kinds[kind] = _KindCounters()
+        c.total += count
+        if nbytes:
+            c.nbytes += count * int(nbytes)
+        if time is not None:
+            c.series[int(time // self.time_bin)] += count
+
     def record(
         self,
         kind: MessageKind,
         transmitter: int,
         time: Optional[float] = None,
-        count: int = 1,
         nbytes: int = 0,
     ) -> None:
-        """Record ``count`` transmissions of category ``kind`` by a node.
+        """Record one transmission of category ``kind`` by ``transmitter``.
 
-        ``nbytes`` is the *per-message* wire size; when given, byte totals
-        accumulate ``count * nbytes`` (queried via :meth:`total_bytes`).
+        ``nbytes`` is the message's wire size; when given, it accumulates
+        into the byte totals (queried via :meth:`total_bytes`).
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        c = self._kinds.get(kind)
-        if c is None:
-            c = self._kinds[kind] = _KindCounters(self.num_nodes)
-        c.total += count
-        if nbytes:
-            c.nbytes += count * int(nbytes)
-        c.per_node[transmitter] += count
-        if time is not None:
-            c.series[int(time // self.time_bin)] += count
+        self._add(kind, 1, time, nbytes)
 
     def record_many(
         self,
@@ -108,24 +110,13 @@ class MessageStats:
         """Record one transmission per entry of ``transmitters`` at ``time``.
 
         The bulk form of :meth:`record` behind ``Network.transmit_path``:
-        repeats are allowed (a node transmitting k hops appears k times)
-        and land via ``np.add.at``, so per-node attribution, totals and
-        the time series are all identical to k individual :meth:`record`
-        calls — just without k rounds of Python dict traffic.
+        repeats are allowed (a node transmitting k hops appears k times),
+        and the counters end up identical to one :meth:`record` per entry.
+        An empty ``transmitters`` records nothing, not even the category.
         """
-        tx = np.asarray(transmitters, dtype=np.int64)
-        if tx.size == 0:
-            return
-        count = int(tx.size)
-        c = self._kinds.get(kind)
-        if c is None:
-            c = self._kinds[kind] = _KindCounters(self.num_nodes)
-        c.total += count
-        if nbytes:
-            c.nbytes += count * int(nbytes)
-        np.add.at(c.per_node, tx, 1)
-        if time is not None:
-            c.series[int(time // self.time_bin)] += count
+        count = len(transmitters)
+        if count:
+            self._add(kind, count, time, nbytes)
 
     # ------------------------------------------------------------------
     # queries
@@ -148,13 +139,6 @@ class MessageStats:
         the snapshot/series engines pass none and report pure counts.
         """
         return sum(c.nbytes for c in self._selected(kinds))
-
-    def per_node(self, *kinds: MessageKind) -> np.ndarray:
-        """Per-node transmission counts summed over categories."""
-        out = np.zeros(self.num_nodes, dtype=np.int64)
-        for c in self._selected(kinds):
-            out += c.per_node
-        return out
 
     def series(
         self,

@@ -14,7 +14,9 @@ lease protocol and the store's content-hash upserts.  Its job:
 3. :func:`run_daemon` — poll the queue, requeue expired leases (so
    progress survives even with zero live workers calling ``lease()``),
    emit progress lines, and exit 0 when every cell is done (1 if any
-   failed, the timeout lapsed or every local worker died first).
+   failed, the timeout lapsed or every local worker died first).  On a
+   done queue it wakes its idle local workers and waits for all of them
+   to exit by themselves; only a timeout or an error terminates them.
 
 Killing the daemon never loses work: the queue file is the source of
 truth and a restarted daemon re-seeding the same spec finds every key
@@ -62,24 +64,28 @@ def seed_queue(
 
 def _local_worker(
     queue_path: str, store_target: str, worker_id: str,
-    trace: Optional[str], poll: float,
+    trace: Optional[str], poll: float, wake,
 ) -> None:
-    """Body of one local worker process.  Everything is opened by path
-    in here: the child never touches an object it inherited."""
+    """Body of one local worker process.  Everything but the ``wake``
+    event is opened by path in here: the child uses no other object it
+    inherited."""
     obs.deactivate()  # a trace active in the daemon is not this worker's
     sys.exit(
         worker_main(
-            queue_path, store_target, worker_id=worker_id, trace=trace, poll=poll
+            queue_path, store_target, worker_id=worker_id, trace=trace,
+            poll=poll, idle=wake.wait,
         )
     )
 
 
 class _LocalWorker:
     """``subprocess.Popen``'s ``poll/terminate/wait/kill`` over an
-    ``mp.Process``, so one reaping loop serves both kinds of handle."""
+    ``mp.Process``, so one reaping loop serves both kinds of handle;
+    setting ``wake`` ends the worker's idle wait."""
 
-    def __init__(self, process) -> None:
+    def __init__(self, process, wake) -> None:
         self._process = process
+        self.wake = wake
         self.terminate = process.terminate
         self.kill = process.kill
 
@@ -110,16 +116,18 @@ def spawn_workers(
     :func:`run_daemon` sees to the first.
     """
     ctx = mp.get_context()
+    wake = ctx.Event()
     procs: List[_LocalWorker] = []
     for i in range(n):
         process = ctx.Process(
             target=_local_worker,
-            args=(str(queue_path), str(store_target), f"local:{i}", trace, poll),
+            args=(str(queue_path), str(store_target), f"local:{i}", trace,
+                  poll, wake),
             name=f"local:{i}",
             daemon=True,  # never outlives, or blocks the exit of, its parent
         )
         process.start()
-        procs.append(_LocalWorker(process))
+        procs.append(_LocalWorker(process, wake))
     return procs
 
 
@@ -177,7 +185,7 @@ def run_daemon(
         )
 
     started = time.monotonic()
-    timed_out = False
+    timed_out = drained = False
     try:
         while not queue.is_done():
             queue.requeue_expired()
@@ -200,10 +208,17 @@ def run_daemon(
                 if counts["pending"] and not counts["leased"]:
                     break  # the local fleet is dead; nobody will finish
             time.sleep(poll)
+        else:
+            drained = True
     finally:
+        # on a done queue a live worker leaves by itself once woken: a
+        # signal could land between its last commit and its bookkeeping
         for proc in procs:
             if proc.poll() is None:
-                proc.terminate()
+                if not drained:
+                    proc.terminate()
+                elif hasattr(proc, "wake"):
+                    proc.wake.set()
         for proc in procs:
             try:
                 proc.wait(timeout=10.0)

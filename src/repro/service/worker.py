@@ -121,12 +121,13 @@ def run_worker(
     max_cells: Optional[int] = None,
     execute: Callable[[CellSpec], Dict[str, object]] = execute_cell,
     progress: Optional[Callable[[str, WorkerStats], None]] = None,
+    idle: Callable[[float], object] = time.sleep,
 ) -> WorkerStats:
     """Drain the queue: lease cells, execute them, append to ``store``.
 
     Runs until the queue has no unfinished cells (or ``max_cells`` is
     reached).  When ``lease()`` returns None but leased cells remain,
-    the worker sleeps ``poll`` seconds and retries — those leases may
+    the worker waits ``idle(poll)`` and retries — those leases may
     belong to a dead peer and expire into our hands.
 
     Parameters
@@ -146,6 +147,9 @@ def run_worker(
     progress:
         Optional callback ``(event, stats)`` after each cell, where
         ``event`` is ``done``/``failed``/``lost``.
+    idle:
+        Waits up to ``poll`` seconds while nothing can be leased; a true
+        return ends the drain (a local worker's daemon sets its event).
     """
     if not isinstance(queue, WorkQueue):
         queue = WorkQueue(queue)
@@ -168,7 +172,8 @@ def run_worker(
             # expire into our hands — poll in both cases.
             if len(queue) > 0 and queue.remaining() == 0:
                 break
-            time.sleep(poll)
+            if idle(poll):
+                break  # woken: the daemon found the queue done
             continue
         lease_seconds = time.perf_counter() - lease_t0
 
@@ -238,6 +243,7 @@ def worker_main(
     poll: float = 0.5,
     max_cells: Optional[int] = None,
     quiet: bool = False,
+    idle: Callable[[float], object] = time.sleep,
 ) -> int:
     """One fleet member from start to exit code.
 
@@ -245,8 +251,8 @@ def worker_main(
     :func:`run_worker`, prints per-cell progress (unless ``quiet``) and
     the closing summary, and returns the process exit code (1 if any
     cell failed).  ``python -m repro.service worker`` and the local
-    workers the daemon starts both end here, so they print and exit
-    identically.
+    workers the daemon starts (passing ``idle``) both end here, so they
+    print and exit identically.
     """
 
     def progress(event: str, stats: WorkerStats) -> None:
@@ -265,6 +271,7 @@ def worker_main(
         poll=poll,
         max_cells=max_cells,
         progress=None if quiet else progress,
+        idle=idle,
     )
     print(stats.summary())
     return 0 if stats.failed == 0 else 1

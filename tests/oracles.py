@@ -5,21 +5,24 @@ Each oracle states a rule the package answers some faster way: the
 scalar CSQ admission decision behind the selector's batched mask, one
 walk built from scratch behind a source-selection's shared context, the
 per-source reachability union behind the packed pass, the all-pairs
-hop-distance matrix behind the per-level pair counts, and the Tarjan
-cycle search behind the layering of the import graph.  Nothing under
+hop-distance matrix behind the per-level pair counts, the Tarjan
+cycle search behind the layering of the import graph, and a per-record
+log behind the aggregate message counters.  Nothing under
 ``src/`` imports this module; ``card-lint`` CARD-R02 keeps names that
 only tests reach out of the package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.params import SelectionMethod
 from repro.core.selection import ContactSelector, SelectionOutcome, _WalkContext
 from repro.mobility.base import MobilityModel
+from repro.net.messages import MessageKind
+from repro.net.stats import MessageStats
 from repro.net.graph import UNREACHABLE, _HAVE_SCIPY, adjacency_to_csr, bfs_hops
 from tools.card_lint.importgraph import ImportGraph
 
@@ -142,6 +145,41 @@ def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
         dist = np.where(np.isinf(mat), UNREACHABLE, mat).astype(np.int32)
         return dist
     return np.stack([bfs_hops(adj, s) for s in range(n)])
+
+
+# ----------------------------------------------------------------------
+# message accounting
+# ----------------------------------------------------------------------
+class RecordingStats(MessageStats):
+    """:class:`MessageStats` that also logs every transmission.
+
+    ``log`` holds one ``(kind, transmitter, bin, nbytes)`` per hop, in
+    recording order (a ``record_many`` call adds one entry per
+    transmitter; ``bin`` is None for an untimed record).  The counters
+    are an aggregate of this log, so two runs with equal logs as
+    multisets have equal totals, bytes and series, and also sent the
+    same hops from the same nodes.  Install it as ``network.stats``.
+    """
+
+    def __init__(self, num_nodes: int, time_bin: float = 2.0) -> None:
+        super().__init__(num_nodes, time_bin)
+        self.log: List[Tuple[MessageKind, int, Optional[int], int]] = []
+
+    def _entry(self, kind, transmitter, time, nbytes):
+        b = None if time is None else int(time // self.time_bin)
+        return (kind, int(transmitter), b, int(nbytes))
+
+    def record(self, kind, transmitter, time=None, nbytes=0) -> None:
+        super().record(kind, transmitter, time, nbytes)
+        self.log.append(self._entry(kind, transmitter, time, nbytes))
+
+    def record_many(self, kind, transmitters, time=None, nbytes=0) -> None:
+        super().record_many(kind, transmitters, time, nbytes)
+        self.log.extend(self._entry(kind, tx, time, nbytes) for tx in transmitters)
+
+    def reset(self) -> None:
+        super().reset()
+        self.log.clear()
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,14 @@ rule of `tests/oracles.py`, and bulk hop accounting equalling per-hop
 (`QueryEngine.query` / `query_many`, one per-pair routine over the
 frozen contact fabric) promises *bit-identical* results to the
 recursive one-hop-per-call walk kept here as `oracle_query` — same
-`QueryResult` fields, same message accounting down to per-node
-attribution — over random, mobile and disconnected topologies and both
-dedup modes.
+`QueryResult` fields, same message accounting down to the transmitter
+of every hop (the `RecordingStats` log of `tests/oracles.py`) — over
+random, mobile and disconnected topologies and both dedup modes.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.net.topology import Topology
 from repro.mobility.waypoint import RandomWaypoint
 
 from tests.conftest import grid_topology, random_topology
-from tests.oracles import admit, select_one
+from tests.oracles import RecordingStats, admit, select_one
 
 
 # ----------------------------------------------------------------------
@@ -73,16 +75,25 @@ def _protocol(make_topo, method, seed, **kw) -> CARDProtocol:
         R=kw.pop("R", 2), r=kw.pop("r", 8), noc=kw.pop("noc", 4),
         method=method, **kw,
     )
-    return CARDProtocol(Network(topo), params, seed=seed)
+    return CARDProtocol(recording_network(topo), params, seed=seed)
+
+
+def recording_network(topo: Topology, sim=None) -> Network:
+    net = Network(topo, sim=sim)
+    net.stats = RecordingStats(topo.num_nodes)
+    return net
 
 
 def assert_same_stats(a: Network, b: Network) -> None:
+    """Same counters, and the same hops sent by the same nodes in the
+    same bins (in any order: the per-record logs as multisets)."""
     assert a.stats.snapshot() == b.stats.snapshot()
+    assert a.stats.total_bytes() == b.stats.total_bytes()
     ka, kb = a.stats._kinds, b.stats._kinds
     assert ka.keys() == kb.keys()
     for kind in ka:
-        assert np.array_equal(ka[kind].per_node, kb[kind].per_node), kind
         assert dict(ka[kind].series) == dict(kb[kind].series), kind
+    assert Counter(a.stats.log) == Counter(b.stats.log)
 
 
 def assert_same_selection(res_a, res_b) -> None:
@@ -250,8 +261,12 @@ class TestBulkAccounting:
         """One walk's bulk flushes == one `transmit` per hop, at a clock
         reading that lands outside time-series bin 0."""
         params = CARDParams(R=2, r=8, noc=4, method=method)
-        net = Network(TOPOLOGIES["random"](), sim=Simulator(start_time=7.0))
-        ref = Network(TOPOLOGIES["random"](), sim=Simulator(start_time=7.0))
+        net = recording_network(
+            TOPOLOGIES["random"](), sim=Simulator(start_time=7.0)
+        )
+        ref = recording_network(
+            TOPOLOGIES["random"](), sim=Simulator(start_time=7.0)
+        )
         card = CARDProtocol(net, params, seed=3)
         flushes = []
         flush = net.transmit_path
@@ -274,7 +289,8 @@ class TestBulkAccounting:
             for tx in transmitters:
                 ref.transmit(message, tx, kind=kind)
         assert_same_stats(net, ref)
-        assert net.stats.total_bytes() == ref.stats.total_bytes() > 0
+        assert net.stats.log == ref.stats.log  # also in the same order
+        assert net.stats.total_bytes() > 0
         assert set(net.stats._kinds[MessageKind.CONTACT_SELECTION].series) == {3}
 
 

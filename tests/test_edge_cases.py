@@ -132,10 +132,6 @@ class TestStatsBoundaries:
         s.record(MessageKind.QUERY, 0, time=2.0)  # exactly at the boundary
         assert s.series([MessageKind.QUERY], horizon=4.0) == [0.0, 1.0]
 
-    def test_per_node_empty_category(self):
-        s = MessageStats(3)
-        assert list(s.per_node(MessageKind.FLOOD)) == [0, 0, 0]
-
 
 class TestPMvsEMOrdering:
     """The headline Fig 3/4 orderings, asserted at test scale."""

@@ -1,6 +1,5 @@
 """Tests for message types and the MessageStats accounting."""
 
-import numpy as np
 import pytest
 
 from repro.net.messages import (
@@ -46,19 +45,11 @@ class TestMessageStats:
     def test_totals_by_category(self):
         s = MessageStats(4)
         s.record(MessageKind.QUERY, 0)
-        s.record(MessageKind.QUERY, 1, count=2)
+        s.record_many(MessageKind.QUERY, [1, 1])
         s.record(MessageKind.FLOOD, 2)
         assert s.total(MessageKind.QUERY) == 3
         assert s.total(MessageKind.FLOOD) == 1
         assert s.total() == 4
-
-    def test_per_node(self):
-        s = MessageStats(3)
-        s.record(MessageKind.VALIDATION, 1, count=5)
-        s.record(MessageKind.BACKTRACK, 1)
-        per = s.per_node(MessageKind.VALIDATION)
-        assert list(per) == [0, 5, 0]
-        assert list(s.per_node()) == [0, 6, 0]
 
     def test_time_binning(self):
         s = MessageStats(2, time_bin=2.0)
@@ -102,10 +93,10 @@ class TestMessageStats:
         with pytest.raises(ValueError):
             MessageStats(2, time_bin=0.0)
 
-    def test_negative_count_rejected(self):
+    def test_empty_bulk_record_leaves_no_category(self):
         s = MessageStats(2)
-        with pytest.raises(ValueError):
-            s.record(MessageKind.QUERY, 0, count=-1)
+        s.record_many(MessageKind.QUERY, [], time=1.0, nbytes=20)
+        assert s.snapshot() == {} and s.total_bytes() == 0
 
 
 class TestWireSizeAndBytes:
@@ -148,7 +139,7 @@ class TestWireSizeAndBytes:
 
         st = MessageStats(4)
         st.record(MessageKind.QUERY, 0, nbytes=20)
-        st.record(MessageKind.QUERY, 1, count=3, nbytes=10)
+        st.record_many(MessageKind.QUERY, [1, 1, 1], nbytes=10)
         st.record_many(MessageKind.VALIDATION, [0, 1, 2], nbytes=24)
         assert st.total_bytes(MessageKind.QUERY) == 20 + 30
         assert st.total_bytes(MessageKind.VALIDATION) == 72

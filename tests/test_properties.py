@@ -2,11 +2,14 @@
 
 These complement the per-module suites with invariants that span layers:
 selection paths are walkable routes, maintenance preserves path validity,
-query traffic accounting is internally consistent, the per-level pair
+message counters equal a per-record oracle and validation records
+exactly the hops it walks, query traffic accounting is internally
+consistent, the per-level pair
 counts behind Table 1 equal the all-pairs oracle, and the whole stack is
 a deterministic function of (topology seed, protocol seed).
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,11 +26,12 @@ from repro.core.reachability import reachability_distribution
 from repro.core.selection import ContactSelector
 from repro.net import graph
 from repro.net.graph import bfs_hops
-from repro.net.messages import MessageKind
+from repro.net.messages import MessageKind, ValidationMessage
 from repro.net.network import Network
+from repro.net.stats import MessageStats
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
-from tests.oracles import hop_distance_matrix, select_one
+from tests.oracles import RecordingStats, hop_distance_matrix, select_one
 
 COMMON = dict(
     max_examples=12,
@@ -337,6 +341,82 @@ class TestAccountingProperties:
         back = sum(r.backtrack_msgs for r in results.values())
         assert net.stats.total(MessageKind.CONTACT_SELECTION) == fwd
         assert net.stats.total(MessageKind.BACKTRACK) == back
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),  # True: one record_many call, else record
+                st.sampled_from(list(MessageKind)),
+                st.lists(st.integers(0, 4), max_size=6),
+                st.one_of(st.none(), st.floats(0.0, 20.0)),
+                st.sampled_from([0, 20, 36]),
+            ),
+            max_size=30,
+        ),
+        horizon=st.floats(0.0, 24.0),
+    )
+    def test_counters_equal_per_record_oracle(self, ops, horizon):
+        """Any interleaving of `record` and `record_many` leaves totals,
+        bytes, series and snapshot equal to a plain per-hop tally."""
+        stats = MessageStats(5, time_bin=2.0)
+        hops = []  # (kind, time, nbytes), one per transmission
+        for bulk, kind, txs, time, nbytes in ops:
+            if bulk:
+                stats.record_many(kind, txs, time, nbytes)
+            else:
+                txs = txs[:1] or [0]
+                stats.record(kind, txs[0], time, nbytes)
+            hops += [(kind, time, nbytes)] * len(txs)
+        kinds = list(MessageKind)
+        for kind in kinds:
+            assert stats.total(kind) == sum(k is kind for k, _, _ in hops)
+            assert stats.total_bytes(kind) == sum(b for k, _, b in hops if k is kind)
+        assert stats.total() == len(hops)
+        assert stats.total_bytes() == sum(b for _, _, b in hops)
+        seen = {k.value for k, _, _ in hops}
+        assert stats.snapshot() == {
+            v: sum(k.value == v for k, _, _ in hops) for v in sorted(seen)
+        }
+        for chosen in (kinds[:1], kinds[1:4], kinds):
+            bins = [0] * math.ceil(horizon / 2.0)
+            for k, time, _ in hops:
+                if k in chosen and time is not None and int(time // 2.0) < len(bins):
+                    bins[int(time // 2.0)] += 1
+            assert stats.series(chosen, horizon) == [c / 5 for c in bins]
+
+    @settings(**COMMON)
+    @given(seed=st.integers(0, 10_000), jitter=st.sampled_from([5.0, 15.0]))
+    def test_validation_records_the_hops_it_walks(self, seed, jitter):
+        """For every contact validated after a mobility step, the
+        VALIDATION transmitters recorded are the repaired route's hops
+        (``new_path[:-1]``; as many as ``msgs`` for a lost contact too),
+        and the bytes are msgs × the message's wire size."""
+        topo = topo_from_seed(seed)
+        net = Network(topo)
+        net.stats = RecordingStats(topo.num_nodes)
+        card = CARDProtocol(net, CARDParams(R=2, r=8, noc=3), seed=seed)
+        card.bootstrap(sources=range(15))
+        rng = np.random.default_rng(seed + 1)
+        pos = np.array(topo.positions)
+        pos += rng.uniform(-jitter, jitter, size=pos.shape)
+        np.clip(pos[:, 0], 0, topo.area[0], out=pos[:, 0])
+        np.clip(pos[:, 1], 0, topo.area[1], out=pos[:, 1])
+        topo.set_positions(pos)
+        net.stats.reset()
+        for s in range(15):
+            for contact in list(card.table_for(s)):
+                start, nbytes = len(net.stats.log), net.stats.total_bytes()
+                out = card.maintainer.validate_contact(contact)
+                log = net.stats.log[start:]
+                assert {entry[0] for entry in log} <= {MessageKind.VALIDATION}
+                assert len(log) == out.msgs
+                if out.ok:
+                    assert [entry[1] for entry in log] == out.new_path[:-1]
+                wire = ValidationMessage(
+                    source=s, contact=contact.node, source_path=list(contact.path)
+                ).wire_size()
+                assert net.stats.total_bytes() - nbytes == out.msgs * wire
 
     @settings(max_examples=25, deadline=None)
     @given(

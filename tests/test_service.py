@@ -10,19 +10,24 @@ import sqlite3
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.runner import CampaignRunner, execute_cell
 from repro.campaign.spec import CampaignSpec, TopologySpec
 from repro.campaign.store import ResultStore, open_store
 from repro.service import daemon
+from repro.service import worker as worker_module
 from repro.service.__main__ import main as service_main
 from repro.service.daemon import run_daemon, seed_queue
 from repro.service.queue import DEFAULT_TTL, WorkQueue
 from repro.service.worker import run_worker
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -380,6 +385,39 @@ def exits_with_3(n, queue_path, store_target, *, trace=None, poll=0.5):
     ]
 
 
+#: a fleet member that leaves a marker file if it is ever sent SIGTERM
+_MARKING_WORKER = """
+import pathlib, signal, sys
+def marked(*_):
+    pathlib.Path(sys.argv[3]).write_text("SIGTERM")
+    sys.exit(0)
+signal.signal(signal.SIGTERM, marked)
+from repro.service.worker import worker_main
+sys.exit(worker_main(sys.argv[1], sys.argv[2], worker_id=sys.argv[4],
+                     poll=float(sys.argv[5]), quiet=True))
+"""
+
+
+def sigterm_marking_workers(markers):
+    """A ``spawn_workers`` whose subprocess workers, ``Popen`` handles
+    with no wake event, write ``markers/sigterm.<i>`` on SIGTERM."""
+
+    def spawn(n, queue_path, store_target, *, trace=None, poll=0.5):
+        return [
+            subprocess.Popen(
+                [
+                    sys.executable, "-c", _MARKING_WORKER, str(queue_path),
+                    str(store_target), str(markers / f"sigterm.{i}"),
+                    f"sub:{i}", str(poll),
+                ],
+                env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+            )
+            for i in range(n)
+        ]
+
+    return spawn
+
+
 class TestLocalWorkers:
     """``run_daemon(workers > 0)``: children of the daemon process."""
 
@@ -395,7 +433,8 @@ class TestLocalWorkers:
             summary = run_daemon(spec, queue, store, workers=2, poll=0.02)
 
         assert summary["ok"] is True and summary["requeues"] == 0
-        assert len(summary["worker_exits"]) == 2
+        # a done queue wakes the idle worker; none is ever signalled
+        assert summary["worker_exits"] == [0, 0]
         store = open_store(tmp_path / store_name)  # JSONL: re-read the file
         assert sorted(store.keys()) == sorted(spec.unique_cells())
         for key in ref.keys():
@@ -405,6 +444,23 @@ class TestLocalWorkers:
         assert integrity(tmp_path / "q.db") == "ok"
         if store_name.endswith(".db"):
             assert integrity(tmp_path / store_name) == "ok"
+
+    def test_a_drained_queue_signals_no_worker(self, tmp_path, monkeypatch):
+        """Workers without a wake event (started elsewhere, like the
+        ``worker`` CLI) are joined, never sent SIGTERM, once the queue
+        is done: they leave by themselves on their next poll."""
+        spec = tiny_spec()
+        queue = WorkQueue(tmp_path / "q.db", ttl=30.0)
+        store = open_store(tmp_path / "r.db")
+        monkeypatch.setattr(
+            daemon, "spawn_workers", sigterm_marking_workers(tmp_path)
+        )
+        with hard_timeout(120):
+            summary = run_daemon(spec, queue, store, workers=2, poll=0.02)
+        assert summary["ok"] is True
+        assert summary["worker_exits"] == [0, 0]
+        assert sorted(p.name for p in tmp_path.glob("sigterm.*")) == []
+        assert sorted(store.keys()) == sorted(spec.unique_cells())
 
     def test_no_sqlite_connection_open_when_workers_start(
         self, tmp_path, monkeypatch
@@ -439,6 +495,18 @@ class TestLocalWorkers:
         store = open_store(tmp_path / "r.db")
         handles = []
         spawn = daemon.spawn_workers
+        run = worker_module.run_worker
+
+        def slow_cells(*args, **kwargs):
+            """Forked workers inherit this: each lease is held across
+            several daemon ticks, so the daemon sees local:0 holding one
+            (a cell of this spec takes a few ms)."""
+
+            def execute(cell):
+                time.sleep(0.1)
+                return execute_cell(cell)
+
+            return run(*args, execute=execute, **kwargs)
 
         def capture(*args, **kwargs):
             procs = spawn(*args, **kwargs)
@@ -453,6 +521,7 @@ class TestLocalWorkers:
                 handles.clear()
 
         monkeypatch.setattr(daemon, "spawn_workers", capture)
+        monkeypatch.setattr(worker_module, "run_worker", slow_cells)
         with hard_timeout(120):
             summary = run_daemon(
                 spec, queue, store, workers=2, poll=0.02,
