@@ -25,11 +25,30 @@ re-walk occasionally finds an admissible node a previous walk only touched
 too deep) evidence that the contact region is saturated; this saturation is
 the mechanism behind the paper's "actual number of contacts chosen is
 usually less than NoC" and the reachability plateau of Fig 7.
+
+Loop prevention (§III.C.2b): under EM the CSQ carries query and source
+ids, so a node that has already seen the query drops it and the DFS marks
+nodes globally visited.  The paper does NOT give PM this mechanism: its
+walk only avoids its immediate predecessor, may revisit nodes, and is
+bounded by a step cap (a TTL stand-in).  This asymmetry is what makes PM's
+backtracking explode in Fig 4.
+
+The walk (steps 2-5) is C: ``_walk.c``, compiled on first import by
+:mod:`repro.util.cbuild`.  Its contract is draw for draw: it consumes
+exactly the draws of the Python loop kept as ``tests/oracles.py::
+oracle_walk`` — per pushed node a Fisher-Yates shuffle of its neighbour
+row over numpy's ``random_interval``, as ``Generator.shuffle`` does on a
+list, and per PM admission test one ``Generator.random()`` — so contacts,
+routes, message counts and the generator's state afterwards equal the
+oracle's on every input (a hypothesis property in
+``tests/test_properties.py`` checks it on the installed numpy).  There is
+no Python fallback: two walks would be two things to keep equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +60,7 @@ from repro.core.state import Contact, ContactTable
 from repro.net.messages import ContactSelectionQuery, MessageKind, next_query_id
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
+from repro.util import cbuild
 
 __all__ = [
     "ContactSelector",
@@ -48,6 +68,9 @@ __all__ = [
     "SelectionOutcome",
     "SourceSelectionResult",
 ]
+
+#: the compiled CSQ walk (``_walk.c``), built on first import
+_walk = cbuild.load("repro.core._walk", Path(__file__).with_name("_walk.c"))
 
 
 @dataclass
@@ -132,13 +155,15 @@ class _WalkContext:
 
     Everything a walk needs that depends only on the source and its
     Contact_List lives here, so it is paid once per source-selection
-    instead of once per walk: the Edge_List tuple and ``blocked``, the
+    instead of once per walk: the Edge_List tuple, the compiled
+    ``walker`` bound to the current adjacency, and ``blocked``, the
     negation of :meth:`ContactSelector._admissible_mask` for the current
     ``contacts``.  The mask is seeded from that from-scratch definition
-    and kept current by :meth:`add_contact`.
+    and kept current in place by :meth:`add_contact`, so the walker reads
+    it without a copy.
     """
 
-    __slots__ = ("source", "contacts", "edge_list", "blocked", "_selector")
+    __slots__ = ("source", "contacts", "edge_list", "blocked", "walker", "_selector")
 
     def __init__(
         self, selector: "ContactSelector", source: int, contact_list: Sequence[int]
@@ -152,6 +177,7 @@ class _WalkContext:
         self.blocked: np.ndarray = ~selector._admissible_mask(
             source, self.contacts, self.edge_list
         )
+        self.walker = selector._walker()
 
     def add_contact(self, contact: int) -> None:
         """Fold a newly admitted contact into the Contact_List and mask."""
@@ -192,6 +218,9 @@ class ContactSelector:
         self._pm_prob = tuple(
             params.admission_probability(d) for d in range(params.r + 1)
         )
+        # the compiled walk and the CSR it is bound to (see _walker)
+        self._bound_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._bound_walker = None
 
     # ------------------------------------------------------------------
     # admission decision (§III.C.2)
@@ -229,133 +258,63 @@ class ContactSelector:
     # ------------------------------------------------------------------
     # one CSQ walk
     # ------------------------------------------------------------------
+    def _walker(self):
+        """The compiled walk bound to the topology's current CSR.
+
+        Bound once per adjacency epoch (a rebuild makes a new ``csr``
+        tuple), never per walk: the CSR pointers, the walk parameters and
+        the scratch buffers live in the ``Walker``.
+        """
+        csr = self.network.topology.csr
+        if self._bound_csr is not csr:
+            p = self.params
+            self._bound_walker = _walk.Walker(
+                *csr,
+                p.r,
+                p.effective_max_walk_steps,
+                p.effective_loop_prevention,
+                p.method is SelectionMethod.EM,
+                self._pm_prob,
+            )
+            self._bound_csr = csr
+        return self._bound_walker
+
     def _walk(
         self, ctx: _WalkContext, edge_node: int, rng: np.random.Generator
     ) -> SelectionOutcome:
-        """The one CSQ walk; ``ctx`` holds what the source's walks share."""
-        p = self.params
+        """The one CSQ walk; ``ctx`` holds what the source's walks share.
+
+        The walk itself (steps 2-5) runs in ``_walk.c``; this wraps it in
+        the CSQ message and its accounting.  Hop transmitters come back
+        per category and are accounted in one bulk flush each: the clock
+        does not advance inside a synchronous walk and the CSQ's wire size
+        is fixed at launch, so the counters equal one ``transmit()`` per
+        hop.
+        """
         net = self.network
-        adjl = net.topology.adj_lists
-        shuffle = rng.shuffle
-        is_em = p.method is SelectionMethod.EM
+        is_em = self.params.method is SelectionMethod.EM
         msg = ContactSelectionQuery(
             source=ctx.source,
             query_id=next_query_id(),
             contact_list=tuple(ctx.contacts),
             edge_list=ctx.edge_list if is_em else None,
         )
-
         seg = self.tables.path_within(ctx.source, edge_node)
         if seg is None:
             return SelectionOutcome(None, None, 0, 0, 0, exhausted=False)
-        # the overlap half of the admission rule, answered for every node;
-        # indexing bytes yields Python ints — no numpy scalar per candidate
-        blocked = ctx.blocked.tobytes()
-
-        # The DFS stack is two parallel lists: the walk path and, per node,
-        # an iterator over its shuffled neighbor order.  Shuffling a copy of
-        # the cached Python row consumes exactly the draws of
-        # ``rng.permutation(adj[u])`` (the same Fisher-Yates over the same
-        # bounded integers), so walks stay bit-identical to the array form.
-        path: List[int] = [int(u) for u in seg]
-        orders = []
-        for u in path:
-            o = adjl[u][:]
-            shuffle(o)
-            orders.append(iter(o))
-
-        # Hop transmitters are accumulated and accounted in one bulk flush
-        # per category at walk end: the clock does not advance inside a
-        # synchronous walk and the CSQ's wire size is fixed at launch, so
-        # the counters equal one transmit() per hop.
-        fwd_tx: List[int] = path[:-1]  # source → edge (step 1)
-        bt_tx: List[int] = []
-
-        # Loop prevention (§III.C.2b): under EM the CSQ carries query and
-        # source ids, so a node that has already seen this query drops it —
-        # the DFS marks nodes globally visited.  The paper does NOT give PM
-        # this mechanism; its walk only avoids its immediate predecessor,
-        # may revisit nodes, and is bounded by a step cap (a TTL stand-in).
-        # This asymmetry is what makes PM's backtracking explode in Fig 4.
-        use_visited = p.effective_loop_prevention
-        cap = p.effective_max_walk_steps
-        r = p.r
-        pm_prob = self._pm_prob
-
-        visited = bytearray(net.num_nodes)
-        for u in path:
-            visited[u] = 1
-        seen_count = len(path)
-        steps = 0
-        hops = 0
-        contact: Optional[int] = None
-        exhausted = False
-
-        while path:
-            if cap is not None and steps >= cap:
-                break
-            node = path[-1]
-            d = len(path) - 1  # walk distance of `node` from source
-            nxt = -1
-            if d < r:  # may advance deeper (step 5 bounds the walk at r)
-                if use_visited:
-                    for cand in orders[-1]:
-                        if not visited[cand]:
-                            nxt = cand
-                            break
-                else:
-                    prev = path[-2] if d else -1
-                    for cand in orders[-1]:
-                        if cand != prev:
-                            nxt = cand
-                            break
-            if nxt < 0:
-                # stuck: backtrack (step 5)
-                path.pop()
-                orders.pop()
-                if path:
-                    bt_tx.append(node)
-                    steps += 1
-                continue
-            # forward the CSQ to `nxt`
-            fwd_tx.append(node)
-            steps += 1
-            if not visited[nxt]:
-                visited[nxt] = 1
-                seen_count += 1
-            path.append(nxt)
-            o = adjl[nxt][:]
-            shuffle(o)
-            orders.append(iter(o))
-            hops = d + 1
-            # Admission decision at the receiving node (step 3).  The RNG
-            # is consumed only under PM, only when every overlap check
-            # passed and the admission probability at this depth is
-            # positive.
-            if not blocked[nxt]:
-                if is_em:
-                    contact = nxt
-                    break
-                prob = pm_prob[hops]
-                if prob > 0.0 and rng.random() < prob:
-                    contact = nxt
-                    break
-        else:
-            # walk backtracked past its origin: region exhausted
-            exhausted = True
-
+        contact, route, fwd_tx, bt_tx, seen, hops, exhausted = ctx.walker.walk(
+            ctx.blocked, seg, rng.bit_generator.capsule
+        )
         msg.hop_count = hops
         net.transmit_path(msg, fwd_tx)
         net.transmit_path(msg, bt_tx, kind=MessageKind.BACKTRACK)
-        route: Optional[List[int]] = None
-        if contact is not None:
-            route = path
+        if route is not None:
             # the path reply travels back to the source (step 6);
             # REPLY traffic is accounted but excluded from the paper's
             # selection-overhead category.
             net.transmit_path(msg, route[:0:-1], kind=MessageKind.REPLY)
         return SelectionOutcome(
-            contact, route, len(fwd_tx), len(bt_tx), seen_count, exhausted=exhausted
+            contact, route, len(fwd_tx), len(bt_tx), seen, exhausted=exhausted
         )
 
     # ------------------------------------------------------------------

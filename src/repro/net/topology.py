@@ -8,8 +8,8 @@ A :class:`Topology` owns the ground truth the whole simulator works from:
   ``(indptr, indices)`` pair per epoch, and ``adj`` as the list of its
   per-node sorted neighbor rows (views, not copies);
 * ``adj_lists`` — the same rows as plain Python ``list[int]``, built on
-  first use per epoch for the per-hop loops (CSQ walks, one-hop checks)
-  that would otherwise pay a numpy call per node.
+  first use per epoch for the per-hop one-hop checks that would otherwise
+  pay a numpy call per node (the CSQ walk reads ``csr`` from C).
 
 Mobility models mutate positions (through :meth:`set_positions`), which
 invalidates and lazily rebuilds the adjacency.  An ``epoch`` counter
@@ -209,7 +209,7 @@ class Topology:
         """:attr:`adj` as plain Python lists, built once per epoch.
 
         ``adj_lists[u] == adj[u].tolist()``.  Callers must not mutate the
-        rows: a walk that shuffles one copies it first.
+        rows.
         """
         _ = self.adj  # an epoch change rebuilds the CSR and drops the lists
         if self._adj_lists is None:

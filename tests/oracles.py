@@ -2,7 +2,8 @@
 package against.
 
 Each oracle states a rule the package answers some faster way: the
-scalar CSQ admission decision behind the selector's batched mask, one
+scalar CSQ admission decision behind the selector's batched mask, the
+CSQ walk as a Python loop behind the compiled one (``_walk.c``), one
 walk built from scratch behind a source-selection's shared context, the
 per-source reachability union behind the packed pass, the all-pairs
 hop-distance matrix behind the per-level pair counts, the Tarjan
@@ -72,6 +73,99 @@ def admit(
     if prob <= 0.0:
         return False
     return bool(rng.random() < prob)
+
+
+def oracle_walk(
+    adj_lists: Sequence[List[int]],
+    blocked: bytes,
+    seg: Sequence[int],
+    r: int,
+    cap: Optional[int],
+    loop_prevention: bool,
+    em: bool,
+    pm_prob: Sequence[float],
+    rng: np.random.Generator,
+) -> Tuple:
+    """The CSQ walk (§III.C.1-2 steps 2-5) as the Python loop it was.
+
+    Takes what ``repro.core._walk.Walker`` binds plus what its ``walk``
+    takes, and returns what ``walk`` returns: ``(contact, path, forward,
+    backtrack, seen, hops, exhausted)``.  The compiled walk must equal it
+    field for field and leave ``rng`` in the same state.
+    """
+    # The DFS stack is two parallel lists: the walk path and, per node, an
+    # iterator over its shuffled neighbor order.  Shuffling a copy of the
+    # row consumes exactly the draws of ``rng.permutation(adj[u])``.
+    path: List[int] = [int(u) for u in seg]
+    orders = []
+    for u in path:
+        o = adj_lists[u][:]
+        rng.shuffle(o)
+        orders.append(iter(o))
+    fwd_tx: List[int] = path[:-1]  # source -> edge (step 1)
+    bt_tx: List[int] = []
+    visited = bytearray(len(adj_lists))
+    for u in path:
+        visited[u] = 1
+    seen_count = len(path)
+    steps = 0
+    hops = 0
+    contact: Optional[int] = None
+    exhausted = False
+
+    while path:
+        if cap is not None and steps >= cap:
+            break
+        node = path[-1]
+        d = len(path) - 1  # walk distance of `node` from source
+        nxt = -1
+        if d < r:  # may advance deeper (step 5 bounds the walk at r)
+            if loop_prevention:
+                for cand in orders[-1]:
+                    if not visited[cand]:
+                        nxt = cand
+                        break
+            else:
+                prev = path[-2] if d else -1
+                for cand in orders[-1]:
+                    if cand != prev:
+                        nxt = cand
+                        break
+        if nxt < 0:
+            # stuck: backtrack (step 5)
+            path.pop()
+            orders.pop()
+            if path:
+                bt_tx.append(node)
+                steps += 1
+            continue
+        # forward the CSQ to `nxt`
+        fwd_tx.append(node)
+        steps += 1
+        if not visited[nxt]:
+            visited[nxt] = 1
+            seen_count += 1
+        path.append(nxt)
+        o = adj_lists[nxt][:]
+        rng.shuffle(o)
+        orders.append(iter(o))
+        hops = d + 1
+        # Admission decision at the receiving node (step 3).  The RNG is
+        # consumed only under PM, only when every overlap check passed
+        # and the admission probability at this depth is positive.
+        if not blocked[nxt]:
+            if em:
+                contact = nxt
+                break
+            prob = pm_prob[hops]
+            if prob > 0.0 and rng.random() < prob:
+                contact = nxt
+                break
+    else:
+        # walk backtracked past its origin: region exhausted
+        exhausted = True
+    route = path if contact is not None else None
+    return contact, route, fwd_tx, bt_tx, seen_count, hops, exhausted
 
 
 def select_one(

@@ -1,9 +1,12 @@
 """Contracts of the bulk-accounting engines.
 
-Selection has one CSQ walk engine (`ContactSelector._walk`); what
-it promises beyond its own unit tests is pinned here: source-order
-independence, the admissibility mask equalling the scalar `admit()`
-rule of `tests/oracles.py`, and bulk hop accounting equalling per-hop
+Selection has one CSQ walk engine: `ContactSelector._walk` wraps the
+compiled walk of `repro/core/_walk.c`, whose draw-for-draw equality
+with the Python loop `tests/oracles.py::oracle_walk` is the hypothesis
+property in `tests/test_properties.py`.  What selection promises beyond
+that is pinned here: source-order independence, the admissibility mask
+the walker reads equalling the scalar `admit()` rule of
+`tests/oracles.py`, and bulk hop accounting equalling per-hop
 `transmit`.  The DSQ engine
 (`QueryEngine.query` / `query_many`, one per-pair routine over the
 frozen contact fabric) promises *bit-identical* results to the

@@ -4,26 +4,23 @@ CI installs the test legs from ``pyproject.toml`` (``pip install -e
 ".[test]"``), so an import the project does not declare fails there at
 collection while passing on any machine that happens to have the
 package.  The check reads imports with ``ast`` (nested ones too) and the
-declarations with a small reader of the two array forms the file uses,
-so it runs the same on Python 3.10, which has no ``tomllib``.
+declarations with ``card-lint``'s reader of the file (CARD-P01 holds
+the scripts under ``tools/``, ``benchmarks/`` and ``examples/`` and the
+package to the same declarations).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Set
 
+from tools.card_lint.rules import declared_dependencies
+
 REPO = Path(__file__).resolve().parents[1]
 #: top-level packages that live in this repository
 FIRST_PARTY = {"repro", "tests", "tools", "benchmarks", "examples"}
-
-_TABLE_OR_ARRAY = re.compile(
-    r"^\[(?P<table>[^\]]+)\]\s*$|^(?P<key>[\w-]+)\s*=\s*\[(?P<items>[^\]]*)\]",
-    re.M,
-)
 
 
 def _normalise(name: str) -> str:
@@ -33,19 +30,8 @@ def _normalise(name: str) -> str:
 def declared_distributions(pyproject: str) -> Set[str]:
     """Distribution names in ``[project] dependencies`` and every
     ``[project.optional-dependencies]`` extra, lower-cased with ``_``."""
-    table = None
-    names: Set[str] = set()
-    for match in _TABLE_OR_ARRAY.finditer(pyproject):
-        if match["table"] is not None:
-            table = match["table"].strip()
-        elif (table, match["key"]) == ("project", "dependencies") or (
-            table == "project.optional-dependencies"
-        ):
-            names.update(
-                _normalise(req)
-                for req in re.findall(r'"\s*([A-Za-z0-9_.-]+)', match["items"])
-            )
-    return names
+    required, extras = declared_dependencies(pyproject)
+    return required.union(*extras.values())
 
 
 def third_party_imports(files: Iterable[Path]) -> Dict[str, List[str]]:

@@ -23,7 +23,8 @@ from repro.core.maintenance import ContactMaintainer
 from repro.core.params import CARDParams, SelectionMethod
 from repro.core.protocol import CARDProtocol
 from repro.core.reachability import reachability_distribution
-from repro.core.selection import ContactSelector
+from repro.core import selection
+from repro.core.selection import ContactSelector, _WalkContext
 from repro.net import graph
 from repro.net.graph import bfs_hops
 from repro.net.messages import MessageKind, ValidationMessage
@@ -31,7 +32,12 @@ from repro.net.network import Network
 from repro.net.stats import MessageStats
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
-from tests.oracles import RecordingStats, hop_distance_matrix, select_one
+from tests.oracles import (
+    RecordingStats,
+    hop_distance_matrix,
+    oracle_walk,
+    select_one,
+)
 
 COMMON = dict(
     max_examples=12,
@@ -173,6 +179,126 @@ class TestWalkDrawProperties:
             if admission_draw:
                 assert new.random() == old.random()
         assert new.bit_generator.state == old.bit_generator.state
+
+
+def layout(seed, cluster, chain, isolated, tx=60.0):
+    """A unit-disk topology with every shape a walk can meet: a random
+    cluster, a chain of ``chain`` nodes hanging off it whose far end has
+    degree 1, and ``isolated`` nodes out of everyone's range."""
+    rng = np.random.default_rng(seed)
+    pos = [rng.uniform(0.0, 200.0, size=(cluster, 2))]
+    # 50 m apart: each chain node hears only its two chain neighbours
+    pos.append(np.array([[190.0 + 50.0 * k, 100.0] for k in range(chain)]))
+    pos.append(np.array([[100.0 * k + 10.0, 390.0] for k in range(isolated)]))
+    width = max(200.0, 200.0 + 50.0 * chain, 100.0 * isolated + 20.0)
+    return Topology(np.vstack([p.reshape(-1, 2) for p in pos]), tx, (width, 400.0))
+
+
+def csr_of(rows):
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows] or [[]])
+    return indptr, indices.astype(np.int64)
+
+
+class TestCompiledWalkProperties:
+    """The compiled CSQ walk (``_walk.c``) equals the Python loop kept as
+    ``tests/oracles.py::oracle_walk``, draw for draw: same contact, route,
+    forward and backtrack transmitters, seen count, hop count and
+    exhausted flag, and the generator in the same state afterwards, on
+    the numpy that is installed."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(
+            st.integers(1, 70), st.integers(0, 8), st.integers(0, 3)
+        ),
+        method=st.sampled_from(list(SelectionMethod)),
+        loop_prevention=st.sampled_from([None, True, False]),
+        cap=st.one_of(st.none(), st.integers(1, 60)),
+        R=st.integers(1, 3),
+        extra=st.integers(0, 5),
+        pm_equation=st.sampled_from([1, 2]),
+        picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
+    )
+    def test_walk_equals_oracle(
+        self, seed, shape, method, loop_prevention, cap, R, extra,
+        pm_equation, picks,
+    ):
+        topo = layout(seed, *shape)
+        n = topo.num_nodes
+        params = CARDParams(
+            R=R, r=2 * R + extra, method=method, pm_equation=pm_equation,
+            loop_prevention=loop_prevention, max_walk_steps=cap,
+        )
+        tables = NeighborhoodTables(topo, R)
+        sel = ContactSelector(Network(topo), tables, params)
+        source = picks[0] % n
+        # a non-empty Contact_List except when the source walks alone
+        contacts = sorted({p % n for p in picks[1:]} - {source})
+        ctx = _WalkContext(sel, source, contacts)
+        edges = [int(e) for e in tables.edge_nodes(source)] or [source]
+        c_rng = np.random.default_rng(seed)
+        py_rng = np.random.default_rng(seed)
+        for k in range(4):  # one stream across walks, as a selection runs
+            seg = tables.path_within(source, edges[(picks[0] + k) % len(edges)])
+            got = ctx.walker.walk(ctx.blocked, seg, c_rng.bit_generator.capsule)
+            want = oracle_walk(
+                topo.adj_lists, ctx.blocked.tobytes(), seg, params.r,
+                params.effective_max_walk_steps,
+                params.effective_loop_prevention,
+                method is SelectionMethod.EM, sel._pm_prob, py_rng,
+            )
+            assert got == want
+            assert c_rng.bit_generator.state == py_rng.bit_generator.state
+            if got[0] is not None:
+                ctx.add_contact(got[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        live_frac=st.floats(0.3, 1.0),
+        mean_degree=st.floats(1.0, 8.0),
+        r=st.integers(0, 9),
+        cap=st.one_of(st.none(), st.integers(0, 80)),
+        loop_prevention=st.booleans(),
+        em=st.booleans(),
+        blocked_frac=st.floats(0.0, 0.9),
+        seg_len=st.integers(1, 6),
+    )
+    def test_walk_equals_oracle_on_any_graph(
+        self, seed, n, live_frac, mean_degree, r, cap, loop_prevention, em,
+        blocked_frac, seg_len,
+    ):
+        """Beyond unit disks: any CSR graph, any blocked mask, any PM
+        table and any launch segment (a random walk of the graph)."""
+        live = max(1, int(n * live_frac))
+        rows = random_graph(n, live, mean_degree, seed)
+        aux = np.random.default_rng(seed ^ 0x5EED)
+        blocked = aux.random(n) < blocked_frac
+        pm_prob = tuple(float(x) for x in aux.choice([0.0, 0.3, 0.7, 1.0], r + 1))
+        seg = [int(aux.integers(live))]
+        while len(seg) < min(seg_len, r + 1) and len(rows[seg[-1]]):
+            seg.append(int(aux.choice(rows[seg[-1]])))
+        if not loop_prevention and cap is None:
+            cap = 40 * max(r, 1)  # an unprevented walk is capped, as in params
+        walker = selection._walk.Walker(
+            *csr_of(rows), r, cap, loop_prevention, em, pm_prob
+        )
+        c_rng = np.random.default_rng(seed)
+        py_rng = np.random.default_rng(seed)
+        lists = [[int(v) for v in row] for row in rows]
+        for _ in range(3):
+            got = walker.walk(blocked, seg, c_rng.bit_generator.capsule)
+            want = oracle_walk(
+                lists, blocked.tobytes(), seg, r, cap, loop_prevention, em,
+                pm_prob, py_rng,
+            )
+            assert got == want
+            assert c_rng.bit_generator.state == py_rng.bit_generator.state
 
 
 def random_graph(n, live, mean_degree, seed):

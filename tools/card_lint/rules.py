@@ -57,17 +57,29 @@ Concurrency/durability discipline:
   never interleave;
 * **CARD-C03** — no silently swallowed broad exceptions in the
   lease/commit/heartbeat paths (``repro.service``).
+
+Packaging:
+
+* **CARD-P01** — every third-party import is declared in
+  ``pyproject.toml``: scripts under ``tools/``, ``benchmarks/`` and
+  ``examples/`` import ``dependencies`` or a non-test extra (their test
+  files any extra, ``test`` included); the package imports only
+  ``dependencies``, plus a non-test extra inside a ``try`` body.  CI
+  installs from ``pyproject.toml``, so an undeclared import fails there
+  while passing wherever the package happens to be installed.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .engine import Finding, LintConfig, ModuleUnit
 from .importgraph import ImportGraph
 
-__all__ = ["ALL_RULES", "Rule", "rule_catalog"]
+__all__ = ["ALL_RULES", "Rule", "declared_dependencies", "rule_catalog"]
 
 
 # ----------------------------------------------------------------------
@@ -823,6 +835,132 @@ class SwallowedExceptionRule(Rule):
 
 
 # ----------------------------------------------------------------------
+_TOML_TABLE_OR_ARRAY = re.compile(
+    r"^\[(?P<table>[^\]]+)\]\s*$|^(?P<key>[\w-]+)\s*=\s*\[(?P<items>[^\]]*)\]",
+    re.M,
+)
+#: top-level packages that live in this repository
+_FIRST_PARTY = frozenset({"repro", "tests", "tools", "benchmarks", "examples"})
+#: trees of scripts beside the package
+_SCRIPT_TREES = ("tools", "benchmarks", "examples")
+#: extras only test files may import from
+_TEST_EXTRAS = ("test",)
+_TRY_NODES = tuple({ast.Try, getattr(ast, "TryStar", ast.Try)})
+
+
+def _normalise(name: str) -> str:
+    return name.lower().replace("-", "_")
+
+
+def declared_dependencies(pyproject: str) -> Tuple[Set[str], Dict[str, Set[str]]]:
+    """``(required, extras)`` of a ``pyproject.toml``: the distribution
+    names in ``[project] dependencies``, and per extra of
+    ``[project.optional-dependencies]`` its names, lower-cased with
+    ``_``.  A small reader of the two array forms the file uses, so it
+    runs on Python 3.10, which has no ``tomllib``."""
+    table = None
+    required: Set[str] = set()
+    extras: Dict[str, Set[str]] = {}
+    for match in _TOML_TABLE_OR_ARRAY.finditer(pyproject):
+        if match["table"] is not None:
+            table = match["table"].strip()
+            continue
+        if (table, match["key"]) == ("project", "dependencies"):
+            into = required
+        elif table == "project.optional-dependencies":
+            into = extras.setdefault(match["key"], set())
+        else:
+            continue
+        into.update(
+            _normalise(req)
+            for req in re.findall(r'"\s*([A-Za-z0-9_.-]+)', match["items"])
+        )
+    return required, extras
+
+
+def _imported_tops(tree: ast.AST) -> Iterator[Tuple[ast.AST, str, bool]]:
+    """``(node, top-level package, inside a try body)`` per absolute import."""
+    guarded: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _TRY_NODES):
+            for stmt in node.body:
+                guarded.update(id(n) for n in ast.walk(stmt))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        for top in tops:
+            yield node, top, id(node) in guarded
+
+
+class DeclaredImportRule(Rule):
+    id = "CARD-P01"
+    category = "packaging"
+    summary = (
+        "every third-party import is declared in pyproject.toml: scripts "
+        "under tools/, benchmarks/ and examples/ use dependencies or a "
+        "non-test extra (their test files any extra); the package uses "
+        "dependencies, and a non-test extra only inside a try body"
+    )
+    project_wide = True
+
+    def check_project(
+        self,
+        graph: ImportGraph,
+        units: Sequence[ModuleUnit],
+        config: LintConfig,
+    ) -> List[Finding]:
+        # the project file sits beside src/, two levels above the package
+        if config.package_root is None:
+            return []
+        pyproject = config.package_root.resolve().parents[1] / "pyproject.toml"
+        if not pyproject.is_file():
+            return []
+        required, extras = declared_dependencies(
+            pyproject.read_text(encoding="utf-8")
+        )
+        runtime = set().union(
+            *(names for extra, names in extras.items() if extra not in _TEST_EXTRAS)
+        )
+        testing = set().union(*extras.values())
+        # a script may import a module or package beside it by bare name
+        local = {u.path.stem for u in units} | {u.path.parent.name for u in units}
+        findings: List[Finding] = []
+        for unit in units:
+            in_package = _matches_prefix(unit.module, (graph.root,))
+            if not (in_package or unit.top_dir in _SCRIPT_TREES):
+                continue
+            allowed = testing if _is_test(unit) else runtime
+            for node, top, guarded in _imported_tops(unit.tree):
+                name = _normalise(top)
+                if (
+                    top in sys.stdlib_module_names
+                    or top in _FIRST_PARTY
+                    or (top in local and not in_package)
+                    or name in required
+                    or (name in allowed and (guarded or not in_package))
+                ):
+                    continue
+                if in_package and name in runtime:
+                    message = (
+                        f"{top} is an optional dependency: the package "
+                        "imports it only inside a try body, with a fallback"
+                    )
+                else:
+                    extra = "any extra" if _is_test(unit) else "a non-test extra"
+                    message = (
+                        f"{top} is not declared in pyproject.toml for this "
+                        f"file; add it to [project] dependencies"
+                        + ("" if in_package else f" or {extra}")
+                    )
+                findings.append(self.finding(unit, node, message))
+        return findings
+
+
+# ----------------------------------------------------------------------
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     GlobalRngRule(),
@@ -834,6 +972,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     SqliteTxnRule(),
     JsonlAppendRule(),
     SwallowedExceptionRule(),
+    DeclaredImportRule(),
 )
 
 

@@ -6,6 +6,7 @@ Structure:
   reachability, concurrency, spec hygiene) over tiny synthetic packages;
 * pragma (``disable`` / ``disable-file`` / ``*``) behaviour — pragmas
   are the only suppression;
+* CARD-P01 over a package, scripts beside it and a ``pyproject.toml``;
 * the import-graph library (closures, deferral, ancestor semantics,
   top-level cycle detection);
 * the CLI: exit codes, ``--format json`` schema, ``--select``;
@@ -44,6 +45,7 @@ RULE_IDS = {
     "CARD-C01",
     "CARD-C02",
     "CARD-C03",
+    "CARD-P01",
 }
 
 
@@ -925,6 +927,87 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
+class TestDeclaredImportRule:
+    PYPROJECT = """
+    [project]
+    dependencies = ["numpy>=2.0"]
+
+    [project.optional-dependencies]
+    fast = ["scipy"]
+    test = ["pytest", "Hypothesis", "networkx"]
+    """
+
+    def lint_tree(self, tmp_path, files):
+        (tmp_path / "pyproject.toml").write_text(textwrap.dedent(self.PYPROJECT))
+        for rel, source in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source), encoding="utf-8")
+        pkg = make_pkg(tmp_path, {})
+        config = LintConfig(package_root=pkg, select=("CARD-P01",))
+        top = sorted({rel.split("/", 1)[0] for rel in files})
+        return run_lint([Path(d) for d in top], config)
+
+    def test_scripts_may_use_any_declared_extra(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "examples/demo/run.py": "import numpy\nimport scipy.sparse\nimport helper\n",
+                "examples/demo/helper.py": "import os\n",
+                "tools/x/test_x.py": "import pytest\nfrom hypothesis import given\n",
+                "examples/demo/conftest.py": "import networkx\n",
+                "benchmarks/b.py": "from repro.core import engine\n",
+                "src/repro/core/engine.py": "import numpy as np\n",
+            },
+        )
+        assert report.findings == []
+
+    @pytest.mark.parametrize("tree", ["examples", "benchmarks", "tools"])
+    @pytest.mark.parametrize("module", ["networkx", "yaml"])
+    def test_undeclared_import_in_a_script_tree(
+        self, tmp_path, monkeypatch, tree, module
+    ):
+        """A script may not lean on a test-only extra, nor on nothing."""
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {f"{tree}/demo.py": f"import os\n\ndef f():\n    import {module}\n"},
+        )
+        assert [(f.rule, f.path, f.line) for f in report.findings] == [
+            ("CARD-P01", f"{tree}/demo.py", 4)
+        ]
+        assert report.findings[0].message.startswith(f"{module} is not declared")
+
+    def test_package_imports_extras_only_inside_try(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = self.lint_tree(
+            tmp_path,
+            {
+                "src/repro/net/guarded.py": """
+                try:
+                    from scipy.sparse import csr_matrix
+                except ImportError:
+                    csr_matrix = None
+                """,
+                "src/repro/net/bare.py": "import scipy\n",
+                "src/repro/net/lazy.py": "def f():\n    import pytest\n",
+                "src/repro/net/unknown.py": "try:\n    import yaml\nexcept ImportError:\n    pass\n",
+            },
+        )
+        assert sorted((f.path, f.message.split()[0]) for f in report.findings) == [
+            ("src/repro/net/bare.py", "scipy"),
+            ("src/repro/net/lazy.py", "pytest"),
+            ("src/repro/net/unknown.py", "yaml"),
+        ]
+
+    def test_without_a_pyproject_the_rule_is_off(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pkg = make_pkg(tmp_path, {"core/engine.py": "import yaml\n"})
+        assert lint_pkg(pkg, select=("CARD-P01",)).findings == []
+
+
+# ----------------------------------------------------------------------
 class TestRealTree:
     def test_rule_catalog_is_stable(self):
         assert {r.id for r in ALL_RULES} == RULE_IDS
@@ -941,6 +1024,24 @@ class TestRealTree:
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
         )
+
+    def test_planted_undeclared_import_fails_the_build(self, tmp_path, monkeypatch):
+        for tree in ("src", "examples"):
+            shutil.copytree(REPO / tree, tmp_path / tree)
+        shutil.copy(REPO / "pyproject.toml", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "examples", "--select", "CARD-P01"]) == 0
+        planted = tmp_path / "examples" / "planted.py"
+        planted.write_text("import networkx\n", encoding="utf-8")
+        rc = main(
+            ["src", "examples", "--select", "CARD-P01",
+             "--format", "json", "--out", "report.json"]
+        )
+        assert rc == 1
+        data = json.loads(Path("report.json").read_text())
+        assert [(f["rule"], f["path"]) for f in data["findings"]] == [
+            ("CARD-P01", "examples/planted.py")
+        ]
 
     def test_injected_wall_clock_fails_the_build(self, tmp_path, monkeypatch):
         # the CI contract end-to-end: copy the real tree, inject a
