@@ -19,6 +19,7 @@ from repro import (
     Network,
     build_topology,
 )
+from repro.net.graph import bfs_hops
 
 SEED = 7
 
@@ -44,10 +45,8 @@ def main() -> None:
 
     # 4. resource discovery: find a node far outside the source's zone
     source = 0
-    # global distances are sampled/per-source since the DistanceView
-    # redesign: one BFS row, never an N x N matrix
-    gview = topo.distance_view(None)
-    hops = gview.hops_many(source, range(topo.num_nodes))
+    # a global distance is one BFS row, never an N x N matrix
+    hops = bfs_hops(topo.adj, source)
     far = [int(v) for v in range(topo.num_nodes) if hops[v] > 8]
     target = far[0] if far else topo.num_nodes - 1
     res = card.query(source, target)

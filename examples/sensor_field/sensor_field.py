@@ -35,6 +35,7 @@ from repro import (
     NeighborhoodTables,
     build_topology,
 )
+from repro.net.graph import bfs_hops
 
 from energy import EnergyModel, PerNodeStats
 from resources import ResourceQueryEngine, ResourceRegistry
@@ -77,11 +78,10 @@ def main() -> None:
     )
 
     # ground-truth nearest gateway per querier, for the blind baselines
-    # (per-source BFS rows via the global view; no N x N matrix)
-    gview = topo.distance_view(None)
+    # (one BFS row per querier; no N x N matrix)
     nearest = {
         q: gateways[int(np.argmin([h if h >= 0 else 10**6
-                                   for h in gview.hops_many(q, gateways)]))]
+                                   for h in bfs_hops(topo.adj, q)[gateways]]))]
         for q in queriers
     }
 

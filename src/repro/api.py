@@ -93,8 +93,8 @@ def run(
     scale:
         Size scale — a number or a profile name from
         :data:`repro.scenarios.factory.SCALE_PROFILES` (``"paper"`` = 1.0,
-        ``"xl"`` = 20× → N=10⁴ snapshots on the sparse ``DistanceView``
-        substrate).  Defaults to the artifact's ``default_scale`` (1.0,
+        ``"xl"`` = 20× → N=10⁴ snapshots on the sparse CSR band of the
+        distance substrate).  Defaults to the artifact's ``default_scale`` (1.0,
         the paper's configuration).
     seed:
         Root seed for the single-seed (paper-exact) artifact; defaults

@@ -14,7 +14,7 @@ without specifying an order; we implement three policies, all GPS-free
   distance to every edge already used for a successful contact.
   Intuition: contacts end up on geographically distinct sides of the
   source without any coordinates.  Ranking reads the tables'
-  ``contact_view`` (the 2R-horizon band) — edge nodes of one source are
+  ``band_hops`` (the 2R-horizon band) — edge nodes of one source are
   pairwise at most 2R apart (both sit exactly R hops from the source),
   so the bounded band answers every separation exactly and no all-pairs
   matrix is ever consulted;
@@ -70,11 +70,10 @@ def order_edges(
         # come from the 2R contact band (exact for edge-edge pairs)
         out = [edges[int(rng.integers(len(edges)))]]
         remaining = [e for e in edges if e != out[0]]
-        view = tables.contact_view
         while remaining:
             best = max(
                 remaining,
-                key=lambda e: min(_separation(view, e, u) for u in out),
+                key=lambda e: min(_separation(tables, e, u) for u in out),
             )
             out.append(best)
             remaining.remove(best)
@@ -82,9 +81,9 @@ def order_edges(
     raise ValueError(f"unknown edge policy {policy!r}")
 
 
-def _separation(view, a: int, b: int) -> int:
+def _separation(tables: NeighborhoodTables, a: int, b: int) -> int:
     """Band-scoped hop distance, with out-of-band pairs pushed to "far"."""
-    h = view.hops(a, b)
+    h = tables.band_hops(a, b)
     return int(h) if h >= 0 else 10**6
 
 
@@ -107,12 +106,11 @@ def next_edge(
         return None
     if policy is not EdgePolicy.SPREAD or not used_for_contacts:
         return int(ordered[attempt % len(ordered)])
-    view = tables.contact_view
     candidates = [e for e in ordered if e not in used_for_contacts]
     if not candidates:
         return int(ordered[attempt % len(ordered)])
 
     def separation(e: int) -> int:
-        return min(_separation(view, e, u) for u in used_for_contacts)
+        return min(_separation(tables, e, u) for u in used_for_contacts)
 
     return int(max(candidates, key=separation))

@@ -34,6 +34,7 @@ from repro.core.state import ContactTable
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
 from repro.util.rng import RngStreams
+from repro.util.validation import check_node_id
 
 __all__ = ["CARDProtocol"]
 
@@ -125,8 +126,17 @@ class CARDProtocol:
     def query(
         self, source: int, target: int, *, max_depth: Optional[int] = None
     ) -> QueryResult:
-        """Resolve ``target`` from ``source`` (see :class:`QueryEngine`)."""
-        return self.query_engine.query(int(source), int(target), max_depth=max_depth)
+        """Resolve ``target`` from ``source`` (see :class:`QueryEngine`).
+
+        Both ids must be integral and in ``[0, N)``
+        (:func:`~repro.util.validation.check_node_id`).
+        """
+        n = self.network.num_nodes
+        return self.query_engine.query(
+            check_node_id(source, n, "source"),
+            check_node_id(target, n, "target"),
+            max_depth=max_depth,
+        )
 
     def query_many(
         self,
@@ -135,8 +145,13 @@ class CARDProtocol:
         max_depth: Optional[int] = None,
     ) -> List[QueryResult]:
         """Batched :meth:`query` over a workload of (source, target) pairs."""
+        n = self.network.num_nodes
         return self.query_engine.query_many(
-            [(int(s), int(t)) for s, t in pairs], max_depth=max_depth
+            [
+                (check_node_id(s, n, "source"), check_node_id(t, n, "target"))
+                for s, t in pairs
+            ],
+            max_depth=max_depth,
         )
 
     # ------------------------------------------------------------------

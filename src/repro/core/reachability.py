@@ -23,7 +23,6 @@ sum bit for bit — callers see identical floats either way.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from repro import obs
 from repro.core.state import ContactTable
 from repro.net.graph import _popcount
+from repro.util.validation import check_node_id
 
 __all__ = [
     "DIST_BIN_EDGES",
@@ -131,23 +131,6 @@ def contact_ids_map(tables: Dict[int, ContactTable]) -> Dict[int, Sequence[int]]
     return {src: table.ids() for src, table in tables.items()}
 
 
-def _as_node_id(s: object, n: int) -> int:
-    """Validate one ``sources`` entry: integral, in ``[0, n)``.
-
-    Floats (even integral-valued ones) are rejected instead of silently
-    truncated — a fractional id is always a caller bug.
-    """
-    try:
-        i = operator.index(s)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(
-            f"source ids must be integers, got {type(s).__name__} ({s!r})"
-        ) from None
-    if not 0 <= i < n:
-        raise ValueError(f"source id {i} out of range for {n} nodes")
-    return i
-
-
 def _depth0_percents(membership, srcs: List[int]) -> np.ndarray:
     """Depth-0 reachability = own-neighborhood size, via row popcounts.
 
@@ -205,7 +188,7 @@ def reachability_all(
     srcs = (
         list(range(n))
         if sources is None
-        else [_as_node_id(s, n) for s in sources]
+        else [check_node_id(s, n, "source") for s in sources]
     )
     if not srcs:
         return np.zeros(0, dtype=np.float64)

@@ -199,19 +199,21 @@ class SnapshotRunner:
 
         Overlap means true hop distance <= 2R (the geometric condition
         Fig 1 illustrates) — which is exactly "inside the 2R band", so
-        the check reads the 2R-horizon :class:`DistanceView` (shared
-        incremental substrate) instead of an all-pairs matrix.  The Edge
+        the check reads
+        :meth:`~repro.routing.neighborhood.NeighborhoodTables.band_hops`
+        (the shared incremental substrate) instead of an all-pairs
+        matrix.  The Edge
         Method is designed to drive this to zero.  Used by the overlap
         ablations (and the campaign ``overlap`` metric family); not
         computed by default.
         """
-        view = self.protocol.tables.contact_view
+        tables = self.protocol.tables
         total = 0
         overlapping = 0
         for s, res in result.selection.items():
             for c in res.table:
                 total += 1
-                if view.hops(s, c.node) >= 0:
+                if tables.band_hops(s, c.node) >= 0:
                     overlapping += 1
         return overlapping / total if total else 0.0
 

@@ -12,9 +12,8 @@ This package replaces the NS-2 substrate the paper used.  Its layers:
   connected components, diameter and mean-hop statistics — the
   quantities reported in the paper's Table 1;
 * :mod:`repro.net.substrate` — the shared, incrementally-maintained
-  bounded-distance engine and the horizon-scoped :class:`DistanceView`
-  API every distance consumer reads from (dense below, sparse CSR above
-  the node threshold);
+  bounded-distance engine every distance consumer queries at its own
+  horizon (dense below, sparse CSR above the node threshold);
 * :mod:`repro.net.messages` — typed control messages (CSQ, validation, DSQ,
   bordercast, flood) shared by CARD and the baselines;
 * :mod:`repro.net.stats` — the control-message accounting that every figure
@@ -36,8 +35,6 @@ from repro.net.graph import (
 )
 from repro.net.substrate import (
     DistanceSubstrate,
-    DistanceView,
-    GlobalDistanceView,
     SparseMembership,
     SubstrateStats,
 )
@@ -62,8 +59,6 @@ __all__ = [
     "bfs_tree",
     "bounded_hop_distances",
     "DistanceSubstrate",
-    "DistanceView",
-    "GlobalDistanceView",
     "SparseMembership",
     "SubstrateStats",
     "connected_components",

@@ -1,31 +1,31 @@
-"""The shared distance substrate and the horizon-scoped ``DistanceView`` API.
+"""The shared distance substrate: one horizon-bounded band per topology.
 
 CARD's premise (§III.C of the paper) is that a node only ever needs
 knowledge *within a bounded horizon*: its R-hop zone for membership and
-edge nodes, and 2R for the contact-overlap checks.  Accordingly, the
-**only** way protocol and analysis code reads distances is through a
-:class:`DistanceView` obtained from
-:meth:`repro.net.topology.Topology.distance_view`:
+edge nodes, and 2R for the contact-overlap checks.  Accordingly, every
+distance question is a :class:`DistanceSubstrate` query that names its
+horizon ``h``:
 
-* ``distance_view(horizon=R)`` — zone operations (membership, edge
-  nodes, intra-zone hop lookups, and intra-zone routes via
-  :meth:`DistanceView.path`, which reads them off the band);
-* ``distance_view(horizon=2 * R)`` — SPREAD edge ranking and the
-  overlap metric (a contact overlaps iff its true distance is ≤ 2R,
-  which is exactly "inside the 2R band");
-* ``distance_view(horizon=None)`` — a :class:`GlobalDistanceView` for
-  *explicitly sampled* global statistics
-  (:meth:`~GlobalDistanceView.sample_pair_stats`); it never materialises
-  an N×N matrix.  Nothing builds an all-pairs matrix: Table 1's exact
-  path statistics and the small-world L count pairs per hop level with
-  :func:`repro.net.graph.hop_level_counts`.
+* ``members(u, h)``, ``ring(u, h)``, ``membership(h)`` — the zone and its
+  edge nodes;
+* ``hops(u, v, h)`` / ``hops_many(u, ids, h)`` — hop distance, or
+  :data:`repro.net.graph.UNREACHABLE` (−1) beyond ``h``;
+* ``path(u, v, h)`` — the lexicographically smallest shortest route,
+  read off the band.
 
-**Multi-horizon sharing** — one :class:`DistanceSubstrate` lives on each
-topology and keeps a single band at the *largest* horizon any view has
-requested.  A 2R view arriving after an R view grows the band in place
-(one full rebuild); both views then ride the same incrementally
-maintained band, and every derived membership matrix is cached per
-(epoch, radius) and shared by all consumers.
+:class:`~repro.routing.neighborhood.NeighborhoodTables` asks them at R,
+and at 2R for SPREAD edge ranking and the overlap metric (a contact
+overlaps iff its true distance is ≤ 2R, which is exactly "inside the 2R
+band").  Nothing builds an all-pairs matrix: Table 1's exact path
+statistics and the small-world L count pairs per hop level with
+:func:`repro.net.graph.hop_level_counts`.
+
+**Multi-horizon sharing** — one substrate lives on each topology and
+keeps a single band at the *largest* horizon any consumer has asked
+for.  A 2R consumer arriving after an R consumer grows the band in place
+(one full rebuild); both then ride the same incrementally maintained
+band, and every derived membership matrix is cached per (epoch, radius)
+and shared by all consumers.
 
 **Backends** — the band has two bit-identical representations:
 
@@ -50,22 +50,20 @@ maintained band, and every derived membership matrix is cached per
 
 **Incremental maintenance** — after a mobility step the substrate asks
 :meth:`repro.net.topology.Topology.diff` which nodes changed links and
-recomputes bounded BFS only for sources whose ≤horizon ball touches a
-changed node (in the old *or* the new graph — both are needed for
-exactness, see :meth:`DistanceSubstrate._incremental_update`); every
+each backend's ``update`` recomputes bounded BFS only for sources whose
+≤horizon ball touches a changed node (in the old *or* the new graph —
+both are needed for exactness, see :meth:`_DenseBand.update`); every
 other row is provably unchanged, so the result is bit-identical to a
-cold rebuild.  The exact-parity fallback is structural: whenever the
-topology cannot answer ``diff`` or the change set is large, the
-substrate performs a full bounded rebuild — same numbers, different
-wall-clock.  ``incremental=False`` forces that path everywhere (the
-parity suite uses it as the reference).
+cold rebuild.  Whenever the topology cannot answer ``diff`` or the
+change set is large, the substrate performs a full bounded rebuild —
+same numbers, different wall-clock.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -76,8 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology owns us)
 
 __all__ = [
     "DistanceSubstrate",
-    "DistanceView",
-    "GlobalDistanceView",
     "SparseMembership",
     "SubstrateStats",
     "SPARSE_NODE_THRESHOLD",
@@ -209,8 +205,28 @@ class _DenseBand:
     def build(cls, adj, horizon: int, csr) -> "_DenseBand":
         return cls(g.bounded_hop_distances(adj, horizon, csr=csr))
 
-    def set_rows(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        self.mat[ids] = rows
+    def update(self, adj, horizon: int, changed: np.ndarray, csr) -> int:
+        """Recompute exactly the rows a link change at ``changed`` can
+        have altered; returns how many rows that was.
+
+        A source ``u`` needs recomputation iff some changed node lies
+        within ``horizon`` of ``u`` in the *old* band (a path through the
+        changed region may have broken) or in the *new* graph (a new path
+        may have appeared).  Any other source's ≤horizon ball contains no
+        endpoint of a changed link in either graph, so its set of length-
+        ≤horizon paths — and therefore its band row — is identical.
+        Distances are symmetric (undirected unit-disk links), so the new-
+        graph test reuses the bounded BFS *from* the changed nodes.
+        """
+        delta = g.bounded_hop_distances(adj, horizon, changed, csr=csr)
+        touched = self.touched_by(changed)
+        touched |= (delta != g.UNREACHABLE).any(axis=0)
+        self.mat[changed] = delta
+        touched[changed] = False  # their rows just landed via `delta`
+        rest = np.flatnonzero(touched)
+        if rest.size:
+            self.mat[rest] = g.bounded_hop_distances(adj, horizon, rest, csr=csr)
+        return int(changed.size + rest.size)
 
     def hops(self, u: int, v: int) -> int:
         return int(self.mat[u, v])
@@ -240,9 +256,6 @@ class _DenseBand:
 
     def touched_by(self, changed: np.ndarray) -> np.ndarray:
         return (self.mat[:, changed] != g.UNREACHABLE).any(axis=1)
-
-    def dense(self) -> np.ndarray:
-        return self.mat
 
     def membership(self, radius: int):
         return g.neighborhood_sets(self.mat, radius)
@@ -277,8 +290,7 @@ class _SparseBand:
 
     def update(self, adj, horizon: int, changed: np.ndarray, csr) -> int:
         """Recompute the rows a link change at ``changed`` can have altered
-        (see :meth:`DistanceSubstrate._incremental_update`); returns how
-        many rows that was."""
+        (see :meth:`_DenseBand.update`); returns how many rows that was."""
         delta = g.bounded_hop_rows(adj, horizon, changed, csr=csr)
         touched = self.touched_by(changed)
         touched[delta[1]] = True  # symmetric: v in c's new row iff c in v's
@@ -360,14 +372,6 @@ class _SparseBand:
         mask[self.indices[_ranges(starts, self.indptr[changed + 1] - starts)]] = True
         return mask
 
-    def dense(self) -> np.ndarray:
-        """Materialise the full band (test oracle / small-N paths only)."""
-        n = self.indptr.size - 1
-        out = np.full((n, n), g.UNREACHABLE, dtype=self.dist.dtype)
-        owner = np.repeat(np.arange(n), np.diff(self.indptr))
-        out[owner, self.indices] = self.dist
-        return out
-
     def membership(self, radius: int) -> SparseMembership:
         inside = np.flatnonzero(self.dist <= radius)
         return SparseMembership(
@@ -379,14 +383,6 @@ class _SparseBand:
     @property
     def nbytes(self) -> int:
         return int(self.indptr.nbytes + self.indices.nbytes + self.dist.nbytes)
-
-
-@dataclass
-class _EpochCache:
-    """Per-epoch derived views (cleared whenever the band changes)."""
-
-    membership: Dict[int, object] = field(default_factory=dict)
-    clipped_band: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -401,35 +397,26 @@ class DistanceSubstrate:
         The connectivity ground truth; its ``epoch`` counter keys freshness.
     horizon:
         Maximum hop distance the band resolves (≥ 1).  Grows in place via
-        :meth:`ensure_horizon` when a larger view is requested; membership
-        queries for any radius ≤ horizon are served from the same band.
-    incremental:
-        When False every refresh is a full bounded rebuild (exact-parity
-        reference mode).
+        :meth:`ensure_horizon` when a consumer needs more; every query at
+        a horizon ``h`` ≤ horizon is served from the same band.
 
     The band is dense below :data:`SPARSE_NODE_THRESHOLD` nodes and
     sparse at and above it; both representations equal the clipped BFS
     oracle, enforced by the backend property tests.
     """
 
-    def __init__(
-        self,
-        topology: "Topology",
-        horizon: int,
-        *,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, topology: "Topology", horizon: int) -> None:
         if int(horizon) < 1:
             raise ValueError("horizon must be >= 1")
         # the topology owns its substrate: a strong back-reference would
         # make a cycle, and every finished run would wait for the cyclic GC
         self._topology = weakref.ref(topology)
         self.horizon = int(horizon)
-        self.incremental = bool(incremental)
         self._stats = SubstrateStats()
         self._epoch = -1
         self._band = None  # a _DenseBand or _SparseBand, None when stale
-        self._cache = _EpochCache()
+        #: membership matrices of the current epoch, by radius
+        self._membership: Dict[int, object] = {}
 
     @property
     def topology(self) -> "Topology":
@@ -451,25 +438,15 @@ class DistanceSubstrate:
     def ensure_horizon(self, horizon: int) -> None:
         """Grow the band's horizon in place (full rebuild on next access).
 
-        Shrinking never happens: smaller views clip the shared band, so an
-        R view and a 2R view ride the same incremental machinery.
+        Shrinking never happens: queries at a smaller horizon clip the
+        shared band, so R and 2R consumers ride the same incremental
+        machinery.
         """
         horizon = int(horizon)
         if horizon > self.horizon:
             self.horizon = horizon
             self._band = None
             self._epoch = -1
-
-    def view(self, horizon: Optional[int] = None) -> "DistanceView":
-        """A :class:`DistanceView` clipped at ``horizon`` (default: full band).
-
-        Growing requests are honored by :meth:`ensure_horizon` first.
-        """
-        horizon = self.horizon if horizon is None else int(horizon)
-        if horizon < 1:
-            raise ValueError("view horizon must be >= 1")
-        self.ensure_horizon(horizon)
-        return DistanceView(self, horizon)
 
     # ------------------------------------------------------------------
     # freshness
@@ -480,59 +457,24 @@ class DistanceSubstrate:
         adj = topo.adj  # forces the adjacency build (and the change log)
         if self._band is not None and self._epoch == topo.epoch:
             return
-        changed: Optional[np.ndarray] = None
-        if self.incremental and self._band is not None:
-            changed = topo.diff(self._epoch)
-        n = topo.num_nodes
-        if changed is None or changed.size > n * FULL_REBUILD_FRACTION:
-            csr = g.csr_to_matrix(*topo.csr) if g._HAVE_SCIPY else None
-            backend = _SparseBand if self.backend_kind == "sparse" else _DenseBand
-            self._band = backend.build(adj, self.horizon, csr)
-            self._stats.full_rebuilds += 1
-        elif changed.size == 0:
+        changed = None if self._band is None else topo.diff(self._epoch)
+        if changed is not None and changed.size == 0:
             # epoch bumped (positions moved / liveness toggled) but no link
             # actually flipped — the band is already exact
             self._stats.null_updates += 1
         else:
-            self._incremental_update(adj, changed)
+            csr = g.csr_to_matrix(*topo.csr) if g._HAVE_SCIPY else None
+            if changed is None or changed.size > topo.num_nodes * FULL_REBUILD_FRACTION:
+                backend = _SparseBand if self.backend_kind == "sparse" else _DenseBand
+                self._band = backend.build(adj, self.horizon, csr)
+                self._stats.full_rebuilds += 1
+            else:
+                rows = self._band.update(adj, self.horizon, changed, csr)
+                self._stats.incremental_updates += 1
+                self._stats.rows_recomputed += rows
         self._epoch = topo.epoch
-        self._cache = _EpochCache()
+        self._membership = {}
 
-    def _incremental_update(self, adj, changed: np.ndarray) -> None:
-        """Recompute exactly the rows a link change can have altered.
-
-        A source ``u`` needs recomputation iff some changed node lies
-        within ``horizon`` of ``u`` in the *old* band (a path through the
-        changed region may have broken) or in the *new* graph (a new path
-        may have appeared).  Any other source's ≤horizon ball contains no
-        endpoint of a changed link in either graph, so its set of length-
-        ≤horizon paths — and therefore its band row — is identical.
-        Distances are symmetric (undirected unit-disk links), so the new-
-        graph test reuses the bounded BFS *from* the changed nodes.
-        """
-        band = self._band
-        assert band is not None
-        csr = g.csr_to_matrix(*self.topology.csr) if g._HAVE_SCIPY else None
-        if band.kind == "sparse":
-            rows = band.update(adj, self.horizon, changed, csr)
-        else:
-            delta = g.bounded_hop_distances(adj, self.horizon, changed, csr=csr)
-            touched = band.touched_by(changed)
-            touched |= (delta != g.UNREACHABLE).any(axis=0)
-            band.set_rows(changed, delta)
-            touched[changed] = False  # their rows just landed via `delta`
-            rest = np.flatnonzero(touched)
-            if rest.size:
-                band.set_rows(
-                    rest, g.bounded_hop_distances(adj, self.horizon, rest, csr=csr)
-                )
-            rows = int(changed.size + rest.size)
-        self._stats.incremental_updates += 1
-        self._stats.rows_recomputed += rows
-
-    # ------------------------------------------------------------------
-    # band + membership access (substrate-horizon scoped)
-    # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         return self._epoch
@@ -548,23 +490,20 @@ class DistanceSubstrate:
         """
         return replace(self._stats)
 
-    def _fresh_band(self):
+    def _fresh_band(self, h: int):
+        """The band at the current epoch, for a query at horizon ``h``."""
+        if h > self.horizon:
+            raise ValueError(f"radius {h} exceeds substrate horizon {self.horizon}")
         self.refresh()
-        assert self._band is not None
         return self._band
-
-    def band(self) -> np.ndarray:
-        """The ``(N, N)`` truncated distance matrix (−1 beyond horizon).
-
-        For the sparse backend this *materialises* the dense matrix —
-        a test-oracle / small-N convenience, never the hot path.
-        """
-        return self._fresh_band().dense()
 
     def band_bytes(self) -> int:
         """Memory footprint of the current band representation."""
-        return self._fresh_band().nbytes
+        return self._fresh_band(self.horizon).nbytes
 
+    # ------------------------------------------------------------------
+    # queries, each clipped at the horizon ``h`` ≤ :attr:`horizon` it names
+    # ------------------------------------------------------------------
     def membership(self, radius: int):
         """Membership matrix at ``radius``: ``M[u, v]`` iff v within
         ``radius`` hops of u (``M[u, u]`` is True).
@@ -574,103 +513,42 @@ class DistanceSubstrate:
         epoch and shared by every consumer asking for the same radius.
         """
         radius = int(radius)
-        if radius > self.horizon:
-            raise ValueError(
-                f"radius {radius} exceeds substrate horizon {self.horizon}"
-            )
-        band = self._fresh_band()
-        cached = self._cache.membership.get(radius)
+        band = self._fresh_band(radius)
+        cached = self._membership.get(radius)
         if cached is not None:
             self._stats.membership_hits += 1
             return cached
         member = band.membership(radius)
-        self._cache.membership[radius] = member
+        self._membership[radius] = member
         self._stats.membership_builds += 1
         return member
 
-    def ring(self, u: int, radius: int) -> np.ndarray:
-        """Nodes at *exactly* ``radius`` hops from ``u`` (the edge nodes)."""
-        radius = int(radius)
-        if radius > self.horizon:
-            raise ValueError(
-                f"radius {radius} exceeds substrate horizon {self.horizon}"
-            )
-        return self._fresh_band().row_ring(u, radius)
+    def ring(self, u: int, h: int) -> np.ndarray:
+        """Nodes at *exactly* ``h`` hops from ``u`` (the edge nodes)."""
+        h = int(h)
+        return self._fresh_band(h).row_ring(int(u), h)
 
-    def hops_within(self, u: int, v: int) -> int:
-        """Hop distance ``u → v`` if ≤ horizon, else :data:`g.UNREACHABLE`."""
-        return self._fresh_band().hops(u, v)
+    def members(self, u: int, h: int) -> np.ndarray:
+        """Ids within ``h`` hops of ``u`` (including ``u``), sorted."""
+        return self._fresh_band(h).row_within(int(u), h)
 
-    # ------------------------------------------------------------------
-    # sampled global statistics (the no-APSP path)
-    # ------------------------------------------------------------------
-    def sample_pair_stats(
-        self, k: int, rng: np.random.Generator
-    ) -> "g.PairSampleStats":
-        """Estimate global path-length statistics from ``k`` sampled
-        sources (full BFS per source — O(k·E), never O(N²) memory)."""
-        return g.sample_pair_stats(self.topology.adj, k, rng)
+    def hops(self, u: int, v: int, h: int) -> int:
+        """Hop distance ``u → v`` if ≤ ``h``, else :data:`g.UNREACHABLE`."""
+        d = self._fresh_band(h).hops(int(u), int(v))
+        return d if 0 <= d <= h else g.UNREACHABLE
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DistanceSubstrate(horizon={self.horizon}, epoch={self._epoch}, "
-            f"backend={self.backend_kind}, incremental={self.incremental})"
-        )
-
-
-# ----------------------------------------------------------------------
-# the views
-# ----------------------------------------------------------------------
-class DistanceView:
-    """Horizon-scoped distance access — the only distance API consumers see.
-
-    A view clips the shared substrate band at its own ``horizon``: an R
-    view and a 2R view over one topology answer from the same
-    incrementally maintained band, each within its declared scope.
-    Beyond-horizon queries answer :data:`repro.net.graph.UNREACHABLE`
-    (−1) — by design there is no fallback to an all-pairs matrix.
-    """
-
-    __slots__ = ("substrate", "horizon")
-
-    def __init__(self, substrate: DistanceSubstrate, horizon: int) -> None:
-        self.substrate = substrate
-        self.horizon = int(horizon)
-
-    # -- scalar / vector hop queries -----------------------------------
-    def hops(self, u: int, v: int) -> int:
-        """Hop distance ``u → v`` if ≤ horizon, else ``UNREACHABLE``."""
-        h = self.substrate.hops_within(int(u), int(v))
-        return h if 0 <= h <= self.horizon else g.UNREACHABLE
-
-    def hops_many(self, u: int, ids) -> np.ndarray:
-        """Vectorized :meth:`hops` for one source and many targets."""
+    def hops_many(self, u: int, ids, h: int) -> np.ndarray:
+        """:meth:`hops` for one source and many targets, in one read."""
         ids = np.asarray(ids, dtype=np.int64)
-        vals = self.substrate._fresh_band().hops_many(int(u), ids)
-        if self.horizon < self.substrate.horizon:
-            vals = np.where(
-                (vals >= 0) & (vals <= self.horizon), vals, g.UNREACHABLE
-            ).astype(vals.dtype)
+        vals = self._fresh_band(h).hops_many(int(u), ids)
+        if h < self.horizon:
+            vals = np.where((vals >= 0) & (vals <= h), vals, g.UNREACHABLE).astype(
+                vals.dtype
+            )
         return vals
 
-    # -- neighborhood queries ------------------------------------------
-    def members(self, u: int) -> np.ndarray:
-        """Ids within ``horizon`` hops of ``u`` (including ``u``), sorted."""
-        return self.substrate._fresh_band().row_within(int(u), self.horizon)
-
-    def ring(self, u: int, h: Optional[int] = None) -> np.ndarray:
-        """Ids at *exactly* ``h`` hops (default: the horizon — edge nodes)."""
-        h = self.horizon if h is None else int(h)
-        if h > self.horizon:
-            raise ValueError(f"radius {h} exceeds view horizon {self.horizon}")
-        return self.substrate._fresh_band().row_ring(int(u), h)
-
-    def contains(self, u: int, v: int) -> bool:
-        """True iff ``v`` lies within ``horizon`` hops of ``u``."""
-        return self.hops(u, v) != g.UNREACHABLE
-
-    def path(self, u: int, v: int) -> Optional[List[int]]:
-        """A shortest path ``u → v`` if ``v`` lies within ``horizon`` hops,
+    def path(self, u: int, v: int, h: int) -> Optional[List[int]]:
+        """A shortest path ``u → v`` if ``v`` lies within ``h`` hops,
         else None.
 
         Read off the band, no BFS: every node of a shortest path to ``v``
@@ -680,119 +558,17 @@ class DistanceView:
         what the parent chase of :func:`repro.net.graph.bfs_tree` from
         ``u`` returns over sorted adjacency.
         """
-        sub = self.substrate
-        band = sub._fresh_band()
+        band = self._fresh_band(h)
         u, v = int(u), int(v)
         d = band.hops(u, v)
-        if not 0 <= d <= self.horizon:
+        if not 0 <= d <= h:
             return None
         if d == 0:
             return [u]
-        return band.descend(sub.topology.adj, u, v, d)
-
-    # -- matrix views ---------------------------------------------------
-    def membership(self, radius: Optional[int] = None):
-        """Membership matrix at ``radius`` ≤ horizon (default: horizon)."""
-        radius = self.horizon if radius is None else int(radius)
-        if radius > self.horizon:
-            raise ValueError(
-                f"radius {radius} exceeds view horizon {self.horizon}"
-            )
-        return self.substrate.membership(radius)
-
-    def band(self) -> np.ndarray:
-        """The ``(N, N)`` band matrix clipped at this view's horizon.
-
-        Dense materialisation — a test-oracle / small-N convenience;
-        hot paths use the row/scalar queries above.
-        """
-        sub = self.substrate
-        if self.horizon >= sub.horizon and sub.backend_kind == "dense":
-            return sub.band()
-        sub.refresh()
-        cached = sub._cache.clipped_band.get(self.horizon)
-        if cached is not None:
-            return cached
-        full = sub.band()
-        clip = np.where(
-            (full >= 0) & (full <= self.horizon), full, g.UNREACHABLE
-        ).astype(full.dtype)
-        sub._cache.clipped_band[self.horizon] = clip
-        return clip
-
-    @property
-    def epoch(self) -> int:
-        return self.substrate.epoch
+        return band.descend(self.topology.adj, u, v, d)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DistanceView(horizon={self.horizon}, "
-            f"substrate_horizon={self.substrate.horizon})"
+            f"DistanceSubstrate(horizon={self.horizon}, epoch={self._epoch}, "
+            f"backend={self.backend_kind})"
         )
-
-
-class GlobalDistanceView:
-    """``distance_view(horizon=None)`` — sampled global statistics only.
-
-    The deliberate hole in this API is the point: there is no ``band()``
-    and no all-pairs matrix.  Global questions are answered per source
-    (one BFS, cached per epoch) or statistically
-    (:meth:`sample_pair_stats`), keeping every code path O(N · ball) or
-    O(k · E) instead of O(N²).
-    """
-
-    #: per-epoch BFS row cache bound (whole rows, so keep it small)
-    _ROW_CACHE_LIMIT = 256
-
-    def __init__(self, topology: "Topology") -> None:
-        self._topology = weakref.ref(topology)  # as DistanceSubstrate's
-        self._epoch = -1
-        self._rows: Dict[int, np.ndarray] = {}
-
-    @property
-    def topology(self) -> "Topology":
-        return self._topology()
-
-    horizon: Optional[int] = None
-
-    def _row(self, u: int) -> np.ndarray:
-        u = int(u)
-        if self._epoch != self.topology.epoch:
-            self._rows.clear()
-            self._epoch = self.topology.epoch
-        row = self._rows.get(u)
-        if row is None:
-            row = g.bfs_hops(self.topology.adj, u)
-            if len(self._rows) >= self._ROW_CACHE_LIMIT:
-                self._rows.clear()
-            self._rows[u] = row
-        return row
-
-    def hops(self, u: int, v: int) -> int:
-        """Exact global hop distance via one cached single-source BFS."""
-        return int(self._row(u)[int(v)])
-
-    def hops_many(self, u: int, ids) -> np.ndarray:
-        return self._row(u)[np.asarray(ids, dtype=np.int64)]
-
-    def members(self, u: int) -> np.ndarray:
-        """Every node reachable from ``u`` (its connected component)."""
-        return np.flatnonzero(self._row(u) >= 0)
-
-    def sample_pair_stats(
-        self, k: int, rng: np.random.Generator
-    ) -> "g.PairSampleStats":
-        """Path-length statistics estimated from ``k`` BFS sources."""
-        return g.sample_pair_stats(self.topology.adj, k, rng)
-
-    def band(self) -> np.ndarray:
-        raise RuntimeError(
-            "the global distance view never materialises an N×N matrix; "
-            "use sample_pair_stats(k, rng) for global statistics, a "
-            "bounded distance_view(horizon=...) for zone queries, or "
-            "repro.net.graph.hop_level_counts, the exact per-level pair "
-            "counts behind Table 1 and the small-world L"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GlobalDistanceView(N={self.topology.num_nodes})"

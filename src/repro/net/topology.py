@@ -16,13 +16,12 @@ invalidates and lazily rebuilds the adjacency.  An ``epoch`` counter
 increments on every rebuild so higher layers (neighborhood tables, CARD
 state) can detect staleness without comparing arrays.
 
-All distance access goes through :meth:`distance_view` — a horizon-
-scoped :class:`~repro.net.substrate.DistanceView` (R for zone
-operations, 2R for contact-overlap checks, ``horizon=None`` for sampled
-global statistics).  There is deliberately no all-pairs accessor on the
-topology: the exact Table 1 path statistics and the small-world L come
-from per-level pair counts over the adjacency
-(:func:`repro.net.graph.hop_level_counts`), not from a distance matrix.
+Bounded distances (R for zone operations, 2R for contact-overlap
+checks) come from the shared :meth:`substrate`.  There is deliberately
+no all-pairs accessor on the topology: the exact Table 1 path
+statistics and the small-world L come from per-level pair counts over
+the adjacency (:func:`repro.net.graph.hop_level_counts`), and a single
+global row is one :func:`repro.net.graph.bfs_hops` call.
 
 Two facilities support the incremental neighborhood substrate:
 
@@ -34,7 +33,7 @@ Two facilities support the incremental neighborhood substrate:
   step actually touched;
 * a **shared substrate** — :meth:`substrate` keeps one
   :class:`~repro.net.substrate.DistanceSubstrate` per topology that
-  grows its horizon in place, so every view over this topology (R zone
+  grows its horizon in place, so every consumer of this topology (R zone
   tables, 2R overlap checks, the DSQ engine, sweeps) reads the same
   incrementally maintained band instead of re-deriving its own.
 """
@@ -43,14 +42,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.net import graph as g
 from repro.net.spatial import build_unit_disk_edges
-from repro.net.substrate import DistanceSubstrate, DistanceView, GlobalDistanceView
-from repro.util.validation import check_positive
+from repro.net.substrate import DistanceSubstrate
+from repro.util.validation import check_node_id, check_positive
 
 __all__ = ["Topology"]
 
@@ -140,7 +139,6 @@ class Topology:
             maxlen=_CHANGE_LOG_LIMIT
         )
         self._substrate: Optional[DistanceSubstrate] = None
-        self._global_view: Optional[GlobalDistanceView] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -264,11 +262,15 @@ class Topology:
     def fail_nodes(self, nodes) -> None:
         """Fail ``nodes`` in one epoch bump: a failed node keeps its
         position but loses every link, exactly like a powered-off radio.
-        Failing a node that is already down changes nothing."""
+        Failing a node that is already down changes nothing.  Every id
+        must be integral and in ``[0, N)``; a bad one raises before any
+        node fails."""
+        n = self.num_nodes
+        ids = [check_node_id(u, n) for u in nodes]
         changed = False
-        for u in nodes:
-            if self._active[int(u)]:
-                self._active[int(u)] = False
+        for u in ids:
+            if self._active[u]:
+                self._active[u] = False
                 changed = True
         if changed:
             self._adj = None
@@ -313,9 +315,10 @@ class Topology:
         One substrate serves every consumer of this topology: a request
         with a smaller horizon reuses the existing band (membership at
         radius r only needs horizon ≥ r), a larger one grows the band in
-        place — same substrate object, so all existing views keep riding
-        the shared incremental machinery.  Creating the substrate enables
-        delta tracking so mobility steps can be applied incrementally.
+        place — same substrate object, so every existing consumer keeps
+        riding the shared incremental machinery.  Creating the substrate
+        enables delta tracking so mobility steps can be applied
+        incrementally.
         """
         horizon = int(horizon)
         if self._substrate is None:
@@ -335,32 +338,6 @@ class Topology:
         if self._substrate is None:
             return {}
         return self._substrate.stats().as_dict()
-
-    # ------------------------------------------------------------------
-    # distance access (the DistanceView API)
-    # ------------------------------------------------------------------
-    def distance_view(
-        self, horizon: Optional[int] = None
-    ) -> Union[DistanceView, GlobalDistanceView]:
-        """Horizon-scoped distance access — the only distance API.
-
-        * ``horizon=R`` — zone operations (membership, edge nodes,
-          intra-zone hop lookups);
-        * ``horizon=2R`` — contact-band operations (SPREAD edge ranking,
-          the overlap metric: "overlaps" ≡ "inside the 2R band");
-        * ``horizon=None`` — a :class:`~repro.net.substrate.GlobalDistanceView`
-          for explicitly *sampled* global statistics; it has no ``band()``
-          and never materialises an N×N matrix.
-
-        All bounded views over one topology share a single
-        :class:`~repro.net.substrate.DistanceSubstrate` whose band sits at
-        the largest horizon requested so far.
-        """
-        if horizon is None:
-            if self._global_view is None:
-                self._global_view = GlobalDistanceView(self)
-            return self._global_view
-        return self.substrate(int(horizon)).view(int(horizon))
 
     def are_neighbors(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` share a direct (one-hop) link."""

@@ -12,21 +12,21 @@ topology:
   through which CSQs are launched;
 * ``path_within(u, v)`` — a hop-optimal intra-zone route, the primitive
   behind local recovery, CSQ launches and DSQ neighborhood lookups,
-  read off the band (:meth:`~repro.net.substrate.DistanceView.path`
+  read off the band (:meth:`~repro.net.substrate.DistanceSubstrate.path`
   walks down v's row), so it holds no per-source state of its own;
-* ``hops(u, v)`` — R-scoped hop distance (−1 beyond the zone);
-* ``contact_view`` — the 2R-horizon :class:`~repro.net.substrate.DistanceView`
-  the SPREAD edge policy and the overlap metric rank from.
+* ``zone_hops(u, ids)`` — R-scoped hop distances (−1 beyond the zone);
+* ``band_hops(u, v)`` — hop distance in the 2R contact band, which the
+  SPREAD edge policy and the overlap metric rank from.
 
-All answers are served by horizon-scoped views over the topology's shared
-:class:`~repro.net.substrate.DistanceSubstrate`: one incrementally
-maintained band (at the largest horizon any consumer requested) backs the
-R view and the 2R view alike, so a mobility step that flips a handful of
-links recomputes bounded BFS only for the sources whose zone it touched —
-never an all-pairs matrix.  There is deliberately no ``distances``
-matrix on this class any more: beyond-horizon questions are either
-scoped wrongly (fix the horizon) or global statistics (sample them via
-``topology.distance_view(horizon=None)``).
+The radius is stated once, here: every answer is a query at R (or 2R)
+on the topology's shared :class:`~repro.net.substrate.DistanceSubstrate`,
+one incrementally maintained band (at the largest horizon any consumer
+asked for), so a mobility step that flips a handful of links recomputes
+bounded BFS only for the sources whose zone it touched — never an
+all-pairs matrix.  There is deliberately no ``distances`` matrix on this
+class: beyond-horizon questions are either scoped wrongly (fix the
+horizon) or global, and a global row is one
+:func:`repro.net.graph.bfs_hops` call.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.net.substrate import DistanceSubstrate, DistanceView
+from repro.net.graph import UNREACHABLE
+from repro.net.substrate import DistanceSubstrate
 from repro.net.topology import Topology
 from repro.util.validation import check_int, check_positive
 
@@ -58,17 +59,10 @@ class NeighborhoodTables:
         check_positive("radius", radius)
         self.topology = topology
         self.radius = int(radius)
-        # create (or join) the shared substrate up front so the first
-        # mobility epoch already has a delta baseline
-        self._view: DistanceView = topology.distance_view(self.radius)
-
-    # ------------------------------------------------------------------
-    # freshness / views
-    # ------------------------------------------------------------------
-    @property
-    def substrate(self) -> DistanceSubstrate:
-        """The topology-shared bounded-distance engine answering queries."""
-        return self._view.substrate
+        #: the topology-shared bounded-distance engine answering queries;
+        #: created (or joined) up front so the first mobility epoch
+        #: already has a delta baseline
+        self.substrate: DistanceSubstrate = topology.substrate(self.radius)
 
     def substrate_stats(self) -> dict:
         """Refresh accounting of the backing substrate (plain dict).
@@ -76,25 +70,7 @@ class NeighborhoodTables:
         The public observation point :class:`~repro.core.runner.TimeSeriesRunner`
         and the obs layer read instead of reaching into the substrate.
         """
-        return self._view.substrate.stats().as_dict()
-
-    @property
-    def view(self) -> DistanceView:
-        """The R-horizon :class:`DistanceView` backing every zone query."""
-        return self._view
-
-    @property
-    def contact_view(self) -> DistanceView:
-        """The 2R-horizon view for contact-band operations.
-
-        SPREAD edge ranking and the overlap metric only ever compare
-        nodes whose true distance is ≤ 2R (edge nodes of one source are
-        pairwise ≤ 2R via the source; "overlapping contact" *means*
-        distance ≤ 2R), so this view answers them exactly — lazily, so
-        consumers that never rank (RANDOM policy, no overlap family)
-        never grow the shared band beyond R.
-        """
-        return self.topology.distance_view(2 * self.radius)
+        return self.substrate.stats().as_dict()
 
     @property
     def membership(self):
@@ -104,56 +80,56 @@ class NeighborhoodTables:
         row-materialising :class:`~repro.net.substrate.SparseMembership`
         above it — both serve the same indexing patterns.
         """
-        return self._view.membership(self.radius)
+        return self.substrate.membership(self.radius)
 
     # ------------------------------------------------------------------
     # CARD queries
     # ------------------------------------------------------------------
     def contains(self, u: int, v: int) -> bool:
         """True iff ``v`` lies within R hops of ``u`` (including u itself)."""
-        return self._view.contains(u, v)
+        return self.substrate.hops(u, v, self.radius) != UNREACHABLE
 
     def members(self, u: int) -> np.ndarray:
         """IDs of all nodes in u's neighborhood (including u)."""
-        return self._view.members(u)
-
-    def size(self, u: int) -> int:
-        """Neighborhood cardinality (including u)."""
-        return int(self._view.members(u).size)
+        return self.substrate.members(u, self.radius)
 
     def edge_nodes(self, u: int) -> np.ndarray:
         """Nodes at exactly R hops from ``u`` — the CSQ launch points."""
-        return self._view.ring(u, self.radius)
-
-    def hops(self, u: int, v: int) -> int:
-        """Zone-scoped hop distance u→v, or −1 beyond the R horizon.
-
-        The pre-``DistanceView`` implementation fell back to a global
-        all-pairs matrix here; that fallback is gone by design.  Callers
-        needing the 2R contact band use :attr:`contact_view`; global
-        statistics are sampled via ``topology.distance_view(None)``.
-        """
-        return self._view.hops(u, v)
+        return self.substrate.ring(u, self.radius)
 
     def zone_hops(self, u: int, ids) -> np.ndarray:
-        """Band-scoped hop distances ``u → ids`` in one vectorized read.
+        """Zone-scoped hop distances ``u → ids`` in one vectorized read.
 
         Values beyond the radius come back as −1 — callers pass
         neighborhood members (DSQ/resource zone lookups), which are
         in-band by construction.
         """
-        return self._view.hops_many(u, ids)
+        return self.substrate.hops_many(u, ids, self.radius)
+
+    def band_hops(self, u: int, v: int) -> int:
+        """Hop distance ``u → v`` if ≤ 2R, else −1.
+
+        SPREAD edge ranking and the overlap metric only ever compare
+        nodes whose true distance is ≤ 2R (edge nodes of one source are
+        pairwise ≤ 2R via the source; "overlapping contact" *means*
+        distance ≤ 2R), so the 2R band answers them exactly.  The shared
+        band grows to 2R on the first such question, so consumers that
+        never rank (RANDOM policy, no overlap family) never pay for it.
+        """
+        h = 2 * self.radius
+        self.substrate.ensure_horizon(h)
+        return self.substrate.hops(u, v, h)
 
     def path_within(self, u: int, v: int) -> Optional[List[int]]:
         """A hop-optimal path u→v if ``v`` is inside u's neighborhood.
 
         Returns None when v is outside the zone or unreachable — the caller
         (local recovery, DSQ lookup, CSQ launch) treats that as a failed
-        table lookup.  The route is read off the shared band by
-        :meth:`DistanceView.path` — always the lexicographically smallest
-        shortest path, and never stale: it is as fresh as the band.
+        table lookup.  The route is read off the shared band — always the
+        lexicographically smallest shortest path, and never stale: it is
+        as fresh as the band.
         """
-        return self._view.path(u, v)
+        return self.substrate.path(u, v, self.radius)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborhoodTables(R={self.radius}, epoch={self.substrate.epoch})"

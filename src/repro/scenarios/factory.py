@@ -35,8 +35,8 @@ __all__ = [
 #:
 #: * ``paper`` — the paper's own sizes (scale 1.0);
 #: * ``xl``   — 20× the paper's node counts.  The workhorse N=500
-#:   topology becomes an N=10⁴ snapshot — the regime the sparse
-#:   ``DistanceView`` substrate exists for (the seed-era APSP matrix
+#:   topology becomes an N=10⁴ snapshot — the regime the substrate's
+#:   sparse CSR band exists for (the seed-era APSP matrix
 #:   could not build there at all).  Density is preserved (areas grow
 #:   with √scale), so connectivity statistics stay comparable.
 SCALE_PROFILES = {

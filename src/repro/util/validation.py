@@ -9,6 +9,7 @@ the middle of a long simulation run.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Union
 
 Number = Union[int, float]
@@ -19,6 +20,7 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_int",
+    "check_node_id",
 ]
 
 
@@ -76,3 +78,22 @@ def check_int(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, (int,)):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return int(value)
+
+
+def check_node_id(value: object, n: int, name: str = "node") -> int:
+    """Return ``value`` as a node id of an ``n``-node network.
+
+    It must be integral (``operator.index``: floats, even integral-valued
+    ones, are rejected instead of silently truncated — a fractional id is
+    always a caller bug) and lie in ``[0, n)`` — a negative id would
+    otherwise index from the end of every per-node array.
+    """
+    try:
+        i = operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(
+            f"{name} ids must be integers, got {type(value).__name__} ({value!r})"
+        ) from None
+    if not 0 <= i < n:
+        raise ValueError(f"{name} id {i} out of range for {n} nodes")
+    return i

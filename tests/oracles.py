@@ -6,7 +6,9 @@ scalar CSQ admission decision behind the selector's batched mask, the
 CSQ walk as a Python loop behind the compiled one (``_walk.c``), one
 walk built from scratch behind a source-selection's shared context, the
 per-source reachability union behind the packed pass, the all-pairs
-hop-distance matrix behind the per-level pair counts, the Tarjan
+hop-distance matrix behind the per-level pair counts and the distance
+band (:func:`band_matrix` lays the band out for that comparison), the
+BFS-tree parent chase behind the routes read off the band, the Tarjan
 cycle search behind the layering of the import graph, and a per-record
 log behind the aggregate message counters.  Nothing under
 ``src/`` imports this module; ``card-lint`` CARD-R02 keeps names that
@@ -24,7 +26,13 @@ from repro.core.selection import ContactSelector, SelectionOutcome, _WalkContext
 from repro.mobility.base import MobilityModel
 from repro.net.messages import MessageKind
 from repro.net.stats import MessageStats
-from repro.net.graph import UNREACHABLE, _HAVE_SCIPY, adjacency_to_csr, bfs_hops
+from repro.net.graph import (
+    UNREACHABLE,
+    _HAVE_SCIPY,
+    adjacency_to_csr,
+    bfs_hops,
+    bfs_tree,
+)
 from tools.card_lint.importgraph import ImportGraph
 
 
@@ -244,6 +252,30 @@ def hop_distance_matrix(adj: Sequence[np.ndarray]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # message accounting
 # ----------------------------------------------------------------------
+def oracle_path(adj, u: int, v: int, radius: int) -> Optional[List[int]]:
+    """Parent chase over the ``radius``-hop BFS tree from ``u``: the
+    reference route (the lexicographically smallest shortest path), or
+    None when ``v`` lies beyond ``radius``."""
+    dist, parent = bfs_tree(adj, u, max_hops=radius)
+    if dist[v] == UNREACHABLE:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(int(parent[path[-1]]))
+    return path[::-1]
+
+
+def band_matrix(substrate, h: int) -> np.ndarray:
+    """The ``(N, N)`` band of ``substrate`` clipped at ``h`` (−1 beyond),
+    assembled row by row from its ``members``/``hops_many`` answers."""
+    n = substrate.topology.num_nodes
+    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    for u in range(n):
+        ids = substrate.members(u, h)
+        out[u, ids] = substrate.hops_many(u, ids, h)
+    return out
+
+
 class RecordingStats(MessageStats):
     """:class:`MessageStats` that also logs every transmission.
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core.params import CARDParams
+from repro.core.protocol import CARDProtocol
 from repro.core.query import QueryEngine
 from repro.core.state import Contact, ContactTable
 from repro.net.messages import MessageKind
 from repro.net.network import Network
 from repro.routing.neighborhood import NeighborhoodTables
-from tests.conftest import line_topology
+from tests.conftest import line_topology, random_topology
 
 
 def line_setup(n=30, R=2, r=8, depth=3):
@@ -137,3 +138,31 @@ class TestNoContacts:
         engine, _, _ = line_setup()
         res = engine.query(1, 25)  # node 1 owns no contact table
         assert not res.success and res.msgs == 0
+
+
+class TestQueryNodeIds:
+    """Ids are checked once per call: a negative id used to index the
+    membership row from its end (``query(0, -1)`` resolved node N−1)."""
+
+    @pytest.fixture(scope="class")
+    def card(self):
+        topo = random_topology(n=200, seed=0)
+        card = CARDProtocol(Network(topo), CARDParams(R=3, r=10, noc=3), seed=0)
+        card.bootstrap()
+        return card
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 200), (-1, 0), (200, 5)])
+    def test_out_of_range_ids_raise(self, card, pair):
+        with pytest.raises(ValueError, match="out of range for 200 nodes"):
+            card.query(*pair)
+        with pytest.raises(ValueError, match="out of range for 200 nodes"):
+            card.query_many([(0, 1), pair])
+
+    def test_fractional_ids_raise(self, card):
+        with pytest.raises(TypeError, match="target ids must be integers"):
+            card.query(0, 3.0)
+        with pytest.raises(TypeError, match="source ids must be integers"):
+            card.query_many([(1.5, 3)])
+
+    def test_numpy_ids_are_answered_as_ints(self, card):
+        assert card.query(np.int64(0), np.int64(199)) == card.query(0, 199)

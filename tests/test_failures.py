@@ -20,6 +20,16 @@ class TestTopologyLiveness:
         assert 5 not in line10.adj[4]
         assert 5 not in line10.adj[6]
 
+    @pytest.mark.parametrize(
+        "bad, error", [([-1], ValueError), ([4, 10], ValueError), ([2.0], TypeError)]
+    )
+    def test_bad_ids_are_refused_before_any_node_fails(self, line10, bad, error):
+        """``-1`` used to fail node N−1 by negative indexing."""
+        e0 = line10.epoch
+        with pytest.raises(error):
+            line10.fail_nodes(bad)
+        assert line10.active.all() and line10.epoch == e0
+
     def test_failure_bumps_epoch_once(self, line10):
         e0 = line10.epoch
         line10.fail_nodes([3])

@@ -230,6 +230,27 @@ class TestSamplePairStats:
         assert sampled.diameter <= exact.diameter <= sampled.diameter_upper
         assert sampled.mean_hops_se >= 0.0
 
+    def test_graph_stats_sampled_branch(self):
+        topo = random_topology(n=120, seed=8)
+        exact = g.graph_stats(topo.adj)
+        sampled = g.graph_stats(
+            topo.adj, pair_sample=32, rng=np.random.default_rng(0)
+        )
+        # structure columns are exact either way
+        assert sampled.num_links == exact.num_links
+        assert sampled.giant_size == exact.giant_size
+        # the estimator is close (same giant, 32 BFS sources); any node's
+        # eccentricity is >= diameter/2, so the lower bound is structural
+        assert sampled.diameter <= exact.diameter
+        assert sampled.diameter * 2 >= exact.diameter
+        assert sampled.mean_hops == pytest.approx(exact.mean_hops, rel=0.25)
+        # a sample covering the giant degenerates to the exact numbers
+        full_sample = g.graph_stats(
+            topo.adj, pair_sample=len(topo.adj), rng=np.random.default_rng(0)
+        )
+        assert full_sample.diameter == exact.diameter
+        assert full_sample.mean_hops == pytest.approx(exact.mean_hops)
+
     def test_empty_population(self):
         est = g.sample_pair_stats(
             [], 3, np.random.default_rng(0), population=np.array([], dtype=np.int64)

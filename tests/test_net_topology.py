@@ -95,15 +95,15 @@ class TestMobilityRebuild:
 
     def test_no_allpairs_accessor(self, grid5):
         # the APSP matrix is a test oracle only; the topology deliberately
-        # exposes no hop_distances() since the DistanceView redesign
+        # exposes no hop_distances(): bounded distances come from its
+        # substrate, a global row from graph.bfs_hops
         assert not hasattr(grid5, "hop_distances")
 
-    def test_distance_view_membership_cached_per_epoch(self, grid5):
-        view = grid5.distance_view(2)
-        m1 = view.membership()
-        assert view.membership() is m1
+    def test_shared_substrate_membership_cached_per_epoch(self, grid5):
+        m1 = grid5.substrate(2).membership(2)
+        assert grid5.substrate(2).membership(2) is m1
         grid5.set_positions(np.array(grid5.positions))
-        assert grid5.distance_view(2).membership() is not m1
+        assert grid5.substrate(2).membership(2) is not m1
 
     def test_node_count_fixed(self, line10):
         with pytest.raises(ValueError, match="node count"):

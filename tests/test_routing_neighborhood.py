@@ -15,7 +15,7 @@ from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import grid_topology, line_topology, random_topology
-from tests.oracles import hop_distance_matrix
+from tests.oracles import hop_distance_matrix, oracle_path
 
 AREA = 400.0
 
@@ -34,8 +34,8 @@ class TestMembership:
 
     def test_size(self, line10):
         t = NeighborhoodTables(line10, radius=3)
-        assert t.size(0) == 4   # 0,1,2,3
-        assert t.size(5) == 7   # 2..8
+        assert t.members(0).size == 4   # 0,1,2,3
+        assert t.members(5).size == 7   # 2..8
 
     def test_invalid_radius(self, line10):
         with pytest.raises((ValueError, TypeError)):
@@ -81,20 +81,7 @@ class TestPaths:
 
     def test_hops(self, line10):
         t = NeighborhoodTables(line10, radius=3)
-        assert t.hops(0, 3) == 3
-        assert t.hops(0, 9) == -1  # zone-scoped: beyond R answers -1
-
-
-def oracle_path(adj, u: int, v: int, radius: int):
-    """Parent chase over the R-hop BFS tree from ``u``: the reference
-    route (the lexicographically smallest shortest path)."""
-    dist, parent = g.bfs_tree(adj, u, max_hops=radius)
-    if dist[v] == g.UNREACHABLE:
-        return None
-    path = [v]
-    while path[-1] != u:
-        path.append(int(parent[path[-1]]))
-    return path[::-1]
+        assert t.zone_hops(0, [3, 9]).tolist() == [3, -1]  # beyond R: -1
 
 
 class TestPathWithinOracle:
@@ -111,7 +98,7 @@ class TestPathWithinOracle:
             assert got == oracle_path(topo.adj, u, v, t.radius)
             if got is not None:
                 assert got[0] == u and got[-1] == v
-                assert len(got) - 1 == t.hops(u, v) <= t.radius
+                assert len(got) - 1 == t.zone_hops(u, [v])[0] <= t.radius
                 for a, b in zip(got, got[1:]):
                     assert topo.are_neighbors(a, b)
 

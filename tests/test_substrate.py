@@ -20,7 +20,7 @@ from repro.net.substrate import DistanceSubstrate
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import line_topology, random_topology
-from tests.oracles import hop_distance_matrix
+from tests.oracles import band_matrix, hop_distance_matrix
 
 
 def roomy_line(n: int, spacing: float = 40.0, tx: float = 50.0) -> Topology:
@@ -40,7 +40,7 @@ def clipped(full: np.ndarray, horizon: int, dtype) -> np.ndarray:
 
 
 def assert_band_exact(topo: Topology, sub: DistanceSubstrate) -> None:
-    band = sub.band()
+    band = band_matrix(sub, sub.horizon)
     full = hop_distance_matrix(topo.adj)
     assert (band == clipped(full, sub.horizon, band.dtype)).all()
 
@@ -255,11 +255,11 @@ class TestSubstrate:
         original seed bug class this substrate must not reintroduce."""
         topo = line_topology(4)
         sub = topo.substrate(1)
-        assert sub.band()[0, 1] == 1
+        assert sub.hops(0, 1, 1) == 1
         pos = np.array(topo.positions)
         pos[1][0] = topo.area[0]  # node 1 leaves node 0's range
         topo.set_positions(pos)
-        assert sub.band()[0, 1] == g.UNREACHABLE
+        assert sub.hops(0, 1, 1) == g.UNREACHABLE
         member = sub.membership(1)
         assert not member[0, 1]
 
@@ -284,18 +284,20 @@ class TestSubstrate:
         with pytest.raises(ValueError):
             DistanceSubstrate(topo, 0)
 
-    def test_full_reference_mode_parity(self):
-        """incremental=False is the exact-parity fallback: always rebuilds."""
+    def test_incremental_band_equals_cold_substrate(self):
+        """A band refreshed incrementally holds exactly what a substrate
+        built cold on the same topology holds."""
         topo = random_topology(n=60, seed=3)
         topo.enable_delta_tracking()
-        sub = DistanceSubstrate(topo, 3, incremental=False)
+        sub = DistanceSubstrate(topo, 3)
         sub.refresh()
         pos = np.array(topo.positions)
         pos[0] = [1.0, 1.0]
         topo.set_positions(pos)
-        assert_band_exact(topo, sub)
-        assert sub.stats().incremental_updates == 0
-        assert sub.stats().full_rebuilds == 2
+        cold = DistanceSubstrate(topo, 3)
+        assert (band_matrix(sub, 3) == band_matrix(cold, 3)).all()
+        assert sub.stats().incremental_updates == 1
+        assert sub.stats().full_rebuilds == cold.stats().full_rebuilds == 1
 
     def test_massive_change_falls_back_to_full_rebuild(self):
         topo = random_topology(n=60, seed=5)
@@ -347,8 +349,8 @@ class TestSharedSubstrate:
             for v in (1, 50):
                 expect = int(full[u, v])
                 if not (0 <= expect <= 3):
-                    expect = g.UNREACHABLE  # hops is zone-scoped now
-                assert tables.hops(u, v) == expect
+                    expect = g.UNREACHABLE  # zone-scoped: -1 beyond R
+                assert tables.zone_hops(u, [v])[0] == expect
 
     def test_mobility_driver_delta_history(self):
         sim = Simulator()

@@ -1,33 +1,35 @@
-"""Both substrate band representations equal the BFS oracle, plus the
-DistanceView contracts.
+"""Both substrate band representations equal the BFS oracle, at both
+horizons the protocol asks at.
 
 The band is dense below :data:`repro.net.substrate.SPARSE_NODE_THRESHOLD`
 nodes and a CSR triple at and above it.  Each representation — chosen
 for the whole test by patching the threshold — must answer every query
-(membership, edge nodes, hop lookups, band materialisation) exactly as
-per-source bounded BFS does, over random, mobile and failure-injected
-topologies.  Plus the view-layer contracts: multi-horizon sharing, the
-2R-view epoch-invalidation regression, and the global view's sampled
-statistics.
+(membership, edge nodes, hop lookups, routes) exactly as per-source
+bounded BFS does, over random, mobile and failure-injected topologies,
+and the zone tables must answer at R and at 2R alike whether or not a
+2R consumer grew the shared band first.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import graph as g
 from repro.net import substrate
 from repro.net.substrate import (
     SPARSE_NODE_THRESHOLD,
     DistanceSubstrate,
-    GlobalDistanceView,
     SparseMembership,
 )
 from repro.net.topology import Topology
 from repro.routing.neighborhood import NeighborhoodTables
 from tests.conftest import random_topology
-from tests.oracles import hop_distance_matrix
+from tests.oracles import band_matrix, oracle_path
 
 
 def bfs_oracle(topo: Topology, horizon: int) -> np.ndarray:
@@ -41,7 +43,7 @@ def assert_matches_oracle(topo: Topology, sub: DistanceSubstrate, horizon: int):
     """Every query surface of ``sub`` answers what the BFS oracle does."""
     n = topo.num_nodes
     want = bfs_oracle(topo, horizon)
-    assert (sub.band() == want).all()
+    assert (band_matrix(sub, horizon) == want).all()
     for radius in range(1, horizon + 1):
         member = sub.membership(radius)
         inside = (want >= 0) & (want <= radius)
@@ -52,10 +54,9 @@ def assert_matches_oracle(topo: Topology, sub: DistanceSubstrate, horizon: int):
             ).tolist()
     probe = np.arange(0, n, max(1, n // 7), dtype=np.int64)
     for u in probe:
-        vals = sub._fresh_band().hops_many(int(u), probe)
-        assert (np.asarray(vals) == want[u, probe]).all()
+        assert (sub.hops_many(u, probe, horizon) == want[u, probe]).all()
         for v in probe:
-            assert sub.hops_within(int(u), int(v)) == want[u, v]
+            assert sub.hops(u, v, horizon) == want[u, v]
 
 
 @pytest.fixture(params=["scipy", "numpy"])
@@ -148,121 +149,111 @@ class TestBandEqualsOracleDynamic:
         assert_matches_oracle(topo, sub, 3)
 
 
-class TestMultiHorizonViews:
-    def test_views_share_one_substrate(self):
-        topo = random_topology(n=80, seed=1)
-        zone = topo.distance_view(3)
-        contact = topo.distance_view(6)  # 2R
-        assert zone.substrate is contact.substrate
-        assert contact.substrate.horizon == 6
-        # the R view still answers R-scoped: beyond-horizon is -1
-        full = hop_distance_matrix(topo.adj)
-        for u in (0, 33, 79):
-            for v in (2, 50):
-                want = int(full[u, v])
-                assert zone.hops(u, v) == (want if 0 <= want <= 3 else -1)
-                assert contact.hops(u, v) == (want if 0 <= want <= 6 else -1)
+AREA = (400.0, 400.0)
 
-    def test_members_within_ring_band(self):
-        topo = random_topology(n=80, seed=2)
-        view = topo.distance_view(4)
-        full = hop_distance_matrix(topo.adj)
-        for u in (0, 17, 61):
-            row = full[u]
-            assert (view.members(u) == np.flatnonzero((row >= 0) & (row <= 4))).all()
-            assert (view.ring(u) == np.flatnonzero(row == 4)).all()
-            assert (view.ring(u, 1) == np.flatnonzero(row == 1)).all()
-        clip = np.where((full >= 0) & (full <= 4), full, -1).astype(
-            view.band().dtype
-        )
-        assert (view.band() == clip).all()
 
-    def test_two_r_view_epoch_invalidation_regression(self):
-        """The 2R view must track epoch bumps exactly like the R view —
-        a stale contact band would silently corrupt SPREAD ranking and
-        the overlap metric after a mobility step."""
+def draw_topology(n: int, tx: float, seed: int) -> Topology:
+    rng = np.random.default_rng(seed)
+    return Topology(rng.uniform(0.0, AREA[0], size=(n, 2)), tx, AREA)
+
+
+def assert_tables_match_oracle(tables: NeighborhoodTables, ask_2r: bool) -> None:
+    """Zone answers at R (and 2R answers, when ``ask_2r``) from every
+    probed source equal the BFS oracle's."""
+    adj, r, n = tables.topology.adj, tables.radius, tables.topology.num_nodes
+    member = tables.membership
+    everyone = np.arange(n)
+    for u in range(0, n, max(1, n // 6)):
+        row = g.bfs_hops(adj, u)
+        zone = (row >= 0) & (row <= r)
+        assert tables.members(u).tolist() == np.flatnonzero(zone).tolist()
+        assert (np.asarray(member[u]) == zone).all()
+        assert tables.edge_nodes(u).tolist() == np.flatnonzero(row == r).tolist()
+        assert tables.zone_hops(u, everyone).tolist() == np.where(zone, row, -1).tolist()
+        for v in range(n):
+            assert tables.contains(u, v) == bool(zone[v])
+            assert tables.path_within(u, v) == oracle_path(adj, u, v, r)
+            if ask_2r:
+                d = int(row[v])
+                assert tables.band_hops(u, v) == (d if 0 <= d <= 2 * r else -1)
+
+
+class TestTwoHorizons:
+    """The zone tables ask one shared band at R and at 2R."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sparse=st.booleans(),
+        n=st.integers(2, 50),
+        tx=st.sampled_from([40.0, 60.0, 90.0]),
+        seed=st.integers(0, 2**16),
+        radius=st.integers(1, 3),
+        grow_first=st.booleans(),
+        ask_2r=st.booleans(),
+        bumps=st.lists(
+            st.tuples(st.sampled_from(["move", "fail"]), st.integers(0, 2**16)),
+            max_size=4,
+        ),
+    )
+    def test_answers_equal_bfs_oracle(
+        self, sparse, n, tx, seed, radius, grow_first, ask_2r, bumps
+    ):
+        """Every R and 2R answer equals per-source BFS before and after
+        random moves and failures; a run that never asks at 2R ends with
+        the band at R."""
+        threshold = 1 if sparse else SPARSE_NODE_THRESHOLD
+        with mock.patch.object(substrate, "SPARSE_NODE_THRESHOLD", threshold):
+            topo = draw_topology(n, tx, seed)
+            tables = NeighborhoodTables(topo, radius)
+            if grow_first:
+                tables.band_hops(0, n - 1)
+            assert_tables_match_oracle(tables, ask_2r)
+            for kind, bump_seed in bumps:
+                rng = np.random.default_rng(bump_seed)
+                if kind == "move":
+                    # a few nodes jump, so most bumps refresh incrementally
+                    pos = np.array(topo.positions)
+                    moved = rng.choice(n, size=rng.integers(1, n // 5 + 2), replace=False)
+                    pos[moved] = rng.uniform(0.0, AREA[0], size=(moved.size, 2))
+                    topo.set_positions(pos)
+                else:
+                    topo.fail_nodes([int(rng.integers(n))])
+                assert_tables_match_oracle(tables, ask_2r)
+            assert tables.substrate.backend_kind == ("sparse" if sparse else "dense")
+            grown = grow_first or ask_2r
+            assert tables.substrate.horizon == (2 * radius if grown else radius)
+
+    def test_growth_is_full_rebuild_but_identity_stable(self):
+        topo = random_topology(n=60, seed=4)
+        sub = topo.substrate(2)
+        sub.refresh()
+        rebuilds = sub.stats().full_rebuilds
+        grown = topo.substrate(5)
+        assert grown is sub  # same object, horizon grown in place
+        sub.refresh()
+        assert sub.horizon == 5
+        assert sub.stats().full_rebuilds == rebuilds + 1
+
+    def test_band_hops_tracks_epoch_bumps(self):
+        """The 2R answers follow an epoch bump exactly like the R ones: a
+        stale contact band would silently corrupt SPREAD ranking and the
+        overlap metric after a mobility step."""
         xs = np.arange(8, dtype=np.float64) * 40.0
         pos = np.stack([xs, np.full(8, 1.0)], axis=1)
         side = float(xs.max()) + 500.0
         topo = Topology(pos, 50.0, (side, side))
         tables = NeighborhoodTables(topo, 2)
-        contact = tables.contact_view
-        assert contact.horizon == 4
-        assert contact.hops(0, 4) == 4
-        assert tables.hops(0, 2) == 2
+        assert tables.band_hops(0, 4) == 4
+        assert tables.substrate.horizon == 4
+        assert tables.zone_hops(0, [2, 4]).tolist() == [2, -1]
         # break the chain between 3 and 4
         pos = np.array(topo.positions)
         pos[4] = [side - 1.0, side - 1.0]
         topo.set_positions(pos)
-        assert contact.hops(0, 4) == -1  # fresh, not stale
+        assert tables.band_hops(0, 4) == -1  # fresh, not stale
         assert tables.contains(0, 2)
-        member = tables.membership
-        assert not np.asarray(member[3] if isinstance(member, np.ndarray) else member[3])[4]
+        assert not tables.membership[3, 4]
         # and the chain heals
         pos[4] = [160.0, 1.0]
         topo.set_positions(pos)
-        assert contact.hops(0, 4) == 4
-
-    def test_growth_is_full_rebuild_but_identity_stable(self):
-        topo = random_topology(n=60, seed=4)
-        sub = topo.substrate(2)
-        _ = sub.band()
-        rebuilds = sub.stats().full_rebuilds
-        grown = topo.substrate(5)
-        assert grown is sub  # same object, horizon grown in place
-        _ = sub.band()
-        assert sub.horizon == 5
-        assert sub.stats().full_rebuilds == rebuilds + 1
-
-
-class TestGlobalView:
-    def test_sampled_stats_match_exact_on_full_sample(self):
-        topo = random_topology(n=60, seed=6)
-        gview = topo.distance_view(None)
-        assert isinstance(gview, GlobalDistanceView)
-        est = gview.sample_pair_stats(60, np.random.default_rng(0))
-        full = hop_distance_matrix(topo.adj)
-        finite = full[full > 0]
-        assert est.num_sources == 60
-        assert est.diameter == int(finite.max())
-        assert est.mean_hops == pytest.approx(float(finite.mean()))
-
-    def test_row_queries_are_exact(self):
-        topo = random_topology(n=70, seed=7)
-        gview = topo.distance_view(None)
-        full = hop_distance_matrix(topo.adj)
-        for u in (0, 35, 69):
-            assert gview.hops(u, 3) == int(full[u, 3])
-            assert (gview.hops_many(u, [1, 2, 50]) == full[u, [1, 2, 50]]).all()
-            assert (gview.members(u) == np.flatnonzero(full[u] >= 0)).all()
-        # epoch bump invalidates cached rows
-        pos = np.array(topo.positions)
-        pos[0] = [1.0, 1.0]
-        topo.set_positions(pos)
-        assert gview.hops(0, 3) == int(hop_distance_matrix(topo.adj)[0, 3])
-
-    def test_band_is_refused(self):
-        topo = random_topology(n=20, seed=0)
-        with pytest.raises(RuntimeError, match="sample_pair_stats"):
-            topo.distance_view(None).band()
-
-    def test_graph_stats_sampled_branch(self):
-        topo = random_topology(n=120, seed=8)
-        exact = g.graph_stats(topo.adj)
-        sampled = g.graph_stats(
-            topo.adj, pair_sample=32, rng=np.random.default_rng(0)
-        )
-        # structure columns are exact either way
-        assert sampled.num_links == exact.num_links
-        assert sampled.giant_size == exact.giant_size
-        # the estimator is close (same giant, 32 BFS sources); any node's
-        # eccentricity is >= diameter/2, so the lower bound is structural
-        assert sampled.diameter <= exact.diameter
-        assert sampled.diameter * 2 >= exact.diameter
-        assert sampled.mean_hops == pytest.approx(exact.mean_hops, rel=0.25)
-        # a sample covering the giant degenerates to the exact numbers
-        full_sample = g.graph_stats(
-            topo.adj, pair_sample=len(topo.adj), rng=np.random.default_rng(0)
-        )
-        assert full_sample.diameter == exact.diameter
-        assert full_sample.mean_hops == pytest.approx(exact.mean_hops)
+        assert tables.band_hops(0, 4) == 4

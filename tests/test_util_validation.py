@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
     check_in_range,
     check_int,
+    check_node_id,
     check_non_negative,
     check_positive,
     check_probability,
@@ -81,3 +83,20 @@ class TestCheckInt:
     def test_rejects_str(self):
         with pytest.raises(TypeError):
             check_int("n", "3")
+
+
+class TestCheckNodeId:
+    @pytest.mark.parametrize("ok", [0, 7, 9, np.int64(3), np.int32(9)])
+    def test_accepts_integral_ids_in_range(self, ok):
+        got = check_node_id(ok, 10)
+        assert got == int(ok) and type(got) is int
+
+    @pytest.mark.parametrize("bad", [-1, -10, 10, 11])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=f"node id {bad} out of range for 10"):
+            check_node_id(bad, 10)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "3", None])
+    def test_rejects_non_integral(self, bad):
+        with pytest.raises(TypeError, match="target ids must be integers"):
+            check_node_id(bad, 10, "target")
